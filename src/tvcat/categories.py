@@ -18,7 +18,7 @@ from .monads import TheoryMonad, monad_by_name, monad_from_dict
 from .quantale import FormatError, Quantale, quantale_by_name
 from .report import CheckReport, Reporter, sort_key
 from .theory import LaxExtension
-from .vrel import VRel, pair_carrier, random_relation
+from .vrel import VRel, pair_carrier, push_forward, random_relation
 
 
 class TVStructure:
@@ -248,20 +248,11 @@ def final_lift(ext: LaxExtension, carrier: tuple, cocone) -> TVStructure:
     Tf_i s = t, f_i x = y} v (k at (e y, y))."""
     q = ext.quantale
     monad = ext.monad
-    ty = monad.carrier(carrier)
-    acc: dict = {}
-
-    def bump(key, v):
-        prev = acc.get(key)
-        acc[key] = v if prev is None else q.join[prev][v]
-
-    for y in carrier:
-        bump((monad.unit(y), y), q.unit)
-    for src, m in cocone:
-        for (t, x), v in src.a.entries.items():
-            bump((monad.map_elem(lambda z: m[z], t), m[x]), v)
-    ent = {k: v for k, v in acc.items() if v != q.bottom}
-    return TVStructure(ext, carrier, VRel(q, ty, carrier, ent))
+    floor = [((monad.unit(y), y), q.unit) for y in carrier]
+    images = [((monad.map_elem(lambda z: m[z], t), m[x]), v)
+              for src, m in cocone for (t, x), v in src.a.entries.items()]
+    ent = push_forward(q, floor + images)
+    return TVStructure(ext, carrier, VRel(q, monad.carrier(carrier), carrier, ent))
 
 
 def graph_to_category(s: TVStructure) -> TVStructure:
@@ -402,12 +393,8 @@ def reflect_R(s: TVStructure):
             carrier.append(rep_of[x])
     carrier = tuple(carrier)
     ty = monad.carrier(carrier)
-    acc: dict = {}
-    for (w, x1), v in s.a.entries.items():
-        key = (monad.map_elem(lambda z: rep_of[z], w), rep_of[x1])
-        prev = acc.get(key)
-        acc[key] = v if prev is None else q.join[prev][v]
-    ent = {k: v for k, v in acc.items() if v != q.bottom}
+    ent = push_forward(q, (((monad.map_elem(lambda z: rep_of[z], w), rep_of[x1]), v)
+                           for (w, x1), v in s.a.entries.items()))
     out = TVStructure(s.ext, carrier, VRel(q, ty, carrier, ent), name=s.name)
     reached = {monad.map_elem(lambda z: rep_of[z], w) for w in s.tx}
     if any(t not in reached for t in ty):
@@ -431,11 +418,8 @@ def check_final(f: TVFunctor) -> CheckReport:
     the fiber of (Tf, f)."""
     rep = Reporter("final", bound=f.source.ext.bound_info())
     q = f.source.quantale
-    acc: dict = {}
-    for (t, x), v in f.source.a.entries.items():
-        key = (f.t_map(t), f.map[x])
-        prev = acc.get(key, q.bottom)
-        acc[key] = q.join[prev][v]
+    acc = push_forward(q, (((f.t_map(t), f.map[x]), v)
+                           for (t, x), v in f.source.a.entries.items()))
     b = f.target.a
     for t in sorted(f.target.tx, key=sort_key):
         for y in f.target.carrier:
@@ -471,6 +455,17 @@ def check_R_preserves_products(sx: TVStructure, sy: TVStructure) -> CheckReport:
 
 # ---- duals, M and K ----
 
+def m_fibers(monad: TheoryMonad, ttx: tuple) -> dict:
+    """The fibers of the multiplication over the in-bound part of TTX:
+    t |-> [YY in ttx with m YY = t], in enumeration order."""
+    fibers: dict = {}
+    for yy in ttx:
+        my = monad.mult(yy)
+        if my is not None:
+            fibers.setdefault(my, []).append(yy)
+    return fibers
+
+
 def dual(s: TVStructure) -> TVStructure:
     """X^op = (TX, m . (Ta)-degree . m): the structure on TX whose value at
     (XX, t) joins Ta(YY, m XX) over all YY with m YY = t."""
@@ -479,11 +474,7 @@ def dual(s: TVStructure) -> TVStructure:
     ta = s.ext.extend(s.a)
     carrier = s.tx
     ttx = monad.carrier(carrier)
-    fibers: dict = {}
-    for yy in ttx:
-        my = monad.mult(yy)
-        if my is not None:
-            fibers.setdefault(my, []).append(yy)
+    fibers = m_fibers(monad, ttx)
     ent = {}
     bounded = False
     for xx in ttx:
@@ -539,7 +530,7 @@ def check_algebra(alg: EMAlgebra) -> CheckReport:
             return rep.fail("algebra-unit", [repr(x)])
     for xx in monad.carrier(tx):
         mx = monad.mult(xx)
-        if mx is None or any(t not in alg.alpha for t in _t_letters(monad, xx)):
+        if mx is None or any(t not in alg.alpha for t in monad.letters(xx)):
             rep.skip()
             continue
         rep.tick()
@@ -560,32 +551,20 @@ def check_algebra(alg: EMAlgebra) -> CheckReport:
     return rep.ok()
 
 
-def _t_letters(monad, tt):
-    from .monads import _letters
-    return _letters(monad, tt)
-
-
 def functor_M(s: TVStructure) -> EMAlgebra:
     """M sends (X, a) to (TX, Ta . m-degree, m)."""
     q = s.quantale
     monad = s.monad
     ta = s.ext.extend(s.a)
     carrier = s.tx
-    ttx = monad.carrier(carrier)
-    ent: dict = {}
     alpha = {}
-    for xx in ttx:
+    for xx in ta.src:
         mx = monad.mult(xx)
-        if mx is None:
-            continue
-        alpha[xx] = mx
-        for t in carrier:
-            v = ta(xx, t)
-            key = (mx, t)
-            prev = ent.get(key, q.bottom)
-            ent[key] = q.join[prev][v]
-    a0 = VRel(q, carrier, carrier, {k: v for k, v in ent.items() if v != q.bottom})
-    return EMAlgebra(s.ext, carrier, a0, alpha)
+        if mx is not None:
+            alpha[xx] = mx
+    ent = push_forward(q, (((alpha[xx], t), v)
+                           for (xx, t), v in ta.entries.items() if xx in alpha))
+    return EMAlgebra(s.ext, carrier, VRel(q, carrier, carrier, ent), alpha)
 
 
 def functor_K(alg: EMAlgebra) -> TVStructure:
@@ -634,11 +613,7 @@ def find_representation(s: TVStructure, guard: int | None = None):
     check_guard(len(s.carrier) ** len(tx), "representation search", guard)
     ta = s.ext.extend(s.a)
     ttx = monad.carrier(tx)
-    fibers: dict = {}
-    for yy in ttx:
-        my = monad.mult(yy)
-        if my is not None:
-            fibers.setdefault(my, []).append(yy)
+    fibers = m_fibers(monad, ttx)
     # the canonical structure on TX: a^(XX, t) = \/ {Ta(YY, t) | m YY = m XX}
     hat: dict = {}
     for xx in ttx:
@@ -719,13 +694,12 @@ def from_order(ext: LaxExtension, xs: tuple, pairs) -> TVStructure:
                 if y == y2 and (x, z) not in rel:
                     rel.add((x, z))
                     changed = True
-    from .monads import _letters
     monad = ext.monad
     tx = monad.carrier(tuple(xs))
     ent = {}
     for t in tx:
         for x in xs:
-            if all((l, x) in rel for l in _letters(monad, t)):
+            if all((l, x) in rel for l in monad.letters(t)):
                 ent[(t, x)] = q.unit
     return TVStructure(ext, tuple(xs), VRel(q, tx, tuple(xs), ent))
 

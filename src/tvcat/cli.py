@@ -293,7 +293,8 @@ def cmd_psh_weak_exp(args):
 
 def cmd_gallery_run(args):
     path = args.data or DATA_PATH
-    all_match, results = run_gallery(path, seed=args.seed)
+    all_match, results = run_gallery(path, seed=args.seed,
+                                     guard=args.guard_size)
     return (0 if all_match else 1), {"matches": all_match, "results": results}
 
 
@@ -420,21 +421,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    saved_guard = os.environ.get("TVCAT_GUARD_SIZE")
-    if args.guard_size is not None:
-        os.environ["TVCAT_GUARD_SIZE"] = str(args.guard_size)
     try:
         code, payload = args.fn(args)
     except (FormatError, GuardError, NotSeparated, OSError,
             json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    finally:
-        if args.guard_size is not None:
-            if saved_guard is None:
-                os.environ.pop("TVCAT_GUARD_SIZE", None)
-            else:
-                os.environ["TVCAT_GUARD_SIZE"] = saved_guard
     if args.replay is not None:
         try:
             code = _apply_replay(payload, args.replay)

@@ -3,9 +3,13 @@
 The carrier of an exponential <X,Y> is the set of admissible maps X -> Y
 (those underlying structure-compatible maps out of X x E, where E is the
 one-point generator), stored as value tuples in carrier order so they can
-serve as carrier elements themselves.  The structure b^a is computed with
-Heyting-implication meets; since binary meet distributes over joins, the
-defining supremum is attained and the meet formula is exact.
+serve as carrier elements themselves.  The structure b^a is the largest
+structure making evaluation compatible, computed by ``largest_compatible``
+with Heyting-implication meets; since binary meet distributes over joins,
+the defining supremum is attained and the meet formula is exact.  The
+presheaf category (presheaf.py) is built by the same kernel with
+residuation in place of implication, and its carrier filter uses the same
+``point_tests``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ from itertools import product as iter_product
 
 from .categories import (TVFunctor, TVStructure, check_category, product)
 from .limits import check_guard
+from .monads import TheoryMonad
 from .quantale import FormatError
 from .report import CheckReport, Reporter, sort_key
+from .theory import LaxExtension
 from .vrel import VRel, pair_carrier
 
 
@@ -50,21 +56,53 @@ class ExponentialGraph:
         return TVFunctor(p, self.sy, ev)
 
 
+def point_tests(monad: TheoryMonad, xs: tuple) -> list:
+    """The T-elements of X seen through the one-point generator: the
+    X-parts of the elements of T(X x 1) that sit above the unit point of
+    T1."""
+    estar = monad.unit("*")
+    return [monad.map_elem(lambda p: p[0], w)
+            for w in monad.carrier(pair_carrier(xs, ("*",)))
+            if monad.map_elem(lambda p: p[1], w) == estar]
+
+
+def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b_row,
+                       imp) -> VRel:
+    """The largest structure on z, a set of maps X -> Y stored as value
+    tuples in the order of X = a.dst, making evaluation Z x X -> Y
+    structure-compatible: c(p, h) is the meet, over T-elements w of Z x X
+    above p and points x, of imp[a(Tpi_X w, x)][b(Tev w, h x)].  b_row(tev)
+    is the row b(tev, -), indexed by the points of Y; imp is the
+    implication table (Heyting for exponentials, residuation for
+    presheaves)."""
+    q = ext.quantale
+    monad = ext.monad
+    meet = q.meet
+    xs = a.dst
+    xidx = {x: i for i, x in enumerate(xs)}
+    tz = monad.carrier(z)
+    acc = {(p, h): q.top for p in tz for h in z}
+    for w in monad.carrier(pair_carrier(z, xs)):
+        p = monad.map_elem(lambda c: c[0], w)
+        tx = monad.map_elem(lambda c: c[1], w)
+        row = b_row(monad.map_elem(lambda c: c[0][xidx[c[1]]], w))
+        imps = [imp[a(tx, x)] for x in xs]
+        for h in z:
+            cur = acc[(p, h)]
+            for imp_x, hx in zip(imps, h):
+                cur = meet[cur][imp_x[row[hx]]]
+            acc[(p, h)] = cur
+    return VRel(q, tz, z, {k: v for k, v in acc.items() if v != q.bottom})
+
+
 def admissible_maps(sx: TVStructure, sy: TVStructure,
                     guard: int | None = None) -> tuple:
     """Maps h: X -> Y underlying structure-compatible maps X x E -> Y: over
-    every T-element of X x 1 sitting above the unit point of T1,
-    a(t, x) /\\ k <= b(Th t, h x)."""
+    every T-element t of X from point_tests, a(t, x) /\\ k <= b(Th t, h x)."""
     q = sx.quantale
     monad = sx.monad
     check_guard(len(sy.carrier) ** len(sx.carrier), "exponential carrier", guard)
-    cells = pair_carrier(sx.carrier, ("*",))
-    estar = monad.unit("*")
-    tests = []
-    for w in monad.carrier(cells):
-        if monad.map_elem(lambda p: p[1], w) != estar:
-            continue
-        tests.append(monad.map_elem(lambda p: p[0], w))
+    tests = point_tests(monad, sx.carrier)
     out = []
     for values in iter_product(sy.carrier, repeat=len(sx.carrier)):
         h = dict(zip(sx.carrier, values))
@@ -82,25 +120,10 @@ def graph_exponential(sx: TVStructure, sy: TVStructure,
     above p and points x, of heyting(a(Tpi_X q, x), b(Tev q, h x))."""
     if sx.quantale != sy.quantale:
         raise FormatError("exponential across different quantales")
-    q = sx.quantale
-    monad = sx.monad
     z = admissible_maps(sx, sy, guard)
-    cells = pair_carrier(z, sx.carrier)
-    tz = monad.carrier(z)
-    xidx = {x: i for i, x in enumerate(sx.carrier)}
-    acc = {(p, h): q.top for p in tz for h in z}
-    for w in monad.carrier(cells):
-        p = monad.map_elem(lambda c: c[0], w)
-        tx = monad.map_elem(lambda c: c[1], w)
-        tev = monad.map_elem(lambda c: c[0][xidx[c[1]]], w)
-        for h in z:
-            cur = acc[(p, h)]
-            for x in sx.carrier:
-                cur = q.meet[cur][q.heyting[sx.a(tx, x)][sy.a(tev, h[xidx[x]])]]
-            acc[(p, h)] = cur
-    ent = {k: v for k, v in acc.items() if v != q.bottom}
-    s = TVStructure(sx.ext, z, VRel(q, tz, z, ent))
-    return ExponentialGraph(sx, sy, s)
+    rel = largest_compatible(sx.ext, z, sx.a, lambda tev: {
+        y: sy.a(tev, y) for y in sy.carrier}, sx.quantale.heyting)
+    return ExponentialGraph(sx, sy, TVStructure(sx.ext, z, rel))
 
 
 def check_exponentiability(sx: TVStructure) -> CheckReport:

@@ -20,7 +20,7 @@ from .monads import check_monad_laws, monad_by_name
 from .quantale import check_condition_inj, check_quantale, quantale_by_name
 from .theory import LaxExtension, check_assumptions_bundle
 from .presheaf import (NotSeparated, build_presheaf_category, certify_injective,
-                       check_yoneda, find_sup)
+                       check_yoneda)
 
 DATA_PATH = os.path.join(os.path.dirname(__file__), "data", "gallery.json")
 
@@ -47,7 +47,7 @@ def _build_structure(ext: LaxExtension, spec: dict) -> TVStructure:
     })
 
 
-def run_entry(entry: dict, seed: int = 0) -> dict:
+def run_entry(entry: dict, seed: int = 0, guard: int | None = None) -> dict:
     q = quantale_by_name(entry["quantale"])
     monad = monad_by_name(entry["monad"])
     ext = LaxExtension(monad, q)
@@ -68,18 +68,19 @@ def run_entry(entry: dict, seed: int = 0) -> dict:
         verdict["exponentiability"] = check_exponentiability(s).status
         if sp.get("presheaf", True):
             try:
-                px = build_presheaf_category(s)
+                px = build_presheaf_category(s, guard)
                 verdict["presheaf_size"] = len(px.structure.carrier)
                 verdict["yoneda"] = check_yoneda(s, px).status
                 verdict["px_separated"] = separated(px.structure)
                 if verdict["separated"]:
-                    verdict["injective"] = certify_injective(s, px).status
+                    verdict["injective"] = certify_injective(
+                        s, px, guard=guard).status
                     if verdict["injective"] == "pass":
-                        rep = find_representation(s)
+                        rep = find_representation(s, guard)
                         verdict["representable"] = rep is not None
                 try:
                     verdict["px_injective"] = certify_injective(
-                        px.structure).status
+                        px.structure, guard=guard).status
                 except GuardError:
                     verdict["px_injective"] = "skipped-guard"
             except (GuardError, NotSeparated) as exc:
@@ -90,14 +91,15 @@ def run_entry(entry: dict, seed: int = 0) -> dict:
     return out
 
 
-def run_gallery(path: str | None = None, seed: int = 0):
+def run_gallery(path: str | None = None, seed: int = 0,
+                guard: int | None = None):
     """Run every entry; returns (all_match, results) where each result also
     records the diff against the committed verdicts."""
     entries = load_gallery(path)
     results = []
     all_match = True
     for entry in entries:
-        got = run_entry(entry, seed=seed)
+        got = run_entry(entry, seed=seed, guard=guard)
         expected = entry.get("expected", {})
         diff = _diff(expected, got)
         record = {"computed": got, "matches": not diff}

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 
+from .quantale import FormatError
+
 DEFAULT_GUARD_SIZE = 100_000
 
 
@@ -30,12 +32,12 @@ def guard_limit(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get("TVCAT_GUARD_SIZE")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_GUARD_SIZE
+    if not env:
+        return DEFAULT_GUARD_SIZE
+    if not env.isdecimal():
+        raise FormatError("TVCAT_GUARD_SIZE must be a non-negative integer, "
+                          "got %r" % env)
+    return int(env)
 
 
 def check_guard(size: int, what: str, override: int | None = None) -> None:

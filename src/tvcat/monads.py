@@ -87,13 +87,16 @@ class TheoryMonad:
     def in_bound(self, tt) -> bool:
         return self.mult(tt) is not None
 
+    def letters(self, t) -> tuple:
+        """Base positions of a T-element: the points map_elem acts on."""
+        return (t,)
+
     def xi(self, tv, q: Quantale) -> int:
-        raise NotImplementedError
+        return self.xi_of_values(self.letters(tv), q)
 
     def xi_of_values(self, values, q: Quantale) -> int:
-        """xi evaluated from the sequence of base-letter values; must agree
-        with the structural route through map_elem and xi."""
-        raise NotImplementedError
+        """xi evaluated from the sequence of base-letter values."""
+        return values[0]
 
     def bound_info(self):
         return None
@@ -119,12 +122,6 @@ class IdentityMonad(TheoryMonad):
 
     def mult(self, tt):
         return tt
-
-    def xi(self, tv, q):
-        return tv
-
-    def xi_of_values(self, values, q):
-        return values[0]
 
 
 class FiniteUltrafilterMonad(IdentityMonad):
@@ -167,8 +164,8 @@ class WordMonad(TheoryMonad):
         flat = tuple(x for w in tt for x in w)
         return flat if len(flat) <= self.max_len else None
 
-    def xi(self, tv, q):
-        return q.tens_all(tv)
+    def letters(self, t):
+        return t
 
     def xi_of_values(self, values, q):
         return q.tens_all(values)
@@ -201,11 +198,8 @@ class LabelledMonad(TheoryMonad):
         (x, h1), h2 = tt
         return (x, self.monoid.mul(h1, h2))
 
-    def xi(self, tv, q):
-        return tv[0]
-
-    def xi_of_values(self, values, q):
-        return values[0]
+    def letters(self, t):
+        return (t[0],)
 
     def describe(self):
         return {"kind": "labelled", "monoid": self.monoid.to_dict()}
@@ -237,9 +231,10 @@ def monad_by_name(spec: str) -> TheoryMonad:
         return FiniteUltrafilterMonad()
     if base == "word":
         try:
-            return WordMonad(int(arg))
+            depth = int(arg)
         except ValueError:
             raise FormatError("word monad needs a numeric depth, e.g. word:2")
+        return WordMonad(depth)
     if base == "labelled":
         if arg == "z2":
             return LabelledMonad(z2())
@@ -278,7 +273,7 @@ def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None) -
     for ttt in monad.carrier(ttx):
         lhs_inner = monad.mult(ttt)
         tm = monad.map_elem(monad.mult, ttt) if all(
-            monad.in_bound(t2) for t2 in _letters(monad, ttt)) else None
+            monad.in_bound(t2) for t2 in monad.letters(ttt)) else None
         if lhs_inner is None or tm is None:
             rep.skip()
             continue
@@ -307,15 +302,6 @@ def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None) -
             if lhs != rhs:
                 return rep.fail("xi-mult", repr(tt))
     return rep.ok()
-
-
-def _letters(monad: TheoryMonad, t):
-    """Base positions of a T-element, for in-bound screening."""
-    if isinstance(monad, WordMonad):
-        return t
-    if isinstance(monad, LabelledMonad):
-        return (t[0],)
-    return (t,)
 
 
 def check_bc_samples(monad: TheoryMonad, squares=None) -> CheckReport:

@@ -3,10 +3,12 @@
 PX is the set of structure-compatible maps from the dual of X into the
 quantale with its hom_xi structure; elements are stored as tuples of value
 indices in the enumeration order of TX, so they double as carrier elements.
-The tensor-exponential structure on PX mirrors the Heyting-meet formula of
-the graph exponential with residuation in place of implication; its
-correctness is not assumed but certified per instance by the full
-faithfulness of the Yoneda map and the separation and injectivity checks.
+PX is an exponential of (V, hom_xi): its carrier filter and its structure
+share one kernel with the graph exponential (``point_tests`` and
+``largest_compatible`` in exponential.py), with residuation in place of
+Heyting implication.  The structure's correctness is not assumed but
+certified per instance by the full faithfulness of the Yoneda map and the
+separation and injectivity checks.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .categories import (TVFunctor, TVStructure, check_fully_faithful,
-                         check_functor, dual, find_representation, product,
-                         separated, subspace, v_hom_xi)
-from .exponential import check_exponentiability, graph_exponential
+                         check_functor, dual, product, separated, subspace)
+from .exponential import (check_exponentiability, graph_exponential,
+                          largest_compatible, point_tests)
 from .limits import check_guard
 from .quantale import FormatError
 from .report import CheckReport, Reporter, sort_key
 from .theory import check_assumptions_bundle
-from .vrel import VRel, pair_carrier
 
 
 class NotSeparated(RuntimeError):
@@ -55,15 +56,10 @@ def build_presheaf_category(s: TVStructure, guard: int | None = None) -> Preshea
     tx = s.tx
     check_guard(q.n ** len(tx), "presheaf carrier", guard)
     # presheaf condition, weakened through the one-point generator exactly
-    # like the exponential carrier: for T-elements of TX x 1 above the unit
-    # point, aop(T, t) <= hom(xi(Tpsi T), psi t).  For the identity monad
-    # this is the plain compatibility condition for maps out of the dual.
-    estar = monad.unit("*")
-    tests = []
-    for w in monad.carrier(pair_carrier(tx, ("*",))):
-        if monad.map_elem(lambda c: c[1], w) != estar:
-            continue
-        tests.append(monad.map_elem(lambda c: c[0], w))
+    # like the exponential carrier: for the point tests T of TX,
+    # aop(T, t) <= hom(xi(Tpsi T), psi t).  For the identity monad this is
+    # the plain compatibility condition for maps out of the dual.
+    tests = point_tests(monad, tx)
     carrier = []
     for values in iter_product(range(q.n), repeat=len(tx)):
         psi = dict(zip(tx, values))
@@ -79,21 +75,9 @@ def build_presheaf_category(s: TVStructure, guard: int | None = None) -> Preshea
         if ok:
             carrier.append(tuple(values))
     carrier = tuple(sorted(carrier, key=sort_key))
-    tidx = {t: i for i, t in enumerate(tx)}
-    cells = pair_carrier(tx, carrier)
-    tz = monad.carrier(carrier)
-    acc = {(p, psi): q.top for p in tz for psi in carrier}
-    for w in monad.carrier(cells):
-        p = monad.map_elem(lambda c: c[1], w)
-        t1 = monad.map_elem(lambda c: c[0], w)
-        xi = monad.xi(monad.map_elem(lambda c: c[1][tidx[c[0]]], w), q)
-        for psi in carrier:
-            cur = acc[(p, psi)]
-            for t in tx:
-                cur = q.meet[cur][q.hom[op.a(t1, t)][q.hom[xi][psi[tidx[t]]]]]
-            acc[(p, psi)] = cur
-    ent = {k: v for k, v in acc.items() if v != q.bottom}
-    px = TVStructure(s.ext, carrier, VRel(q, tz, carrier, ent),
+    rel = largest_compatible(s.ext, carrier, op.a,
+                             lambda tev: q.hom[monad.xi(tev, q)], q.hom)
+    px = TVStructure(s.ext, carrier, rel,
                      name=(s.name + "^" if s.name else "") + "P")
     return PresheafCategory(s, op, px)
 

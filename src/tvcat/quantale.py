@@ -282,11 +282,6 @@ def check_quantale(q: Quantale) -> CheckReport:
     return rep.ok()
 
 
-def residuate(q: Quantale, u: int, w: int) -> int:
-    """hom(u, w) = sup of all v with u (x) v <= w."""
-    return q.hom[u][w]
-
-
 def check_condition_inj(q: Quantale) -> CheckReport:
     """Distribution of the meet over below-tensor decompositions:
     w /\\ (u(x)v) must equal sup of u'(x)v' over u'<=u, v'<=v, u'(x)v'<=w."""

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from itertools import product
 
-from .monads import TheoryMonad, _letters, can_map
+from .monads import TheoryMonad, can_map
 from .quantale import Quantale, check_condition_inj
 from .report import CheckReport, Reporter, sort_key
-from .vrel import VRel, all_relations, id_rel, pair_carrier, random_relation
+from .vrel import (VRel, all_relations, id_rel, pair_carrier, push_forward,
+                   random_relation)
 
 
 class LaxExtension:
@@ -42,7 +43,7 @@ class LaxExtension:
             for w in monad.carrier(pairs):
                 ix = monad.map_elem(lambda p: p[0], w)
                 iy = monad.map_elem(lambda p: p[1], w)
-                rows.append((ix, iy, tuple(_letters(monad, w))))
+                rows.append((ix, iy, tuple(monad.letters(w))))
             ev = (monad.carrier(src), monad.carrier(dst), rows)
             self._ev_cache[key] = ev
         return ev
@@ -52,17 +53,12 @@ class LaxExtension:
         q = self.quantale
         monad = self.monad
         tx, ty, rows = self._evaluator(r.src, r.dst)
-        entries: dict = {}
         bot = q.bottom
         get = r.entries.get
-        join = q.join
-        for ix, iy, cells in rows:
-            v = monad.xi_of_values([get(c, bot) for c in cells], q)
-            if v != bot:
-                key = (ix, iy)
-                prev = entries.get(key)
-                entries[key] = v if prev is None else join[prev][v]
-        return VRel(q, tx, ty, entries)
+        xi = monad.xi_of_values
+        return VRel(q, tx, ty, push_forward(q, (
+            ((ix, iy), xi([get(c, bot) for c in cells], q))
+            for ix, iy, cells in rows)))
 
     def hom_xi(self) -> VRel:
         """The structure relation of the quantale itself: hom(xi(tv), v) on
@@ -153,15 +149,8 @@ def check_infi(ext: LaxExtension, r: VRel, s: VRel) -> CheckReport:
     can_dst = can_map(monad, r.dst, s.dst)
     can_src = can_map(monad, r.src, s.src)
     # left(w, (x', y')) = sup over w' in the can-fiber of T(r owedge s)(w, w')
-    left: dict = {}
-    for w in trs.src:
-        for w1 in trs.dst:
-            v = trs(w, w1)
-            if v == q.bottom:
-                continue
-            key = (w, can_dst[w1])
-            prev = left.get(key)
-            left[key] = v if prev is None else q.join[prev][v]
+    left = push_forward(q, (((w, can_dst[w1]), v)
+                            for (w, w1), v in trs.entries.items()))
     for w in sorted(trs.src, key=sort_key):
         wx, wy = can_src[w]
         for x1 in monad.carrier(r.dst):
@@ -207,7 +196,7 @@ def check_xi_point(ext: LaxExtension, u: int) -> CheckReport:
     t1 = monad.carrier(("*",))
     equality = True
     for t in t1:
-        if not _letters(monad, t):
+        if not monad.letters(t):
             # elements with no base letters (the empty word) never see u;
             # they are a boundary artifact of the depth truncation
             rep.skip()
@@ -233,7 +222,7 @@ def check_assumption3(ext: LaxExtension, r: VRel, u: int) -> CheckReport:
     rhs = ext.extend(r).tensor_scalar(u)
     for x in sorted(lhs.src, key=sort_key):
         for y in sorted(lhs.dst, key=sort_key):
-            if not _letters(monad, x) and not _letters(monad, y):
+            if not monad.letters(x) and not monad.letters(y):
                 # the scalar is invisible on letterless elements; excluded as
                 # a truncation boundary artifact, reported as skipped
                 rep.skip()

@@ -123,6 +123,21 @@ class VRel:
         return VRel(self.quantale, src, dst, ent)
 
 
+def push_forward(q: Quantale, items) -> dict:
+    """Join ``((x', y'), v)`` items per target pair: the entries of a
+    V-relation pushed forward along maps of its carriers.  Bottom values are
+    dropped before the join; a join of non-bottom values is never bottom, so
+    the result holds no bottom entries."""
+    bot = q.bottom
+    join = q.join
+    out: dict = {}
+    for key, v in items:
+        if v != bot:
+            prev = out.get(key)
+            out[key] = v if prev is None else join[prev][v]
+    return out
+
+
 def id_rel(q: Quantale, xs: tuple) -> VRel:
     """Identity relation: unit on the diagonal, bottom elsewhere."""
     return VRel(q, xs, xs, {(x, x): q.unit for x in xs})

@@ -1,6 +1,7 @@
 """CLI exit codes, report schema, determinism and replay."""
 
 import json
+import os
 
 import pytest
 
@@ -154,3 +155,56 @@ def test_monad_check(capsys):
     assert code == 0
     assert all(r["status"] in ("pass", "bounded-pass")
                for r in json.loads(out)["reports"])
+
+
+def test_malformed_word_depth_is_usage_error(capsys):
+    assert main(["monad", "check", "word:0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "max_len >= 1" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_malformed_guard_variable_is_usage_error(capsys, monkeypatch,
+                                                 chain2_file, value):
+    monkeypatch.setenv("TVCAT_GUARD_SIZE", value)
+    assert main(["psh", "build", chain2_file]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: TVCAT_GUARD_SIZE must be")
+
+
+class _EnvironSpy(dict):
+    """A stand-in for os.environ that records every write."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.writes = []
+
+    def __setitem__(self, key, value):
+        self.writes.append(key)
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self.writes.append(key)
+        super().__delitem__(key)
+
+    def pop(self, key, *default):
+        self.writes.append(key)
+        return super().pop(key, *default)
+
+
+def test_gallery_guard_size_is_passed_not_set(capsys, monkeypatch):
+    spy = _EnvironSpy(os.environ)
+    spy.pop("TVCAT_GUARD_SIZE", None)
+    spy.writes.clear()
+    monkeypatch.setattr(os, "environ", spy)
+    code, out = run(capsys, ["gallery", "run", "--guard-size", "1",
+                             "--format", "json"])
+    assert spy.writes == []
+    assert "TVCAT_GUARD_SIZE" not in spy
+    # the guard reached the presheaf constructions of every entry
+    assert code == 1
+    verdicts = [v for r in json.loads(out)["results"]
+                for v in r["computed"].get("structures", {}).values()]
+    assert any(v.get("presheaf_skipped") == "GuardError" for v in verdicts)
+    assert not any("presheaf_size" in v for v in verdicts)
