@@ -127,11 +127,10 @@ def check_category(s: TVStructure) -> CheckReport:
     rep.tick(sub.samples)
     if not sub.passed:
         return rep.fail(sub.law, sub.witness, **sub.details)
-    ta = s.ext.extend(s.a)
-    monad = s.monad
+    ext = s.ext
+    ta = ext.extend(s.a, src=ext.inbound(s.tx))
     bot = q.bottom
-    for xx in sorted(ta.src, key=sort_key):
-        mx = monad.mult(xx)
+    for xx, mx in ext.mult_order(s.tx):
         if mx is None:
             rep.skip()
             continue
@@ -258,9 +257,11 @@ def final_lift(ext: LaxExtension, carrier: tuple, cocone) -> TVStructure:
 def graph_to_category(s: TVStructure) -> TVStructure:
     """Least category structure above the given graph: joins in the
     reflexive floor, then iterates the transitivity-defect closure
-    a |-> a v (m-image of Ta (x) a) to its fixed point.  Defects sitting at
-    out-of-bound words cannot be propagated; their presence is recorded in
-    the bounded_closure flag."""
+    a |-> a v (m-image of Ta (x) a) to its fixed point on the in-bound
+    fragment of TTX.  Defects sitting at out-of-bound words cannot be
+    propagated; their presence is recorded in the bounded_closure flag.
+    Ta grows with a, so a defect of any iterate is one of the fixed point,
+    and the fixed point alone is scanned for them."""
     q = s.quantale
     monad = s.monad
     ext = s.ext
@@ -268,19 +269,16 @@ def graph_to_category(s: TVStructure) -> TVStructure:
     for x in s.carrier:
         key = (monad.unit(x), x)
         ent[key] = q.join[ent.get(key, q.bottom)][q.unit]
-    bounded_defect = False
+    mult = dict(ext.mult_order(s.tx))
     while True:
         a = VRel(q, s.tx, s.carrier, {k: v for k, v in ent.items() if v != q.bottom})
-        ta = ext.extend(a)
+        ta = ext.extend(a, src=ext.inbound(s.tx))
         changed = False
         for (xx, xv), v1 in ta.entries.items():
-            mx = monad.mult(xx)
+            mx = mult[xx]
             for x in s.carrier:
                 v = q.tens(v1, a(xv, x))
                 if v == q.bottom:
-                    continue
-                if mx is None:
-                    bounded_defect = True
                     continue
                 key = (mx, x)
                 old = ent.get(key, q.bottom)
@@ -292,9 +290,23 @@ def graph_to_category(s: TVStructure) -> TVStructure:
             break
     out = TVStructure(s.ext, s.carrier, a, name=s.name)
     out.flags["category"] = True
-    if bounded_defect:
+    if _out_of_bound_defect(ext, a):
         out.flags["bounded_closure"] = True
     return out
+
+
+def _out_of_bound_defect(ext: LaxExtension, a: VRel) -> bool:
+    """Whether Ta (x) a is non-bottom at some out-of-bound XX, scanning the
+    fiber rows of Ta there until the first one.  The tensor distributes over
+    the join of a fiber, so one non-bottom row term is enough."""
+    q = ext.quantale
+    bot = q.bottom
+    monad = ext.monad
+    rows = ((xx, ty, cells) for xx, mx in ext.mult_order(a.src) if mx is None
+            for ty, cells in monad.fiber(xx, a.dst))
+    return any(q.tens(v1, a(xv, x)) != bot
+               for (_, xv), v1 in ext.row_values(a, rows) if v1 != bot
+               for x in a.dst)
 
 
 def coproduct(sx: TVStructure, sy: TVStructure):
@@ -455,12 +467,11 @@ def check_R_preserves_products(sx: TVStructure, sy: TVStructure) -> CheckReport:
 
 # ---- duals, M and K ----
 
-def m_fibers(monad: TheoryMonad, ttx: tuple) -> dict:
-    """The fibers of the multiplication over the in-bound part of TTX:
-    t |-> [YY in ttx with m YY = t], in enumeration order."""
+def m_fibers(ext: LaxExtension, tx: tuple) -> dict:
+    """The fibers of the multiplication over the in-bound part of T(tx):
+    t |-> [YY with m YY = t], in sort_key order."""
     fibers: dict = {}
-    for yy in ttx:
-        my = monad.mult(yy)
+    for yy, my in ext.mult_order(tx):
         if my is not None:
             fibers.setdefault(my, []).append(yy)
     return fibers
@@ -470,15 +481,13 @@ def dual(s: TVStructure) -> TVStructure:
     """X^op = (TX, m . (Ta)-degree . m): the structure on TX whose value at
     (XX, t) joins Ta(YY, m XX) over all YY with m YY = t."""
     q = s.quantale
-    monad = s.monad
-    ta = s.ext.extend(s.a)
+    ext = s.ext
+    ta = ext.extend(s.a, src=ext.inbound(s.tx))
     carrier = s.tx
-    ttx = monad.carrier(carrier)
-    fibers = m_fibers(monad, ttx)
+    fibers = m_fibers(ext, carrier)
     ent = {}
     bounded = False
-    for xx in ttx:
-        mx = monad.mult(xx)
+    for xx, mx in ext.mult_order(carrier):
         if mx is None:
             bounded = True
             continue
@@ -486,7 +495,7 @@ def dual(s: TVStructure) -> TVStructure:
             v = q.sup(ta(yy, mx) for yy in fibers.get(t, ()))
             if v != q.bottom:
                 ent[(xx, t)] = v
-    out = TVStructure(s.ext, carrier, VRel(q, ttx, carrier, ent),
+    out = TVStructure(ext, carrier, VRel(q, s.monad.carrier(carrier), carrier, ent),
                       name=s.name + "^op" if s.name else "")
     if bounded:
         out.flags["bounded_dual"] = True
@@ -554,16 +563,11 @@ def check_algebra(alg: EMAlgebra) -> CheckReport:
 def functor_M(s: TVStructure) -> EMAlgebra:
     """M sends (X, a) to (TX, Ta . m-degree, m)."""
     q = s.quantale
-    monad = s.monad
-    ta = s.ext.extend(s.a)
+    ext = s.ext
+    ta = ext.extend(s.a, src=ext.inbound(s.tx))
     carrier = s.tx
-    alpha = {}
-    for xx in ta.src:
-        mx = monad.mult(xx)
-        if mx is not None:
-            alpha[xx] = mx
-    ent = push_forward(q, (((alpha[xx], t), v)
-                           for (xx, t), v in ta.entries.items() if xx in alpha))
+    alpha = {xx: mx for xx, mx in ext.mult_order(carrier) if mx is not None}
+    ent = push_forward(q, (((alpha[xx], t), v) for (xx, t), v in ta.entries.items()))
     return EMAlgebra(s.ext, carrier, VRel(q, carrier, carrier, ent), alpha)
 
 
@@ -611,13 +615,13 @@ def find_representation(s: TVStructure, guard: int | None = None):
     monad = s.monad
     tx = s.tx
     check_guard(len(s.carrier) ** len(tx), "representation search", guard)
-    ta = s.ext.extend(s.a)
-    ttx = monad.carrier(tx)
-    fibers = m_fibers(monad, ttx)
+    ext = s.ext
+    ta = ext.extend(s.a, src=ext.inbound(tx))
+    table = ext.mult_order(tx)
+    fibers = m_fibers(ext, tx)
     # the canonical structure on TX: a^(XX, t) = \/ {Ta(YY, t) | m YY = m XX}
     hat: dict = {}
-    for xx in ttx:
-        mx = monad.mult(xx)
+    for xx, mx in table:
         if mx is None:
             continue
         for t in tx:
@@ -643,8 +647,7 @@ def find_representation(s: TVStructure, guard: int | None = None):
             continue
         rep = Reporter("representation", bound=s.ext.bound_info())
         pseudo = True
-        for xx in ttx:
-            mx = monad.mult(xx)
+        for xx, mx in table:
             if mx is None:
                 rep.skip()
                 continue
@@ -757,9 +760,10 @@ def structure_from_dict(d: dict) -> TVStructure:
         raise FormatError("structure file needs a quantale name or object")
     mspec = d.get("monad", "identity")
     monad = monad_by_name(mspec) if isinstance(mspec, str) else monad_from_dict(mspec)
-    carrier = tuple(str(x) for x in d.get("carrier", ()))
-    if not carrier:
-        raise FormatError("structure file needs a nonempty carrier")
+    carrier = d.get("carrier", [])
+    if not isinstance(carrier, (list, tuple)) or not carrier:
+        raise FormatError("structure file needs a nonempty list as its carrier")
+    carrier = tuple(str(x) for x in carrier)
     ext = LaxExtension(monad, q)
     tx = monad.carrier(carrier)
     txset = set(tx)

@@ -21,7 +21,7 @@ from .categories import (TVFunctor, TVStructure, check_category, product)
 from .limits import check_guard
 from .monads import TheoryMonad
 from .quantale import FormatError
-from .report import CheckReport, Reporter, sort_key
+from .report import CheckReport, Reporter
 from .theory import LaxExtension
 from .vrel import VRel, pair_carrier
 
@@ -67,18 +67,21 @@ def point_tests(monad: TheoryMonad, xs: tuple) -> list:
 
 
 def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b_row,
-                       imp) -> VRel:
+                       imp, guard: int | None = None) -> VRel:
     """The largest structure on z, a set of maps X -> Y stored as value
     tuples in the order of X = a.dst, making evaluation Z x X -> Y
     structure-compatible: c(p, h) is the meet, over T-elements w of Z x X
     above p and points x, of imp[a(Tpi_X w, x)][b(Tev w, h x)].  b_row(tev)
     is the row b(tev, -), indexed by the points of Y; imp is the
     implication table (Heyting for exponentials, residuation for
-    presheaves)."""
+    presheaves).  The T-elements of Z x X are counted against the guard
+    before they are enumerated."""
     q = ext.quantale
     monad = ext.monad
     meet = q.meet
     xs = a.dst
+    check_guard(monad.carrier_size(len(z) * len(xs)), "T(carrier x X) enumeration",
+                guard)
     xidx = {x: i for i, x in enumerate(xs)}
     tz = monad.carrier(z)
     acc = {(p, h): q.top for p in tz for h in z}
@@ -122,7 +125,7 @@ def graph_exponential(sx: TVStructure, sy: TVStructure,
         raise FormatError("exponential across different quantales")
     z = admissible_maps(sx, sy, guard)
     rel = largest_compatible(sx.ext, z, sx.a, lambda tev: {
-        y: sy.a(tev, y) for y in sy.carrier}, sx.quantale.heyting)
+        y: sy.a(tev, y) for y in sy.carrier}, sx.quantale.heyting, guard)
     return ExponentialGraph(sx, sy, TVStructure(sx.ext, z, rel))
 
 
@@ -131,11 +134,10 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
     \\/_t (Ta(XX,t) /\\ u) (x) (a(t,x) /\\ v) >= a(m XX, x) /\\ (u (x) v)."""
     rep = Reporter("exponentiability", bound=sx.ext.bound_info())
     q = sx.quantale
-    monad = sx.monad
-    ta = sx.ext.extend(sx.a)
+    ext = sx.ext
+    ta = ext.extend(sx.a, src=ext.inbound(sx.tx))
     elems = range(q.n)
-    for xx in sorted(ta.src, key=sort_key):
-        mx = monad.mult(xx)
+    for xx, mx in ext.mult_order(sx.tx):
         if mx is None:
             rep.skip()
             continue
@@ -161,11 +163,10 @@ def check_frame_criterion(sx: TVStructure) -> CheckReport:
     if not q.is_frame():
         raise FormatError("the frame criterion needs a frame quantale")
     rep = Reporter("frame_criterion", bound=sx.ext.bound_info())
-    monad = sx.monad
-    ta = sx.ext.extend(sx.a)
+    ext = sx.ext
+    ta = ext.extend(sx.a, src=ext.inbound(sx.tx))
     expo = check_exponentiability(sx).passed
-    for xx in sorted(ta.src, key=sort_key):
-        mx = monad.mult(xx)
+    for xx, mx in ext.mult_order(sx.tx):
         if mx is None:
             rep.skip()
             continue

@@ -6,10 +6,12 @@ X |-> X x H for a finite monoid H.  Ultrafilters on finite sets are
 principal, so the ultrafilter monad is shipped as an alias of the identity
 monad; gallery entries built on it document that reduction.
 
-Each monad carries its algebra map ``xi`` on the quantale, which induces the
-lax extension to V-relations (see theory.py).  For the word monad the
-multiplication is partial: flattening may exceed the depth bound, in which
-case operations skip the element and report it as a coverage statistic.
+Each monad carries its algebra map ``xi`` on the quantale and the fibers of
+the comparison map T(X x Y) -> TX in closed form (``fiber``); together they
+give the lax extension to V-relations (see theory.py).  For the word monad
+the multiplication is partial: flattening may exceed the depth bound, in
+which case operations skip the element and report it as a coverage
+statistic.
 """
 
 from __future__ import annotations
@@ -49,10 +51,15 @@ class Monoid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Monoid":
-        labels = tuple(str(x) for x in d["elements"])
-        idx = {lab: i for i, lab in enumerate(labels)}
-        table = tuple(tuple(idx[v] for v in row) for row in d["table"])
-        return cls(labels, table, idx[d["unit"]])
+        try:
+            labels = tuple(str(x) for x in d["elements"])
+            idx = {lab: i for i, lab in enumerate(labels)}
+            table = tuple(tuple(idx[v] for v in row) for row in d["table"])
+            unit = idx[d["unit"]]
+        except (KeyError, TypeError) as exc:
+            raise FormatError("monoid needs elements, a table and a unit "
+                              "over its elements; bad or missing: %s" % exc)
+        return cls(labels, table, unit)
 
     def to_dict(self) -> dict:
         return {"elements": list(self.labels),
@@ -66,7 +73,8 @@ def z2() -> Monoid:
 
 class TheoryMonad:
     """Common interface: carrier enumeration, functorial action on elements,
-    unit, (possibly partial) multiplication, and the algebra map xi."""
+    the fibers of the comparison map, unit, (possibly partial)
+    multiplication, and the algebra map xi."""
 
     kind: str
     bounded = False
@@ -74,7 +82,16 @@ class TheoryMonad:
     def carrier(self, xs: tuple) -> tuple:
         raise NotImplementedError
 
+    def carrier_size(self, n: int) -> int:
+        """|TS| for a set S of n points, counted without enumerating."""
+        raise NotImplementedError
+
     def map_elem(self, f: Callable, t):
+        raise NotImplementedError
+
+    def fiber(self, t, ys: tuple):
+        """The fiber of T(X x Y) -> TX over t: (T pi_Y w, letters of w) for
+        every w with T pi_X w = t, in the enumeration order of TY."""
         raise NotImplementedError
 
     def unit(self, x):
@@ -114,8 +131,15 @@ class IdentityMonad(TheoryMonad):
     def carrier(self, xs):
         return tuple(xs)
 
+    def carrier_size(self, n):
+        return n
+
     def map_elem(self, f, t):
         return f(t)
+
+    def fiber(self, t, ys):
+        for y in ys:
+            yield y, ((t, y),)
 
     def unit(self, x):
         return x
@@ -154,8 +178,16 @@ class WordMonad(TheoryMonad):
             out.extend(product(xs, repeat=ln))
         return tuple(out)
 
+    def carrier_size(self, n):
+        return sum(n ** ln for ln in range(self.max_len + 1))
+
     def map_elem(self, f, t):
         return tuple(f(x) for x in t)
+
+    def fiber(self, t, ys):
+        # the equal-length zips of t with the words over ys
+        for ty in product(ys, repeat=len(t)):
+            yield ty, tuple(zip(t, ty))
 
     def unit(self, x):
         return (x,)
@@ -188,8 +220,16 @@ class LabelledMonad(TheoryMonad):
     def carrier(self, xs):
         return tuple((x, h) for x in xs for h in self.monoid.labels)
 
+    def carrier_size(self, n):
+        return n * len(self.monoid.labels)
+
     def map_elem(self, f, t):
         return (f(t[0]), t[1])
+
+    def fiber(self, t, ys):
+        x, h = t
+        for y in ys:
+            yield (y, h), ((x, y),)
 
     def unit(self, x):
         return (x, self.monoid.labels[self.monoid.unit])

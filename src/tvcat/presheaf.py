@@ -76,7 +76,7 @@ def build_presheaf_category(s: TVStructure, guard: int | None = None) -> Preshea
             carrier.append(tuple(values))
     carrier = tuple(sorted(carrier, key=sort_key))
     rel = largest_compatible(s.ext, carrier, op.a,
-                             lambda tev: q.hom[monad.xi(tev, q)], q.hom)
+                             lambda tev: q.hom[monad.xi(tev, q)], q.hom, guard)
     px = TVStructure(s.ext, carrier, rel,
                      name=(s.name + "^" if s.name else "") + "P")
     return PresheafCategory(s, op, px)

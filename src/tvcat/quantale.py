@@ -187,6 +187,9 @@ class Quantale:
         idx = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
         pairs = set()
+        if not isinstance(order, (list, tuple)) or any(
+                not isinstance(p, (list, tuple)) or len(p) != 2 for p in order):
+            raise FormatError("quantale order must be a list of [lower, upper] pairs")
         for lo, hi in order:
             if lo not in idx or hi not in idx:
                 raise FormatError("order pair mentions unknown element")

@@ -59,9 +59,15 @@ class VRel:
         if self.src != r.dst:
             raise FormatError("carrier mismatch in composition")
         q = self.quantale
-        mid = r.dst
-        return r._make(r.src, self.dst, lambda x, z: q.sup(
-            q.tens(r(x, y), self(y, z)) for y in mid))
+        tensor = q.tensor
+        # bottom absorbs the tensor, so only pairs of non-bottom entries that
+        # meet at a middle point contribute to the join
+        after: dict = {}
+        for (y, z), v in self.entries.items():
+            after.setdefault(y, []).append((z, v))
+        return VRel(q, r.src, self.dst, push_forward(q, (
+            ((x, z), tensor[u][v])
+            for (x, y), u in r.entries.items() for z, v in after.get(y, ()))))
 
     def transpose(self) -> "VRel":
         return self._make(self.dst, self.src, lambda y, x: self(x, y))
@@ -94,11 +100,14 @@ class VRel:
         """First (x, y) in deterministic order where self(x,y) is not below
         s(x,y), or None; the witness primitive for relation comparisons."""
         q = self.quantale
-        for x in sorted(self.src, key=sort_key):
-            for y in sorted(self.dst, key=sort_key):
-                if not q.le(self(x, y), s(x, y)):
-                    return x, y
-        return None
+        # bottom is below everything, so gaps sit at entries of self; the
+        # carriers are sorted only to pick the first of several
+        gaps = [xy for xy, v in self.entries.items() if not q.le(v, s(*xy))]
+        if not gaps:
+            return None
+        xrank = {x: i for i, x in enumerate(sorted(self.src, key=sort_key))}
+        yrank = {y: i for i, y in enumerate(sorted(self.dst, key=sort_key))}
+        return min(gaps, key=lambda xy: (xrank[xy[0]], yrank[xy[1]]))
 
     def __eq__(self, other):
         if not isinstance(other, VRel):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -208,3 +210,26 @@ def test_gallery_guard_size_is_passed_not_set(capsys, monkeypatch):
                 for v in r["computed"].get("structures", {}).values()]
     assert any(v.get("presheaf_skipped") == "GuardError" for v in verdicts)
     assert not any("presheaf_size" in v for v in verdicts)
+
+
+@pytest.mark.parametrize("kind,payload", [
+    ("quantale", {"elements": ["0", "1"], "order": [1, 2],
+                  "tensor": {"0,0": "0", "0,1": "0", "1,1": "1"}, "unit": "1"}),
+    ("monad", {"kind": "labelled", "monoid": {"elements": ["e"], "unit": "e"}}),
+    ("structure", {"quantale": "two", "monad": "identity", "carrier": "ab",
+                   "structure": {}}),
+], ids=["quantale-order-not-pairs", "labelled-without-table",
+        "carrier-not-a-list"])
+def test_malformed_file_exits_2_without_traceback(tmp_path, kind, payload):
+    path = tmp_path / ("%s.json" % kind)
+    path.write_text(json.dumps(payload))
+    argv = {"quantale": ["quantale", "check", str(path)],
+            "monad": ["monad", "check", str(path)],
+            "structure": ["cat", "check", str(path)]}[kind]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    done = subprocess.run([sys.executable, "-m", "tvcat.cli"] + argv,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

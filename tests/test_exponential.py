@@ -171,3 +171,25 @@ def test_word_exponential_smoke(ext_word2):
     assert len(exp.structure.carrier) >= 2
     rep = check_category(exp.structure)
     assert rep.status in ("pass", "bounded-pass", "fail")
+
+
+def test_structure_enumeration_is_guarded(ext_ord):
+    """The T(carrier x X) pass behind exponentials and presheaf categories
+    is counted against the guard before it starts: here the carrier
+    guards pass and the enumeration's is the one that trips."""
+    from tvcat.categories import discrete
+    from tvcat.limits import GuardError
+    from tvcat.presheaf import build_presheaf_category
+    s = discrete(ext_ord, ("a", "b"))
+    with pytest.raises(GuardError) as err:
+        graph_exponential(s, s, guard=5)  # 4 maps; T(4 maps x X) has 8
+    assert err.value.what == "T(carrier x X) enumeration"
+    assert err.value.size == 8
+    with pytest.raises(GuardError) as err:
+        build_presheaf_category(s, guard=4)  # 2^2 presheaves, 8 as above
+    assert err.value.what == "T(carrier x X) enumeration"
+    ext = LaxExtension(monad_by_name("word:2"), quantale_by_name("lukasiewicz:3"))
+    with pytest.raises(GuardError):
+        # once a MemoryError: 3^7 candidates pass their guard, and T over
+        # the kept presheaves times TX has about 2.3e8 elements
+        build_presheaf_category(discrete(ext, ("a", "b")))

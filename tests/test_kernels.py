@@ -1,19 +1,25 @@
-"""The shared relational kernels against the per-construction loops they
-replaced: push-forward of entries, and the largest structure making
-evaluation compatible, for exponentials (Heyting implication) and presheaf
-categories (residuation)."""
+"""The shared relational kernels and fast paths against the loops they
+replaced: push-forward of entries; the largest structure making evaluation
+compatible, for exponentials (Heyting implication) and presheaf categories
+(residuation); the fiber-direct lax extension against the literal
+enumeration of T(X x Y); and the checks that read only the in-bound
+fragment of TTX against their loops over all of it."""
 
 import random
 
 import pytest
 
-from tvcat.categories import dual, random_category
-from tvcat.exponential import graph_exponential
+from tvcat.categories import (TVStructure, check_category, check_graph,
+                              discrete, dual, graph_to_category,
+                              random_category)
+from tvcat.exponential import (check_exponentiability, check_frame_criterion,
+                               graph_exponential)
 from tvcat.monads import monad_by_name
 from tvcat.presheaf import build_presheaf_category
 from tvcat.quantale import quantale_by_name
+from tvcat.report import Reporter, sort_key
 from tvcat.theory import LaxExtension
-from tvcat.vrel import pair_carrier, push_forward
+from tvcat.vrel import VRel, pair_carrier, push_forward, random_relation
 
 # (quantale, monad, carrier of X, carrier of Y, least number of non-bottom
 # structure entries of X).  A near-discrete X over word:2 has a presheaf
@@ -103,3 +109,252 @@ def test_push_forward_joins_and_drops_bottom():
     items = [(("a", "b"), mid), (("a", "b"), lo), (("c", "d"), lo),
              (("a", "b"), top), (("e", "f"), mid)]
     assert push_forward(q, items) == {("a", "b"): top, ("e", "f"): mid}
+
+
+# ---- the fiber-direct lax extension against the literal enumeration ----
+
+EXT_MONADS = ("identity", "finite_ultrafilter", "word:1", "word:2", "word:3",
+              "labelled:z2")
+EXT_QUANTALES = ("two", "godel:3", "lukasiewicz:3")
+
+
+def literal_extension(ext, r, src=None):
+    """Tr as the join over all of T(X x Y), each element sent through the
+    comparison map, restricted to the T-elements src of TX when given."""
+    q = ext.quantale
+    monad = ext.monad
+    tx = monad.carrier(r.src) if src is None else src
+    keep = set(tx)
+    ent = {}
+    for w in monad.carrier(pair_carrier(r.src, r.dst)):
+        ix = monad.map_elem(lambda p: p[0], w)
+        if ix not in keep:
+            continue
+        iy = monad.map_elem(lambda p: p[1], w)
+        v = monad.xi_of_values([r(*c) for c in monad.letters(w)], q)
+        if v != q.bottom:
+            ent[(ix, iy)] = q.join[ent.get((ix, iy), q.bottom)][v]
+    return VRel(q, tx, monad.carrier(r.dst), ent)
+
+
+def as_table(rel):
+    return rel.src, rel.dst, dict(rel.entries)
+
+
+@pytest.mark.parametrize("mname", EXT_MONADS)
+@pytest.mark.parametrize("qname", EXT_QUANTALES)
+def test_fiber_extension_matches_literal_enumeration(qname, mname):
+    q = quantale_by_name(qname)
+    monad = monad_by_name(mname)
+    ext = LaxExtension(monad, q)
+    rng = random.Random("fiber:%s:%s" % (qname, mname))
+    # carriers out of sort_key order, so that enumeration order and the
+    # order checks visit T-elements in differ
+    xs, ys = ("b", "a"), ("e", "c", "d")
+    for _ in range(6):
+        r = random_relation(q, xs, ys, rng)
+        assert as_table(ext.extend(r)) == as_table(literal_extension(ext, r))
+    # the in-bound fragment of TTX, for a structure relation a: TX -|-> X
+    tx = monad.carrier(xs)
+    table = tuple((xx, monad.mult(xx))
+                  for xx in sorted(monad.carrier(tx), key=sort_key))
+    assert ext.mult_order(tx) == table
+    assert ext.inbound(tx) == tuple(xx for xx, mx in table if mx is not None)
+    for _ in range(1 if mname == "word:3" else 4):
+        a = random_relation(q, tx, xs, rng)
+        assert as_table(ext.extend(a, src=ext.inbound(tx))) == as_table(
+            literal_extension(ext, a, src=ext.inbound(tx)))
+
+
+# ---- the in-bound consumers against the loops they replaced ----
+#
+# Each oracle is the loop as written before the in-bound fragment: Ta on
+# all of TTX by the literal enumeration, TTX sorted per call and m applied
+# per element.
+
+def category_oracle(s):
+    rep = Reporter("category", bound=s.ext.bound_info())
+    q = s.quantale
+    sub = check_graph(s)
+    rep.tick(sub.samples)
+    if not sub.passed:
+        return rep.fail(sub.law, sub.witness, **sub.details)
+    ta = literal_extension(s.ext, s.a)
+    monad = s.monad
+    for xx in sorted(ta.src, key=sort_key):
+        mx = monad.mult(xx)
+        if mx is None:
+            rep.skip()
+            continue
+        for xv in s.tx:
+            v1 = ta(xx, xv)
+            if v1 == q.bottom:
+                rep.tick(len(s.carrier))
+                continue
+            for x in s.carrier:
+                rep.tick()
+                lhs = q.tens(v1, s.a(xv, x))
+                if not q.le(lhs, s.a(mx, x)):
+                    return rep.fail("transitivity", [repr(xx), repr(xv), repr(x)],
+                                    lhs=q.labels[lhs], rhs=q.labels[s.a(mx, x)])
+    return rep.ok()
+
+
+def exponentiability_oracle(sx):
+    rep = Reporter("exponentiability", bound=sx.ext.bound_info())
+    q = sx.quantale
+    monad = sx.monad
+    ta = literal_extension(sx.ext, sx.a)
+    elems = range(q.n)
+    for xx in sorted(ta.src, key=sort_key):
+        mx = monad.mult(xx)
+        if mx is None:
+            rep.skip()
+            continue
+        for x in sx.carrier:
+            for u in elems:
+                for v in elems:
+                    rep.tick()
+                    rhs = q.meet[sx.a(mx, x)][q.tensor[u][v]]
+                    lhs = q.sup(q.tensor[q.meet[ta(xx, t)][u]]
+                                [q.meet[sx.a(t, x)][v]] for t in sx.tx)
+                    if not q.le(rhs, lhs):
+                        return rep.fail("splitting", [repr(xx), repr(x),
+                                                      q.labels[u], q.labels[v]],
+                                        lhs=q.labels[lhs], rhs=q.labels[rhs])
+    return rep.ok()
+
+
+def frame_oracle(sx):
+    q = sx.quantale
+    rep = Reporter("frame_criterion", bound=sx.ext.bound_info())
+    monad = sx.monad
+    ta = literal_extension(sx.ext, sx.a)
+    expo = exponentiability_oracle(sx).passed
+    for xx in sorted(ta.src, key=sort_key):
+        mx = monad.mult(xx)
+        if mx is None:
+            rep.skip()
+            continue
+        for x in sx.carrier:
+            rep.tick()
+            via_m = sx.a(mx, x)
+            via_ta = q.sup(q.tensor[ta(xx, t)][sx.a(t, x)] for t in sx.tx)
+            if via_m != via_ta:
+                return rep.fail("composite-mismatch", [repr(xx), repr(x)],
+                                via_m=q.labels[via_m], via_ta=q.labels[via_ta],
+                                exponentiability=expo)
+    return rep.ok(exponentiability=expo)
+
+
+def dual_oracle(s):
+    """Entries of the dual and its bounded_dual flag."""
+    q = s.quantale
+    monad = s.monad
+    ta = literal_extension(s.ext, s.a)
+    ttx = monad.carrier(s.tx)
+    fibers = {}
+    for yy in ttx:
+        if monad.mult(yy) is not None:
+            fibers.setdefault(monad.mult(yy), []).append(yy)
+    ent = {}
+    bounded = False
+    for xx in ttx:
+        mx = monad.mult(xx)
+        if mx is None:
+            bounded = True
+            continue
+        for t in s.tx:
+            v = q.sup(ta(yy, mx) for yy in fibers.get(t, ()))
+            if v != q.bottom:
+                ent[(xx, t)] = v
+    return ent, bounded
+
+
+def closure_oracle(s):
+    """Entries of the closure and its bounded_closure flag: every iteration
+    reads all of Ta and records a defect at an out-of-bound XX."""
+    q = s.quantale
+    monad = s.monad
+    ent = dict(s.a.entries)
+    for x in s.carrier:
+        key = (monad.unit(x), x)
+        ent[key] = q.join[ent.get(key, q.bottom)][q.unit]
+    bounded_defect = False
+    while True:
+        a = VRel(q, s.tx, s.carrier, {k: v for k, v in ent.items() if v != q.bottom})
+        ta = literal_extension(s.ext, a)
+        changed = False
+        for (xx, xv), v1 in ta.entries.items():
+            mx = monad.mult(xx)
+            for x in s.carrier:
+                v = q.tens(v1, a(xv, x))
+                if v == q.bottom:
+                    continue
+                if mx is None:
+                    bounded_defect = True
+                    continue
+                old = ent.get((mx, x), q.bottom)
+                if q.join[old][v] != old:
+                    ent[(mx, x)] = q.join[old][v]
+                    changed = True
+        if not changed:
+            return dict(a.entries), bounded_defect
+
+
+def fields(rep):
+    return (rep.check, rep.status, rep.law, rep.witness, rep.samples,
+            rep.skipped, rep.bound, rep.details)
+
+
+def reflexive(ext, xs, rng):
+    """A random graph joined with the reflexive floor: it passes (R), so a
+    category check that fails does so inside the (T) loop."""
+    q = ext.quantale
+    monad = ext.monad
+    tx = monad.carrier(xs)
+    r = random_relation(q, tx, xs, rng)
+    ent = dict(r.entries)
+    for x in xs:
+        ent[(monad.unit(x), x)] = q.top
+    return TVStructure(ext, xs, VRel(q, tx, xs, ent))
+
+
+# (quantale, monad, number of random graphs after the discrete one)
+CONSUMER_CELLS = [("two", "word:2", 24), ("godel:3", "word:2", 24),
+                  ("lukasiewicz:3", "word:2", 16), ("two", "word:3", 1),
+                  ("godel:3", "labelled:z2", 8)]
+
+
+@pytest.mark.parametrize("cell", CONSUMER_CELLS, ids=lambda c: "%s-%s" % c[:2])
+def test_inbound_consumers_match_full_loops(cell):
+    qname, mname, graphs = cell
+    ext = LaxExtension(monad_by_name(mname), quantale_by_name(qname))
+    rng = random.Random("consumers:%s:%s" % (qname, mname))
+    seen = set()
+    flags = set()
+    xs = ("b", "a")  # out of sort_key order, as above
+    raws = [discrete(ext, xs)]  # its closure leaves no defect behind
+    raws += [reflexive(ext, xs, rng) for _ in range(graphs)]
+    for raw in raws:
+        closed = graph_to_category(raw)
+        ent, bounded = closure_oracle(raw)
+        assert dict(closed.a.entries) == ent
+        assert closed.flags.get("bounded_closure", False) == bounded
+        flags.add(bounded)
+        for s in (raw, closed):
+            got = [check_category(s), check_exponentiability(s)]
+            expect = [category_oracle(s), exponentiability_oracle(s)]
+            if ext.quantale.is_frame():
+                got.append(check_frame_criterion(s))
+                expect.append(frame_oracle(s))
+            assert [fields(r) for r in got] == [fields(r) for r in expect]
+            seen.update((r.check, r.status) for r in got)
+        op = dual(closed)
+        ent, bounded = dual_oracle(closed)
+        assert dict(op.a.entries) == ent
+        assert op.flags.get("bounded_dual", False) == bounded
+    # both verdicts occur, so witnesses and mid-loop skip counts are compared
+    assert {("category", "fail"), ("exponentiability", "fail")} <= seen
+    assert any(st != "fail" for name, st in seen if name == "exponentiability")
+    assert flags == ({False, True} if ext.monad.bounded else {False})

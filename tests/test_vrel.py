@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvcat.quantale import FormatError, lukasiewicz, two
+from tvcat.quantale import FormatError, lukasiewicz, quantale_by_name, two
+from tvcat.report import sort_key
 from tvcat.vrel import (VRel, all_relations, constant_rel, from_function,
                         id_rel, pair_carrier, random_relation)
 
@@ -62,6 +63,27 @@ def test_compose_associative(data):
     s = data.draw(rel_strategy(q, YS, ZS))
     t = data.draw(rel_strategy(q, ZS, XS))
     assert t.compose(s.compose(r)) == t.compose(s).compose(r)
+
+
+@pytest.mark.parametrize("qname", ["two", "godel:3", "lukasiewicz:3"])
+def test_sparse_compose_and_first_gap_match_dense_exhaustive(qname):
+    """Composition joins only non-bottom entries and first_gap scans only
+    the entries of the left side; both against the dense formula and the
+    sorted scan, over every pair of relations X -|-> Y -|-> X."""
+    q = quantale_by_name(qname)
+    rels = list(all_relations(q, XS, YS))
+    back = list(all_relations(q, YS, XS))
+    for r in rels:
+        for s in back:
+            dense = {k: v for k, v in brute_compose(q, r, s).items()
+                     if v != q.bottom}
+            assert dict(s.compose(r).entries) == dense
+    for r in rels:
+        for s in rels[::7]:
+            scan = next(((x, y) for x in sorted(XS, key=sort_key)
+                         for y in sorted(YS, key=sort_key)
+                         if not q.le(r(x, y), s(x, y))), None)
+            assert r.first_gap(s) == scan
 
 
 def test_identity_neutral():
