@@ -10,6 +10,7 @@ status is established by an explicit check_category call.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
@@ -18,7 +19,8 @@ from .monads import TheoryMonad, monad_by_name, monad_from_dict
 from .quantale import FormatError, Quantale, quantale_by_name
 from .report import CheckReport, Reporter, sort_key
 from .theory import LaxExtension
-from .vrel import VRel, pair_carrier, push_forward, random_relation
+from .vrel import (VRel, constant_rel, pair_carrier, push_forward, random_relation,
+                   tabulate)
 
 
 class TVStructure:
@@ -51,13 +53,8 @@ class TVStructure:
     def a0(self) -> VRel:
         """The underlying V-category structure a . e: X -|-> X."""
         e = self.monad.unit
-        ent = {}
-        for x in self.carrier:
-            for y in self.carrier:
-                v = self.a(e(x), y)
-                if v != self.quantale.bottom:
-                    ent[(x, y)] = v
-        return VRel(self.quantale, self.carrier, self.carrier, ent)
+        return tabulate(self.quantale, self.carrier, self.carrier,
+                        lambda x, y: self.a(e(x), y))
 
     def __repr__(self):
         return "TVStructure(%s, |X|=%d)" % (self.name or "?", len(self.carrier))
@@ -155,37 +152,33 @@ def is_category(s: TVStructure) -> bool:
     return s.flags["category"]
 
 
-def check_functor(f: TVFunctor) -> CheckReport:
-    rep = Reporter("functor", bound=f.source.ext.bound_info())
+def _compare_along(f: TVFunctor, check: str, law: str, holds) -> CheckReport:
+    """holds(a(t, x), b(Tf t, f x)) for every T-element t and point x of
+    the source, with the first failure as witness."""
+    rep = Reporter(check, bound=f.source.ext.bound_info())
     q = f.source.quantale
-    if q != f.target.quantale:
-        raise FormatError("functor across different quantales")
-    b = f.target.a
+    a, b = f.source.a, f.target.a
     for t in sorted(f.source.tx, key=sort_key):
         ft = f.t_map(t)
         for x in f.source.carrier:
             rep.tick()
-            if not q.le(f.source.a(t, x), b(ft, f.map[x])):
-                return rep.fail("functoriality", [repr(t), repr(x)],
-                                lhs=q.labels[f.source.a(t, x)],
-                                rhs=q.labels[b(ft, f.map[x])])
+            lhs, rhs = a(t, x), b(ft, f.map[x])
+            if not holds(lhs, rhs):
+                return rep.fail(law, [repr(t), repr(x)],
+                                lhs=q.labels[lhs], rhs=q.labels[rhs])
     return rep.ok()
+
+
+def check_functor(f: TVFunctor) -> CheckReport:
+    q = f.source.quantale
+    if q != f.target.quantale:
+        raise FormatError("functor across different quantales")
+    return _compare_along(f, "functor", "functoriality", q.le)
 
 
 def check_fully_faithful(f: TVFunctor) -> CheckReport:
     """Functoriality with equality: a(t, x) = b(Tf t, f x) throughout."""
-    rep = Reporter("fully_faithful", bound=f.source.ext.bound_info())
-    q = f.source.quantale
-    b = f.target.a
-    for t in sorted(f.source.tx, key=sort_key):
-        ft = f.t_map(t)
-        for x in f.source.carrier:
-            rep.tick()
-            if f.source.a(t, x) != b(ft, f.map[x]):
-                return rep.fail("fully-faithful", [repr(t), repr(x)],
-                                lhs=q.labels[f.source.a(t, x)],
-                                rhs=q.labels[b(ft, f.map[x])])
-    return rep.ok()
+    return _compare_along(f, "fully_faithful", "fully-faithful", operator.eq)
 
 
 def functor_leq(f: TVFunctor, g: TVFunctor) -> bool:
@@ -210,15 +203,10 @@ def initial_lift(ext: LaxExtension, carrier: tuple, cone) -> TVStructure:
     a(t, x) = /\\_i b_i(Tf_i t, f_i x)."""
     q = ext.quantale
     monad = ext.monad
-    tx = monad.carrier(carrier)
-    ent = {}
-    for t in tx:
-        for x in carrier:
-            v = q.inf(tgt.a(monad.map_elem(lambda z: m[z], t), m[x])
-                      for m, tgt in cone)
-            if v != q.bottom:
-                ent[(t, x)] = v
-    return TVStructure(ext, carrier, VRel(q, tx, carrier, ent))
+    return TVStructure(ext, carrier, tabulate(
+        q, monad.carrier(carrier), carrier,
+        lambda t, x: q.inf(tgt.a(monad.map_elem(lambda z: m[z], t), m[x])
+                           for m, tgt in cone)))
 
 
 def product(sx: TVStructure, sy: TVStructure):
@@ -265,10 +253,8 @@ def graph_to_category(s: TVStructure) -> TVStructure:
     q = s.quantale
     monad = s.monad
     ext = s.ext
-    ent = dict(s.a.entries)
-    for x in s.carrier:
-        key = (monad.unit(x), x)
-        ent[key] = q.join[ent.get(key, q.bottom)][q.unit]
+    ent = push_forward(q, [*s.a.entries.items(),
+                           *(((monad.unit(x), x), q.unit) for x in s.carrier)])
     mult = dict(ext.mult_order(s.tx))
     while True:
         a = VRel(q, s.tx, s.carrier, {k: v for k, v in ent.items() if v != q.bottom})
@@ -336,18 +322,11 @@ def tensor(sx: TVStructure, sy: TVStructure) -> TVStructure:
     """The tensor structure c(w, (x,y)) = a(Tpi_X w, x) (x) b(Tpi_Y w, y);
     a graph in general, category status by explicit check."""
     q = sx.quantale
-    monad = sx.monad
     carrier = pair_carrier(sx.carrier, sy.carrier)
-    tw = monad.carrier(carrier)
-    ent = {}
-    for w in tw:
-        wx = monad.map_elem(lambda p: p[0], w)
-        wy = monad.map_elem(lambda p: p[1], w)
-        for x, y in carrier:
-            v = q.tens(sx.a(wx, x), sy.a(wy, y))
-            if v != q.bottom:
-                ent[(w, (x, y))] = v
-    s = TVStructure(sx.ext, carrier, VRel(q, tw, carrier, ent))
+    can = sx.ext.can_map(sx.carrier, sy.carrier)
+    s = TVStructure(sx.ext, carrier, tabulate(
+        q, sx.monad.carrier(carrier), carrier,
+        lambda w, p: q.tens(sx.a(can[w][0], p[0]), sy.a(can[w][1], p[1]))))
     s.flags["category"] = check_category(s).passed
     return s
 
@@ -420,9 +399,7 @@ def reflect_R(s: TVStructure):
 def check_initial(f: TVFunctor) -> CheckReport:
     """f carries the initial structure: a(t, x) = b(Tf t, f x) exactly (the
     single-map case of the initial lift)."""
-    sub = check_fully_faithful(f)
-    sub.check = "initial"
-    return sub
+    return _compare_along(f, "initial", "fully-faithful", operator.eq)
 
 
 def check_final(f: TVFunctor) -> CheckReport:
@@ -574,21 +551,12 @@ def functor_M(s: TVStructure) -> EMAlgebra:
 def functor_K(alg: EMAlgebra) -> TVStructure:
     """K sends (X, a0, alpha) to (X, a0 . alpha)."""
     q = alg.quantale
-    monad = alg.ext.monad
-    tx = monad.carrier(alg.carrier)
-    ent = {}
-    bounded = False
-    for t in tx:
-        ax = alg.alpha.get(t)
-        if ax is None:
-            bounded = True
-            continue
-        for x in alg.carrier:
-            v = alg.a0(ax, x)
-            if v != q.bottom:
-                ent[(t, x)] = v
-    out = TVStructure(alg.ext, alg.carrier, VRel(q, tx, alg.carrier, ent))
-    if bounded:
+    alpha = alg.alpha
+    tx = alg.ext.monad.carrier(alg.carrier)
+    out = TVStructure(alg.ext, alg.carrier, tabulate(
+        q, tx, alg.carrier,
+        lambda t, x: alg.a0(alpha[t], x) if t in alpha else q.bottom))
+    if any(t not in alpha for t in tx):
         out.flags["bounded_algebra"] = True
     return out
 
@@ -673,10 +641,8 @@ def discrete(ext: LaxExtension, xs: tuple) -> TVStructure:
 
 def indiscrete(ext: LaxExtension, xs: tuple) -> TVStructure:
     q = ext.quantale
-    monad = ext.monad
-    tx = monad.carrier(xs)
-    ent = {(t, x): q.top for t in tx for x in xs}
-    return TVStructure(ext, tuple(xs), VRel(q, tx, tuple(xs), ent))
+    return TVStructure(ext, tuple(xs), constant_rel(q, ext.monad.carrier(xs),
+                                                    tuple(xs), q.top))
 
 
 def one_point(ext: LaxExtension) -> TVStructure:
@@ -697,14 +663,10 @@ def from_order(ext: LaxExtension, xs: tuple, pairs) -> TVStructure:
                 if y == y2 and (x, z) not in rel:
                     rel.add((x, z))
                     changed = True
-    monad = ext.monad
-    tx = monad.carrier(tuple(xs))
-    ent = {}
-    for t in tx:
-        for x in xs:
-            if all((l, x) in rel for l in monad.letters(t)):
-                ent[(t, x)] = q.unit
-    return TVStructure(ext, tuple(xs), VRel(q, tx, tuple(xs), ent))
+    letters = ext.monad.letters
+    return TVStructure(ext, tuple(xs), tabulate(
+        q, ext.monad.carrier(tuple(xs)), tuple(xs),
+        lambda t, x: q.unit if all((l, x) in rel for l in letters(t)) else q.bottom))
 
 
 def random_category(ext: LaxExtension, xs: tuple, rng) -> TVStructure:
@@ -718,39 +680,23 @@ def random_category(ext: LaxExtension, xs: tuple, rng) -> TVStructure:
     return graph_to_category(s)
 
 
-def t_elem_to_str(monad: TheoryMonad, t) -> str:
-    kind = monad.kind
-    if kind == "word":
-        return ",".join(t)
-    if kind == "labelled":
-        return "%s,%s" % t
-    return str(t)
-
-
-def t_elem_from_str(monad: TheoryMonad, text: str):
-    kind = monad.kind
-    if kind == "word":
-        return tuple(p for p in text.split(",") if p != "")
-    if kind == "labelled":
-        x, _, h = text.rpartition(",")
-        return (x, h)
-    return text
+def structure_entries(s: TVStructure) -> dict:
+    """The non-bottom entries of the structure as {'T-elem;x': label}, the
+    form of structure files and reports."""
+    q = s.quantale
+    to_str = s.monad.elem_to_str
+    return {"%s;%s" % (to_str(t), x): q.labels[v]
+            for (t, x), v in s.a.entries.items() if v != q.bottom}
 
 
 def structure_to_dict(s: TVStructure) -> dict:
-    q = s.quantale
-    monad = s.monad
-    entries = {}
-    for t in s.tx:
-        for x in s.carrier:
-            v = s.a(t, x)
-            if v != q.bottom:
-                entries["%s;%s" % (t_elem_to_str(monad, t), x)] = q.labels[v]
-    return {"quantale": q.to_dict(), "monad": monad.describe(),
-            "carrier": list(s.carrier), "structure": entries}
+    return {"quantale": s.quantale.to_dict(), "monad": s.monad.describe(),
+            "carrier": list(s.carrier), "structure": structure_entries(s)}
 
 
 def structure_from_dict(d: dict) -> TVStructure:
+    if not isinstance(d, dict):
+        raise FormatError("a structure is described by a JSON object")
     qspec = d.get("quantale")
     if isinstance(qspec, str):
         q = quantale_by_name(qspec)
@@ -767,12 +713,15 @@ def structure_from_dict(d: dict) -> TVStructure:
     ext = LaxExtension(monad, q)
     tx = monad.carrier(carrier)
     txset = set(tx)
+    given = d.get("structure", {})
+    if not isinstance(given, dict):
+        raise FormatError("structure entries must be a JSON object")
     ent = {}
-    for key, lab in d.get("structure", {}).items():
+    for key, lab in given.items():
         tpart, sep, xpart = key.rpartition(";")
         if not sep:
             raise FormatError("structure key %r must look like 'T-elem;x'" % key)
-        t = t_elem_from_str(monad, tpart)
+        t = monad.elem_from_str(tpart)
         if t not in txset or xpart not in carrier:
             raise FormatError("structure key %r outside carriers" % key)
         ent[(t, xpart)] = q.index(lab)

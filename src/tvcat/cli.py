@@ -16,7 +16,7 @@ import sys
 
 from .categories import (check_category, check_graph, coproduct, dual,
                          find_representation, product, reflect_R, separated,
-                         structure_from_file, t_elem_to_str, tensor)
+                         structure_entries, structure_from_file, tensor)
 from .exponential import (NotTransitive, check_exponentiability,
                           check_frame_criterion, check_universal_property,
                           curry, exponential_in_cats)
@@ -33,12 +33,6 @@ SCHEMA = 1
 
 
 # ---- input loading ----
-
-def _load_quantale(spec: str) -> Quantale:
-    if spec.endswith(".json") or os.path.sep in spec:
-        return Quantale.from_file(spec)
-    return quantale_by_name(spec)
-
 
 def _load_monad(spec: str, max_word_len: int):
     if spec == "word":
@@ -66,19 +60,11 @@ def _load_map(spec: str) -> dict:
 
 
 def _structure_payload(s, full: bool = True) -> dict:
-    monad = s.monad
-    q = s.quantale
     out = {"carrier": [str(x) for x in s.carrier],
            "carrier_size": len(s.carrier),
            "t_carrier_size": len(s.tx)}
     if full:
-        entries = {}
-        for t in s.tx:
-            for x in s.carrier:
-                v = s.a(t, x)
-                if v != q.bottom:
-                    entries["%s;%s" % (t_elem_to_str(monad, t), x)] = q.labels[v]
-        out["structure"] = entries
+        out["structure"] = structure_entries(s)
     return out
 
 
@@ -92,7 +78,7 @@ def _finish(reports: list, **extra):
 
 
 def cmd_quantale_check(args):
-    q = _load_quantale(args.quantale)
+    q = quantale_by_name(args.quantale)
     return _finish([check_quantale(q), check_condition_inj(q)],
                    quantale=q.name, size=q.n)
 
@@ -153,13 +139,13 @@ def cmd_quantale_search(args):
 def cmd_monad_check(args):
     monad = _load_monad(args.monad, args.max_word_len)
     carrier = tuple(args.carrier.split(","))
-    q = _load_quantale(args.quantale) if args.quantale else None
+    q = quantale_by_name(args.quantale) if args.quantale else None
     reports = [check_monad_laws(monad, carrier, q), check_bc_samples(monad)]
     return _finish(reports, monad=repr(monad))
 
 
 def cmd_theory_check(args):
-    q = _load_quantale(args.quantale)
+    q = quantale_by_name(args.quantale)
     monad = _load_monad(args.monad, args.max_word_len)
     ext = LaxExtension(monad, q)
     bundle = check_assumptions_bundle(ext, seed=args.seed,
@@ -214,7 +200,7 @@ def cmd_cat_represent(args):
         return 1, {"representable": False, "reports": []}
     alpha, rep = found
     return _finish([rep], representable=True,
-                   alpha={t_elem_to_str(s.monad, t): str(x)
+                   alpha={s.monad.elem_to_str(t): str(x)
                           for t, x in sorted(alpha.items(),
                                              key=lambda kv: str(kv[0]))})
 

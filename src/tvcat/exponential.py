@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .categories import (TVFunctor, TVStructure, check_category, product)
+from .categories import (TVFunctor, TVStructure, check_category, check_functor,
+                         product)
 from .limits import check_guard
-from .monads import TheoryMonad
+from .monads import TheoryMonad, can_map
 from .quantale import FormatError
 from .report import CheckReport, Reporter
 from .theory import LaxExtension
@@ -61,9 +62,7 @@ def point_tests(monad: TheoryMonad, xs: tuple) -> list:
     X-parts of the elements of T(X x 1) that sit above the unit point of
     T1."""
     estar = monad.unit("*")
-    return [monad.map_elem(lambda p: p[0], w)
-            for w in monad.carrier(pair_carrier(xs, ("*",)))
-            if monad.map_elem(lambda p: p[1], w) == estar]
+    return [t for t, star in can_map(monad, xs, ("*",)).values() if star == estar]
 
 
 def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b_row,
@@ -202,8 +201,7 @@ def curry(fmap: dict, sz: TVStructure, exp: ExponentialGraph) -> TVFunctor:
         if h not in exp.structure.carrier:
             raise FormatError("curried map at %r is not admissible" % (z,))
         maps[z] = h
-    fbar = TVFunctor(sz, exp.structure, maps)
-    return fbar
+    return TVFunctor(sz, exp.structure, maps)
 
 
 def check_universal_property(exp: ExponentialGraph, fmap: dict,
@@ -217,8 +215,6 @@ def check_universal_property(exp: ExponentialGraph, fmap: dict,
     sub = check_category(sz)
     if not sub.passed:
         raise FormatError("universal property needs a category as domain")
-    fsub = None
-    from .categories import check_functor
     fsub = check_functor(fbar)
     rep.tick(fsub.samples)
     if not fsub.passed:
@@ -230,7 +226,6 @@ def check_universal_property(exp: ExponentialGraph, fmap: dict,
                 return rep.fail("triangle", [repr(z), repr(x)])
     zcar = exp.structure.carrier
     check_guard(len(zcar) ** len(sz.carrier), "uniqueness exhaustion", guard)
-    others = 0
     for values in iter_product(zcar, repeat=len(sz.carrier)):
         g = dict(zip(sz.carrier, values))
         rep.tick()
@@ -238,6 +233,5 @@ def check_universal_property(exp: ExponentialGraph, fmap: dict,
             continue
         if all(exp.apply(g[z], x) == fmap[(z, x)]
                for z in sz.carrier for x in exp.sx.carrier):
-            others += 1
             return rep.fail("uniqueness", [repr(values)])
-    return rep.ok(alternatives=others)
+    return rep.ok(alternatives=0)

@@ -17,7 +17,8 @@ from .categories import (TVStructure, check_category, discrete,
 from .exponential import check_exponentiability
 from .limits import GuardError
 from .monads import check_monad_laws, monad_by_name
-from .quantale import check_condition_inj, check_quantale, quantale_by_name
+from .quantale import (FormatError, check_condition_inj, check_quantale,
+                       quantale_by_name)
 from .theory import LaxExtension, check_assumptions_bundle
 from .presheaf import (NotSeparated, build_presheaf_category, certify_injective,
                        check_yoneda)
@@ -27,7 +28,13 @@ DATA_PATH = os.path.join(os.path.dirname(__file__), "data", "gallery.json")
 
 def load_gallery(path: str | None = None) -> list:
     with open(path or DATA_PATH, "r", encoding="utf-8") as fh:
-        return json.load(fh)["entries"]
+        data = json.load(fh)
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) and all(
+            isinstance(e.get(k), str) for k in ("name", "quantale", "monad"))
+            for e in entries):
+        raise FormatError("gallery entries need a name, a quantale and a monad")
+    return entries
 
 
 def _build_structure(ext: LaxExtension, spec: dict) -> TVStructure:

@@ -21,7 +21,7 @@ from itertools import product
 from typing import Callable
 
 from .quantale import FormatError, Quantale
-from .report import CheckReport, Reporter, sort_key
+from .report import CheckReport, Reporter
 from .vrel import pair_carrier
 
 
@@ -118,6 +118,13 @@ class TheoryMonad:
     def bound_info(self):
         return None
 
+    def elem_to_str(self, t) -> str:
+        """The text of a T-element in structure files and reports."""
+        return str(t)
+
+    def elem_from_str(self, text: str):
+        return text
+
     def describe(self) -> dict:
         return {"kind": self.kind}
 
@@ -205,6 +212,12 @@ class WordMonad(TheoryMonad):
     def bound_info(self):
         return {"max_word_len": self.max_len}
 
+    def elem_to_str(self, t):
+        return ",".join(map(str, t))
+
+    def elem_from_str(self, text):
+        return tuple(p for p in text.split(",") if p != "")
+
     def describe(self):
         return {"kind": "word", "max_len": self.max_len}
 
@@ -241,20 +254,31 @@ class LabelledMonad(TheoryMonad):
     def letters(self, t):
         return (t[0],)
 
+    def elem_to_str(self, t):
+        return "%s,%s" % t
+
+    def elem_from_str(self, text):
+        x, _, h = text.rpartition(",")
+        return (x, h)
+
     def describe(self):
         return {"kind": "labelled", "monoid": self.monoid.to_dict()}
 
 
 def monad_from_dict(d: dict) -> TheoryMonad:
+    if not isinstance(d, dict):
+        raise FormatError("a monad is described by a JSON object")
     kind = d.get("kind")
     if kind == "identity":
         return IdentityMonad()
     if kind == "finite_ultrafilter":
         return FiniteUltrafilterMonad()
     if kind == "word":
-        if "max_len" not in d:
-            raise FormatError("word monad needs max_len")
-        return WordMonad(int(d["max_len"]))
+        try:
+            max_len = int(d["max_len"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise FormatError("word monad needs an integer depth (max_len), e.g. word:2")
+        return WordMonad(max_len)
     if kind == "labelled":
         if "monoid" not in d:
             raise FormatError("labelled monad needs a monoid table")
@@ -265,21 +289,11 @@ def monad_from_dict(d: dict) -> TheoryMonad:
 def monad_by_name(spec: str) -> TheoryMonad:
     """Resolve compact CLI syntax: identity, word:2, labelled:z2, ..."""
     base, _, arg = spec.partition(":")
-    if base == "identity":
-        return IdentityMonad()
-    if base == "finite_ultrafilter":
-        return FiniteUltrafilterMonad()
-    if base == "word":
-        try:
-            depth = int(arg)
-        except ValueError:
-            raise FormatError("word monad needs a numeric depth, e.g. word:2")
-        return WordMonad(depth)
     if base == "labelled":
-        if arg == "z2":
-            return LabelledMonad(z2())
-        raise FormatError("unknown builtin monoid %r (only z2)" % arg)
-    raise FormatError("unknown monad %r" % spec)
+        if arg != "z2":
+            raise FormatError("unknown builtin monoid %r (only z2)" % arg)
+        return LabelledMonad(z2())
+    return monad_from_dict({"kind": base, "max_len": arg})
 
 
 def can_map(monad: TheoryMonad, xs: tuple, ys: tuple) -> dict:

@@ -149,10 +149,7 @@ def certify_injective(s: TVStructure, px: PresheafCategory | None = None,
                       guard: int | None = None) -> CheckReport:
     """Injectivity via a retraction of the Yoneda embedding."""
     rep = Reporter("injective", bound=s.ext.bound_info())
-    try:
-        found = find_sup(s, px, guard)
-    except NotSeparated:
-        raise
+    found = find_sup(s, px, guard)
     rep.tick()
     if found is None:
         return rep.fail("no-sup", None)
@@ -287,20 +284,19 @@ def weak_exponential(sx: TVStructure, sy: TVStructure,
 
 def weak_factorize(wexp: WeakExponential, fmap: dict,
                    sz: TVStructure, guard: int | None = None) -> TVFunctor:
-    """Factor f: Z x X -> Y through the weak evaluation.  For the identity
-    monad the presheaf extension is built directly by the colimit formula
-    f'(z, psi)(y') = \\/_x psi(x) (x) b(y', f(z, x)); for other monads a
-    guarded exhaustive search looks for any compatible choice.  Raises
+    """Factor f: Z x X -> Y through the weak evaluation.  When presheaves
+    are indexed by points (TX = X, as for the identity monad) the presheaf
+    extension is built directly by the colimit formula
+    f'(z, psi)(y') = \\/_x psi(x) (x) b(y', f(z, x)); otherwise a guarded
+    exhaustive search looks for any compatible choice.  Raises
     NoExtensionFound when the search is exhausted (which would contradict
     injectivity of PY)."""
     sx, sy = wexp.sx, wexp.sy
     q = sx.quantale
-    monad = sx.monad
     pxc = wexp.px.structure.carrier
     pyc = wexp.py.structure.carrier
     tidx_x = {t: i for i, t in enumerate(sx.tx)}
-    tidx_y = {t: i for i, t in enumerate(sy.tx)}
-    if monad.kind in ("identity", "finite_ultrafilter"):
+    if sx.tx == sx.carrier:
         maps = {}
         for z in sz.carrier:
             phi = []

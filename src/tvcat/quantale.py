@@ -176,24 +176,29 @@ class Quantale:
     @classmethod
     def from_dict(cls, d: dict, name: str = "quantale") -> "Quantale":
         try:
-            labels = tuple(str(x) for x in d["elements"])
-            order = d["order"]
-            tens_in = d["tensor"]
-            unit_label = d["unit"]
+            elements, order = d["elements"], d["order"]
+            tens_in, unit_label = d["tensor"], d["unit"]
         except (KeyError, TypeError) as exc:
             raise FormatError("quantale file missing field: %s" % exc)
+        if not isinstance(elements, list) or not isinstance(tens_in, dict):
+            raise FormatError("quantale elements must be a list, its tensor an object")
+        labels = tuple(str(x) for x in elements)
         if len(set(labels)) != len(labels):
             raise FormatError("duplicate element labels")
         idx = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
+
+        def index(label, what):
+            if not isinstance(label, str) or label not in idx:
+                raise FormatError("%s mentions unknown element %r" % (what, label))
+            return idx[label]
+
         pairs = set()
         if not isinstance(order, (list, tuple)) or any(
                 not isinstance(p, (list, tuple)) or len(p) != 2 for p in order):
             raise FormatError("quantale order must be a list of [lower, upper] pairs")
         for lo, hi in order:
-            if lo not in idx or hi not in idx:
-                raise FormatError("order pair mentions unknown element")
-            pairs.add((idx[lo], idx[hi]))
+            pairs.add((index(lo, "order pair"), index(hi, "order pair")))
         leq = _closure(n, pairs)
         for i, j in product(range(n), repeat=2):
             if i != j and leq[i][j] and leq[j][i]:
@@ -208,9 +213,7 @@ class Quantale:
             if not splits:
                 raise FormatError("bad tensor key %r" % key)
             a, b = splits[0]
-            if val not in idx:
-                raise FormatError("tensor entry mentions unknown element")
-            i, j, v = idx[a], idx[b], idx[val]
+            i, j, v = idx[a], idx[b], index(val, "tensor entry")
             for p, q in ((i, j), (j, i)):
                 if tensor[p][q] is not None and tensor[p][q] != v:
                     raise FormatError(
@@ -218,10 +221,8 @@ class Quantale:
                 tensor[p][q] = v
         if any(x is None for row in tensor for x in row):
             raise FormatError("tensor table is incomplete")
-        if unit_label not in idx:
-            raise FormatError("unknown unit element")
-        return cls(labels, tuple(map(tuple, leq)),
-                   tuple(map(tuple, tensor)), idx[unit_label], name=name)
+        return cls(labels, tuple(map(tuple, leq)), tuple(map(tuple, tensor)),
+                   index(unit_label, "unit"), name=name)
 
     @classmethod
     def from_file(cls, path: str) -> "Quantale":
@@ -425,7 +426,7 @@ def powerset_frame(k: int) -> Quantale:
 
 
 BUILTIN_QUANTALES = {
-    "two": lambda: two(),
+    "two": two,
     "trunc_add": chain_trunc_add,
     "lukasiewicz": lukasiewicz,
     "godel": godel_chain,
@@ -435,14 +436,15 @@ BUILTIN_QUANTALES = {
 
 def quantale_by_name(spec: str) -> Quantale:
     """Resolve ``two``, ``lukasiewicz:3`` etc., or a path to a JSON file."""
-    if ":" in spec:
-        base, _, arg = spec.partition(":")
-        if base in BUILTIN_QUANTALES:
-            try:
-                n = int(arg)
-            except ValueError:
-                raise FormatError("bad quantale parameter %r" % arg)
-            return BUILTIN_QUANTALES[base](n)
-    elif spec in BUILTIN_QUANTALES:
-        return BUILTIN_QUANTALES[spec]()
-    return Quantale.from_file(spec)
+    base, sep, arg = spec.partition(":")
+    if base not in BUILTIN_QUANTALES:
+        return Quantale.from_file(spec)
+    if base == "two":
+        if sep:
+            raise FormatError("quantale two takes no parameter")
+        return two()
+    try:
+        n = int(arg)
+    except ValueError:
+        raise FormatError("quantale %s needs a numeric size, e.g. %s:3" % (base, base))
+    return BUILTIN_QUANTALES[base](n)

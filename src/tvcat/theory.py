@@ -20,8 +20,8 @@ from itertools import product
 from .monads import TheoryMonad, can_map
 from .quantale import Quantale, check_condition_inj
 from .report import CheckReport, Reporter, sort_key
-from .vrel import (VRel, all_relations, id_rel, pair_carrier, push_forward,
-                   random_relation)
+from .vrel import (VRel, all_relations, id_rel, push_forward, random_relation,
+                   tabulate)
 
 
 class LaxExtension:
@@ -98,14 +98,8 @@ class LaxExtension:
         q = self.quantale
         elems = tuple(range(q.n))
         tv = self.monad.carrier(elems)
-        ent = {}
-        for t in tv:
-            xi = self.monad.xi(t, q)
-            for v in elems:
-                h = q.hom[xi][v]
-                if h != q.bottom:
-                    ent[(t, v)] = h
-        return VRel(q, tv, elems, ent)
+        xi = {t: self.monad.xi(t, q) for t in tv}
+        return tabulate(q, tv, elems, lambda t, v: q.hom[xi[t]][v])
 
 
 # ---- extension-level checks ----
@@ -185,7 +179,6 @@ def check_infi(ext: LaxExtension, r: VRel, s: VRel) -> CheckReport:
     searched for witnesses."""
     rep = Reporter("infi", bound=ext.bound_info())
     q = ext.quantale
-    monad = ext.monad
     trs = ext.extend(r.owedge(s))
     tr = ext.extend(r)
     ts = ext.extend(s)
@@ -196,8 +189,8 @@ def check_infi(ext: LaxExtension, r: VRel, s: VRel) -> CheckReport:
                             for (w, w1), v in trs.entries.items()))
     for w in sorted(trs.src, key=sort_key):
         wx, wy = can_src[w]
-        for x1 in monad.carrier(r.dst):
-            for y1 in monad.carrier(s.dst):
+        for x1 in tr.dst:
+            for y1 in ts.dst:
                 rep.tick()
                 rhs = q.meet[tr(wx, x1)][ts(wy, y1)]
                 lhs = left.get((w, (x1, y1)), q.bottom)
@@ -215,13 +208,11 @@ def check_xi_meet(ext: LaxExtension) -> CheckReport:
     q = ext.quantale
     monad = ext.monad
     elems = tuple(range(q.n))
-    cells = pair_carrier(elems, elems)
     equality = True
-    for w in monad.carrier(cells):
+    for w, (wu, wv) in ext.can_map(elems, elems).items():
         rep.tick()
         lhs = monad.xi(monad.map_elem(lambda p: q.meet[p[0]][p[1]], w), q)
-        rhs = q.meet[monad.xi(monad.map_elem(lambda p: p[0], w), q)][
-            monad.xi(monad.map_elem(lambda p: p[1], w), q)]
+        rhs = q.meet[monad.xi(wu, q)][monad.xi(wv, q)]
         if not q.le(lhs, rhs):
             return rep.fail("xi-meet-le", [repr(w)],
                             lhs=q.labels[lhs], rhs=q.labels[rhs])
@@ -286,10 +277,9 @@ def check_assumption4(ext: LaxExtension) -> CheckReport:
     q = ext.quantale
     monad = ext.monad
     elems = tuple(range(q.n))
-    cells = pair_carrier(elems, elems)
-    for w in monad.carrier(cells):
-        xi1 = monad.xi(monad.map_elem(lambda p: p[0], w), q)
-        xi2 = monad.xi(monad.map_elem(lambda p: p[1], w), q)
+    for w, (wu, wv) in ext.can_map(elems, elems).items():
+        xi1 = monad.xi(wu, q)
+        xi2 = monad.xi(wv, q)
         xit = monad.xi(monad.map_elem(lambda p: q.tensor[p[0]][p[1]], w), q)
         for u, v in product(elems, elems):
             rep.tick()
@@ -317,64 +307,37 @@ def check_assumptions_bundle(ext: LaxExtension, seed: int = 0,
     ys = ("y0", "y1")
     if exhaustive is None:
         exhaustive = q.n <= 4
+    # the sub-checks of each condition, drawn lazily in a fixed order (the
+    # sampled infi pairs before the scalar-tensor relations) and run up to
+    # the first failure
+    if exhaustive:
+        infi_pairs = ((r, s) for r in all_relations(q, xs, ys)
+                      for s in all_relations(q, xs, ys))
+    else:
+        infi_pairs = ((random_relation(q, xs, ys, rng), random_relation(q, xs, ys, rng))
+                      for _ in range(samples))
+
+    def scalar_tensor():
+        rels = (list(all_relations(q, xs, ys)) if exhaustive
+                else [random_relation(q, xs, ys, rng) for _ in range(samples)])
+        return (check_assumption3(ext, r, u) for u in range(q.n) for r in rels)
+
+    conditions = (
+        ("infi", lambda: (check_infi(ext, r, s) for r, s in infi_pairs)),
+        ("condition_inj", lambda: (check_condition_inj(q),)),
+        ("scalar_tensor", scalar_tensor),
+        ("functors", lambda: (check_assumption4(ext),)),
+    )
     verdicts = {}
     witnesses = {}
-    # (1): comparison-square commutation
-    if exhaustive:
-        cond1 = None
-        for r in all_relations(q, xs, ys):
-            for s in all_relations(q, xs, ys):
-                sub = check_infi(ext, r, s)
-                rep.tick()
-                if not sub.passed:
-                    cond1 = sub
-                    break
-            if cond1 is not None:
-                break
-        verdicts["infi"] = cond1 is None
-        if cond1 is not None:
-            witnesses["infi"] = cond1.witness
-    else:
-        cond1 = None
-        for _ in range(samples):
-            r = random_relation(q, xs, ys, rng)
-            s = random_relation(q, xs, ys, rng)
-            sub = check_infi(ext, r, s)
+    for name, subs in conditions:
+        verdicts[name] = True
+        for sub in subs():
             rep.tick()
             if not sub.passed:
-                cond1 = sub
+                verdicts[name] = False
+                witnesses[name] = sub.witness
                 break
-        verdicts["infi"] = cond1 is None
-        if cond1 is not None:
-            witnesses["infi"] = cond1.witness
-    # (2): quantale meet/tensor decomposition
-    sub2 = check_condition_inj(q)
-    rep.tick()
-    verdicts["condition_inj"] = sub2.passed
-    if not sub2.passed:
-        witnesses["condition_inj"] = sub2.witness
-    # (3): scalar tensor commutes with the extension
-    cond3 = None
-    rels3 = (list(all_relations(q, xs, ys)) if exhaustive
-             else [random_relation(q, xs, ys, rng) for _ in range(samples)])
-    for u in range(q.n):
-        for r in rels3:
-            sub = check_assumption3(ext, r, u)
-            rep.tick()
-            if not sub.passed:
-                cond3 = sub
-                break
-        if cond3 is not None:
-            break
-    verdicts["scalar_tensor"] = cond3 is None
-    if cond3 is not None:
-        witnesses["scalar_tensor"] = cond3.witness
-    # (4): tensor and points as structure maps
-    sub4 = check_assumption4(ext)
-    rep.tick()
-    verdicts["functors"] = sub4.passed
-    if not sub4.passed:
-        witnesses["functors"] = sub4.witness
     all_ok = all(verdicts.values())
     if all_ok:
         return rep.ok(verdicts=verdicts, exhaustive=exhaustive)

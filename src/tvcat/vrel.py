@@ -2,7 +2,9 @@
 
 Carrier elements are arbitrary hashable values (strings, or nested tuples for
 product and monad carriers).  Entries map carrier pairs to quantale element
-indices; missing pairs are bottom, so sparse structures stay sparse.
+indices; missing pairs are bottom, so sparse structures stay sparse.  Every
+relation given cell by cell is built by ``tabulate``, every relation given as
+a join of images by ``push_forward``.
 """
 
 from __future__ import annotations
@@ -40,16 +42,6 @@ class VRel:
     def __call__(self, x, y) -> int:
         return self.entries.get((x, y), self.quantale.bottom)
 
-    def _make(self, src, dst, fn: Callable) -> "VRel":
-        bot = self.quantale.bottom
-        ent = {}
-        for x in src:
-            for y in dst:
-                v = fn(x, y)
-                if v != bot:
-                    ent[(x, y)] = v
-        return VRel(self.quantale, src, dst, ent)
-
     # ---- relational calculus ----
 
     def compose(self, r: "VRel") -> "VRel":
@@ -70,26 +62,26 @@ class VRel:
             for (x, y), u in r.entries.items() for z, v in after.get(y, ()))))
 
     def transpose(self) -> "VRel":
-        return self._make(self.dst, self.src, lambda y, x: self(x, y))
+        return tabulate(self.quantale, self.dst, self.src, lambda y, x: self(x, y))
 
     def owedge(self, s: "VRel") -> "VRel":
         """Joint relation on product carriers with entrywise meet."""
         q = self.quantale
         src = pair_carrier(self.src, s.src)
         dst = pair_carrier(self.dst, s.dst)
-        return self._make(src, dst, lambda p, p1: q.meet[self(p[0], p1[0])][s(p[1], p1[1])])
+        return tabulate(q, src, dst, lambda p, p1: q.meet[self(p[0], p1[0])][s(p[1], p1[1])])
 
     def tensor_scalar(self, u: int) -> "VRel":
         q = self.quantale
-        return self._make(self.src, self.dst, lambda x, y: q.tens(self(x, y), u))
+        return tabulate(q, self.src, self.dst, lambda x, y: q.tens(self(x, y), u))
 
     def meet(self, s: "VRel") -> "VRel":
         q = self.quantale
-        return self._make(self.src, self.dst, lambda x, y: q.meet[self(x, y)][s(x, y)])
+        return tabulate(q, self.src, self.dst, lambda x, y: q.meet[self(x, y)][s(x, y)])
 
     def join(self, s: "VRel") -> "VRel":
         q = self.quantale
-        return self._make(self.src, self.dst, lambda x, y: q.join[self(x, y)][s(x, y)])
+        return tabulate(q, self.src, self.dst, lambda x, y: q.join[self(x, y)][s(x, y)])
 
     def leq(self, s: "VRel") -> bool:
         q = self.quantale
@@ -122,7 +114,7 @@ class VRel:
         return hash((self.src, self.dst))
 
     def restrict(self, src: tuple, dst: tuple) -> "VRel":
-        return self._make(src, dst, self)
+        return tabulate(self.quantale, src, dst, self)
 
     def rename(self, fsrc: Callable, fdst: Callable) -> "VRel":
         """Transport along carrier bijections."""
@@ -130,6 +122,19 @@ class VRel:
         dst = tuple(fdst(y) for y in self.dst)
         ent = {(fsrc(x), fdst(y)): v for (x, y), v in self.entries.items()}
         return VRel(self.quantale, src, dst, ent)
+
+
+def tabulate(q: Quantale, src: tuple, dst: tuple, fn: Callable) -> VRel:
+    """The relation src -|-> dst with entries fn(x, y), bottom dropped; fn
+    is called in x-major order."""
+    bot = q.bottom
+    ent = {}
+    for x in src:
+        for y in dst:
+            v = fn(x, y)
+            if v != bot:
+                ent[(x, y)] = v
+    return VRel(q, src, dst, ent)
 
 
 def push_forward(q: Quantale, items) -> dict:
@@ -158,8 +163,7 @@ def from_function(q: Quantale, f: Callable, src: tuple, dst: tuple) -> VRel:
 
 
 def constant_rel(q: Quantale, src: tuple, dst: tuple, u: int) -> VRel:
-    ent = {} if u == q.bottom else {(x, y): u for x in src for y in dst}
-    return VRel(q, src, dst, ent)
+    return tabulate(q, src, dst, lambda x, y: u)
 
 
 def all_relations(q: Quantale, src: tuple, dst: tuple):
@@ -172,10 +176,4 @@ def all_relations(q: Quantale, src: tuple, dst: tuple):
 
 
 def random_relation(q: Quantale, src: tuple, dst: tuple, rng) -> VRel:
-    ent = {}
-    for x in src:
-        for y in dst:
-            v = rng.randrange(q.n)
-            if v != q.bottom:
-                ent[(x, y)] = v
-    return VRel(q, src, dst, ent)
+    return tabulate(q, src, dst, lambda x, y: rng.randrange(q.n))

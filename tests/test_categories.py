@@ -17,7 +17,7 @@ from tvcat.categories import (EMAlgebra, TVFunctor, TVStructure, check_algebra,
                               initial_lift, is_category, one_point, product,
                               quotient, random_category, reflect_R, separated,
                               structure_from_dict, structure_to_dict, subspace,
-                              t_elem_from_str, t_elem_to_str, tensor, v_hom_xi)
+                              tensor, v_hom_xi)
 from tvcat.monads import monad_by_name
 from tvcat.quantale import FormatError, lukasiewicz, quantale_by_name, two
 from tvcat.theory import LaxExtension
@@ -249,10 +249,10 @@ def test_serialization_roundtrip(ext_word2, ext_labelled):
 def test_t_elem_string_roundtrip():
     w = monad_by_name("word:2")
     for t in w.carrier(("a", "b")):
-        assert t_elem_from_str(w, t_elem_to_str(w, t)) == t
+        assert w.elem_from_str(w.elem_to_str(t)) == t
     lab = monad_by_name("labelled:z2")
     for t in lab.carrier(("a", "b")):
-        assert t_elem_from_str(lab, t_elem_to_str(lab, t)) == t
+        assert lab.elem_from_str(lab.elem_to_str(t)) == t
 
 
 def test_random_category_is_category():

@@ -1,11 +1,15 @@
 """CLI exit codes, report schema, determinism and replay."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvcat.cli import main
 from tvcat.quantale import lukasiewicz
@@ -46,7 +50,10 @@ def test_quantale_check_file(capsys, luk3_file):
 
 
 def test_unknown_quantale_is_usage_error(capsys):
-    assert main(["quantale", "check", "definitely_not_a_quantale"]) == 2
+    for spec in ("definitely_not_a_quantale", "two:3", "lukasiewicz"):
+        assert main(["quantale", "check", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_malformed_json_is_usage_error(capsys, tmp_path):
@@ -96,14 +103,23 @@ def test_gallery_run_deterministic_bytes(capsys):
     assert json.loads(out1)["matches"] is True
 
 
-def test_cat_pipeline(capsys, chain2_file):
+def test_cat_pipeline(capsys, chain2_file, tmp_path):
+    # word-monad T-elements over a product carrier are words of pairs
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps({
+        "quantale": "two", "monad": "word:1", "carrier": ["a", "b"],
+        "structure": {"a;a": "1", "b;b": "1"}}))
+    word = str(word)
     for sub in (["cat", "check", chain2_file],
                 ["cat", "dual", chain2_file],
                 ["cat", "reflect", chain2_file],
                 ["cat", "represent", chain2_file],
                 ["cat", "product", chain2_file, chain2_file],
                 ["cat", "tensor", chain2_file, chain2_file],
-                ["cat", "coproduct", chain2_file, chain2_file]):
+                ["cat", "coproduct", chain2_file, chain2_file],
+                ["cat", "product", word, word],
+                ["cat", "tensor", word, word],
+                ["cat", "coproduct", word, word]):
         code, out = run(capsys, sub + ["--format", "json"])
         assert code == 0, (sub, out)
         assert json.loads(out)["schema"] == 1
@@ -218,14 +234,24 @@ def test_gallery_guard_size_is_passed_not_set(capsys, monkeypatch):
     ("monad", {"kind": "labelled", "monoid": {"elements": ["e"], "unit": "e"}}),
     ("structure", {"quantale": "two", "monad": "identity", "carrier": "ab",
                    "structure": {}}),
+    ("monad", ["word", 2]),
+    ("monad", {"kind": "word", "max_len": "x"}),
+    ("monad", {"kind": "word", "max_len": None}),
+    ("structure", ["two", "identity"]),
+    ("structure", {"quantale": "two", "monad": "identity", "carrier": ["a"],
+                   "structure": ["a;a", "1"]}),
+    ("gallery", {"entries": [{"name": "no-quantale", "monad": "identity"}]}),
 ], ids=["quantale-order-not-pairs", "labelled-without-table",
-        "carrier-not-a-list"])
+        "carrier-not-a-list", "monad-a-list", "max-len-not-a-number",
+        "max-len-null", "structure-a-list", "structure-entries-a-list",
+        "gallery-entry-without-quantale"])
 def test_malformed_file_exits_2_without_traceback(tmp_path, kind, payload):
     path = tmp_path / ("%s.json" % kind)
     path.write_text(json.dumps(payload))
     argv = {"quantale": ["quantale", "check", str(path)],
             "monad": ["monad", "check", str(path)],
-            "structure": ["cat", "check", str(path)]}[kind]
+            "structure": ["cat", "check", str(path)],
+            "gallery": ["gallery", "run", "--data", str(path)]}[kind]
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     done = subprocess.run([sys.executable, "-m", "tvcat.cli"] + argv,
                           capture_output=True, text=True,
@@ -233,3 +259,69 @@ def test_malformed_file_exits_2_without_traceback(tmp_path, kind, payload):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+# Small JSON values, and objects with the fields the loaders read, each field
+# well-formed or arbitrary or missing.  Element lists and carriers hold at
+# most 3 items and word depths stay at most 2, so every load and check is
+# cheap.
+LABELS = st.sampled_from(["0", "1", "a", "b", "e", "g", ""])
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-1, 2), LABELS),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(LABELS, kids, max_size=3)),
+    max_leaves=6)
+
+
+def _object(**fields):
+    return st.fixed_dictionaries({}, optional={
+        key: st.one_of(value, JSON) for key, value in fields.items()})
+
+
+QUANTALE = _object(
+    elements=st.lists(LABELS, max_size=3),
+    order=st.lists(st.lists(LABELS, min_size=2, max_size=2), max_size=3),
+    tensor=st.dictionaries(st.sampled_from(["0,0", "0,1", "1,0", "1,1", "a,b"]),
+                           LABELS, max_size=4),
+    unit=LABELS)
+MONAD = _object(
+    kind=st.sampled_from(["identity", "finite_ultrafilter", "word", "labelled",
+                          "other"]),
+    max_len=st.sampled_from([0, 1, 2, "2", "x", 1.5]),
+    monoid=_object(elements=st.lists(LABELS, max_size=3),
+                   table=st.lists(st.lists(LABELS, max_size=3), max_size=3),
+                   unit=LABELS))
+STRUCTURE = _object(
+    quantale=st.one_of(st.sampled_from(["two", "godel:2", "lukasiewicz:3",
+                                        "two:3", "godel", "godel:x", "nope"]),
+                       QUANTALE),
+    monad=st.one_of(st.sampled_from(["identity", "word:1", "word:2", "word:0",
+                                     "word:x", "labelled:z2", "labelled:q"]),
+                    MONAD),
+    carrier=st.lists(LABELS, max_size=3),
+    structure=st.dictionaries(st.sampled_from(["a;a", "a;b", "b;a", "a,b;a",
+                                               "a,e;a", ";a", "a"]),
+                              LABELS, max_size=3),
+    name=JSON)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(st.just("quantale"), st.one_of(QUANTALE, JSON)),
+                 st.tuples(st.just("monad"), st.one_of(MONAD, JSON)),
+                 st.tuples(st.just("structure"), st.one_of(STRUCTURE, JSON))))
+def test_loader_fuzz_exits_cleanly(kind_payload):
+    kind, payload = kind_payload
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "%s.json" % kind)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        argv = {"quantale": ["quantale", "check", path],
+                "monad": ["monad", "check", path],
+                "structure": ["cat", "check", path]}[kind]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
