@@ -3,8 +3,8 @@
 A structure is a carrier X together with a V-relation a: TX -|-> X.  For the
 word monad only the in-bound fragment of a is stored and every derived report
 carries the depth bound.  Reflexivity (R) and transitivity (T) are checked,
-never assumed; graph constructors return unchecked structures whose category
-status is established by an explicit check_category call.
+never assumed; constructors and the file loader return unchecked structures
+whose category status is established by an explicit check_category call.
 """
 
 from __future__ import annotations
@@ -142,14 +142,7 @@ def check_category(s: TVStructure) -> CheckReport:
                 if not q.le(lhs, s.a(mx, x)):
                     return rep.fail("transitivity", [repr(xx), repr(xv), repr(x)],
                                     lhs=q.labels[lhs], rhs=q.labels[s.a(mx, x)])
-    s.flags["category"] = True
     return rep.ok()
-
-
-def is_category(s: TVStructure) -> bool:
-    if "category" not in s.flags:
-        s.flags["category"] = check_category(s).passed
-    return s.flags["category"]
 
 
 def _compare_along(f: TVFunctor, check: str, law: str, holds) -> CheckReport:
@@ -275,7 +268,6 @@ def graph_to_category(s: TVStructure) -> TVStructure:
         if not changed:
             break
     out = TVStructure(s.ext, s.carrier, a, name=s.name)
-    out.flags["category"] = True
     if _out_of_bound_defect(ext, a):
         out.flags["bounded_closure"] = True
     return out
@@ -324,11 +316,9 @@ def tensor(sx: TVStructure, sy: TVStructure) -> TVStructure:
     q = sx.quantale
     carrier = pair_carrier(sx.carrier, sy.carrier)
     can = sx.ext.can_map(sx.carrier, sy.carrier)
-    s = TVStructure(sx.ext, carrier, tabulate(
+    return TVStructure(sx.ext, carrier, tabulate(
         q, sx.monad.carrier(carrier), carrier,
         lambda w, p: q.tens(sx.a(can[w][0], p[0]), sy.a(can[w][1], p[1]))))
-    s.flags["category"] = check_category(s).passed
-    return s
 
 
 # ---- separation and the reflector ----
@@ -710,9 +700,13 @@ def structure_from_dict(d: dict) -> TVStructure:
     if not isinstance(carrier, (list, tuple)) or not carrier:
         raise FormatError("structure file needs a nonempty list as its carrier")
     carrier = tuple(str(x) for x in carrier)
-    ext = LaxExtension(monad, q)
     tx = monad.carrier(carrier)
-    txset = set(tx)
+    by_text = {}
+    for t in tx:
+        text = monad.elem_to_str(t)
+        if by_text.setdefault(text, t) != t:
+            raise FormatError("T-elements %r and %r share the text %r; relabel "
+                              "the carrier" % (by_text[text], t, text))
     given = d.get("structure", {})
     if not isinstance(given, dict):
         raise FormatError("structure entries must be a JSON object")
@@ -721,15 +715,11 @@ def structure_from_dict(d: dict) -> TVStructure:
         tpart, sep, xpart = key.rpartition(";")
         if not sep:
             raise FormatError("structure key %r must look like 'T-elem;x'" % key)
-        t = monad.elem_from_str(tpart)
-        if t not in txset or xpart not in carrier:
+        if tpart not in by_text or xpart not in carrier:
             raise FormatError("structure key %r outside carriers" % key)
-        ent[(t, xpart)] = q.index(lab)
-    s = TVStructure(ext, carrier, VRel(q, tx, carrier, ent),
-                    name=str(d.get("name", "")))
-    s.flags["graph"] = check_graph(s).passed
-    s.flags["category"] = check_category(s).passed
-    return s
+        ent[(by_text[tpart], xpart)] = q.index(lab)
+    return TVStructure(LaxExtension(monad, q), carrier, VRel(q, tx, carrier, ent),
+                       name=str(d.get("name", "")))
 
 
 def structure_from_file(path: str) -> TVStructure:

@@ -3,7 +3,7 @@ deterministic reports.
 
 Exit codes: 0 when every check passes, 1 when a check fails (the report
 carries the witness), 2 on usage or format errors (unknown files, malformed
-JSON, guard violations).  JSON output is byte-stable for fixed inputs and
+JSON, guard violations), 3 on an internal error.  JSON output is byte-stable for fixed inputs and
 flags; the text format is human-oriented and not stability-guaranteed.
 """
 
@@ -68,7 +68,8 @@ def _structure_payload(s, full: bool = True) -> dict:
     return out
 
 
-# ---- subcommand bodies: each returns (exit_code, payload) ----
+# ---- command actions: each gets the parsed arguments and the loaded
+# structure files, and returns (exit_code, payload) ----
 
 def _finish(reports: list, **extra):
     code = 0 if all(r.passed for r in reports) else 1
@@ -77,7 +78,13 @@ def _finish(reports: list, **extra):
     return code, payload
 
 
-def cmd_quantale_check(args):
+def _result(s, full: bool = True, **extra):
+    """A constructed structure with its category report."""
+    return _finish([check_category(s)], result=_structure_payload(s, full),
+                   **extra)
+
+
+def _quantale_check(args):
     q = quantale_by_name(args.quantale)
     return _finish([check_quantale(q), check_condition_inj(q)],
                    quantale=q.name, size=q.n)
@@ -105,7 +112,7 @@ def _chain_tensors(n: int):
     yield from fill(0, [[None] * n for _ in range(n)])
 
 
-def cmd_quantale_search(args):
+def _search_cond2(args):
     """Exhaust small chain quantales and report their condition verdicts."""
     found = []
     candidates = 0
@@ -136,65 +143,28 @@ def cmd_quantale_search(args):
                "condition_2_failures": found}
 
 
-def cmd_monad_check(args):
+def _monad_check(args):
     monad = _load_monad(args.monad, args.max_word_len)
     carrier = tuple(args.carrier.split(","))
     q = quantale_by_name(args.quantale) if args.quantale else None
-    reports = [check_monad_laws(monad, carrier, q), check_bc_samples(monad)]
-    return _finish(reports, monad=repr(monad))
+    laws = check_monad_laws(monad, carrier, q, guard=args.guard_size)
+    return _finish([laws, check_bc_samples(monad)], monad=repr(monad))
 
 
-def cmd_theory_check(args):
+def _theory_check(args):
     q = quantale_by_name(args.quantale)
-    monad = _load_monad(args.monad, args.max_word_len)
-    ext = LaxExtension(monad, q)
-    bundle = check_assumptions_bundle(ext, seed=args.seed,
-                                      exhaustive=args.exhaustive)
-    return _finish([bundle])
+    ext = LaxExtension(_load_monad(args.monad, args.max_word_len), q)
+    return _finish([check_assumptions_bundle(ext, seed=args.seed,
+                                             exhaustive=args.exhaustive)])
 
 
-def cmd_cat_check(args):
-    s = structure_from_file(args.file)
-    return _finish([check_graph(s), check_category(s)],
-                   separated=separated(s))
-
-
-def _binary(args, op):
-    sx = structure_from_file(args.left)
-    sy = structure_from_file(args.right)
-    built = op(sx, sy)
-    s = built[0] if isinstance(built, tuple) else built
-    return _finish([check_category(s)], result=_structure_payload(s))
-
-
-def cmd_cat_product(args):
-    return _binary(args, product)
-
-
-def cmd_cat_tensor(args):
-    return _binary(args, tensor)
-
-
-def cmd_cat_coproduct(args):
-    return _binary(args, coproduct)
-
-
-def cmd_cat_reflect(args):
-    s = structure_from_file(args.file)
+def _reflect(args, s):
     out, eta = reflect_R(s)
-    return _finish([check_category(out)], result=_structure_payload(out),
-                   eta={str(x): str(eta.map[x]) for x in s.carrier},
+    return _result(out, eta={str(x): str(eta.map[x]) for x in s.carrier},
                    separated=separated(out))
 
 
-def cmd_cat_dual(args):
-    s = structure_from_file(args.file)
-    op = dual(s)
-    return _finish([check_category(op)], result=_structure_payload(op))
-
-
-def cmd_cat_represent(args):
-    s = structure_from_file(args.file)
+def _represent(args, s):
     found = find_representation(s, guard=args.guard_size)
     if found is None:
         return 1, {"representable": False, "reports": []}
@@ -205,70 +175,55 @@ def cmd_cat_represent(args):
                                              key=lambda kv: str(kv[0]))})
 
 
-def cmd_exp_build(args):
-    sx = structure_from_file(args.left)
-    sy = structure_from_file(args.right)
+def _exp_build(args, sx, sy):
     try:
         exp = exponential_in_cats(sx, sy, guard=args.guard_size)
     except NotTransitive as exc:
         return 1, {"reports": [{"check": "exponential", "status": "fail",
                                 "law": exc.law,
                                 "witness": [str(w) for w in exc.witness]}]}
-    return _finish([check_category(exp.structure)],
-                   result=_structure_payload(exp.structure, full=False))
+    return _result(exp.structure, full=False)
 
 
-def cmd_exp_criterion(args):
-    sx = structure_from_file(args.file)
-    reports = [check_exponentiability(sx)]
-    if sx.quantale.is_frame():
-        reports.append(check_frame_criterion(sx))
+def _criterion(args, s):
+    reports = [check_exponentiability(s)]
+    if s.quantale.is_frame():
+        reports.append(check_frame_criterion(s))
     return _finish(reports)
 
 
-def cmd_exp_curry(args):
-    sx = structure_from_file(args.x)
-    sy = structure_from_file(args.y)
-    sz = structure_from_file(args.z)
+def _curry(args, sz, sx, sy):
     fmap = _load_map(args.map)
     exp = exponential_in_cats(sx, sy, guard=args.guard_size)
     fbar = curry(fmap, sz, exp)
-    rep = check_universal_property(exp, fmap, sz, guard=args.guard_size)
-    return _finish([rep],
+    return _finish([check_universal_property(exp, fmap, sz)],
                    curried={str(z): list(fbar.map[z]) for z in sz.carrier})
 
 
-def cmd_psh_build(args):
-    s = structure_from_file(args.file)
-    px = build_presheaf_category(s, guard=args.guard_size)
-    return _finish([check_category(px.structure)],
-                   result=_structure_payload(px.structure, full=False),
-                   separated=separated(px.structure),
+def _psh_build(args, s):
+    px = build_presheaf_category(s, guard=args.guard_size).structure
+    return _result(px, full=False, separated=separated(px),
                    guard=args.guard_size)
 
 
-def cmd_psh_yoneda(args):
-    s = structure_from_file(args.file)
+def _yoneda(args, s):
     px = build_presheaf_category(s, guard=args.guard_size)
     return _finish([check_yoneda(s, px)],
                    presheaf_size=len(px.structure.carrier))
 
 
-def cmd_psh_injective(args):
-    s = structure_from_file(args.file)
+def _injective(args, s):
     px = build_presheaf_category(s, guard=args.guard_size)
     rep = certify_injective(s, px, guard=args.guard_size)
     extra = {"presheaf_size": len(px.structure.carrier)}
     if rep.passed:
-        supf, _ = find_sup(s, px, guard=args.guard_size)
+        supf = find_sup(s, px, guard=args.guard_size)
         extra["sup"] = {str(psi): str(x) for psi, x in sorted(
             supf.map.items(), key=lambda kv: str(kv[0]))}
     return _finish([rep], **extra)
 
 
-def cmd_psh_weak_exp(args):
-    sx = structure_from_file(args.left)
-    sy = structure_from_file(args.right)
+def _weak_exp(args, sx, sy):
     wexp = weak_exponential(sx, sy, guard=args.guard_size)
     return _finish([check_category(wexp.structure)],
                    carrier_size=len(wexp.structure.carrier),
@@ -277,11 +232,52 @@ def cmd_psh_weak_exp(args):
                    guard=args.guard_size)
 
 
-def cmd_gallery_run(args):
-    path = args.data or DATA_PATH
-    all_match, results = run_gallery(path, seed=args.seed,
+def _gallery_run(args):
+    all_match, results = run_gallery(args.data or DATA_PATH, seed=args.seed,
                                      guard=args.guard_size)
     return (0 if all_match else 1), {"matches": all_match, "results": results}
+
+
+# ---- the command table ----
+#
+# One row per command: group, command, structure-file arguments, other
+# arguments as (flag, argparse keywords), action.  A structure-file argument
+# is positional, or a required option when it starts with "--"; main()
+# loads the files in row order and passes the structures to the action.
+
+REQUIRED = {"required": True}
+FILE = ("file",)
+PAIR = ("left", "right")
+
+COMMANDS = (
+    ("quantale", "check", (), [("quantale", {})], _quantale_check),
+    ("quantale", "search-cond2", (),
+     [("--max-size", {"type": int, "default": 3})], _search_cond2),
+    ("monad", "check", (),
+     [("monad", {}), ("--carrier", {"default": "x0,x1"}),
+      ("--quantale", {"default": None})], _monad_check),
+    ("theory", "check-assumptions", (),
+     [("--quantale", REQUIRED), ("--monad", REQUIRED),
+      ("--exhaustive", {"action": "store_true", "default": None})],
+     _theory_check),
+    ("cat", "check", FILE, [], lambda args, s: _finish(
+        [check_graph(s), check_category(s)], separated=separated(s))),
+    ("cat", "reflect", FILE, [], _reflect),
+    ("cat", "dual", FILE, [], lambda args, s: _result(dual(s))),
+    ("cat", "represent", FILE, [], _represent),
+    ("cat", "product", PAIR, [], lambda args, sx, sy: _result(product(sx, sy)[0])),
+    ("cat", "tensor", PAIR, [], lambda args, sx, sy: _result(tensor(sx, sy))),
+    ("cat", "coproduct", PAIR, [],
+     lambda args, sx, sy: _result(coproduct(sx, sy)[0])),
+    ("exp", "build", PAIR, [], _exp_build),
+    ("exp", "criterion", FILE, [], _criterion),
+    ("exp", "curry", ("--z", "--x", "--y"), [("--map", REQUIRED)], _curry),
+    ("psh", "build", FILE, [], _psh_build),
+    ("psh", "yoneda", FILE, [], _yoneda),
+    ("psh", "injective", FILE, [], _injective),
+    ("psh", "weak-exp", PAIR, [], _weak_exp),
+    ("gallery", "run", (), [("--data", {"default": None})], _gallery_run),
+)
 
 
 # ---- output ----
@@ -334,85 +330,35 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--replay", default=None, metavar="WITNESS_JSON")
 
     top = argparse.ArgumentParser(prog="tvcat", description=__doc__)
-    sub = top.add_subparsers(dest="group", required=True)
-
-    g = sub.add_parser("quantale").add_subparsers(dest="cmd", required=True)
-    p = g.add_parser("check", parents=[common])
-    p.add_argument("quantale")
-    p.set_defaults(fn=cmd_quantale_check)
-    p = g.add_parser("search-cond2", parents=[common])
-    p.add_argument("--max-size", type=int, default=3)
-    p.set_defaults(fn=cmd_quantale_search)
-
-    g = sub.add_parser("monad").add_subparsers(dest="cmd", required=True)
-    p = g.add_parser("check", parents=[common])
-    p.add_argument("monad")
-    p.add_argument("--carrier", default="x0,x1")
-    p.add_argument("--quantale", default=None)
-    p.set_defaults(fn=cmd_monad_check)
-
-    g = sub.add_parser("theory").add_subparsers(dest="cmd", required=True)
-    p = g.add_parser("check-assumptions", parents=[common])
-    p.add_argument("--quantale", required=True)
-    p.add_argument("--monad", required=True)
-    p.add_argument("--exhaustive", action="store_true", default=None)
-    p.set_defaults(fn=cmd_theory_check)
-
-    g = sub.add_parser("cat").add_subparsers(dest="cmd", required=True)
-    for name, fn in (("check", cmd_cat_check), ("reflect", cmd_cat_reflect),
-                     ("dual", cmd_cat_dual), ("represent", cmd_cat_represent)):
-        p = g.add_parser(name, parents=[common])
-        p.add_argument("file")
-        p.set_defaults(fn=fn)
-    for name, fn in (("product", cmd_cat_product), ("tensor", cmd_cat_tensor),
-                     ("coproduct", cmd_cat_coproduct)):
-        p = g.add_parser(name, parents=[common])
-        p.add_argument("left")
-        p.add_argument("right")
-        p.set_defaults(fn=fn)
-
-    g = sub.add_parser("exp").add_subparsers(dest="cmd", required=True)
-    p = g.add_parser("build", parents=[common])
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(fn=cmd_exp_build)
-    p = g.add_parser("criterion", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_exp_criterion)
-    p = g.add_parser("curry", parents=[common])
-    p.add_argument("--z", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--map", required=True)
-    p.set_defaults(fn=cmd_exp_curry)
-
-    g = sub.add_parser("psh").add_subparsers(dest="cmd", required=True)
-    for name, fn in (("build", cmd_psh_build), ("yoneda", cmd_psh_yoneda),
-                     ("injective", cmd_psh_injective)):
-        p = g.add_parser(name, parents=[common])
-        p.add_argument("file")
-        p.set_defaults(fn=fn)
-    p = g.add_parser("weak-exp", parents=[common])
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(fn=cmd_psh_weak_exp)
-
-    g = sub.add_parser("gallery").add_subparsers(dest="cmd", required=True)
-    p = g.add_parser("run", parents=[common])
-    p.add_argument("--data", default=None)
-    p.set_defaults(fn=cmd_gallery_run)
-
+    groups = top.add_subparsers(dest="group", required=True)
+    commands = {}
+    for group, cmd, files, options, action in COMMANDS:
+        if group not in commands:
+            commands[group] = groups.add_parser(group).add_subparsers(
+                dest="cmd", required=True)
+        p = commands[group].add_parser(cmd, parents=[common])
+        for name in files:
+            p.add_argument(name, **(REQUIRED if name.startswith("--") else {}))
+        for name, kwargs in options:
+            p.add_argument(name, **kwargs)
+        p.set_defaults(files=[name.lstrip("-") for name in files], action=action)
     return top
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code, payload = args.fn(args)
+        structures = [structure_from_file(getattr(args, name))
+                      for name in args.files]
+        code, payload = args.action(args, *structures)
     except (FormatError, GuardError, NotSeparated, OSError,
             json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 3
     if args.replay is not None:
         try:
             code = _apply_replay(payload, args.replay)

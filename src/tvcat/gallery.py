@@ -34,6 +34,13 @@ def load_gallery(path: str | None = None) -> list:
             isinstance(e.get(k), str) for k in ("name", "quantale", "monad"))
             for e in entries):
         raise FormatError("gallery entries need a name, a quantale and a monad")
+    specs = [e.get("structures", []) for e in entries]
+    if not all(isinstance(sps, list) and all(
+            isinstance(sp, dict) and isinstance(sp.get("name"), str) and (
+                sp.get("kind") == "v_hom_xi" or isinstance(sp.get("carrier"), list))
+            for sp in sps) for sps in specs):
+        raise FormatError("gallery structures are a list, each with a name and, "
+                          "unless of kind v_hom_xi, a carrier list")
     return entries
 
 

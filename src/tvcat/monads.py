@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
+from .limits import check_guard
 from .quantale import FormatError, Quantale
 from .report import CheckReport, Reporter
 from .vrel import pair_carrier
@@ -122,9 +123,6 @@ class TheoryMonad:
         """The text of a T-element in structure files and reports."""
         return str(t)
 
-    def elem_from_str(self, text: str):
-        return text
-
     def describe(self) -> dict:
         return {"kind": self.kind}
 
@@ -215,9 +213,6 @@ class WordMonad(TheoryMonad):
     def elem_to_str(self, t):
         return ",".join(map(str, t))
 
-    def elem_from_str(self, text):
-        return tuple(p for p in text.split(",") if p != "")
-
     def describe(self):
         return {"kind": "word", "max_len": self.max_len}
 
@@ -256,10 +251,6 @@ class LabelledMonad(TheoryMonad):
 
     def elem_to_str(self, t):
         return "%s,%s" % t
-
-    def elem_from_str(self, text):
-        x, _, h = text.rpartition(",")
-        return (x, h)
 
     def describe(self):
         return {"kind": "labelled", "monoid": self.monoid.to_dict()}
@@ -306,9 +297,16 @@ def can_map(monad: TheoryMonad, xs: tuple, ys: tuple) -> dict:
 
 # ---- law checks ----
 
-def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None) -> CheckReport:
+def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None,
+                     guard: int | None = None) -> CheckReport:
     """Monad unit/associativity laws on the in-bound fragment over carrier xs,
-    plus the algebra laws for xi on the quantale when one is given."""
+    plus the algebra laws for xi on the quantale when one is given.  T^3 of
+    xs and T^2 of the quantale are counted against the guard before they
+    are enumerated."""
+    size = monad.carrier_size
+    check_guard(size(size(size(len(xs)))), "T^3 X enumeration", guard)
+    if q is not None:
+        check_guard(size(size(q.n)), "T^2 V enumeration", guard)
     rep = Reporter("monad_laws", bound=monad.bound_info())
     tx = monad.carrier(xs)
     # m . eT = id and m . Te = id

@@ -105,8 +105,8 @@ def find_sup(s: TVStructure, px: PresheafCategory | None = None,
     """A structure-compatible retraction of the Yoneda map, obtained from the
     adjunction identity a0(Sup psi, x) = p0(psi, y x) (which pins Sup down
     pointwise on separated input) and then verified: retract, compatibility,
-    and both adjunction inequalities.  Returns None or (Sup functor,
-    report)."""
+    and both adjunction inequalities.  Returns the Sup functor, or None when
+    a verification fails."""
     if not separated(s):
         raise NotSeparated("Sup search requires a separated structure")
     q = s.quantale
@@ -128,30 +128,23 @@ def find_sup(s: TVStructure, px: PresheafCategory | None = None,
     supf = TVFunctor(pxs, s, sup_map)
     if not check_functor(supf).passed:
         return None
-    rep = Reporter("sup", bound=s.ext.bound_info())
-    for x in s.carrier:
-        rep.tick()
-        if sup_map[y.map[x]] != x:
-            return None
+    if any(sup_map[y.map[x]] != x for x in s.carrier):
+        return None
     # adjunction inequalities: unit 1 <= y . Sup in PX, counit Sup . y <= 1
-    for psi in pxs.carrier:
-        rep.tick()
-        if not q.le(q.unit, pxs.a(e(psi), y.map[sup_map[psi]])):
-            return None
-    for x in s.carrier:
-        rep.tick()
-        if not q.le(q.unit, a0(sup_map[y.map[x]], x)):
-            return None
-    return supf, rep.ok()
+    if not all(q.le(q.unit, pxs.a(e(psi), y.map[sup_map[psi]]))
+               for psi in pxs.carrier):
+        return None
+    if not all(q.le(q.unit, a0(sup_map[y.map[x]], x)) for x in s.carrier):
+        return None
+    return supf
 
 
 def certify_injective(s: TVStructure, px: PresheafCategory | None = None,
                       guard: int | None = None) -> CheckReport:
     """Injectivity via a retraction of the Yoneda embedding."""
     rep = Reporter("injective", bound=s.ext.bound_info())
-    found = find_sup(s, px, guard)
     rep.tick()
-    if found is None:
+    if find_sup(s, px, guard) is None:
         return rep.fail("no-sup", None)
     return rep.ok()
 
@@ -174,10 +167,9 @@ def check_calculus(s: TVStructure, px: PresheafCategory | None = None,
     monad = s.monad
     if px is None:
         px = build_presheaf_category(s, guard)
-    found = find_sup(s, px, guard)
-    if found is None:
+    supf = find_sup(s, px, guard)
+    if supf is None:
         raise FormatError("calculus laws need a certified-injective input")
-    supf, _ = found
     rep = Reporter("calculus", bound=s.ext.bound_info())
     a0 = s.a0()
     plus = {(x, u): oplus(s, supf, x, u)

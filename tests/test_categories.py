@@ -14,7 +14,7 @@ from tvcat.categories import (EMAlgebra, TVFunctor, TVStructure, check_algebra,
                               find_representation, from_order, functor_K,
                               functor_M, functor_equiv, functor_leq,
                               graph_to_category, identity_functor, indiscrete,
-                              initial_lift, is_category, one_point, product,
+                              initial_lift, one_point, product,
                               quotient, random_category, reflect_R, separated,
                               structure_from_dict, structure_to_dict, subspace,
                               tensor, v_hom_xi)
@@ -81,7 +81,7 @@ def test_graph_to_category_is_transitive_closure(ext_ord):
         ent = {p: 1 for p in pairs}
         g = TVStructure(ext_ord, xs, VRel(q, xs, xs, ent))
         c = graph_to_category(g)
-        assert is_category(c)
+        assert check_category(c).passed
         assert order_pairs(c) == transitive_reflexive_closure(xs, pairs)
 
 
@@ -243,16 +243,17 @@ def test_serialization_roundtrip(ext_word2, ext_labelled):
         d = structure_to_dict(s)
         s2 = structure_from_dict(d)
         assert s2 == s
-        assert s2.flags["category"]
+        assert check_category(s2).passed
 
 
 def test_t_elem_string_roundtrip():
-    w = monad_by_name("word:2")
-    for t in w.carrier(("a", "b")):
-        assert w.elem_from_str(w.elem_to_str(t)) == t
-    lab = monad_by_name("labelled:z2")
-    for t in lab.carrier(("a", "b")):
-        assert lab.elem_from_str(lab.elem_to_str(t)) == t
+    # structure files name T-elements by this text and the loader inverts it
+    # by lookup, so no two T-elements of a carrier may share it
+    for name in ("identity", "word:2", "labelled:z2"):
+        m = monad_by_name(name)
+        for xs in (("a",), ("a", "b"), ("x0", "x1", "x2")):
+            tx = m.carrier(xs)
+            assert len({m.elem_to_str(t) for t in tx}) == len(tx)
 
 
 def test_random_category_is_category():

@@ -11,6 +11,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tvcat import cli
 from tvcat.cli import main
 from tvcat.quantale import lukasiewicz
 
@@ -181,6 +182,25 @@ def test_malformed_word_depth_is_usage_error(capsys):
     assert err.count("\n") == 1 and "max_len >= 1" in err
 
 
+def test_monad_check_guards_t3(capsys):
+    # T^3 of two points under word:3 has about 4.7e10 elements
+    assert main(["monad", "check", "word:3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "T^3 X enumeration" in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("planted")
+    monkeypatch.setattr(cli, "COMMANDS", tuple(
+        row[:4] + (boom,) if row[:2] == ("quantale", "check") else row
+        for row in cli.COMMANDS))
+    assert main(["quantale", "check", "two"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: planted\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "-5"])
 def test_malformed_guard_variable_is_usage_error(capsys, monkeypatch,
                                                  chain2_file, value):
@@ -241,10 +261,16 @@ def test_gallery_guard_size_is_passed_not_set(capsys, monkeypatch):
     ("structure", {"quantale": "two", "monad": "identity", "carrier": ["a"],
                    "structure": ["a;a", "1"]}),
     ("gallery", {"entries": [{"name": "no-quantale", "monad": "identity"}]}),
+    ("structure", {"quantale": "two", "monad": "word:2",
+                   "carrier": ["a,b", "a", "b"], "structure": {"a,b;a": "1"}}),
+    ("gallery", {"entries": [{"name": "e", "quantale": "two",
+                              "monad": "identity",
+                              "structures": [{"kind": "discrete"}]}]}),
 ], ids=["quantale-order-not-pairs", "labelled-without-table",
         "carrier-not-a-list", "monad-a-list", "max-len-not-a-number",
         "max-len-null", "structure-a-list", "structure-entries-a-list",
-        "gallery-entry-without-quantale"])
+        "gallery-entry-without-quantale", "ambiguous-comma-label",
+        "gallery-structure-without-carrier-or-name"])
 def test_malformed_file_exits_2_without_traceback(tmp_path, kind, payload):
     path = tmp_path / ("%s.json" % kind)
     path.write_text(json.dumps(payload))

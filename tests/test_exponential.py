@@ -8,7 +8,7 @@ import pytest
 
 from tvcat.categories import (TVStructure, check_category, from_order,
                               random_category, structure_from_dict, v_hom_xi)
-from tvcat.exponential import (NotTransitive, admissible_maps,
+from tvcat.exponential import (ExponentialGraph, NotTransitive, admissible_maps,
                                check_exponentiability, check_frame_criterion,
                                check_universal_property, curry,
                                exponential_in_cats, graph_exponential)
@@ -152,6 +152,22 @@ def test_curry_and_universal_property(ext_ord):
     rep = check_universal_property(exp, fmap, sz)
     assert rep.passed
     assert rep.details["alternatives"] == 0
+
+
+def test_universal_property_planted_duplicate(ext_ord):
+    # the constructor refuses duplicate carrier elements, so the defect is
+    # planted after construction
+    ch = from_order(ext_ord, ("a", "b"), {("a", "b")})
+    good = exponential_in_cats(ch, ch).structure
+    bad = TVStructure(good.ext, good.carrier, good.a)
+    bad.carrier = good.carrier + good.carrier[:1]
+    exp = ExponentialGraph(ch, ch, bad)
+    sz = from_order(ext_ord, ("z0",), set())
+    fmap = {("z0", x): x for x in ch.carrier}
+    rep = check_universal_property(exp, fmap, sz)
+    assert not rep.passed
+    assert rep.law == "uniqueness"
+    assert rep.witness == [repr(good.carrier[0])]
 
 
 def test_curry_rejects_inadmissible(ext_ord):

@@ -54,10 +54,8 @@ def test_yoneda_fully_faithful_small(ext_ord, ext_labelled):
 def test_find_sup_is_downset_supremum(ext_ord):
     s = from_order(ext_ord, ("a", "b"), {("a", "b")})
     px = build_presheaf_category(s)
-    found = find_sup(s, px)
-    assert found is not None
-    supf, rep = found
-    assert rep.passed
+    supf = find_sup(s, px)
+    assert supf is not None
     # downsets over the 2-chain a <= b: {} |-> a is impossible; here the
     # empty downset has supremum a (the bottom of the chain)
     assert supf.map[(0, 0)] == "a"
@@ -81,7 +79,7 @@ def test_oplus_identity_scalars():
     q = quantale_by_name("lukasiewicz:3")
     ext = LaxExtension(monad_by_name("identity"), q)
     s = v_hom_xi(ext)
-    supf, _ = find_sup(s)
+    supf = find_sup(s)
     # on the quantale-as-structure the action is the tensor itself
     for x in s.carrier:
         for u in range(q.n):
@@ -147,6 +145,22 @@ def test_weak_factorize_exhaustive_small(ext_ord):
                     for z in sz.carrier:
                         for x in sx.carrier:
                             assert wexp.weak_ev(ft.map[z], x) == fmap[(z, x)]
+
+
+def test_weak_factorize_search_branch(ext_labelled):
+    # TX != X, so factorizations are found by search, not by the colimit
+    # formula
+    p = discrete(ext_labelled, ("x",))
+    wexp = weak_exponential(p, p)
+    assert len(wexp.structure.carrier) == 9
+    fmaps = functor_maps(p, p, p)
+    assert fmaps
+    for fmap in fmaps:
+        ft = weak_factorize(wexp, fmap, p)
+        assert check_functor(ft).passed
+        for z in p.carrier:
+            for x in p.carrier:
+                assert wexp.weak_ev(ft.map[z], x) == fmap[(z, x)]
 
 
 def test_weak_factorize_general_pieces(ext_ord):
