@@ -679,6 +679,20 @@ def structure_entries(s: TVStructure) -> dict:
             for (t, x), v in s.a.entries.items() if v != q.bottom}
 
 
+def key_table(ts, xs, to_str=str) -> dict:
+    """{'t;x': (t, x)} over ts x xs, the keys of structure and map files.
+    Keys are read back by lookup, so labels may contain ';'; two pairs that
+    share a key raise FormatError."""
+    table: dict = {}
+    for t in ts:
+        for x in xs:
+            text = "%s;%s" % (to_str(t), x)
+            if table.setdefault(text, (t, x)) != (t, x):
+                raise FormatError("%r and %r share the key %r; relabel the "
+                                  "carrier" % (table[text], (t, x), text))
+    return table
+
+
 def structure_to_dict(s: TVStructure) -> dict:
     return {"quantale": s.quantale.to_dict(), "monad": s.monad.describe(),
             "carrier": list(s.carrier), "structure": structure_entries(s)}
@@ -701,23 +715,16 @@ def structure_from_dict(d: dict) -> TVStructure:
         raise FormatError("structure file needs a nonempty list as its carrier")
     carrier = tuple(str(x) for x in carrier)
     tx = monad.carrier(carrier)
-    by_text = {}
-    for t in tx:
-        text = monad.elem_to_str(t)
-        if by_text.setdefault(text, t) != t:
-            raise FormatError("T-elements %r and %r share the text %r; relabel "
-                              "the carrier" % (by_text[text], t, text))
+    keys = key_table(tx, carrier, monad.elem_to_str)
     given = d.get("structure", {})
     if not isinstance(given, dict):
         raise FormatError("structure entries must be a JSON object")
     ent = {}
     for key, lab in given.items():
-        tpart, sep, xpart = key.rpartition(";")
-        if not sep:
-            raise FormatError("structure key %r must look like 'T-elem;x'" % key)
-        if tpart not in by_text or xpart not in carrier:
-            raise FormatError("structure key %r outside carriers" % key)
-        ent[(by_text[tpart], xpart)] = q.index(lab)
+        if key not in keys:
+            raise FormatError("structure key %r is not 'T-elem;x' over the "
+                              "carrier" % key)
+        ent[keys[key]] = q.index(lab)
     return TVStructure(LaxExtension(monad, q), carrier, VRel(q, tx, carrier, ent),
                        name=str(d.get("name", "")))
 

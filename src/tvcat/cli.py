@@ -15,16 +15,17 @@ import os
 import sys
 
 from .categories import (check_category, check_graph, coproduct, dual,
-                         find_representation, product, reflect_R, separated,
-                         structure_entries, structure_from_file, tensor)
+                         find_representation, key_table, product, reflect_R,
+                         separated, structure_entries, structure_from_file,
+                         tensor)
 from .exponential import (NotTransitive, check_exponentiability,
                           check_frame_criterion, check_universal_property,
                           curry, exponential_in_cats)
 from .gallery import DATA_PATH, run_gallery
 from .limits import GuardError
 from .monads import check_bc_samples, check_monad_laws, monad_by_name, monad_from_dict
-from .presheaf import (NotSeparated, build_presheaf_category, certify_injective,
-                       check_yoneda, find_sup, weak_exponential)
+from .presheaf import (NotSeparated, build_presheaf_category, check_yoneda,
+                       find_sup, injective_report, weak_exponential)
 from .quantale import (FormatError, Quantale, check_condition_inj,
                        check_quantale, quantale_by_name)
 from .theory import LaxExtension, check_assumptions_bundle
@@ -43,19 +44,25 @@ def _load_monad(spec: str, max_word_len: int):
     return monad_by_name(spec)
 
 
-def _load_map(spec: str) -> dict:
-    """A map Z x X -> Y as JSON {'z;x': 'y'}, inline or from a file."""
+def _load_map(spec: str, zs: tuple, xs: tuple) -> dict:
+    """A map Z x X -> Y as JSON {'z;x': 'y'}, inline or from a file; keys
+    are looked up among the texts of the pairs and must name each once."""
     if spec.lstrip().startswith("{"):
         raw = json.loads(spec)
     else:
         with open(spec, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise FormatError("a map is a JSON object {'z;x': 'y'}")
+    keys = key_table(zs, xs)
     out = {}
     for key, val in raw.items():
-        z, sep, x = key.partition(";")
-        if not sep:
-            raise FormatError("map key %r must look like 'z;x'" % key)
-        out[(z, x)] = val
+        if key not in keys:
+            raise FormatError("map key %r is not 'z;x' over the carriers" % key)
+        out[keys[key]] = val
+    missing = [key for key, zx in keys.items() if zx not in out]
+    if missing:
+        raise FormatError("map misses the key %r" % missing[0])
     return out
 
 
@@ -155,7 +162,8 @@ def _theory_check(args):
     q = quantale_by_name(args.quantale)
     ext = LaxExtension(_load_monad(args.monad, args.max_word_len), q)
     return _finish([check_assumptions_bundle(ext, seed=args.seed,
-                                             exhaustive=args.exhaustive)])
+                                             exhaustive=args.exhaustive,
+                                             guard=args.guard_size)])
 
 
 def _reflect(args, s):
@@ -193,7 +201,7 @@ def _criterion(args, s):
 
 
 def _curry(args, sz, sx, sy):
-    fmap = _load_map(args.map)
+    fmap = _load_map(args.map, sz.carrier, sx.carrier)
     exp = exponential_in_cats(sx, sy, guard=args.guard_size)
     fbar = curry(fmap, sz, exp)
     return _finish([check_universal_property(exp, fmap, sz)],
@@ -214,13 +222,12 @@ def _yoneda(args, s):
 
 def _injective(args, s):
     px = build_presheaf_category(s, guard=args.guard_size)
-    rep = certify_injective(s, px, guard=args.guard_size)
+    supf = find_sup(s, px, guard=args.guard_size)
     extra = {"presheaf_size": len(px.structure.carrier)}
-    if rep.passed:
-        supf = find_sup(s, px, guard=args.guard_size)
+    if supf is not None:
         extra["sup"] = {str(psi): str(x) for psi, x in sorted(
             supf.map.items(), key=lambda kv: str(kv[0]))}
-    return _finish([rep], **extra)
+    return _finish([injective_report(s, supf)], **extra)
 
 
 def _weak_exp(args, sx, sy):

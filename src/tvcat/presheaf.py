@@ -142,9 +142,14 @@ def find_sup(s: TVStructure, px: PresheafCategory | None = None,
 def certify_injective(s: TVStructure, px: PresheafCategory | None = None,
                       guard: int | None = None) -> CheckReport:
     """Injectivity via a retraction of the Yoneda embedding."""
+    return injective_report(s, find_sup(s, px, guard))
+
+
+def injective_report(s: TVStructure, supf: TVFunctor | None) -> CheckReport:
+    """The injectivity verdict of a Sup search result of find_sup."""
     rep = Reporter("injective", bound=s.ext.bound_info())
     rep.tick()
-    if find_sup(s, px, guard) is None:
+    if supf is None:
         return rep.fail("no-sup", None)
     return rep.ok()
 

@@ -67,9 +67,12 @@ class VRel:
     def owedge(self, s: "VRel") -> "VRel":
         """Joint relation on product carriers with entrywise meet."""
         q = self.quantale
-        src = pair_carrier(self.src, s.src)
-        dst = pair_carrier(self.dst, s.dst)
-        return tabulate(q, src, dst, lambda p, p1: q.meet[self(p[0], p1[0])][s(p[1], p1[1])])
+        meet = q.meet
+        # bottom absorbs the meet, so only pairs of non-bottom entries count
+        return VRel(q, pair_carrier(self.src, s.src), pair_carrier(self.dst, s.dst),
+                    push_forward(q, ((((x, x1), (y, y1)), meet[u][v])
+                                     for (x, y), u in self.entries.items()
+                                     for (x1, y1), v in s.entries.items())))
 
     def tensor_scalar(self, u: int) -> "VRel":
         q = self.quantale

@@ -246,6 +246,13 @@ def test_serialization_roundtrip(ext_word2, ext_labelled):
         assert check_category(s2).passed
 
 
+def test_semicolon_labels_roundtrip(ext_ord):
+    s = discrete(ext_ord, ("x;y", "z"))
+    d = structure_to_dict(s)
+    assert "x;y;x;y" in d["structure"]
+    assert structure_from_dict(d).a.entries == s.a.entries
+
+
 def test_t_elem_string_roundtrip():
     # structure files name T-elements by this text and the loader inverts it
     # by lookup, so no two T-elements of a carrier may share it

@@ -154,6 +154,47 @@ def test_psh_injective_failure_exit(capsys, tmp_path):
     assert main(["psh", "injective", str(p)]) == 1
 
 
+def test_psh_injective_runs_find_sup_once(capsys, monkeypatch, chain2_file):
+    from tvcat import presheaf
+    find_sup = presheaf.find_sup
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return find_sup(*args, **kwargs)
+    monkeypatch.setattr(cli, "find_sup", recording)
+    monkeypatch.setattr(presheaf, "find_sup", recording)
+    code, out = run(capsys, ["psh", "injective", chain2_file, "--format", "json"])
+    assert code == 0 and "sup" in json.loads(out)
+    assert len(calls) == 1
+
+
+def test_check_assumptions_guards_word_depth(capsys):
+    # T((X x X') x (Y x Y')) under word:5 has 1,118,481 elements
+    assert main(["theory", "check-assumptions", "--quantale", "two",
+                 "--monad", "word:5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "1118481" in err
+    assert main(["theory", "check-assumptions", "--quantale", "two",
+                 "--monad", "identity", "--guard-size", "15"]) == 2
+    capsys.readouterr()
+
+
+def test_map_keys_with_semicolons_are_read_by_lookup(tmp_path):
+    load = cli._load_map
+    assert load('{"a;b;c": "y", "d;c": "y"}', ("a;b", "d"), ("c",)) == {
+        ("a;b", "c"): "y", ("d", "c"): "y"}
+    # ('a;b', 'c') and ('a', 'b;c') share the key 'a;b;c'
+    with pytest.raises(cli.FormatError, match="share the key"):
+        load('{"a;b;c": "y"}', ("a;b", "a"), ("c", "b;c"))
+    with pytest.raises(cli.FormatError, match="misses"):
+        load('{"a;c": "y"}', ("a", "d"), ("c",))
+    listed = tmp_path / "map.json"
+    listed.write_text('["a;c"]')
+    with pytest.raises(cli.FormatError, match="JSON object"):
+        load(str(listed), ("a",), ("c",))
+
+
 def test_guard_size_flag(capsys, chain2_file):
     # an absurdly small guard turns the construction into a usage error
     assert main(["psh", "build", chain2_file, "--guard-size", "1"]) == 2
@@ -266,11 +307,14 @@ def test_gallery_guard_size_is_passed_not_set(capsys, monkeypatch):
     ("gallery", {"entries": [{"name": "e", "quantale": "two",
                               "monad": "identity",
                               "structures": [{"kind": "discrete"}]}]}),
+    ("structure", {"quantale": "two", "monad": "identity",
+                   "carrier": ["a;b", "a", "b;a"], "structure": {"a;b;a": "1"}}),
 ], ids=["quantale-order-not-pairs", "labelled-without-table",
         "carrier-not-a-list", "monad-a-list", "max-len-not-a-number",
         "max-len-null", "structure-a-list", "structure-entries-a-list",
         "gallery-entry-without-quantale", "ambiguous-comma-label",
-        "gallery-structure-without-carrier-or-name"])
+        "gallery-structure-without-carrier-or-name",
+        "ambiguous-semicolon-label"])
 def test_malformed_file_exits_2_without_traceback(tmp_path, kind, payload):
     path = tmp_path / ("%s.json" % kind)
     path.write_text(json.dumps(payload))

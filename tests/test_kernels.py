@@ -2,8 +2,9 @@
 replaced: push-forward of entries; the largest structure making evaluation
 compatible, for exponentials (Heyting implication) and presheaf categories
 (residuation); the fiber-direct lax extension against the literal
-enumeration of T(X x Y); and the checks that read only the in-bound
-fragment of TTX against their loops over all of it."""
+enumeration of T(X x Y); the checks that read only the in-bound fragment of
+TTX against their loops over all of it; and the sparse comparison square of
+check_infi and sparse owedge against their dense loops."""
 
 import random
 
@@ -18,8 +19,9 @@ from tvcat.monads import monad_by_name
 from tvcat.presheaf import build_presheaf_category
 from tvcat.quantale import quantale_by_name
 from tvcat.report import Reporter, sort_key
-from tvcat.theory import LaxExtension
-from tvcat.vrel import VRel, pair_carrier, push_forward, random_relation
+from tvcat.theory import LaxExtension, Lifts, check_infi
+from tvcat.vrel import (VRel, all_relations, pair_carrier, push_forward,
+                        random_relation, tabulate)
 
 # (quantale, monad, carrier of X, carrier of Y, least number of non-bottom
 # structure entries of X).  A near-discrete X over word:2 has a presheaf
@@ -358,3 +360,86 @@ def test_inbound_consumers_match_full_loops(cell):
     assert {("category", "fail"), ("exponentiability", "fail")} <= seen
     assert any(st != "fail" for name, st in seen if name == "exponentiability")
     assert flags == ({False, True} if ext.monad.bounded else {False})
+
+
+# ---- the sparse comparison square against the dense loop ----
+
+def dense_owedge(r, s):
+    """The joint relation with every cell of the product carriers tabulated."""
+    q = r.quantale
+    return tabulate(q, pair_carrier(r.src, s.src), pair_carrier(r.dst, s.dst),
+                    lambda p, p1: q.meet[r(p[0], p1[0])][s(p[1], p1[1])])
+
+
+def dense_infi(ext, r, s):
+    """check_infi as written before the sparse loop: every cell (w, x', y'),
+    T(X x X') sorted per call, r and s extended per call."""
+    rep = Reporter("infi", bound=ext.bound_info())
+    q = ext.quantale
+    trs = ext.extend(dense_owedge(r, s))
+    tr = ext.extend(r)
+    ts = ext.extend(s)
+    can_dst = ext.can_map(r.dst, s.dst)
+    can_src = ext.can_map(r.src, s.src)
+    left = push_forward(q, (((w, can_dst[w1]), v)
+                            for (w, w1), v in trs.entries.items()))
+    for w in sorted(trs.src, key=sort_key):
+        wx, wy = can_src[w]
+        for x1 in tr.dst:
+            for y1 in ts.dst:
+                rep.tick()
+                rhs = q.meet[tr(wx, x1)][ts(wy, y1)]
+                lhs = left.get((w, (x1, y1)), q.bottom)
+                if not q.le(rhs, lhs):
+                    return rep.fail("infi-ge", [repr(w), repr(x1), repr(y1)],
+                                    lhs=q.labels[lhs], rhs=q.labels[rhs])
+    return rep.ok()
+
+
+INFI_CELLS = [(q, m) for m in ("identity", "word:2", "labelled:z2")
+              for q in ("two", "godel:3", "lukasiewicz:3")]
+INFI_SAMPLES = 400
+
+
+@pytest.mark.parametrize("cell", INFI_CELLS, ids=lambda c: "%s-%s" % c)
+def test_sparse_infi_matches_dense_loop(cell):
+    qname, mname = cell
+    ext = LaxExtension(monad_by_name(mname), quantale_by_name(qname))
+    q = ext.quantale
+    # carriers out of sort_key order, so dst order and witness order differ
+    rels = list(all_relations(q, ("b", "a"), ("d", "c")))
+    if q.n == 2:
+        pairs = [(r, s) for r in rels for s in rels]
+    else:
+        rng = random.Random("infi:%s:%s" % cell)
+        pairs = [(rng.choice(rels), rng.choice(rels))
+                 for _ in range(INFI_SAMPLES)]
+    lifts = Lifts(ext)  # shared, as in the assumptions bundle
+    statuses = set()
+    for k, (r, s) in enumerate(pairs):
+        got = check_infi(ext, r, s, lifts if k % 2 else None)
+        assert got.to_dict() == dense_infi(ext, r, s).to_dict()
+        statuses.add(got.status)
+    # the one cell where the square genuinely fails, so witnesses and the
+    # samples up to them are compared
+    assert ("fail" in statuses) == (cell == ("lukasiewicz:3", "word:2"))
+
+
+@pytest.mark.parametrize("qname", ["two", "godel:3", "lukasiewicz:3",
+                                   "powerset:2"])
+def test_sparse_owedge_matches_tabulated(qname):
+    q = quantale_by_name(qname)
+    xs, ys = ("b", "a"), ("c", "d")
+    rels = list(all_relations(q, xs, ys))
+    rng = random.Random("owedge:%s" % qname)
+    pairs = [(rng.choice(rels), rng.choice(rels)) for _ in range(300)]
+    pairs += [(r, s) for r in rels[:16] for s in rels[-16:]]
+    bottom_meets = 0
+    for r, s in pairs:
+        got = r.owedge(s)
+        assert as_table(got) == as_table(dense_owedge(r, s))
+        bottom_meets += sum(q.meet[u][v] == q.bottom
+                            for u in r.entries.values()
+                            for v in s.entries.values())
+    # in powerset:2 two non-bottom subsets can meet to the empty set
+    assert (bottom_meets > 0) == (qname == "powerset:2")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tvcat.limits import GuardError
 from tvcat.monads import monad_by_name
 from tvcat.quantale import godel_chain, lukasiewicz, two
 from tvcat.theory import (LaxExtension, check_assumption3, check_assumption4,
@@ -174,6 +175,20 @@ def test_bundle_aggregates_and_witnesses():
                                                  lukasiewicz(3)))
     assert good.passed
     assert all(good.details["verdicts"].values())
+
+
+def test_bundle_guards_the_joint_carrier():
+    # |T((X x X') x (Y x Y'))| over 16 points, counted before any extension
+    sizes = {"identity": 16, "word:2": 273, "word:3": 4369, "word:4": 69905,
+             "word:5": 1118481}
+    for name, size in sizes.items():
+        ext = LaxExtension(monad_by_name(name), two())
+        with pytest.raises(GuardError) as exc:
+            check_assumptions_bundle(ext, guard=size - 1)
+        assert exc.value.size == size
+        assert not ext._ev_cache
+    assert check_assumptions_bundle(LaxExtension(monad_by_name("word:2"), two()),
+                                    guard=273).passed
 
 
 def test_bundle_seed_determinism():
