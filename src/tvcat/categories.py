@@ -5,6 +5,12 @@ word monad only the in-bound fragment of a is stored and every derived report
 carries the depth bound.  Reflexivity (R) and transitivity (T) are checked,
 never assumed; constructors and the file loader return unchecked structures
 whose category status is established by an explicit check_category call.
+
+The fibers of the multiplication m are joined over in one place, the functor
+M X = (TX, Ta . m-degree, m); K reads an algebra back along its algebra map.
+The dual X^op is K((M X)-degree), read along m, and the canonical structure
+on TX that representability is tested against is K M X.  The Kleisli
+composite a . Ta is VRel.compose.
 """
 
 from __future__ import annotations
@@ -176,9 +182,9 @@ def check_fully_faithful(f: TVFunctor) -> CheckReport:
 
 def functor_leq(f: TVFunctor, g: TVFunctor) -> bool:
     """The 2-cell order: f <= g iff k <= b(e(f x), g x) pointwise."""
-    if f.source.carrier != g.source.carrier or f.target is not g.target:
-        if f.target != g.target:
-            raise FormatError("functor order needs a common (co)domain")
+    if f.source.carrier != g.source.carrier or (f.target is not g.target
+                                                and f.target != g.target):
+        raise FormatError("functor order needs a common (co)domain")
     q = f.target.quantale
     b = f.target.a
     e = f.target.monad.unit
@@ -238,9 +244,9 @@ def final_lift(ext: LaxExtension, carrier: tuple, cocone) -> TVStructure:
 def graph_to_category(s: TVStructure) -> TVStructure:
     """Least category structure above the given graph: joins in the
     reflexive floor, then iterates the transitivity-defect closure
-    a |-> a v (m-image of Ta (x) a) to its fixed point on the in-bound
-    fragment of TTX.  Defects sitting at out-of-bound words cannot be
-    propagated; their presence is recorded in the bounded_closure flag.
+    a |-> a v (push-forward along m of a . Ta) to its fixed point on the
+    in-bound fragment of TTX.  Defects sitting at out-of-bound words cannot
+    be propagated; their presence is recorded in the bounded_closure flag.
     Ta grows with a, so a defect of any iterate is one of the fixed point,
     and the fixed point alone is scanned for them."""
     q = s.quantale
@@ -250,23 +256,13 @@ def graph_to_category(s: TVStructure) -> TVStructure:
                            *(((monad.unit(x), x), q.unit) for x in s.carrier)])
     mult = dict(ext.mult_order(s.tx))
     while True:
-        a = VRel(q, s.tx, s.carrier, {k: v for k, v in ent.items() if v != q.bottom})
-        ta = ext.extend(a, src=ext.inbound(s.tx))
-        changed = False
-        for (xx, xv), v1 in ta.entries.items():
-            mx = mult[xx]
-            for x in s.carrier:
-                v = q.tens(v1, a(xv, x))
-                if v == q.bottom:
-                    continue
-                key = (mx, x)
-                old = ent.get(key, q.bottom)
-                new = q.join[old][v]
-                if new != old:
-                    ent[key] = new
-                    changed = True
-        if not changed:
+        a = VRel(q, s.tx, s.carrier, ent)
+        step = a.compose(ext.extend(a, src=ext.inbound(s.tx)))
+        new = push_forward(q, [*ent.items(), *(((mult[xx], x), v)
+                                               for (xx, x), v in step.entries.items())])
+        if new == ent:
             break
+        ent = new
     out = TVStructure(s.ext, s.carrier, a, name=s.name)
     if _out_of_bound_defect(ext, a):
         out.flags["bounded_closure"] = True
@@ -434,37 +430,15 @@ def check_R_preserves_products(sx: TVStructure, sy: TVStructure) -> CheckReport:
 
 # ---- duals, M and K ----
 
-def m_fibers(ext: LaxExtension, tx: tuple) -> dict:
-    """The fibers of the multiplication over the in-bound part of T(tx):
-    t |-> [YY with m YY = t], in sort_key order."""
-    fibers: dict = {}
-    for yy, my in ext.mult_order(tx):
-        if my is not None:
-            fibers.setdefault(my, []).append(yy)
-    return fibers
-
-
 def dual(s: TVStructure) -> TVStructure:
-    """X^op = (TX, m . (Ta)-degree . m): the structure on TX whose value at
-    (XX, t) joins Ta(YY, m XX) over all YY with m YY = t."""
-    q = s.quantale
-    ext = s.ext
-    ta = ext.extend(s.a, src=ext.inbound(s.tx))
-    carrier = s.tx
-    fibers = m_fibers(ext, carrier)
-    ent = {}
-    bounded = False
-    for xx, mx in ext.mult_order(carrier):
-        if mx is None:
-            bounded = True
-            continue
-        for t in carrier:
-            v = q.sup(ta(yy, mx) for yy in fibers.get(t, ()))
-            if v != q.bottom:
-                ent[(xx, t)] = v
-    out = TVStructure(ext, carrier, VRel(q, s.monad.carrier(carrier), carrier, ent),
-                      name=s.name + "^op" if s.name else "")
-    if bounded:
+    """X^op = K((M X)-degree) read along m: the structure on TX whose value
+    at (XX, t) is (M X)(t, m XX), the join of Ta(YY, m XX) over all YY with
+    m YY = t.  Out-of-bound XX, where m is undefined, stay bottom and are
+    recorded in the bounded_dual flag."""
+    mx = functor_M(s)
+    op = functor_K(EMAlgebra(mx.ext, mx.carrier, mx.a0.transpose(), mx.alpha))
+    out = TVStructure(s.ext, s.tx, op.a, name=s.name + "^op" if s.name else "")
+    if op.flags.get("bounded_algebra"):
         out.flags["bounded_dual"] = True
     return out
 
@@ -539,13 +513,13 @@ def functor_M(s: TVStructure) -> EMAlgebra:
 
 
 def functor_K(alg: EMAlgebra) -> TVStructure:
-    """K sends (X, a0, alpha) to (X, a0 . alpha)."""
+    """K sends (X, a0, alpha) to (X, a0 . alpha), the composite with the
+    graph of alpha; bottom where alpha is undefined."""
     q = alg.quantale
     alpha = alg.alpha
     tx = alg.ext.monad.carrier(alg.carrier)
-    out = TVStructure(alg.ext, alg.carrier, tabulate(
-        q, tx, alg.carrier,
-        lambda t, x: alg.a0(alpha[t], x) if t in alpha else q.bottom))
+    graph = VRel(q, tx, alg.carrier, {(t, x): q.unit for t, x in alpha.items()})
+    out = TVStructure(alg.ext, alg.carrier, alg.a0.compose(graph))
     if any(t not in alpha for t in tx):
         out.flags["bounded_algebra"] = True
     return out
@@ -565,27 +539,17 @@ def v_hom_xi(ext: LaxExtension) -> TVStructure:
 
 def find_representation(s: TVStructure, guard: int | None = None):
     """Search for alpha: TX -> X making a left adjoint to the unit: a
-    structure-compatible map out of the canonical structure on TX with
-    alpha . e ~ 1.  Returns None, or (alpha, report) for the least candidate
-    in pointwise carrier order; the report records pseudo-algebra status
-    alpha . T alpha ~ alpha . m on in-bound elements."""
+    structure-compatible map out of the canonical structure K M X on TX,
+    hat(XX, t) = (M X)(m XX, t), with alpha . e ~ 1.  Returns None, or
+    (alpha, report) for the least candidate in pointwise carrier order; the
+    report records pseudo-algebra status alpha . T alpha ~ alpha . m on
+    in-bound elements."""
     q = s.quantale
     monad = s.monad
     tx = s.tx
     check_guard(len(s.carrier) ** len(tx), "representation search", guard)
-    ext = s.ext
-    ta = ext.extend(s.a, src=ext.inbound(tx))
-    table = ext.mult_order(tx)
-    fibers = m_fibers(ext, tx)
-    # the canonical structure on TX: a^(XX, t) = \/ {Ta(YY, t) | m YY = m XX}
-    hat: dict = {}
-    for xx, mx in table:
-        if mx is None:
-            continue
-        for t in tx:
-            v = q.sup(ta(yy, t) for yy in fibers.get(mx, ()))
-            if v != q.bottom:
-                hat[(xx, t)] = v
+    table = s.ext.mult_order(tx)
+    hat = functor_K(functor_M(s)).a
     a0 = s.a0()
     e = monad.unit
     order = sorted(s.carrier, key=sort_key)
@@ -595,13 +559,8 @@ def find_representation(s: TVStructure, guard: int | None = None):
         if not all(q.le(q.unit, a0(alpha[e(x)], x))
                    and q.le(q.unit, a0(x, alpha[e(x)])) for x in s.carrier):
             continue
-        ok = True
-        for (xx, t), v in hat.items():
-            fxx = monad.map_elem(lambda u: alpha[u], xx)
-            if not q.le(v, s.a(fxx, alpha[t])):
-                ok = False
-                break
-        if not ok:
+        if not all(q.le(v, s.a(monad.map_elem(lambda u: alpha[u], xx), alpha[t]))
+                   for (xx, t), v in hat.entries.items()):
             continue
         rep = Reporter("representation", bound=s.ext.bound_info())
         pseudo = True

@@ -35,9 +35,7 @@ SCHEMA = 1
 
 # ---- input loading ----
 
-def _load_monad(spec: str, max_word_len: int):
-    if spec == "word":
-        spec = "word:%d" % max_word_len
+def _load_monad(spec: str):
     if spec.endswith(".json") or os.path.sep in spec:
         with open(spec, "r", encoding="utf-8") as fh:
             return monad_from_dict(json.load(fh))
@@ -151,7 +149,7 @@ def _search_cond2(args):
 
 
 def _monad_check(args):
-    monad = _load_monad(args.monad, args.max_word_len)
+    monad = _load_monad(args.monad)
     carrier = tuple(args.carrier.split(","))
     q = quantale_by_name(args.quantale) if args.quantale else None
     laws = check_monad_laws(monad, carrier, q, guard=args.guard_size)
@@ -160,7 +158,7 @@ def _monad_check(args):
 
 def _theory_check(args):
     q = quantale_by_name(args.quantale)
-    ext = LaxExtension(_load_monad(args.monad, args.max_word_len), q)
+    ext = LaxExtension(_load_monad(args.monad), q)
     return _finish([check_assumptions_bundle(ext, seed=args.seed,
                                              exhaustive=args.exhaustive,
                                              guard=args.guard_size)])
@@ -332,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--max-word-len", type=int, default=2)
     common.add_argument("--guard-size", type=int, default=None)
     common.add_argument("--replay", default=None, metavar="WITNESS_JSON")
 

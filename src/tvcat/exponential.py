@@ -130,23 +130,34 @@ def graph_exponential(sx: TVStructure, sy: TVStructure,
 
 def check_exponentiability(sx: TVStructure) -> CheckReport:
     """The splitting criterion: for all in-bound XX, x, u, v,
-    \\/_t (Ta(XX,t) /\\ u) (x) (a(t,x) /\\ v) >= a(m XX, x) /\\ (u (x) v)."""
+    \\/_t (Ta(XX,t) /\\ u) (x) (a(t,x) /\\ v) >= a(m XX, x) /\\ (u (x) v).
+    A term is bottom unless Ta(XX, t) and a(t, x) both are not, so each
+    (XX, x) joins over the distinct value pairs of such middle points t."""
     rep = Reporter("exponentiability", bound=sx.ext.bound_info())
     q = sx.quantale
     ext = sx.ext
     ta = ext.extend(sx.a, src=ext.inbound(sx.tx))
+    ta_rows: dict = {}
+    for (xx, t), v in ta.entries.items():
+        ta_rows.setdefault(xx, []).append((t, v))
+    a_rows: dict = {}
+    for (t, x), v in sx.a.entries.items():
+        a_rows.setdefault(t, {})[x] = v
+    meet, tensor = q.meet, q.tensor
     elems = range(q.n)
     for xx, mx in ext.mult_order(sx.tx):
         if mx is None:
             rep.skip()
             continue
+        row = ta_rows.get(xx, ())
         for x in sx.carrier:
+            pairs = {(v1, a_rows[t][x]) for t, v1 in row if x in a_rows.get(t, ())}
+            amx = sx.a(mx, x)
             for u in elems:
                 for v in elems:
                     rep.tick()
-                    rhs = q.meet[sx.a(mx, x)][q.tensor[u][v]]
-                    lhs = q.sup(q.tensor[q.meet[ta(xx, t)][u]]
-                                [q.meet[sx.a(t, x)][v]] for t in sx.tx)
+                    rhs = meet[amx][tensor[u][v]]
+                    lhs = q.sup(tensor[meet[v1][u]][meet[v2][v]] for v1, v2 in pairs)
                     if not q.le(rhs, lhs):
                         return rep.fail("splitting", [repr(xx), repr(x),
                                                       q.labels[u], q.labels[v]],
@@ -163,7 +174,7 @@ def check_frame_criterion(sx: TVStructure) -> CheckReport:
         raise FormatError("the frame criterion needs a frame quantale")
     rep = Reporter("frame_criterion", bound=sx.ext.bound_info())
     ext = sx.ext
-    ta = ext.extend(sx.a, src=ext.inbound(sx.tx))
+    via = sx.a.compose(ext.extend(sx.a, src=ext.inbound(sx.tx)))
     expo = check_exponentiability(sx).passed
     for xx, mx in ext.mult_order(sx.tx):
         if mx is None:
@@ -171,8 +182,7 @@ def check_frame_criterion(sx: TVStructure) -> CheckReport:
             continue
         for x in sx.carrier:
             rep.tick()
-            via_m = sx.a(mx, x)
-            via_ta = q.sup(q.tensor[ta(xx, t)][sx.a(t, x)] for t in sx.tx)
+            via_m, via_ta = sx.a(mx, x), via(xx, x)
             if via_m != via_ta:
                 return rep.fail("composite-mismatch", [repr(xx), repr(x)],
                                 via_m=q.labels[via_m], via_ta=q.labels[via_ta],

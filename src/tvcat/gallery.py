@@ -41,6 +41,13 @@ def load_gallery(path: str | None = None) -> list:
             for sp in sps) for sps in specs):
         raise FormatError("gallery structures are a list, each with a name and, "
                           "unless of kind v_hom_xi, a carrier list")
+    for sp in (sp for sps in specs for sp in sps if sp.get("kind") == "order"):
+        pairs = sp.get("pairs", [])
+        if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and len(p) == 2
+                and all(x in sp["carrier"] for x in p) for p in pairs):
+            raise FormatError("order structure %r needs its pairs as a list of "
+                              "two-element lists over its carrier" % sp["name"])
     return entries
 
 

@@ -237,6 +237,17 @@ def test_functor_order(ext_ord):
     assert not functor_equiv(f, g)
 
 
+def test_functor_order_needs_a_common_domain(ext_ord):
+    s = from_order(ext_ord, ("a", "b"), {("a", "b")})
+    sub = subspace(s, ("a",))
+    f = identity_functor(s)
+    # same target, different source carriers
+    with pytest.raises(FormatError):
+        functor_leq(sub, f)
+    with pytest.raises(FormatError):
+        functor_leq(f, sub)
+
+
 def test_serialization_roundtrip(ext_word2, ext_labelled):
     for ext in (ext_word2, ext_labelled):
         s = graph_to_category(discrete(ext, ("a", "b")))

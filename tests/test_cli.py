@@ -223,6 +223,20 @@ def test_malformed_word_depth_is_usage_error(capsys):
     assert err.count("\n") == 1 and "max_len >= 1" in err
 
 
+def test_bare_word_needs_a_depth(capsys):
+    # the depth is part of the monad name; there is no option that fills it
+    for argv in (["monad", "check", "word"],
+                 ["theory", "check-assumptions", "--quantale", "two",
+                  "--monad", "word"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: word monad needs an integer depth (max_len), e.g. word:2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["monad", "check", "word", "--max-word-len", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_monad_check_guards_t3(capsys):
     # T^3 of two points under word:3 has about 4.7e10 elements
     assert main(["monad", "check", "word:3"]) == 2
@@ -309,12 +323,22 @@ def test_gallery_guard_size_is_passed_not_set(capsys, monkeypatch):
                               "structures": [{"kind": "discrete"}]}]}),
     ("structure", {"quantale": "two", "monad": "identity",
                    "carrier": ["a;b", "a", "b;a"], "structure": {"a;b;a": "1"}}),
+    ("gallery", {"entries": [{"name": "e", "quantale": "two",
+                              "monad": "identity", "structures": [
+                                  {"name": "s", "kind": "order",
+                                   "carrier": ["a", "b"], "pairs": [["a"]]}]}]}),
+    ("gallery", {"entries": [{"name": "e", "quantale": "two",
+                              "monad": "identity", "structures": [
+                                  {"name": "s", "kind": "order",
+                                   "carrier": ["a", "b"],
+                                   "pairs": [["a", "zzz"]]}]}]}),
 ], ids=["quantale-order-not-pairs", "labelled-without-table",
         "carrier-not-a-list", "monad-a-list", "max-len-not-a-number",
         "max-len-null", "structure-a-list", "structure-entries-a-list",
         "gallery-entry-without-quantale", "ambiguous-comma-label",
         "gallery-structure-without-carrier-or-name",
-        "ambiguous-semicolon-label"])
+        "ambiguous-semicolon-label", "gallery-order-pair-of-one",
+        "gallery-order-pair-off-carrier"])
 def test_malformed_file_exits_2_without_traceback(tmp_path, kind, payload):
     path = tmp_path / ("%s.json" % kind)
     path.write_text(json.dumps(payload))

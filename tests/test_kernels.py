@@ -3,16 +3,18 @@ replaced: push-forward of entries; the largest structure making evaluation
 compatible, for exponentials (Heyting implication) and presheaf categories
 (residuation); the fiber-direct lax extension against the literal
 enumeration of T(X x Y); the checks that read only the in-bound fragment of
-TTX against their loops over all of it; and the sparse comparison square of
-check_infi and sparse owedge against their dense loops."""
+TTX against their loops over all of it, the representation search included;
+and the sparse comparison square of check_infi and sparse owedge against
+their dense loops."""
 
+import itertools
 import random
 
 import pytest
 
 from tvcat.categories import (TVStructure, check_category, check_graph,
-                              discrete, dual, graph_to_category,
-                              random_category)
+                              discrete, dual, find_representation,
+                              graph_to_category, random_category)
 from tvcat.exponential import (check_exponentiability, check_frame_criterion,
                                graph_exponential)
 from tvcat.monads import monad_by_name
@@ -273,6 +275,58 @@ def dual_oracle(s):
     return ent, bounded
 
 
+def representation_oracle(s):
+    """find_representation as written before it read K M X: the canonical
+    structure on TX joined by hand over the fibers of m."""
+    q = s.quantale
+    monad = s.monad
+    tx = s.tx
+    ta = literal_extension(s.ext, s.a)
+    table = [(xx, monad.mult(xx)) for xx in sorted(ta.src, key=sort_key)]
+    fibers = {}
+    for yy, my in table:
+        if my is not None:
+            fibers.setdefault(my, []).append(yy)
+    hat = {}
+    for xx, mx in table:
+        if mx is None:
+            continue
+        for t in tx:
+            v = q.sup(ta(yy, t) for yy in fibers.get(mx, ()))
+            if v != q.bottom:
+                hat[(xx, t)] = v
+    a0 = s.a0()
+    e = monad.unit
+    order = sorted(s.carrier, key=sort_key)
+    tx_sorted = sorted(tx, key=sort_key)
+    for values in itertools.product(order, repeat=len(tx_sorted)):
+        alpha = dict(zip(tx_sorted, values))
+        if not all(q.le(q.unit, a0(alpha[e(x)], x))
+                   and q.le(q.unit, a0(x, alpha[e(x)])) for x in s.carrier):
+            continue
+        ok = True
+        for (xx, t), v in hat.items():
+            fxx = monad.map_elem(lambda u: alpha[u], xx)
+            if not q.le(v, s.a(fxx, alpha[t])):
+                ok = False
+                break
+        if not ok:
+            continue
+        rep = Reporter("representation", bound=s.ext.bound_info())
+        pseudo = True
+        for xx, mx in table:
+            if mx is None:
+                rep.skip()
+                continue
+            rep.tick()
+            lhs = alpha[monad.map_elem(lambda u: alpha[u], xx)]
+            rhs = alpha[mx]
+            if not (q.le(q.unit, a0(lhs, rhs)) and q.le(q.unit, a0(rhs, lhs))):
+                pseudo = False
+        return alpha, rep.ok(pseudo_algebra=pseudo)
+    return None
+
+
 def closure_oracle(s):
     """Entries of the closure and its bounded_closure flag: every iteration
     reads all of Ta and records a defect at an out-of-bound XX."""
@@ -360,6 +414,29 @@ def test_inbound_consumers_match_full_loops(cell):
     assert {("category", "fail"), ("exponentiability", "fail")} <= seen
     assert any(st != "fail" for name, st in seen if name == "exponentiability")
     assert flags == ({False, True} if ext.monad.bounded else {False})
+
+
+@pytest.mark.parametrize("cell", CONSUMER_CELLS + [("godel:3", "identity", 8)],
+                         ids=lambda c: "%s-%s" % c[:2])
+def test_representation_matches_fiber_loop(cell):
+    qname, mname, graphs = cell
+    ext = LaxExtension(monad_by_name(mname), quantale_by_name(qname))
+    rng = random.Random("representation:%s:%s" % (qname, mname))
+    xs = ("b", "a")
+    raws = [discrete(ext, xs)] + [reflexive(ext, xs, rng) for _ in range(graphs)]
+    found = set()
+    for raw in raws:
+        for s in (raw, graph_to_category(raw)):
+            got = find_representation(s)
+            expect = representation_oracle(s)
+            assert (got is None) == (expect is None)
+            if got is not None:
+                assert got[0] == expect[0]
+                assert fields(got[1]) == fields(expect[1])
+            found.add(got is not None)
+    if mname in ("word:2", "labelled:z2"):
+        # both outcomes occur, so a rejected candidate is compared as well
+        assert found == {True, False}
 
 
 # ---- the sparse comparison square against the dense loop ----
