@@ -271,16 +271,15 @@ def graph_to_category(s: TVStructure) -> TVStructure:
 
 def _out_of_bound_defect(ext: LaxExtension, a: VRel) -> bool:
     """Whether Ta (x) a is non-bottom at some out-of-bound XX, scanning the
-    fiber rows of Ta there until the first one.  The tensor distributes over
-    the join of a fiber, so one non-bottom row term is enough."""
+    fibers of Ta there until the first one.  The tensor distributes over the
+    join of a fiber, so one non-bottom term is enough."""
     q = ext.quantale
-    bot = q.bottom
     monad = ext.monad
-    rows = ((xx, ty, cells) for xx, mx in ext.mult_order(a.src) if mx is None
-            for ty, cells in monad.fiber(xx, a.dst))
-    return any(q.tens(v1, a(xv, x)) != bot
-               for (_, xv), v1 in ext.row_values(a, rows) if v1 != bot
-               for x in a.dst)
+    rows = a.rows()
+    return any(q.tens(monad.xi_of_values(values, q), v) != q.bottom
+               for xx, mx in ext.mult_order(a.src) if mx is None
+               for xv, values in monad.fiber(xx, rows)
+               for _, v in rows.get(xv, ()))
 
 
 def coproduct(sx: TVStructure, sy: TVStructure):

@@ -194,7 +194,7 @@ def _exp_build(args, sx, sy):
 def _criterion(args, s):
     reports = [check_exponentiability(s)]
     if s.quantale.is_frame():
-        reports.append(check_frame_criterion(s))
+        reports.append(check_frame_criterion(s, reports[0]))
     return _finish(reports)
 
 

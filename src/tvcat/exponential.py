@@ -136,13 +136,8 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
     rep = Reporter("exponentiability", bound=sx.ext.bound_info())
     q = sx.quantale
     ext = sx.ext
-    ta = ext.extend(sx.a, src=ext.inbound(sx.tx))
-    ta_rows: dict = {}
-    for (xx, t), v in ta.entries.items():
-        ta_rows.setdefault(xx, []).append((t, v))
-    a_rows: dict = {}
-    for (t, x), v in sx.a.entries.items():
-        a_rows.setdefault(t, {})[x] = v
+    ta_rows = ext.extend(sx.a, src=ext.inbound(sx.tx)).rows()
+    a_rows = {t: dict(row) for t, row in sx.a.rows().items()}
     meet, tensor = q.meet, q.tensor
     elems = range(q.n)
     for xx, mx in ext.mult_order(sx.tx):
@@ -165,17 +160,18 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
     return rep.ok()
 
 
-def check_frame_criterion(sx: TVStructure) -> CheckReport:
+def check_frame_criterion(sx: TVStructure,
+                          expo: CheckReport | None = None) -> CheckReport:
     """Over a frame: a . m = a . Ta as relations TTX -|-> X.  The details
-    record the exponentiability verdict so the equivalence of the two tests
-    can be asserted per instance."""
+    record the exponentiability verdict (of ``expo``, or run here when None)
+    so the equivalence of the two tests can be asserted per instance."""
     q = sx.quantale
     if not q.is_frame():
         raise FormatError("the frame criterion needs a frame quantale")
     rep = Reporter("frame_criterion", bound=sx.ext.bound_info())
     ext = sx.ext
     via = sx.a.compose(ext.extend(sx.a, src=ext.inbound(sx.tx)))
-    expo = check_exponentiability(sx).passed
+    expo = (check_exponentiability(sx) if expo is None else expo).passed
     for xx, mx in ext.mult_order(sx.tx):
         if mx is None:
             rep.skip()

@@ -41,8 +41,12 @@ def load_gallery(path: str | None = None) -> list:
             for sp in sps) for sps in specs):
         raise FormatError("gallery structures are a list, each with a name and, "
                           "unless of kind v_hom_xi, a carrier list")
-    for sp in (sp for sps in specs for sp in sps if sp.get("kind") == "order"):
-        pairs = sp.get("pairs", [])
+    for sp in (sp for sps in specs for sp in sps
+               if sp.get("kind") in ("discrete", "order")):
+        if not sp["carrier"] or not all(isinstance(x, str) for x in sp["carrier"]):
+            raise FormatError("%s structure %r needs a nonempty carrier of "
+                              "strings" % (sp["kind"], sp["name"]))
+        pairs = sp.get("pairs", []) if sp["kind"] == "order" else []
         if not isinstance(pairs, list) or not all(
                 isinstance(p, list) and len(p) == 2
                 and all(x in sp["carrier"] for x in p) for p in pairs):

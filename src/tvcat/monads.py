@@ -6,12 +6,12 @@ X |-> X x H for a finite monoid H.  Ultrafilters on finite sets are
 principal, so the ultrafilter monad is shipped as an alias of the identity
 monad; gallery entries built on it document that reduction.
 
-Each monad carries its algebra map ``xi`` on the quantale and the fibers of
-the comparison map T(X x Y) -> TX in closed form (``fiber``); together they
-give the lax extension to V-relations (see theory.py).  For the word monad
-the multiplication is partial: flattening may exceed the depth bound, in
-which case operations skip the element and report it as a coverage
-statistic.
+Each monad carries its algebra map ``xi`` on the quantale and, in closed
+form, the fibers over TX of T(supp r) for a relation r given by its rows
+(``fiber``); together they give the lax extension (see theory.py).  For the
+word monad the multiplication is partial: flattening may exceed the depth
+bound, in which case operations skip the element and report it as a
+coverage statistic.
 """
 
 from __future__ import annotations
@@ -90,9 +90,10 @@ class TheoryMonad:
     def map_elem(self, f: Callable, t):
         raise NotImplementedError
 
-    def fiber(self, t, ys: tuple):
-        """The fiber of T(X x Y) -> TX over t: (T pi_Y w, letters of w) for
-        every w with T pi_X w = t, in the enumeration order of TY."""
+    def fiber(self, t, rows: dict):
+        """(T pi_Y w, the values of r at the letters of w) for every w in
+        T(supp r) with T pi_X w = t, where rows[x] lists the (y, r(x, y)) of
+        the non-bottom entries of r at x."""
         raise NotImplementedError
 
     def unit(self, x):
@@ -142,9 +143,9 @@ class IdentityMonad(TheoryMonad):
     def map_elem(self, f, t):
         return f(t)
 
-    def fiber(self, t, ys):
-        for y in ys:
-            yield y, ((t, y),)
+    def fiber(self, t, rows):
+        for y, v in rows.get(t, ()):
+            yield y, (v,)
 
     def unit(self, x):
         return x
@@ -189,10 +190,10 @@ class WordMonad(TheoryMonad):
     def map_elem(self, f, t):
         return tuple(f(x) for x in t)
 
-    def fiber(self, t, ys):
-        # the equal-length zips of t with the words over ys
-        for ty in product(ys, repeat=len(t)):
-            yield ty, tuple(zip(t, ty))
+    def fiber(self, t, rows):
+        # one row entry per letter of t; the empty word's one pick unzips to ()
+        for picks in product(*(rows.get(x, ()) for x in t)):
+            yield tuple(zip(*picks)) or ((), ())
 
     def unit(self, x):
         return (x,)
@@ -234,10 +235,10 @@ class LabelledMonad(TheoryMonad):
     def map_elem(self, f, t):
         return (f(t[0]), t[1])
 
-    def fiber(self, t, ys):
+    def fiber(self, t, rows):
         x, h = t
-        for y in ys:
-            yield (y, h), ((x, y),)
+        for y, v in rows.get(x, ()):
+            yield (y, h), (v,)
 
     def unit(self, x):
         return (x, self.monoid.labels[self.monoid.unit])
@@ -313,13 +314,13 @@ def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None,
     for t in tx:
         rep.tick()
         if monad.mult(monad.unit(t)) != t:
-            return rep.fail("mult-unit-left", repr(t))
+            return rep.fail("mult-unit-left", [repr(t)])
         te = monad.map_elem(monad.unit, t)
         m = monad.mult(te)
         if m is None:
             rep.skip()
         elif m != t:
-            return rep.fail("mult-unit-right", repr(t))
+            return rep.fail("mult-unit-right", [repr(t)])
     # m . mT = m . Tm on in-bound three-level elements
     ttx = monad.carrier(tx)
     for ttt in monad.carrier(ttx):
@@ -336,13 +337,13 @@ def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None,
             continue
         rep.tick()
         if lhs != rhs:
-            return rep.fail("mult-associative", repr(ttt))
+            return rep.fail("mult-associative", [repr(ttt)])
     if q is not None:
         elems = tuple(range(q.n))
         for v in elems:
             rep.tick()
             if monad.xi(monad.unit(v), q) != v:
-                return rep.fail("xi-unit", q.labels[v])
+                return rep.fail("xi-unit", [q.labels[v]])
         for tt in monad.carrier(monad.carrier(elems)):
             m = monad.mult(tt)
             if m is None:
@@ -352,7 +353,7 @@ def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None,
             lhs = monad.xi(m, q)
             rhs = monad.xi(monad.map_elem(lambda t: monad.xi(t, q), tt), q)
             if lhs != rhs:
-                return rep.fail("xi-mult", repr(tt))
+                return rep.fail("xi-mult", [repr(tt)])
     return rep.ok()
 
 

@@ -2,11 +2,11 @@
 
 The extension of a relation r: X -|-> Y at (t, t') is the join, over the
 elements w of T(X x Y) with T pi_X w = t and T pi_Y w = t', of xi applied to
-the T-image of r.  The rows come from the monad's closed-form fiber
-generator ``TheoryMonad.fiber`` (the pair itself, equal-length zips, equal
-labels), which visits only the fibers over the requested T-elements.  The
-literal enumeration of T(X x Y) through the comparison map is kept in the
-tests as the oracle the fiber generator is checked against.
+the T-image of r.  Bottom absorbs the tensor (checked when an extension is
+built), so a w with a letter outside the support of r adds bottom, and the
+monad's closed-form ``TheoryMonad.fiber`` walks T(supp r) alone, reading
+the rows of r, over the requested T-elements.  The literal enumeration of
+T(X x Y) is kept in the tests as the oracle the fibers are checked against.
 
 Checks that quantify over TTX read only its in-bound fragment (where m is
 defined); ``mult_order`` and ``inbound`` give them that fragment per
@@ -26,7 +26,7 @@ from itertools import product
 
 from .limits import check_guard
 from .monads import TheoryMonad, can_map
-from .quantale import Quantale, check_condition_inj
+from .quantale import FormatError, Quantale, check_condition_inj
 from .report import CheckReport, Reporter, sort_key
 from .vrel import (VRel, all_relations, id_rel, push_forward, random_relation,
                    tabulate)
@@ -37,9 +37,14 @@ class LaxExtension:
     carrier the tables its checks share."""
 
     def __init__(self, monad: TheoryMonad, quantale: Quantale):
+        bot = quantale.bottom
+        for u in range(quantale.n):
+            if quantale.tensor[u][bot] != bot or quantale.tensor[bot][u] != bot:
+                raise FormatError("the lax extension needs bottom to absorb the "
+                                  "tensor (law tensor-bottom), which fails at %r"
+                                  % quantale.labels[u])
         self.monad = monad
         self.quantale = quantale
-        self._ev_cache: dict = {}
         self._sorted_cache: dict = {}
         self._mult_cache: dict = {}
         self._can_cache: dict = {}
@@ -51,28 +56,16 @@ class LaxExtension:
         return self.monad.bound_info()
 
     def extend(self, r: VRel, src: tuple | None = None) -> VRel:
-        """Tr: TX -|-> TY, on the T-elements src of TX (all of TX when None).
-        The fiber rows of each requested carrier are cached."""
-        key = (src, r.src, r.dst)
-        ev = self._ev_cache.get(key)
-        if ev is None:
-            monad = self.monad
-            tx = monad.carrier(r.src) if src is None else src
-            ev = (tx, monad.carrier(r.dst),
-                  [(t, ty, cells) for t in tx for ty, cells in monad.fiber(t, r.dst)])
-            self._ev_cache[key] = ev
-        tx, ty, rows = ev
-        return VRel(self.quantale, tx, ty, push_forward(self.quantale,
-                                                        self.row_values(r, rows)))
-
-    def row_values(self, r: VRel, rows):
-        """((t, t'), xi of r on the base cells) for fiber rows (t, t', cells)."""
+        """Tr: TX -|-> TY, on the T-elements src of TX (all of TX when None):
+        the join of xi over the fibers of T(supp r) above each t."""
+        monad = self.monad
         q = self.quantale
-        bot = q.bottom
-        get = r.entries.get
-        xi = self.monad.xi_of_values
-        for t, ty, cells in rows:
-            yield (t, ty), xi([get(c, bot) for c in cells], q)
+        tx = monad.carrier(r.src) if src is None else src
+        rows = r.rows()
+        xi = monad.xi_of_values
+        return VRel(q, tx, monad.carrier(r.dst), push_forward(q, (
+            ((t, ty), xi(values, q))
+            for t in tx for ty, values in monad.fiber(t, rows))))
 
     def sorted_carrier(self, xs: tuple) -> tuple:
         """T(xs) in sort_key order, sorted once per carrier."""
@@ -131,16 +124,14 @@ class Lifts:
 
     def indexed(self, r: VRel):
         """(Tr, rows), where rows[t] lists the non-bottom entries of Tr at t
-        as (position in Tr.dst, value), in dst order."""
+        as (position in Tr.dst, value), in dst order; no key when all bottom."""
         key = (r.src, r.dst, frozenset(r.entries.items()))
         hit = self._memo.get(key)
         if hit is None:
             tr = self.ext.extend(r)
-            bot = tr.quantale.bottom
-            rows = {}
-            for t in tr.src:
-                row = [(j, tr(t, y)) for j, y in enumerate(tr.dst)]
-                rows[t] = [(j, v) for j, v in row if v != bot]
+            pos = {y: j for j, y in enumerate(tr.dst)}
+            rows = {t: sorted((pos[y], v) for y, v in row)
+                    for t, row in tr.rows().items()}
             hit = self._memo[key] = (tr, rows)
         return hit
 
@@ -235,8 +226,8 @@ def check_infi(ext: LaxExtension, r: VRel, s: VRel,
     nx, ny = len(tr.dst), len(ts.dst)
     for k, w in enumerate(ext.sorted_carrier(rs.src)):
         wx, wy = can_src[w]
-        srow = srows[wy]
-        for i, u in trows[wx]:
+        srow = srows.get(wy, ())
+        for i, u in trows.get(wx, ()):
             x1 = tr.dst[i]
             for j, v in srow:
                 rhs = meet[u][v]

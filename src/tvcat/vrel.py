@@ -42,6 +42,14 @@ class VRel:
     def __call__(self, x, y) -> int:
         return self.entries.get((x, y), self.quantale.bottom)
 
+    def rows(self) -> dict:
+        """The non-bottom entries grouped by source: rows[x] lists (y, v)."""
+        out: dict = {}
+        for (x, y), v in self.entries.items():
+            if v != self.quantale.bottom:
+                out.setdefault(x, []).append((y, v))
+        return out
+
     # ---- relational calculus ----
 
     def compose(self, r: "VRel") -> "VRel":
@@ -54,9 +62,7 @@ class VRel:
         tensor = q.tensor
         # bottom absorbs the tensor, so only pairs of non-bottom entries that
         # meet at a middle point contribute to the join
-        after: dict = {}
-        for (y, z), v in self.entries.items():
-            after.setdefault(y, []).append((z, v))
+        after = self.rows()
         return VRel(q, r.src, self.dst, push_forward(q, (
             ((x, z), tensor[u][v])
             for (x, y), u in r.entries.items() for z, v in after.get(y, ()))))

@@ -57,6 +57,25 @@ def test_unknown_quantale_is_usage_error(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_extension_over_a_non_absorbing_bottom_is_usage_error(capsys, tmp_path):
+    # the join as tensor, with unit 0: 1 (x) 0 = 1 breaks tensor-bottom, the
+    # one quantale law it fails, which the lax extension needs
+    p = tmp_path / "q.json"
+    p.write_text(json.dumps({"elements": ["0", "1"], "order": [["0", "1"]],
+                             "tensor": {"0,0": "0", "0,1": "1", "1,1": "1"},
+                             "unit": "0"}))
+    assert main(["theory", "check-assumptions", "--quantale", str(p),
+                 "--monad", "word:2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "tensor-bottom" in err
+    # the quantale check builds no extension and names the law with a witness
+    code, out = run(capsys, ["quantale", "check", str(p), "--format", "json"])
+    assert code == 1
+    rep = json.loads(out)["reports"][0]
+    assert (rep["law"], rep["witness"]) == ("tensor-bottom", ["1"])
+
+
 def test_malformed_json_is_usage_error(capsys, tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{nope")
@@ -166,6 +185,25 @@ def test_psh_injective_runs_find_sup_once(capsys, monkeypatch, chain2_file):
     monkeypatch.setattr(presheaf, "find_sup", recording)
     code, out = run(capsys, ["psh", "injective", chain2_file, "--format", "json"])
     assert code == 0 and "sup" in json.loads(out)
+    assert len(calls) == 1
+
+
+def test_exp_criterion_runs_exponentiability_once(capsys, monkeypatch,
+                                                  chain2_file):
+    from tvcat import exponential
+    check = exponential.check_exponentiability
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+    monkeypatch.setattr(cli, "check_exponentiability", recording)
+    monkeypatch.setattr(exponential, "check_exponentiability", recording)
+    code, out = run(capsys, ["exp", "criterion", chain2_file, "--format", "json"])
+    assert code == 0
+    expo, frame = json.loads(out)["reports"]
+    assert frame["check"] == "frame_criterion"
+    assert frame["details"]["exponentiability"] == (expo["status"] == "pass")
     assert len(calls) == 1
 
 
@@ -332,13 +370,22 @@ def test_gallery_guard_size_is_passed_not_set(capsys, monkeypatch):
                                   {"name": "s", "kind": "order",
                                    "carrier": ["a", "b"],
                                    "pairs": [["a", "zzz"]]}]}]}),
+    ("gallery", {"entries": [{"name": "e", "quantale": "two",
+                              "monad": "identity", "structures": [
+                                  {"name": "s", "kind": "discrete",
+                                   "carrier": [["a"]]}]}]}),
+    ("gallery", {"entries": [{"name": "e", "quantale": "two",
+                              "monad": "identity", "structures": [
+                                  {"name": "s", "kind": "discrete",
+                                   "carrier": []}]}]}),
 ], ids=["quantale-order-not-pairs", "labelled-without-table",
         "carrier-not-a-list", "monad-a-list", "max-len-not-a-number",
         "max-len-null", "structure-a-list", "structure-entries-a-list",
         "gallery-entry-without-quantale", "ambiguous-comma-label",
         "gallery-structure-without-carrier-or-name",
         "ambiguous-semicolon-label", "gallery-order-pair-of-one",
-        "gallery-order-pair-off-carrier"])
+        "gallery-order-pair-off-carrier", "gallery-carrier-of-lists",
+        "gallery-empty-carrier"])
 def test_malformed_file_exits_2_without_traceback(tmp_path, kind, payload):
     path = tmp_path / ("%s.json" % kind)
     path.write_text(json.dumps(payload))

@@ -19,7 +19,7 @@ from tvcat.exponential import (check_exponentiability, check_frame_criterion,
                                graph_exponential)
 from tvcat.monads import monad_by_name
 from tvcat.presheaf import build_presheaf_category
-from tvcat.quantale import quantale_by_name
+from tvcat.quantale import FormatError, Quantale, quantale_by_name
 from tvcat.report import Reporter, sort_key
 from tvcat.theory import LaxExtension, Lifts, check_infi
 from tvcat.vrel import (VRel, all_relations, pair_carrier, push_forward,
@@ -155,8 +155,14 @@ def test_fiber_extension_matches_literal_enumeration(qname, mname):
     # carriers out of sort_key order, so that enumeration order and the
     # order checks visit T-elements in differ
     xs, ys = ("b", "a"), ("e", "c", "d")
-    for _ in range(6):
-        r = random_relation(q, xs, ys, rng)
+    rels = [random_relation(q, xs, ys, rng) for _ in range(6)]
+    # the empty relation (only the empty word has a fiber), one entry, and
+    # an empty row a beside a full row b (a word product over row a is empty)
+    above = [v for v in range(q.n) if v != q.bottom]
+    row_b = {("b", y): rng.choice(above) for y in ys}
+    rels += [VRel(q, xs, ys), VRel(q, xs, ys, {("a", "c"): q.top}),
+             VRel(q, xs, ys, row_b)]
+    for r in rels:
         assert as_table(ext.extend(r)) == as_table(literal_extension(ext, r))
     # the in-bound fragment of TTX, for a structure relation a: TX -|-> X
     tx = monad.carrier(xs)
@@ -168,6 +174,33 @@ def test_fiber_extension_matches_literal_enumeration(qname, mname):
         a = random_relation(q, tx, xs, rng)
         assert as_table(ext.extend(a, src=ext.inbound(tx))) == as_table(
             literal_extension(ext, a, src=ext.inbound(tx)))
+
+
+@pytest.mark.parametrize("mname", ("identity", "finite_ultrafilter", "word:3",
+                                   "labelled:z2"))
+@pytest.mark.parametrize("qname", ("two", "godel:3", "lukasiewicz:3",
+                                   "trunc_add:4", "powerset:2"))
+def test_xi_sends_a_bottom_letter_to_bottom(qname, mname):
+    # why extend may walk the support of r alone: an element of T(X x Y)
+    # with a letter outside it adds bottom to the join
+    q = quantale_by_name(qname)
+    monad = monad_by_name(mname)
+    with_bottom = [t for t in monad.carrier(tuple(range(q.n)))
+                   if q.bottom in monad.letters(t)]
+    assert with_bottom
+    assert all(monad.xi(t, q) == q.bottom for t in with_bottom)
+
+
+@pytest.mark.parametrize("tensor,unit", [(((1, 0), (0, 1)), 1),
+                                         (((0, 1), (1, 1)), 0)],
+                         ids=["bottom-squared-is-top", "tensor-is-join"])
+def test_extension_needs_bottom_to_absorb_the_tensor(tensor, unit):
+    # the join over T(X x Y) would see words with a bottom letter that the
+    # walk along the support of r leaves out
+    q = Quantale(("0", "1"), ((True, True), (False, True)), tensor, unit)
+    assert any(q.tensor[u][q.bottom] != q.bottom for u in range(q.n))
+    with pytest.raises(FormatError, match="tensor-bottom"):
+        LaxExtension(monad_by_name("word:2"), q)
 
 
 # ---- the in-bound consumers against the loops they replaced ----
@@ -494,6 +527,11 @@ def test_sparse_infi_matches_dense_loop(cell):
     lifts = Lifts(ext)  # shared, as in the assumptions bundle
     statuses = set()
     for k, (r, s) in enumerate(pairs):
+        if k % 2 == 0:
+            # entries in reverse dst order, extended afresh: the rows of the
+            # lifts must still be visited in dst order
+            r, s = (VRel(q, t.src, t.dst, dict(reversed(t.entries.items())))
+                    for t in (r, s))
         got = check_infi(ext, r, s, lifts if k % 2 else None)
         assert got.to_dict() == dense_infi(ext, r, s).to_dict()
         statuses.add(got.status)

@@ -7,7 +7,7 @@ import pytest
 from tvcat.monads import (FormatError, LabelledMonad, Monoid, WordMonad, can_map,
                           check_bc_samples, check_monad_laws, monad_by_name,
                           monad_from_dict, z2)
-from tvcat.quantale import lukasiewicz, two
+from tvcat.quantale import Quantale, lukasiewicz, two
 
 XS = ("a", "b")
 
@@ -131,3 +131,58 @@ def test_labelled_monad_custom_monoid(q2):
     m = LabelledMonad(z3)
     assert check_monad_laws(m, XS, q2).status == "pass"
     assert len(m.carrier(XS)) == 6
+
+
+# ---- planted defects: every law of check_monad_laws can fail ----
+
+class DoubledUnit(WordMonad):
+    """e(x) = xx, so m . eT sends the word a to aa."""
+
+    def unit(self, x):
+        return (x, x)
+
+
+class OuterLabelDropped(LabelledMonad):
+    """m((x, h1), h2) = (x, h1): the unit laws part, m . Te forgets h."""
+
+    def mult(self, tt):
+        (x, h1), _ = tt
+        return (x, h1)
+
+
+class NonAssociativeLabels(LabelledMonad):
+    """Labels e, a, b multiplied by a unital but non-associative table:
+    (a a) b = b, a (a b) = a."""
+
+    TABLE = {"e": {"e": "e", "a": "a", "b": "b"},
+             "a": {"e": "a", "a": "e", "b": "e"},
+             "b": {"e": "b", "a": "e", "b": "a"}}
+
+    def mult(self, tt):
+        (x, h1), h2 = tt
+        return (x, self.TABLE[h1][h2])
+
+
+def _two_with_tensor(table):
+    q = two()
+    return Quantale(q.labels, q.leq, table, q.unit, name="planted")
+
+
+Z3 = Monoid(("e", "a", "b"), ((0, 1, 2), (1, 2, 0), (2, 0, 1)), 0)
+
+
+@pytest.mark.parametrize("monad,q,law,witness", [
+    (DoubledUnit(2), None, "mult-unit-left", ["('a',)"]),
+    (OuterLabelDropped(z2()), None, "mult-unit-right", ["('a', 'g')"]),
+    (NonAssociativeLabels(Z3), None, "mult-associative",
+     ["((('a', 'a'), 'a'), 'b')"]),
+    # 1 (x) 1 = 0: xi of the one-letter word 1 is 0
+    (WordMonad(2), _two_with_tensor(((0, 0), (0, 0))), "xi-unit", ["1"]),
+    # left unit only, 0 (x) 1 = 1: xi(0) = 0, but xi of the word (xi(0), xi()) is 1
+    (WordMonad(2), _two_with_tensor(((0, 1), (0, 1))), "xi-mult", ["((0,), ())"]),
+], ids=["mult-unit-left", "mult-unit-right", "mult-associative", "xi-unit",
+        "xi-mult"])
+def test_monad_laws_planted_defects(monad, q, law, witness):
+    rep = check_monad_laws(monad, XS, q)
+    assert rep.status == "fail"
+    assert (rep.law, rep.witness) == (law, witness)
