@@ -130,13 +130,11 @@ def check_category(s: TVStructure) -> CheckReport:
     rep.tick(sub.samples)
     if not sub.passed:
         return rep.fail(sub.law, sub.witness, **sub.details)
-    ext = s.ext
-    ta = ext.extend(s.a, src=ext.inbound(s.tx))
+    rows, tail, xxs = s.ext.fragment(s.tx)
+    ta = s.ext.extend(s.a, src=xxs)
     bot = q.bottom
-    for xx, mx in ext.mult_order(s.tx):
-        if mx is None:
-            rep.skip()
-            continue
+    for gap, xx, mx in rows:
+        rep.skip(gap)
         for xv in s.tx:
             v1 = ta(xx, xv)
             if v1 == bot:
@@ -148,6 +146,7 @@ def check_category(s: TVStructure) -> CheckReport:
                 if not q.le(lhs, s.a(mx, x)):
                     return rep.fail("transitivity", [repr(xx), repr(xv), repr(x)],
                                     lhs=q.labels[lhs], rhs=q.labels[s.a(mx, x)])
+    rep.skip(tail)
     return rep.ok()
 
 
@@ -254,10 +253,11 @@ def graph_to_category(s: TVStructure) -> TVStructure:
     ext = s.ext
     ent = push_forward(q, [*s.a.entries.items(),
                            *(((monad.unit(x), x), q.unit) for x in s.carrier)])
-    mult = dict(ext.mult_order(s.tx))
+    rows, _, xxs = ext.fragment(s.tx)
+    mult = {xx: mx for _, xx, mx in rows}
     while True:
         a = VRel(q, s.tx, s.carrier, ent)
-        step = a.compose(ext.extend(a, src=ext.inbound(s.tx)))
+        step = a.compose(ext.extend(a, src=xxs))
         new = push_forward(q, [*ent.items(), *(((mult[xx], x), v)
                                                for (xx, x), v in step.entries.items())])
         if new == ent:
@@ -277,7 +277,7 @@ def _out_of_bound_defect(ext: LaxExtension, a: VRel) -> bool:
     monad = ext.monad
     rows = a.rows()
     return any(q.tens(monad.xi_of_values(values, q), v) != q.bottom
-               for xx, mx in ext.mult_order(a.src) if mx is None
+               for xx in monad.carrier(a.src) if not monad.in_bound(xx)
                for xv, values in monad.fiber(xx, rows)
                for _, v in rows.get(xv, ()))
 
@@ -504,9 +504,10 @@ def functor_M(s: TVStructure) -> EMAlgebra:
     """M sends (X, a) to (TX, Ta . m-degree, m)."""
     q = s.quantale
     ext = s.ext
-    ta = ext.extend(s.a, src=ext.inbound(s.tx))
+    rows, _, xxs = ext.fragment(s.tx)
+    ta = ext.extend(s.a, src=xxs)
     carrier = s.tx
-    alpha = {xx: mx for xx, mx in ext.mult_order(carrier) if mx is not None}
+    alpha = {xx: mx for _, xx, mx in rows}
     ent = push_forward(q, (((alpha[xx], t), v) for (xx, t), v in ta.entries.items()))
     return EMAlgebra(s.ext, carrier, VRel(q, carrier, carrier, ent), alpha)
 
@@ -547,7 +548,7 @@ def find_representation(s: TVStructure, guard: int | None = None):
     monad = s.monad
     tx = s.tx
     check_guard(len(s.carrier) ** len(tx), "representation search", guard)
-    table = s.ext.mult_order(tx)
+    rows, tail, _ = s.ext.fragment(tx)
     hat = functor_K(functor_M(s)).a
     a0 = s.a0()
     e = monad.unit
@@ -563,15 +564,14 @@ def find_representation(s: TVStructure, guard: int | None = None):
             continue
         rep = Reporter("representation", bound=s.ext.bound_info())
         pseudo = True
-        for xx, mx in table:
-            if mx is None:
-                rep.skip()
-                continue
+        for gap, xx, mx in rows:
+            rep.skip(gap)
             rep.tick()
             lhs = alpha[monad.map_elem(lambda u: alpha[u], xx)]
             rhs = alpha[mx]
             if not (q.le(q.unit, a0(lhs, rhs)) and q.le(q.unit, a0(rhs, lhs))):
                 pseudo = False
+        rep.skip(tail)
         return alpha, rep.ok(pseudo_algebra=pseudo)
     return None
 

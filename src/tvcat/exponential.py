@@ -135,15 +135,13 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
     (XX, x) joins over the distinct value pairs of such middle points t."""
     rep = Reporter("exponentiability", bound=sx.ext.bound_info())
     q = sx.quantale
-    ext = sx.ext
-    ta_rows = ext.extend(sx.a, src=ext.inbound(sx.tx)).rows()
+    rows, tail, xxs = sx.ext.fragment(sx.tx)
+    ta_rows = sx.ext.extend(sx.a, src=xxs).rows()
     a_rows = {t: dict(row) for t, row in sx.a.rows().items()}
     meet, tensor = q.meet, q.tensor
     elems = range(q.n)
-    for xx, mx in ext.mult_order(sx.tx):
-        if mx is None:
-            rep.skip()
-            continue
+    for gap, xx, mx in rows:
+        rep.skip(gap)
         row = ta_rows.get(xx, ())
         for x in sx.carrier:
             pairs = {(v1, a_rows[t][x]) for t, v1 in row if x in a_rows.get(t, ())}
@@ -157,6 +155,7 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
                         return rep.fail("splitting", [repr(xx), repr(x),
                                                       q.labels[u], q.labels[v]],
                                         lhs=q.labels[lhs], rhs=q.labels[rhs])
+    rep.skip(tail)
     return rep.ok()
 
 
@@ -169,13 +168,11 @@ def check_frame_criterion(sx: TVStructure,
     if not q.is_frame():
         raise FormatError("the frame criterion needs a frame quantale")
     rep = Reporter("frame_criterion", bound=sx.ext.bound_info())
-    ext = sx.ext
-    via = sx.a.compose(ext.extend(sx.a, src=ext.inbound(sx.tx)))
+    rows, tail, xxs = sx.ext.fragment(sx.tx)
+    via = sx.a.compose(sx.ext.extend(sx.a, src=xxs))
     expo = (check_exponentiability(sx) if expo is None else expo).passed
-    for xx, mx in ext.mult_order(sx.tx):
-        if mx is None:
-            rep.skip()
-            continue
+    for gap, xx, mx in rows:
+        rep.skip(gap)
         for x in sx.carrier:
             rep.tick()
             via_m, via_ta = sx.a(mx, x), via(xx, x)
@@ -183,6 +180,7 @@ def check_frame_criterion(sx: TVStructure,
                 return rep.fail("composite-mismatch", [repr(xx), repr(x)],
                                 via_m=q.labels[via_m], via_ta=q.labels[via_ta],
                                 exponentiability=expo)
+    rep.skip(tail)
     return rep.ok(exponentiability=expo)
 
 

@@ -11,7 +11,9 @@ form, the fibers over TX of T(supp r) for a relation r given by its rows
 (``fiber``); together they give the lax extension (see theory.py).  For the
 word monad the multiplication is partial: flattening may exceed the depth
 bound, in which case operations skip the element and report it as a
-coverage statistic.
+coverage statistic.  ``inbound`` yields the part of T(TX) where the
+multiplication is defined, in sort_key order and with each element's rank
+in all of T(TX), so the skipped elements are counted without being built.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable
 
 from .limits import check_guard
 from .quantale import FormatError, Quantale
-from .report import CheckReport, Reporter
+from .report import CheckReport, Reporter, sort_key
 from .vrel import pair_carrier
 
 
@@ -105,6 +107,15 @@ class TheoryMonad:
 
     def in_bound(self, tt) -> bool:
         return self.mult(tt) is not None
+
+    def inbound(self, tx: tuple):
+        """(rank, XX) for each in-bound XX of T(tx) (where mult is defined),
+        in sort_key order, where rank is the position of XX in the sorted
+        T(tx); the ranks skipped over count the out-of-bound XX.  A rank
+        needs sort_key to be injective on tx, as it is on the string and
+        tuple carriers tvcat builds.  Here mult is total and T(tx) small
+        enough to sort; a monad with a partial mult overrides this."""
+        return enumerate(sorted(self.carrier(tx), key=sort_key))
 
     def letters(self, t) -> tuple:
         """Base positions of a T-element: the points map_elem acts on."""
@@ -194,6 +205,31 @@ class WordMonad(TheoryMonad):
         # one row entry per letter of t; the empty word's one pick unzips to ()
         for picks in product(*(rows.get(x, ()) for x in t)):
             yield tuple(zip(*picks)) or ((), ())
+
+    def inbound(self, tx):
+        # sorted tx runs by word length, so the words within a remaining
+        # length budget are a prefix of it; words of words of one length L
+        # sort lexicographically by the ranks of their letters, so XX has
+        # rank sum_{l<L} N^l + sum_k idx(XX_k) N^(L-1-k)
+        order = sorted(tx, key=sort_key)
+        n = len(order)
+        fits = [sum(len(w) <= b for w in order) for b in range(self.max_len + 1)]
+
+        def within(length, budget):
+            if not length:
+                yield 0, ()
+                return
+            place = n ** (length - 1)
+            for i in range(fits[budget]):
+                w = order[i]
+                for j, rest in within(length - 1, budget - len(w)):
+                    yield i * place + j, (w,) + rest
+
+        offset = 0
+        for length in range(self.max_len + 1):
+            for j, xx in within(length, self.max_len):
+                yield offset + j, xx
+            offset += n ** length
 
     def unit(self, x):
         return (x,)

@@ -9,9 +9,12 @@ the rows of r, over the requested T-elements.  The literal enumeration of
 T(X x Y) is kept in the tests as the oracle the fibers are checked against.
 
 Checks that quantify over TTX read only its in-bound fragment (where m is
-defined); ``mult_order`` and ``inbound`` give them that fragment per
-carrier, so Ta is computed on it alone.  ``sorted_carrier`` is the same
-sort_key order of T(X), sorted once per carrier.
+defined); ``fragment`` gives them that fragment per carrier, generated in
+sort_key order by the monad's ``inbound`` without enumerating or sorting
+the rest of TTX (the tests keep that sort as its oracle), with the count of
+out-of-bound elements between its members, so Ta is computed on it alone
+and skips are still counted.  ``sorted_carrier`` is the sort_key order of
+T(X), sorted once per carrier.
 
 Checks over many pairs of relations (the extension laws, the infi pairs of
 the assumptions bundle) extend each distinct relation once through
@@ -75,23 +78,23 @@ class LaxExtension:
                 sorted(self.monad.carrier(xs), key=sort_key))
         return order
 
-    def mult_order(self, tx: tuple) -> tuple:
-        """(XX, m XX or None) for every XX in T(tx), in sort_key order: the
-        order in which checks over TTX visit elements and pick witnesses."""
-        return self._mult_table(tx)[0]
-
-    def inbound(self, tx: tuple) -> tuple:
-        """The in-bound fragment of T(tx), in sort_key order."""
-        return self._mult_table(tx)[1]
-
-    def _mult_table(self, tx):
-        table = self._mult_cache.get(tx)
-        if table is None:
+    def fragment(self, tx: tuple) -> tuple:
+        """The in-bound fragment of T(tx), where m is defined, once per
+        carrier: (rows, tail, xxs), where rows lists (gap, XX, m XX) in
+        sort_key order, gap counting the out-of-bound XX just before XX,
+        tail counts those after the last row, and xxs holds the XX alone.
+        Checks over TTX visit the rows in this order and skip each gap."""
+        frag = self._mult_cache.get(tx)
+        if frag is None:
             mult = self.monad.mult
-            order = tuple((xx, mult(xx)) for xx in self.sorted_carrier(tx))
-            table = (order, tuple(xx for xx, mx in order if mx is not None))
-            self._mult_cache[tx] = table
-        return table
+            rows, nxt = [], 0
+            for rank, xx in self.monad.inbound(tx):
+                rows.append((rank - nxt, xx, mult(xx)))
+                nxt = rank + 1
+            frag = self._mult_cache[tx] = (
+                tuple(rows), self.monad.carrier_size(len(tx)) - nxt,
+                tuple(xx for _, xx, _ in rows))
+        return frag
 
     def can_map(self, xs: tuple, ys: tuple) -> dict:
         """monads.can_map, once per carrier pair."""

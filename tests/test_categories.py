@@ -201,6 +201,47 @@ def test_M_K_roundtrip_identity(ext_ord):
     assert back == s
 
 
+# ---- planted defects: every law of check_algebra can fail ----
+
+CHAIN = ("e", "a", "b")
+CHAIN_LE = {(x, y) for i, x in enumerate(CHAIN) for y in CHAIN[i:]}
+
+
+def chain_algebra(order=CHAIN_LE, alpha=()):
+    """The chain e <= a <= b as an algebra of the word monad over two(),
+    alpha sending a word to its maximum (the empty word to e); order
+    replaces the chain and alpha lists (word, value) overrides."""
+    ext = LaxExtension(monad_by_name("word:2"), two())
+    q = ext.quantale
+    tx = ext.monad.carrier(CHAIN)
+    amap = {t: max(t, key=CHAIN.index, default="e") for t in tx}
+    amap.update(alpha)
+    return EMAlgebra(ext, CHAIN, VRel(q, CHAIN, CHAIN, {p: q.top for p in order}),
+                     amap)
+
+
+def test_chain_algebra_is_an_algebra():
+    assert check_algebra(chain_algebra()).passed
+
+
+@pytest.mark.parametrize("alg,law,witness", [
+    (chain_algebra(CHAIN_LE - {("b", "b")}), "v-reflexivity", ["'b'"]),
+    (chain_algebra(CHAIN_LE - {("e", "b")}), "v-transitivity",
+     ["'e'", "'a'", "'b'"]),
+    (chain_algebra(alpha=[(("a",), "b")]), "algebra-unit", ["'a'"]),
+    # alpha(e a) = e: the word of words ((), (a)) flattens to a, sent to a
+    (chain_algebra(alpha=[(("e", "a"), "e")]), "algebra-mult", ["((), ('a',))"]),
+    # a and b incomparable: (e, a) <= (b, a) letterwise, but a is not <= b
+    (chain_algebra(CHAIN_LE - {("a", "b")}), "alpha-v-functor",
+     ["('e', 'a')", "('b', 'a')"]),
+], ids=["v-reflexivity", "v-transitivity", "algebra-unit", "algebra-mult",
+        "alpha-v-functor"])
+def test_algebra_laws_planted_defects(alg, law, witness):
+    rep = check_algebra(alg)
+    assert rep.status == "fail"
+    assert (rep.law, rep.witness) == (law, witness)
+
+
 def test_v_hom_xi_is_category():
     for qname, mname in (("two", "identity"), ("lukasiewicz:3", "identity"),
                          ("godel:3", "labelled:z2"), ("two", "word:2")):
