@@ -10,7 +10,8 @@ The fibers of the multiplication m are joined over in one place, the functor
 M X = (TX, Ta . m-degree, m); K reads an algebra back along its algebra map.
 The dual X^op is K((M X)-degree), read along m, and the canonical structure
 on TX that representability is tested against is K M X.  The Kleisli
-composite a . Ta is VRel.compose.
+composite a . Ta is VRel.compose.  Every walk of TTX here, algebra-mult's
+too, reads ext.fragment; the closure's defect scan reads T(supp a) alone.
 """
 
 from __future__ import annotations
@@ -271,13 +272,14 @@ def graph_to_category(s: TVStructure) -> TVStructure:
 
 def _out_of_bound_defect(ext: LaxExtension, a: VRel) -> bool:
     """Whether Ta (x) a is non-bottom at some out-of-bound XX, scanning the
-    fibers of Ta there until the first one.  The tensor distributes over the
-    join of a fiber, so one non-bottom term is enough."""
+    fibers of Ta there until the first one.  An XX with a letter outside the
+    rows of a has an empty fiber, so only T(supp a) is scanned.  The tensor
+    distributes over the join of a fiber, so one non-bottom term is enough."""
     q = ext.quantale
     monad = ext.monad
     rows = a.rows()
     return any(q.tens(monad.xi_of_values(values, q), v) != q.bottom
-               for xx in monad.carrier(a.src) if not monad.in_bound(xx)
+               for xx in monad.carrier(tuple(rows)) if monad.mult(xx) is None
                for xv, values in monad.fiber(xx, rows)
                for _, v in rows.get(xv, ()))
 
@@ -477,14 +479,16 @@ def check_algebra(alg: EMAlgebra) -> CheckReport:
         rep.tick()
         if alg.alpha.get(monad.unit(x)) != x:
             return rep.fail("algebra-unit", [repr(x)])
-    for xx in monad.carrier(tx):
-        mx = monad.mult(xx)
-        if mx is None or any(t not in alg.alpha for t in monad.letters(xx)):
+    rows, tail, _ = alg.ext.fragment(tx)
+    for gap, xx, mx in rows:
+        rep.skip(gap)
+        if any(t not in alg.alpha for t in monad.letters(xx)):
             rep.skip()
             continue
         rep.tick()
         if alg.alpha.get(monad.map_elem(lambda t: alg.alpha[t], xx)) != alg.alpha.get(mx):
             return rep.fail("algebra-mult", [repr(xx)])
+    rep.skip(tail)
     ta0 = alg.ext.extend(a0)
     for t in tx:
         if t not in alg.alpha:

@@ -105,9 +105,6 @@ class TheoryMonad:
         """Flatten one level; None when out of the depth bound."""
         raise NotImplementedError
 
-    def in_bound(self, tt) -> bool:
-        return self.mult(tt) is not None
-
     def inbound(self, tx: tuple):
         """(rank, XX) for each in-bound XX of T(tx) (where mult is defined),
         in sort_key order, where rank is the position of XX in the sorted
@@ -362,7 +359,7 @@ def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None,
     for ttt in monad.carrier(ttx):
         lhs_inner = monad.mult(ttt)
         tm = monad.map_elem(monad.mult, ttt) if all(
-            monad.in_bound(t2) for t2 in monad.letters(ttt)) else None
+            monad.mult(t2) is not None for t2 in monad.letters(ttt)) else None
         if lhs_inner is None or tm is None:
             rep.skip()
             continue

@@ -52,9 +52,9 @@ def build_presheaf_category(s: TVStructure, guard: int | None = None) -> Preshea
     with the dual structure-compatible."""
     q = s.quantale
     monad = s.monad
-    op = dual(s)
     tx = s.tx
     check_guard(q.n ** len(tx), "presheaf carrier", guard)
+    op = dual(s)
     # presheaf condition, weakened through the one-point generator exactly
     # like the exponential carrier: for the point tests T of TX,
     # aop(T, t) <= hom(xi(Tpsi T), psi t).  For the identity monad this is

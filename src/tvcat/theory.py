@@ -12,9 +12,9 @@ Checks that quantify over TTX read only its in-bound fragment (where m is
 defined); ``fragment`` gives them that fragment per carrier, generated in
 sort_key order by the monad's ``inbound`` without enumerating or sorting
 the rest of TTX (the tests keep that sort as its oracle), with the count of
-out-of-bound elements between its members, so Ta is computed on it alone
-and skips are still counted.  ``sorted_carrier`` is the sort_key order of
-T(X), sorted once per carrier.
+out-of-bound elements between its members, so Ta (TTr in the op-lax mult
+square) is computed on it alone and skips are still counted.
+``sorted_carrier`` is the sort_key order of T(X), sorted once per carrier.
 
 Checks over many pairs of relations (the extension laws, the infi pairs of
 the assumptions bundle) extend each distinct relation once through
@@ -173,22 +173,20 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
                 rep.tick()
                 if not q.le(r(x, y), tr(monad.unit(x), monad.unit(y))):
                     return rep.fail("oplax-unit", [repr(x), repr(y)])
-        # op-lax mult square: TTr(XX, YY) <= Tr(m XX, m YY) on in-bound pairs;
-        # TTr is requested on all of TTX, whose out-of-bound rows are counted
-        ttr = ext.extend(tr)
-        for xx in ttr.src:
-            mx = monad.mult(xx)
-            if mx is None:
-                rep.skip()
-                continue
-            for yy in ttr.dst:
-                my = monad.mult(yy)
-                if my is None:
-                    rep.skip()
-                    continue
+        # op-lax mult square: TTr(XX, YY) <= Tr(m XX, m YY) on the in-bound
+        # fragments of TTX and TTY; each out-of-bound XX counts one skip
+        rows, tail, xxs = ext.fragment(tr.src)
+        yrows, ytail, _ = ext.fragment(tr.dst)
+        ttr = ext.extend(tr, src=xxs)
+        for gap, xx, mx in rows:
+            rep.skip(gap)
+            for ygap, yy, my in yrows:
+                rep.skip(ygap)
                 rep.tick()
                 if not q.le(ttr(xx, yy), tr(mx, my)):
                     return rep.fail("oplax-mult", [repr(xx), repr(yy)])
+            rep.skip(ytail)
+        rep.skip(tail)
     for r, s in pairs:
         if r.dst != s.src:
             continue

@@ -3,27 +3,31 @@ replaced: push-forward of entries; the largest structure making evaluation
 compatible, for exponentials (Heyting implication) and presheaf categories
 (residuation); the fiber-direct lax extension against the literal
 enumeration of T(X x Y); the checks that read only the in-bound fragment of
-TTX against their loops over all of it, the representation search included;
-and the sparse comparison square of check_infi and sparse owedge against
-their dense loops."""
+TTX against their loops over all of it, the representation search, the
+op-lax mult square of the extension laws and algebra-mult included, with a
+planted defect per extension law and a count of the XX passed to m; and the
+sparse comparison square of check_infi and sparse owedge against their
+dense loops."""
 
 import itertools
 import random
 
 import pytest
 
-from tvcat.categories import (TVStructure, check_category, check_graph,
-                              discrete, dual, find_representation,
+from tvcat.categories import (EMAlgebra, TVStructure, check_algebra,
+                              check_category, check_graph, discrete, dual,
+                              find_representation, functor_M,
                               graph_to_category, random_category)
 from tvcat.exponential import (check_exponentiability, check_frame_criterion,
                                graph_exponential)
-from tvcat.monads import monad_by_name
+from tvcat.monads import WordMonad, monad_by_name
 from tvcat.presheaf import build_presheaf_category
 from tvcat.quantale import FormatError, Quantale, quantale_by_name
 from tvcat.report import Reporter, sort_key
-from tvcat.theory import LaxExtension, Lifts, check_infi
-from tvcat.vrel import (VRel, all_relations, pair_carrier, push_forward,
-                        random_relation, tabulate)
+from tvcat.theory import (LaxExtension, Lifts, check_extension_laws,
+                          check_infi)
+from tvcat.vrel import (VRel, all_relations, id_rel, pair_carrier,
+                        push_forward, random_relation, tabulate)
 
 # (quantale, monad, carrier of X, carrier of Y, least number of non-bottom
 # structure entries of X).  A near-discrete X over word:2 has a presheaf
@@ -637,3 +641,281 @@ def test_sparse_owedge_matches_tabulated(qname):
                             for v in s.entries.values())
     # in powerset:2 two non-bottom subsets can meet to the empty set
     assert (bottom_meets > 0) == (qname == "powerset:2")
+
+
+# ---- the op-lax mult square and algebra-mult against their full walks ----
+
+def extension_laws_oracle(ext, rels, pairs):
+    """check_extension_laws as written before its op-lax mult square read
+    the in-bound fragments: TTr on all of TTX, the square walked over all of
+    TTX x TTY in enumeration order, m applied per element, one skip per
+    out-of-bound XX or YY."""
+    rep = Reporter("extension_laws", bound=ext.bound_info())
+    q = ext.quantale
+    monad = ext.monad
+    lift = Lifts(ext)
+    for r in rels:
+        tid = lift(id_rel(q, r.src))
+        idt = id_rel(q, monad.carrier(r.src))
+        gap = idt.first_gap(tid)
+        rep.tick()
+        if gap is not None:
+            return rep.fail("lax-identity", [repr(gap[0])])
+        tr = lift(r)
+        trt = lift(r.transpose())
+        rep.tick()
+        if trt != tr.transpose():
+            gap = trt.first_gap(tr.transpose()) or tr.transpose().first_gap(trt)
+            return rep.fail("involution", [repr(gap[0]), repr(gap[1])])
+        for x in r.src:
+            for y in r.dst:
+                rep.tick()
+                if not q.le(r(x, y), tr(monad.unit(x), monad.unit(y))):
+                    return rep.fail("oplax-unit", [repr(x), repr(y)])
+        ttr = ext.extend(tr)
+        for xx in ttr.src:
+            mx = monad.mult(xx)
+            if mx is None:
+                rep.skip()
+                continue
+            for yy in ttr.dst:
+                my = monad.mult(yy)
+                if my is None:
+                    rep.skip()
+                    continue
+                rep.tick()
+                if not q.le(ttr(xx, yy), tr(mx, my)):
+                    return rep.fail("oplax-mult", [repr(xx), repr(yy)])
+    for r, s in pairs:
+        if r.dst != s.src:
+            continue
+        rep.tick()
+        gap = lift(s).compose(lift(r)).first_gap(lift(s.compose(r)))
+        if gap is not None:
+            return rep.fail("lax-composition", [repr(gap[0]), repr(gap[1])])
+    return rep.ok()
+
+
+# (quantale, monad, number of random relations X -|-> Y); the carriers are
+# in sort_key order, the order the literal loop enumerates TTX in
+LAW_CELLS = [("two", "identity", 12), ("godel:3", "labelled:z2", 12),
+             ("two", "word:2", 12), ("godel:3", "word:2", 12),
+             ("lukasiewicz:3", "word:2", 12), ("two", "word:3", 1)]
+
+
+@pytest.mark.parametrize("cell", LAW_CELLS, ids=lambda c: "%s-%s" % c[:2])
+def test_extension_laws_match_full_walk(cell):
+    qname, mname, count = cell
+    ext = LaxExtension(monad_by_name(mname), quantale_by_name(qname))
+    q = ext.quantale
+    rng = random.Random("laws:%s:%s" % (qname, mname))
+    xs = ("x0", "x1")
+    # over word:3 the full walk reads TTY whole: 65,641 YY on three points
+    ys = ("y0", "y1") if mname == "word:3" else ("y0", "y1", "y2")
+    rels = [VRel(q, xs, ys)] + [random_relation(q, xs, ys, rng)
+                                for _ in range(count)]
+    back = [random_relation(q, ys, xs, rng) for _ in range(3)]
+    pairs = [(r, s) for r in rels[:4] for s in back]
+    for k in range(len(rels)):
+        got = check_extension_laws(ext, rels=rels[k:k + 1], pairs=pairs)
+        expect = extension_laws_oracle(ext, rels[k:k + 1], pairs)
+        assert fields(got) == fields(expect)
+        assert got.passed and got.skipped > 0 or not ext.monad.bounded
+
+
+class SortedMult(WordMonad):
+    """Flattens a word of words and sorts it: only the op-lax mult square
+    reads m, so the laws before it pass."""
+
+    def mult(self, tt):
+        flat = super().mult(tt)
+        return None if flat is None else tuple(sorted(flat))
+
+
+class PairsToBottom(WordMonad):
+    """xi sends every word of two letters to bottom, so T(id) drops below
+    id at the words of length 2."""
+
+    def xi_of_values(self, values, q):
+        return q.bottom if len(values) == 2 else super().xi_of_values(values, q)
+
+
+class OneSided(WordMonad):
+    """Tr drops the fiber of a two-letter word above t at every T pi_Y w
+    that sorts before t: the diagonal of T(id) stays, T(r°) loses what the
+    transpose of Tr keeps."""
+
+    def fiber(self, t, rows):
+        for ty, values in super().fiber(t, rows):
+            if len(t) < 2 or sort_key(t) <= sort_key(ty):
+                yield ty, values
+
+
+class DoubledUnit(WordMonad):
+    """e x = (x, x): Tr(e x, e y) = r(x, y) (x) r(x, y), below r(x, y) when
+    the tensor is not idempotent."""
+
+    def unit(self, x):
+        return (x, x)
+
+
+def skew_chain():
+    """The chain 0 < a < b < 1 with unit 1 and a (x) b = a but b (x) a = 0:
+    the word extension is lax functorial only for a commutative tensor."""
+    leq = tuple(tuple(u <= v for v in range(4)) for u in range(4))
+    tensor = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 2, 2), (0, 1, 2, 3))
+    return Quantale(("0", "a", "b", "1"), leq, tensor, 3, name="skew")
+
+
+# (law, monad, quantale, entries of r: X -|-> Y, entries of s: Y -|-> X or
+# None, witness); each reaches its law with the laws before it passing
+PLANTED_LAWS = [
+    ("lax-identity", PairsToBottom(2), quantale_by_name("two"),
+     {("x0", "y1"): 1}, None, ["('x0', 'x0')"]),
+    ("involution", OneSided(2), quantale_by_name("two"),
+     {("x0", "y0"): 1}, None, ["('y0', 'y0')", "('x0', 'x0')"]),
+    ("oplax-unit", DoubledUnit(2), quantale_by_name("lukasiewicz:3"),
+     {("x0", "y0"): 1}, None, ["'x0'", "'y0'"]),
+    # the first failing XX has outer length 1; ((x0,), (x1,)) fails later
+    ("oplax-mult", SortedMult(2), quantale_by_name("two"),
+     {("x0", "y1"): 1, ("x1", "y0"): 1}, None,
+     ["(('x0', 'x1'),)", "(('y1', 'y0'),)"]),
+    ("lax-composition", WordMonad(2), skew_chain(),
+     {("x0", "y0"): 3, ("x1", "y1"): 1}, {("y0", "x0"): 2, ("y1", "x1"): 3},
+     ["('x0', 'x1')", "('x0', 'x1')"]),
+]
+
+
+@pytest.mark.parametrize("plant", PLANTED_LAWS, ids=lambda p: p[0])
+def test_extension_laws_planted_defects(plant):
+    law, monad, q, r_ent, s_ent, witness = plant
+    ext = LaxExtension(monad, q)
+    xs, ys = ("x0", "x1"), ("y0", "y1")
+    rels = [VRel(q, xs, ys, r_ent)]
+    pairs = [] if s_ent is None else [(rels[0], VRel(q, ys, xs, s_ent))]
+    got = check_extension_laws(ext, rels=rels, pairs=pairs)
+    assert (got.status, got.law, got.witness) == ("fail", law, witness)
+    assert fields(got) == fields(extension_laws_oracle(ext, rels, pairs))
+    if law == "oplax-mult":
+        # out-of-bound XX and YY sit before the witness
+        assert got.skipped > 0
+
+
+def algebra_oracle(alg):
+    """check_algebra as written before algebra-mult read the in-bound
+    fragment: all of T(TX) in enumeration order, one skip per XX out of
+    bound or outside the domain of alpha."""
+    rep = Reporter("em_algebra", bound=alg.ext.bound_info())
+    q = alg.quantale
+    monad = alg.ext.monad
+    a0 = alg.a0
+    for x in alg.carrier:
+        rep.tick()
+        if not q.le(q.unit, a0(x, x)):
+            return rep.fail("v-reflexivity", [repr(x)])
+        for y in alg.carrier:
+            for z in alg.carrier:
+                rep.tick()
+                if not q.le(q.tens(a0(x, y), a0(y, z)), a0(x, z)):
+                    return rep.fail("v-transitivity", [repr(x), repr(y), repr(z)])
+    tx = monad.carrier(alg.carrier)
+    for x in alg.carrier:
+        rep.tick()
+        if alg.alpha.get(monad.unit(x)) != x:
+            return rep.fail("algebra-unit", [repr(x)])
+    for xx in monad.carrier(tx):
+        mx = monad.mult(xx)
+        if mx is None or any(t not in alg.alpha for t in monad.letters(xx)):
+            rep.skip()
+            continue
+        rep.tick()
+        if alg.alpha.get(monad.map_elem(lambda t: alg.alpha[t], xx)) != alg.alpha.get(mx):
+            return rep.fail("algebra-mult", [repr(xx)])
+    ta0 = alg.ext.extend(a0)
+    for t in tx:
+        if t not in alg.alpha:
+            rep.skip()
+            continue
+        for u in tx:
+            if u not in alg.alpha:
+                rep.skip()
+                continue
+            rep.tick()
+            if not q.le(ta0(t, u), a0(alg.alpha[t], alg.alpha[u])):
+                return rep.fail("alpha-v-functor", [repr(t), repr(u)])
+    return rep.ok()
+
+
+@pytest.mark.parametrize("mname", ("word:2", "labelled:z2"))
+def test_algebra_mult_matches_full_walk(mname):
+    # M X = (TX, Ta . m-degree, m): for the word monad alpha is partial on
+    # TTX, so algebra-mult skips both out-of-bound XX and XX with a letter
+    # outside its domain
+    ext = LaxExtension(monad_by_name(mname), quantale_by_name("godel:3"))
+    alg = functor_M(discrete(ext, ("a", "b")))
+    # alpha moved at its first and its last XX whose value is not fixed by
+    # reversal: algebra-unit fails at the first, algebra-mult at the last
+    bends = [xx for xx, mx in sorted(alg.alpha.items(), key=sort_key)
+             if mx != mx[::-1]]
+    reports = []
+    for xx in [None, bends[0], bends[-1]]:
+        moved = dict(alg.alpha)
+        if xx is not None:
+            moved[xx] = moved[xx][::-1]
+        bent = EMAlgebra(ext, alg.carrier, alg.a0, moved)
+        got = check_algebra(bent)
+        assert fields(got) == fields(algebra_oracle(bent))
+        reports.append(got)
+    assert [r.law for r in reports] == [None, "algebra-unit", "algebra-mult"]
+    assert reports[2].skipped > 0 or not ext.monad.bounded
+
+
+# ---- which XX the rewritten checks apply m to ----
+
+class CountingMult(WordMonad):
+    """The word monad, counting the calls of m."""
+
+    calls = 0
+
+    def mult(self, tt):
+        self.calls += 1
+        return super().mult(tt)
+
+
+def inbound_count(monad, xs):
+    """The number of in-bound XX of T(T xs), counted without m."""
+    return sum(1 for _ in monad.inbound(monad.carrier(xs)))
+
+
+@pytest.mark.parametrize("qname", ("two", "godel:3"))
+def test_checks_apply_m_to_their_fragments_alone(qname):
+    # each check calls m only through the in-bound fragment of the TTX it
+    # reads, and the closure scan on T(supp a) besides; a walk of all of TTX
+    # would call it |TTX| times, millions for the extension laws over word:3.
+    # The dst carrier T(TY) of TTr is enumerated, but never passed to m.
+    monad = CountingMult(3)
+    q = quantale_by_name(qname)
+    size = monad.carrier_size
+    rng = random.Random("calls:%s" % qname)
+    xs = ("x0", "x1")
+    assert check_extension_laws(LaxExtension(monad, q)).passed
+    assert 0 < monad.calls <= inbound_count(monad, xs)
+    assert monad.calls * 10 < size(size(len(xs)))
+    xs = ("a", "b", "c")
+    for s, defect in ((discrete(LaxExtension(monad, q), xs), False),
+                      (reflexive(LaxExtension(monad, q), xs, rng), True)):
+        monad.calls = 0
+        closed = graph_to_category(s)
+        assert closed.flags.get("bounded_closure", False) == defect
+        assert monad.calls <= (inbound_count(monad, xs)
+                               + size(len(closed.a.rows())))
+        # the scan stops at the first defect out of bound
+        assert monad.calls * 10 < size(size(len(xs)))
+    xs = ("a",)
+    for s in (discrete(LaxExtension(monad, q), xs),
+              random_category(LaxExtension(monad, q), xs, rng)):
+        alg = functor_M(s)
+        monad.calls = 0
+        assert check_algebra(alg).passed
+        assert 0 < monad.calls <= inbound_count(monad, alg.carrier)
+        assert monad.calls * 10 < size(size(len(alg.carrier)))

@@ -8,6 +8,7 @@ import pytest
 from tvcat.categories import (check_category, check_functor, discrete,
                               from_order, separated, v_hom_xi)
 from tvcat.exponential import check_exponentiability
+from tvcat.limits import GuardError
 from tvcat.monads import monad_by_name
 from tvcat.presheaf import (NoExtensionFound, NotSeparated,
                             build_presheaf_category, certify_injective,
@@ -27,6 +28,17 @@ def downsets(xs, pairs):
         if all(member[x] >= member[y] for (x, y) in order):
             out.append(bits)
     return out
+
+
+def test_presheaf_guard_precedes_the_dual(monkeypatch, ext_word2):
+    # the dual reads T(TX), which the carrier guard must refuse first
+    def no_dual(s):
+        raise AssertionError("dual built before the presheaf carrier guard")
+
+    monkeypatch.setattr("tvcat.presheaf.dual", no_dual)
+    s = discrete(ext_word2, ("a", "b"))
+    with pytest.raises(GuardError, match="presheaf carrier"):
+        build_presheaf_category(s, guard=1)
 
 
 def test_presheaf_counts_are_downsets(ext_ord):
