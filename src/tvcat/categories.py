@@ -10,8 +10,9 @@ The fibers of the multiplication m are joined over in one place, the functor
 M X = (TX, Ta . m-degree, m); K reads an algebra back along its algebra map.
 The dual X^op is K((M X)-degree), read along m, and the canonical structure
 on TX that representability is tested against is K M X.  The Kleisli
-composite a . Ta is VRel.compose.  Every walk of TTX here, algebra-mult's
-too, reads ext.fragment; the closure's defect scan reads T(supp a) alone.
+composite a . Ta is VRel.compose, read by (T), the closure and the frame
+criterion.  The checks walk TTX through ext.walk, the closure and M read
+ext.fragment, and the closure's defect scan reads T(supp a) alone.
 """
 
 from __future__ import annotations
@@ -124,30 +125,28 @@ def check_graph(s: TVStructure) -> CheckReport:
 
 
 def check_category(s: TVStructure) -> CheckReport:
-    """(R) and (T) with witnesses; (T) quantifies over in-bound TTX only."""
+    """(R), then (T): a . Ta <= a . m on in-bound TTX.  A join is below a
+    value exactly when each term is, so only a failing row of a . Ta is
+    scanned, t before x, for the witness term Ta(XX, t) (x) a(t, x)."""
     rep = Reporter("category", bound=s.ext.bound_info())
     q = s.quantale
     sub = check_graph(s)
     rep.tick(sub.samples)
     if not sub.passed:
         return rep.fail(sub.law, sub.witness, **sub.details)
-    rows, tail, xxs = s.ext.fragment(s.tx)
-    ta = s.ext.extend(s.a, src=xxs)
-    bot = q.bottom
-    for gap, xx, mx in rows:
-        rep.skip(gap)
-        for xv in s.tx:
-            v1 = ta(xx, xv)
-            if v1 == bot:
-                rep.tick(len(s.carrier))
-                continue
-            for x in s.carrier:
-                rep.tick()
-                lhs = q.tens(v1, s.a(xv, x))
-                if not q.le(lhs, s.a(mx, x)):
-                    return rep.fail("transitivity", [repr(xx), repr(xv), repr(x)],
-                                    lhs=q.labels[lhs], rhs=q.labels[s.a(mx, x)])
-    rep.skip(tail)
+    ta = s.ext.extend(s.a, src=s.ext.fragment(s.tx)[2])
+    via = s.a.compose(ta)
+    nt, nx = len(s.tx), len(s.carrier)
+    for k, (xx, mx) in enumerate(s.ext.walk(s.tx, rep)):
+        if all(q.le(via(xx, x), s.a(mx, x)) for x in s.carrier):
+            continue
+        for (j, t), (i, x) in iter_product(enumerate(s.tx), enumerate(s.carrier)):
+            lhs, rhs = q.tens(ta(xx, t), s.a(t, x)), s.a(mx, x)
+            if not q.le(lhs, rhs):
+                rep.tick((k * nt + j) * nx + i + 1)
+                return rep.fail("transitivity", [repr(xx), repr(t), repr(x)],
+                                lhs=q.labels[lhs], rhs=q.labels[rhs])
+    rep.tick(len(ta.src) * nt * nx)
     return rep.ok()
 
 
@@ -479,16 +478,13 @@ def check_algebra(alg: EMAlgebra) -> CheckReport:
         rep.tick()
         if alg.alpha.get(monad.unit(x)) != x:
             return rep.fail("algebra-unit", [repr(x)])
-    rows, tail, _ = alg.ext.fragment(tx)
-    for gap, xx, mx in rows:
-        rep.skip(gap)
+    for xx, mx in alg.ext.walk(tx, rep):
         if any(t not in alg.alpha for t in monad.letters(xx)):
             rep.skip()
             continue
         rep.tick()
         if alg.alpha.get(monad.map_elem(lambda t: alg.alpha[t], xx)) != alg.alpha.get(mx):
             return rep.fail("algebra-mult", [repr(xx)])
-    rep.skip(tail)
     ta0 = alg.ext.extend(a0)
     for t in tx:
         if t not in alg.alpha:
@@ -552,7 +548,6 @@ def find_representation(s: TVStructure, guard: int | None = None):
     monad = s.monad
     tx = s.tx
     check_guard(len(s.carrier) ** len(tx), "representation search", guard)
-    rows, tail, _ = s.ext.fragment(tx)
     hat = functor_K(functor_M(s)).a
     a0 = s.a0()
     e = monad.unit
@@ -568,14 +563,12 @@ def find_representation(s: TVStructure, guard: int | None = None):
             continue
         rep = Reporter("representation", bound=s.ext.bound_info())
         pseudo = True
-        for gap, xx, mx in rows:
-            rep.skip(gap)
+        for xx, mx in s.ext.walk(tx, rep):
             rep.tick()
             lhs = alpha[monad.map_elem(lambda u: alpha[u], xx)]
             rhs = alpha[mx]
             if not (q.le(q.unit, a0(lhs, rhs)) and q.le(q.unit, a0(rhs, lhs))):
                 pseudo = False
-        rep.skip(tail)
         return alpha, rep.ok(pseudo_algebra=pseudo)
     return None
 

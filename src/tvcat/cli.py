@@ -354,6 +354,12 @@ def main(argv=None) -> int:
     try:
         structures = [structure_from_file(getattr(args, name))
                       for name in args.files]
+        for s in structures[1:]:
+            if s.quantale != structures[0].quantale:
+                raise FormatError("the structure files are over different "
+                                  "quantales")
+            if s.monad.describe() != structures[0].monad.describe():
+                raise FormatError("the structure files are over different monads")
         code, payload = args.action(args, *structures)
     except (FormatError, GuardError, NotSeparated, OSError,
             json.JSONDecodeError) as exc:

@@ -135,13 +135,11 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
     (XX, x) joins over the distinct value pairs of such middle points t."""
     rep = Reporter("exponentiability", bound=sx.ext.bound_info())
     q = sx.quantale
-    rows, tail, xxs = sx.ext.fragment(sx.tx)
-    ta_rows = sx.ext.extend(sx.a, src=xxs).rows()
+    ta_rows = sx.ext.extend(sx.a, src=sx.ext.fragment(sx.tx)[2]).rows()
     a_rows = {t: dict(row) for t, row in sx.a.rows().items()}
     meet, tensor = q.meet, q.tensor
     elems = range(q.n)
-    for gap, xx, mx in rows:
-        rep.skip(gap)
+    for xx, mx in sx.ext.walk(sx.tx, rep):
         row = ta_rows.get(xx, ())
         for x in sx.carrier:
             pairs = {(v1, a_rows[t][x]) for t, v1 in row if x in a_rows.get(t, ())}
@@ -155,7 +153,6 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
                         return rep.fail("splitting", [repr(xx), repr(x),
                                                       q.labels[u], q.labels[v]],
                                         lhs=q.labels[lhs], rhs=q.labels[rhs])
-    rep.skip(tail)
     return rep.ok()
 
 
@@ -168,11 +165,9 @@ def check_frame_criterion(sx: TVStructure,
     if not q.is_frame():
         raise FormatError("the frame criterion needs a frame quantale")
     rep = Reporter("frame_criterion", bound=sx.ext.bound_info())
-    rows, tail, xxs = sx.ext.fragment(sx.tx)
-    via = sx.a.compose(sx.ext.extend(sx.a, src=xxs))
+    via = sx.a.compose(sx.ext.extend(sx.a, src=sx.ext.fragment(sx.tx)[2]))
     expo = (check_exponentiability(sx) if expo is None else expo).passed
-    for gap, xx, mx in rows:
-        rep.skip(gap)
+    for xx, mx in sx.ext.walk(sx.tx, rep):
         for x in sx.carrier:
             rep.tick()
             via_m, via_ta = sx.a(mx, x), via(xx, x)
@@ -180,7 +175,6 @@ def check_frame_criterion(sx: TVStructure,
                 return rep.fail("composite-mismatch", [repr(xx), repr(x)],
                                 via_m=q.labels[via_m], via_ta=q.labels[via_ta],
                                 exponentiability=expo)
-    rep.skip(tail)
     return rep.ok(exponentiability=expo)
 
 

@@ -12,8 +12,10 @@ Checks that quantify over TTX read only its in-bound fragment (where m is
 defined); ``fragment`` gives them that fragment per carrier, generated in
 sort_key order by the monad's ``inbound`` without enumerating or sorting
 the rest of TTX (the tests keep that sort as its oracle), with the count of
-out-of-bound elements between its members, so Ta (TTr in the op-lax mult
-square) is computed on it alone and skips are still counted.
+out-of-bound elements between its members, which ``walk`` counts as skips,
+so Ta (TTr in the op-lax mult square) is computed on it alone.  The square
+reads only the non-bottom row of TTr at each XX and counts the rest of TTY
+in closed form.
 ``sorted_carrier`` is the sort_key order of T(X), sorted once per carrier.
 
 Checks over many pairs of relations (the extension laws, the infi pairs of
@@ -83,7 +85,7 @@ class LaxExtension:
         carrier: (rows, tail, xxs), where rows lists (gap, XX, m XX) in
         sort_key order, gap counting the out-of-bound XX just before XX,
         tail counts those after the last row, and xxs holds the XX alone.
-        Checks over TTX visit the rows in this order and skip each gap."""
+        Checks over TTX visit the rows through ``walk``."""
         frag = self._mult_cache.get(tx)
         if frag is None:
             mult = self.monad.mult
@@ -95,6 +97,15 @@ class LaxExtension:
                 tuple(rows), self.monad.carrier_size(len(tx)) - nxt,
                 tuple(xx for _, xx, _ in rows))
         return frag
+
+    def walk(self, tx: tuple, rep: Reporter):
+        """The rows (XX, m XX) of fragment(tx), skipping each gap on rep
+        before its row, and the tail only if the walk runs to its end."""
+        rows, tail, _ = self.fragment(tx)
+        for gap, xx, mx in rows:
+            rep.skip(gap)
+            yield xx, mx
+        rep.skip(tail)
 
     def can_map(self, xs: tuple, ys: tuple) -> dict:
         """monads.can_map, once per carrier pair."""
@@ -174,19 +185,25 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
                 if not q.le(r(x, y), tr(monad.unit(x), monad.unit(y))):
                     return rep.fail("oplax-unit", [repr(x), repr(y)])
         # op-lax mult square: TTr(XX, YY) <= Tr(m XX, m YY) on the in-bound
-        # fragments of TTX and TTY; each out-of-bound XX counts one skip
-        rows, tail, xxs = ext.fragment(tr.src)
+        # fragments of TTX and TTY.  Only a non-bottom cell of TTr can fail,
+        # so each XX reads its row of TTr alone and counts the other in-bound
+        # YY in bulk, with one skip per out-of-bound YY up to the witness
         yrows, ytail, _ = ext.fragment(tr.dst)
-        ttr = ext.extend(tr, src=xxs)
-        for gap, xx, mx in rows:
-            rep.skip(gap)
-            for ygap, yy, my in yrows:
-                rep.skip(ygap)
-                rep.tick()
-                if not q.le(ttr(xx, yy), tr(mx, my)):
-                    return rep.fail("oplax-mult", [repr(xx), repr(yy)])
-            rep.skip(ytail)
-        rep.skip(tail)
+        ypos, ygaps = {}, 0
+        for j, (ygap, yy, my) in enumerate(yrows):
+            ygaps += ygap
+            ypos[yy] = (j, yy, my, ygaps)
+        ttr = ext.extend(tr, src=ext.fragment(tr.src)[2]).rows()
+        for xx, mx in ext.walk(tr.src, rep):
+            bad = [ypos[yy] for yy, v in ttr.get(xx, ())
+                   if yy in ypos and not q.le(v, tr(mx, ypos[yy][2]))]
+            if bad:
+                j, yy, _, skipped = min(bad)
+                rep.tick(j + 1)
+                rep.skip(skipped)
+                return rep.fail("oplax-mult", [repr(xx), repr(yy)])
+            rep.tick(len(yrows))
+            rep.skip(ygaps + ytail)
     for r, s in pairs:
         if r.dst != s.src:
             continue

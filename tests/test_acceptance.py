@@ -33,7 +33,7 @@ from tvcat.presheaf import (build_presheaf_category, certify_injective,
 from tvcat.quantale import (chain_trunc_add, check_condition_inj,
                             check_quantale, godel_chain, lukasiewicz,
                             powerset_frame, quantale_by_name, two)
-from tvcat.theory import (LaxExtension, check_assumption3,
+from tvcat.theory import (LaxExtension, Lifts, check_assumption3,
                           check_assumptions_bundle, check_extension_laws,
                           check_infi)
 from tvcat.vrel import all_relations, constant_rel
@@ -89,9 +89,11 @@ def extension_grid():
         laws = check_extension_laws(ext, rels=rels, pairs=pairs)
         infi_witness = None
         infi_rels = rels if (qname, mname) in CELLS + WORD3_INFI else []
+        # one memo of extensions per cell, as check_assumptions_bundle keeps
+        lifts = Lifts(ext)
         for r in infi_rels:
             for s in rels:
-                rep = check_infi(ext, r, s)
+                rep = check_infi(ext, r, s, lifts)
                 if not rep.passed:
                     infi_witness = rep
                     break

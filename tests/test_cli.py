@@ -165,6 +165,33 @@ def test_exp_and_psh_pipeline(capsys, chain2_file):
         assert code == 0, (sub, out)
 
 
+@pytest.mark.parametrize("mismatch", ["quantale", "monad"])
+@pytest.mark.parametrize("command", [
+    ["cat", "product"], ["cat", "tensor"], ["cat", "coproduct"],
+    ["exp", "build"], ["exp", "curry"], ["psh", "weak-exp"]],
+    ids=lambda c: " ".join(c))
+def test_structure_files_share_quantale_and_monad(capsys, tmp_path, command,
+                                                  mismatch):
+    # a structure file over two and the identity monad, against one over
+    # godel:3 (a quantale mismatch) or over word:2 (a monad mismatch)
+    paths = {}
+    for name, q, m in (("a", "two", "identity"), ("b", "godel:3", "identity"),
+                       ("w", "two", "word:2")):
+        p = tmp_path / ("%s.json" % name)
+        p.write_text(json.dumps({"quantale": q, "monad": m, "carrier": ["a"],
+                                 "structure": {}}))
+        paths[name] = str(p)
+    other = paths["b" if mismatch == "quantale" else "w"]
+    files = [paths["a"], other]
+    if command == ["exp", "curry"]:
+        files = ["--z", paths["a"], "--x", paths["a"], "--y", other,
+                 "--map", '{"a;a": "a"}']
+    assert main(command + files) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert mismatch in err
+
+
 def test_psh_injective_failure_exit(capsys, tmp_path):
     p = tmp_path / "anti.json"
     p.write_text(json.dumps({

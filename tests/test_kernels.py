@@ -5,9 +5,9 @@ compatible, for exponentials (Heyting implication) and presheaf categories
 enumeration of T(X x Y); the checks that read only the in-bound fragment of
 TTX against their loops over all of it, the representation search, the
 op-lax mult square of the extension laws and algebra-mult included, with a
-planted defect per extension law and a count of the XX passed to m; and the
-sparse comparison square of check_infi and sparse owedge against their
-dense loops."""
+planted defect per extension law, planted (T) witnesses past passing terms
+and a count of the XX passed to m; and the sparse comparison square of
+check_infi and sparse owedge against their dense loops."""
 
 import itertools
 import random
@@ -247,7 +247,8 @@ def test_extension_needs_bottom_to_absorb_the_tensor(tensor, unit):
 #
 # Each oracle is the loop as written before the in-bound fragment: Ta on
 # all of TTX by the literal enumeration, TTX sorted per call and m applied
-# per element.
+# per element.  category_oracle also keeps (T) term by term, as it was
+# before check_category read the composite a . Ta.
 
 def category_oracle(s):
     rep = Reporter("category", bound=s.ext.bound_info())
@@ -530,6 +531,75 @@ def test_inbound_consumers_skip_before_a_witness(plant, qname):
     assert [fields(r) for r in got] == [fields(r) for r in expect]
     rep = next(r for r in got if r.check == check)
     assert rep.status == "fail" and rep.skipped > 0 and rep.witness[0] == xx
+
+
+def planted(ext, xs, cells):
+    """The discrete structure on xs with the given cells raised to the
+    given labels."""
+    q = ext.quantale
+    s = discrete(ext, xs)
+    ent = dict(s.a.entries)
+    ent.update({cell: q.index(lab) for cell, lab in cells.items()})
+    return TVStructure(ext, xs, VRel(q, s.tx, xs, ent))
+
+
+# (name, quantales, monads, the structure under test as a function of the
+# extension); each first fails (T) at a row whose witness term has t and x
+# past the first of their carriers and passing non-bottom terms before it
+PLANTED_T = [
+    # the failing row is an XX of outer length 2 with out-of-bound XX before
+    ("after-skips", ("two", "lukasiewicz:3"), ("word:2", "word:3"),
+     lambda ext: planted(ext, ("b", "a"), {
+         (("b", "a"), "a"): "1", ((), "a"): "1", (("b", "a"), "b"): "1"})),
+    # the failing row also fails at a later t and an earlier x, so the
+    # witness depends on scanning t before x
+    ("t-before-x", ("lukasiewicz:3",), ("word:2", "word:3"),
+     lambda ext: planted(ext, ("b", "a"), {
+         (("a", "b"), "b"): "1/2", (("b",), "a"): "1", (("a", "b"), "a"): "1/2",
+         (("b", "a"), "a"): "1", (("b", "b"), "a"): "1/2"})),
+    # graph exponentials, whose carriers of maps are out of sort_key order
+    ("exponential-after-skips", ("two", "lukasiewicz:3"), ("word:2",),
+     lambda ext: graph_exponential(
+         graph_to_category(planted(ext, ("b", "a"), {(("a", "b"), "a"): "1"})),
+         graph_to_category(planted(ext, ("d", "c"), {
+             ((), "c"): "1", (("c", "c"), "d"): "1"}))).structure),
+    ("exponential-t-before-x", ("two", "lukasiewicz:3"), ("word:2",),
+     lambda ext: graph_exponential(
+         graph_to_category(planted(ext, ("b", "a"), {(("a", "a"), "b"): "1"})),
+         graph_to_category(planted(ext, ("d", "c"), {
+             (("c", "d"), "d"): "1", (("d", "d"), "c"): "1"}))).structure),
+]
+
+
+@pytest.mark.parametrize("case", [
+    (name, qname, mname, build) for name, qnames, mnames, build in PLANTED_T
+    for qname in qnames for mname in mnames],
+    ids=lambda c: "%s-%s-%s" % c[:3])
+def test_transitivity_witness_is_the_first_failing_term(case):
+    name, qname, mname, build = case
+    ext = LaxExtension(monad_by_name(mname), quantale_by_name(qname))
+    q = ext.quantale
+    s = build(ext)
+    got = check_category(s)
+    assert fields(got) == fields(category_oracle(s))
+    assert got.law == "transitivity"
+    # the terms Ta(XX, t) (x) a(t, x) of the witness row, by position of t
+    # in TX and of x in the carrier, against a(m XX, x)
+    ta = literal_extension(ext, s.a)
+    xx = next(xx for xx in ta.src if repr(xx) == got.witness[0])
+    mx = ext.monad.mult(xx)
+    terms = {(j, i): (q.tens(ta(xx, t), s.a(t, x)), s.a(mx, x))
+             for j, t in enumerate(s.tx) for i, x in enumerate(s.carrier)}
+    fails = sorted(ji for ji, (lhs, rhs) in terms.items() if not q.le(lhs, rhs))
+    j, i = fails[0]
+    assert got.witness[1:] == [repr(s.tx[j]), repr(s.carrier[i])]
+    assert j > 0 and i > 0
+    assert any(lhs != q.bottom and (jj, ii) < (j, i)
+               for (jj, ii), (lhs, rhs) in terms.items() if q.le(lhs, rhs))
+    if name.endswith("after-skips"):
+        assert got.skipped > 0
+    else:
+        assert any(jj > j and ii < i for jj, ii in fails)
 
 
 @pytest.mark.parametrize("cell", CONSUMER_CELLS + [("godel:3", "identity", 8)],
