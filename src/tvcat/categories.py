@@ -13,6 +13,11 @@ on TX that representability is tested against is K M X.  The Kleisli
 composite a . Ta is VRel.compose, read by (T), the closure and the frame
 criterion.  The checks walk TTX through ext.walk, the closure and M read
 ext.fragment, and the closure's defect scan reads T(supp a) alone.
+
+compatible_maps is the one search for maps h with a(t, x) <= b(Th t, h x):
+the exponential and presheaf carriers, the representation search and weak
+factorization all run it.  The algebra law alpha-v-functor reads only the
+non-bottom rows of Ta0 on the domain of alpha.
 """
 
 from __future__ import annotations
@@ -192,6 +197,33 @@ def functor_leq(f: TVFunctor, g: TVFunctor) -> bool:
 
 def functor_equiv(f: TVFunctor, g: TVFunctor) -> bool:
     return functor_leq(f, g) and functor_leq(g, f)
+
+
+def compatible_maps(q: Quantale, monad: TheoryMonad, domains: dict, entries, b):
+    """The maps h with h(k) in domains[k] and v <= b(Th t, h x) at every
+    non-bottom entry ((t, x), v), as value tuples in itertools.product order.
+    An entry is tested once h is fixed on x and on the letters of t, so a
+    failing prefix is pruned; the search keeps a stack, not a recursion."""
+    keys = tuple(domains)
+    pos = {k: i for i, k in enumerate(keys)}
+    tests = [[] for _ in keys]
+    for (t, x), v in entries:
+        if v != q.bottom:
+            tests[max(pos[k] for k in (x, *monad.letters(t)))].append((t, x, v))
+    h = {}
+    stack = [iter(domains[keys[0]])]
+    while stack:
+        i = len(stack) - 1
+        for h[keys[i]] in stack[i]:
+            if all(q.le(v, b(monad.map_elem(h.__getitem__, t), h[x]))
+                   for t, x, v in tests[i]):
+                if i + 1 == len(keys):
+                    yield tuple(h[k] for k in keys)
+                else:
+                    stack.append(iter(domains[keys[i + 1]]))
+                    break
+        else:
+            stack.pop()
 
 
 # ---- initial and final lifts ----
@@ -485,18 +517,23 @@ def check_algebra(alg: EMAlgebra) -> CheckReport:
         rep.tick()
         if alg.alpha.get(monad.map_elem(lambda t: alg.alpha[t], xx)) != alg.alpha.get(mx):
             return rep.fail("algebra-mult", [repr(xx)])
-    ta0 = alg.ext.extend(a0)
-    for t in tx:
-        if t not in alg.alpha:
-            rep.skip()
-            continue
-        for u in tx:
-            if u not in alg.alpha:
-                rep.skip()
-                continue
-            rep.tick()
-            if not q.le(ta0(t, u), a0(alg.alpha[t], alg.alpha[u])):
-                return rep.fail("alpha-v-functor", [repr(t), repr(u)])
+    # alpha-v-functor, Ta0(t, u) <= a0(alpha t, alpha u) over tx x tx with
+    # t and u in the domain of alpha: only a non-bottom cell can fail, so
+    # the rows of Ta0 are read on that domain alone and the cells up to the
+    # first failure counted in closed form: a t outside alpha is one skip,
+    # a t inside it ticks each u inside and skips each u outside
+    alpha = alg.alpha
+    rank = {t: i for i, t in enumerate(tx)}
+    ta0 = alg.ext.extend(a0, src=tuple(t for t in tx if t in alpha)).rows()
+    bad = min(((rank[t], rank[u]) for t, row in ta0.items() for u, v in row
+               if u in alpha and not q.le(v, a0(alpha[t], alpha[u]))), default=None)
+    inside = [t in alpha for t in tx]
+    i, j = bad or (len(tx), -1)
+    rows_in, cols_in = sum(inside[:i]), sum(inside[:j + 1])
+    rep.tick(rows_in * sum(inside) + cols_in)
+    rep.skip(i - rows_in + rows_in * inside.count(False) + j + 1 - cols_in)
+    if bad:
+        return rep.fail("alpha-v-functor", [repr(tx[i]), repr(tx[j])])
     return rep.ok()
 
 
@@ -550,17 +587,13 @@ def find_representation(s: TVStructure, guard: int | None = None):
     check_guard(len(s.carrier) ** len(tx), "representation search", guard)
     hat = functor_K(functor_M(s)).a
     a0 = s.a0()
-    e = monad.unit
     order = sorted(s.carrier, key=sort_key)
-    tx_sorted = sorted(tx, key=sort_key)
-    for values in iter_product(order, repeat=len(tx_sorted)):
-        alpha = dict(zip(tx_sorted, values))
-        if not all(q.le(q.unit, a0(alpha[e(x)], x))
-                   and q.le(q.unit, a0(x, alpha[e(x)])) for x in s.carrier):
-            continue
-        if not all(q.le(v, s.a(monad.map_elem(lambda u: alpha[u], xx), alpha[t]))
-                   for (xx, t), v in hat.entries.items()):
-            continue
+    domains = {t: order for t in sorted(tx, key=sort_key)}
+    for x in s.carrier:
+        domains[monad.unit(x)] = [y for y in order if q.le(q.unit, a0(y, x))
+                                  and q.le(q.unit, a0(x, y))]
+    for values in compatible_maps(q, monad, domains, hat.entries.items(), s.a):
+        alpha = dict(zip(domains, values))
         rep = Reporter("representation", bound=s.ext.bound_info())
         pseudo = True
         for xx, mx in s.ext.walk(tx, rep):

@@ -7,18 +7,19 @@ serve as carrier elements themselves.  The structure b^a is the largest
 structure making evaluation compatible, computed by ``largest_compatible``
 with Heyting-implication meets; since binary meet distributes over joins,
 the defining supremum is attained and the meet formula is exact.  The
-presheaf category (presheaf.py) is built by the same kernel with
-residuation in place of implication, and its carrier filter uses the same
-``point_tests``.
+admissible maps are found by ``categories.compatible_maps``, which tests
+each point test as soon as the map is fixed on its letters.  The presheaf
+category (presheaf.py) is built by the same two kernels: its carrier is
+the same search over the same ``point_tests``, and its structure is
+``largest_compatible`` with residuation in place of implication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .categories import (TVFunctor, TVStructure, check_category, check_functor,
-                         product)
+                         compatible_maps, product)
 from .limits import check_guard
 from .monads import TheoryMonad, can_map
 from .quantale import FormatError
@@ -102,17 +103,11 @@ def admissible_maps(sx: TVStructure, sy: TVStructure,
     """Maps h: X -> Y underlying structure-compatible maps X x E -> Y: over
     every T-element t of X from point_tests, a(t, x) /\\ k <= b(Th t, h x)."""
     q = sx.quantale
-    monad = sx.monad
     check_guard(len(sy.carrier) ** len(sx.carrier), "exponential carrier", guard)
-    tests = point_tests(monad, sx.carrier)
-    out = []
-    for values in iter_product(sy.carrier, repeat=len(sx.carrier)):
-        h = dict(zip(sx.carrier, values))
-        if all(q.le(q.meet[sx.a(t, x)][q.unit],
-                    sy.a(monad.map_elem(lambda z: h[z], t), h[x]))
-               for t in tests for x in sx.carrier):
-            out.append(tuple(values))
-    return tuple(out)
+    return tuple(compatible_maps(
+        q, sx.monad, {x: sy.carrier for x in sx.carrier},
+        (((t, x), q.meet[sx.a(t, x)][q.unit])
+         for t in point_tests(sx.monad, sx.carrier) for x in sx.carrier), sy.a))
 
 
 def graph_exponential(sx: TVStructure, sy: TVStructure,

@@ -313,11 +313,13 @@ def monad_from_dict(d: dict) -> TheoryMonad:
 
 def monad_by_name(spec: str) -> TheoryMonad:
     """Resolve compact CLI syntax: identity, word:2, labelled:z2, ..."""
-    base, _, arg = spec.partition(":")
+    base, sep, arg = spec.partition(":")
     if base == "labelled":
         if arg != "z2":
             raise FormatError("unknown builtin monoid %r (only z2)" % arg)
         return LabelledMonad(z2())
+    if sep and base in ("identity", "finite_ultrafilter"):
+        raise FormatError("monad %s takes no parameter" % base)
     return monad_from_dict({"kind": base, "max_len": arg})
 
 

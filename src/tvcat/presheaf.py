@@ -3,10 +3,12 @@
 PX is the set of structure-compatible maps from the dual of X into the
 quantale with its hom_xi structure; elements are stored as tuples of value
 indices in the enumeration order of TX, so they double as carrier elements.
-PX is an exponential of (V, hom_xi): its carrier filter and its structure
-share one kernel with the graph exponential (``point_tests`` and
-``largest_compatible`` in exponential.py), with residuation in place of
-Heyting implication.  The structure's correctness is not assumed but
+PX is an exponential of (V, hom_xi): its carrier and its structure come
+from the kernels of the graph exponential, the search
+``categories.compatible_maps`` over ``point_tests`` and
+``largest_compatible`` (exponential.py), with residuation in place of
+Heyting implication.  Weak factorization searches with ``compatible_maps``
+as well when TX is not X.  The structure's correctness is not assumed but
 certified per instance by the full faithfulness of the Yoneda map and the
 separation and injectivity checks.
 """
@@ -14,10 +16,11 @@ separation and injectivity checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from math import prod
 
 from .categories import (TVFunctor, TVStructure, check_fully_faithful,
-                         check_functor, dual, product, separated, subspace)
+                         check_functor, compatible_maps, dual, product,
+                         separated, subspace)
 from .exponential import (check_exponentiability, graph_exponential,
                           largest_compatible, point_tests)
 from .limits import check_guard
@@ -55,26 +58,13 @@ def build_presheaf_category(s: TVStructure, guard: int | None = None) -> Preshea
     tx = s.tx
     check_guard(q.n ** len(tx), "presheaf carrier", guard)
     op = dual(s)
-    # presheaf condition, weakened through the one-point generator exactly
-    # like the exponential carrier: for the point tests T of TX,
-    # aop(T, t) <= hom(xi(Tpsi T), psi t).  For the identity monad this is
-    # the plain compatibility condition for maps out of the dual.
-    tests = point_tests(monad, tx)
-    carrier = []
-    for values in iter_product(range(q.n), repeat=len(tx)):
-        psi = dict(zip(tx, values))
-        ok = True
-        for tt in tests:
-            xi = monad.xi(monad.map_elem(lambda t: psi[t], tt), q)
-            for t in tx:
-                if not q.le(op.a(tt, t), q.hom[xi][psi[t]]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            carrier.append(tuple(values))
-    carrier = tuple(sorted(carrier, key=sort_key))
+    # the presheaf condition through the one-point generator, as for the
+    # exponential carrier: aop(T, t) <= hom(xi(Tpsi T), psi t) at the point
+    # tests T of TX (for the identity monad, compatibility out of the dual)
+    carrier = tuple(sorted(compatible_maps(
+        q, monad, {t: range(q.n) for t in tx},
+        (((tt, t), op.a(tt, t)) for tt in point_tests(monad, tx) for t in tx),
+        lambda tv, u: q.hom[monad.xi(tv, q)][u]), key=sort_key))
     rel = largest_compatible(s.ext, carrier, op.a,
                              lambda tev: q.hom[monad.xi(tev, q)], q.hom, guard)
     px = TVStructure(s.ext, carrier, rel,
@@ -322,20 +312,14 @@ def weak_factorize(wexp: WeakExponential, fmap: dict,
             if not cands:
                 raise NoExtensionFound("no candidate at %r" % (z,))
             per_z[z] = cands
-        total = 1
-        for z in sz.carrier:
-            total *= len(per_z[z])
-        check_guard(total, "weak factorization search", guard)
-        ft = None
-        for values in iter_product(*(per_z[z] for z in sz.carrier)):
-            cand = TVFunctor(sz, wexp.structure,
-                             dict(zip(sz.carrier, values)))
-            if check_functor(cand).passed:
-                ft = cand
-                break
-        if ft is None:
+        check_guard(prod(map(len, per_z.values())), "weak factorization search",
+                    guard)
+        values = next(compatible_maps(q, sz.monad, per_z, sz.a.entries.items(),
+                                      wexp.structure.a), None)
+        if values is None:
             raise NoExtensionFound("search exhausted without a compatible "
                                    "factorization")
+        ft = TVFunctor(sz, wexp.structure, dict(zip(per_z, values)))
     sub = check_functor(ft)
     if not sub.passed:
         raise NoExtensionFound("constructed factorization is not "

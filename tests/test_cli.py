@@ -57,6 +57,18 @@ def test_unknown_quantale_is_usage_error(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec", ["nosuch", "labelled:z3", "identity:junk",
+                                  "finite_ultrafilter:9"])
+@pytest.mark.parametrize("argv", [["monad", "check"],
+                                  ["theory", "check-assumptions", "--quantale",
+                                   "two", "--monad"]], ids=["monad", "theory"])
+def test_unknown_monad_is_usage_error(capsys, argv, spec):
+    # a parameter the monad does not take is refused, not ignored
+    assert main(argv + [spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_extension_over_a_non_absorbing_bottom_is_usage_error(capsys, tmp_path):
     # the join as tensor, with unit 0: 1 (x) 0 = 1 breaks tensor-bottom, the
     # one quantale law it fails, which the lax extension needs

@@ -1,10 +1,13 @@
 """The shared relational kernels and fast paths against the loops they
 replaced: push-forward of entries; the largest structure making evaluation
 compatible, for exponentials (Heyting implication) and presheaf categories
-(residuation); the fiber-direct lax extension against the literal
+(residuation); the search for structure-compatible maps against the
+product loops of the exponential carrier, the presheaf carrier and weak
+factorization, over carriers in and out of sort_key order, and at 1,200
+points; the fiber-direct lax extension against the literal
 enumeration of T(X x Y); the checks that read only the in-bound fragment of
 TTX against their loops over all of it, the representation search, the
-op-lax mult square of the extension laws and algebra-mult included, with a
+op-lax mult square of the extension laws and the algebra laws included, with a
 planted defect per extension law, planted (T) witnesses past passing terms
 and a count of the XX passed to m; and the sparse comparison square of
 check_infi and sparse owedge against their dense loops."""
@@ -14,14 +17,17 @@ import random
 
 import pytest
 
-from tvcat.categories import (EMAlgebra, TVStructure, check_algebra,
-                              check_category, check_graph, discrete, dual,
+from tvcat.categories import (EMAlgebra, TVFunctor, TVStructure, check_algebra,
+                              check_category, check_functor, check_graph,
+                              compatible_maps, discrete, dual,
                               find_representation, functor_M,
-                              graph_to_category, random_category)
-from tvcat.exponential import (check_exponentiability, check_frame_criterion,
-                               graph_exponential)
+                              graph_to_category, one_point, random_category)
+from tvcat.exponential import (admissible_maps, check_exponentiability,
+                               check_frame_criterion, graph_exponential,
+                               point_tests)
 from tvcat.monads import WordMonad, monad_by_name
-from tvcat.presheaf import build_presheaf_category
+from tvcat.presheaf import (build_presheaf_category, weak_exponential,
+                            weak_factorize)
 from tvcat.quantale import FormatError, Quantale, quantale_by_name
 from tvcat.report import Reporter, sort_key
 from tvcat.theory import (LaxExtension, Lifts, check_extension_laws,
@@ -117,6 +123,128 @@ def test_push_forward_joins_and_drops_bottom():
     items = [(("a", "b"), mid), (("a", "b"), lo), (("c", "d"), lo),
              (("a", "b"), top), (("e", "f"), mid)]
     assert push_forward(q, items) == {("a", "b"): top, ("e", "f"): mid}
+
+
+# ---- the search for structure-compatible maps against product loops ----
+
+def compatible_oracle(q, monad, domains, entries, b):
+    """What compatible_maps yields: every map of itertools.product over the
+    domains, each tested against every entry in full."""
+    out = []
+    for values in itertools.product(*domains.values()):
+        h = dict(zip(domains, values))
+        if all(q.le(v, b(monad.map_elem(h.__getitem__, t), h[x]))
+               for (t, x), v in entries):
+            out.append(values)
+    return out
+
+
+def admissible_oracle(sx, sy):
+    """admissible_maps as written before compatible_maps: every map X -> Y
+    tested in full, in itertools.product order."""
+    q = sx.quantale
+    monad = sx.monad
+    tests = point_tests(monad, sx.carrier)
+    out = []
+    for values in itertools.product(sy.carrier, repeat=len(sx.carrier)):
+        h = dict(zip(sx.carrier, values))
+        if all(q.le(q.meet[sx.a(t, x)][q.unit],
+                    sy.a(monad.map_elem(lambda z: h[z], t), h[x]))
+               for t in tests for x in sx.carrier):
+            out.append(tuple(values))
+    return tuple(out)
+
+
+def presheaf_carrier_oracle(s):
+    """The presheaf carrier as filtered before compatible_maps: every map
+    TX -> V tested in full, then sorted."""
+    q = s.quantale
+    monad = s.monad
+    op = dual(s)
+    tests = point_tests(monad, s.tx)
+    out = []
+    for values in itertools.product(range(q.n), repeat=len(s.tx)):
+        psi = dict(zip(s.tx, values))
+        if all(q.le(op.a(tt, t),
+                    q.hom[monad.xi(monad.map_elem(lambda u: psi[u], tt), q)][psi[t]])
+               for tt in tests for t in s.tx):
+            out.append(values)
+    return tuple(sorted(out, key=sort_key))
+
+
+def factorization_oracle(wexp, fmap, sz):
+    """The search branch of weak_factorize as written before
+    compatible_maps: the first map in itertools.product order over the
+    candidates at each z that check_functor passes."""
+    per_z = [[phi for phi in wexp.structure.carrier
+              if all(wexp.apply(phi, wexp.yx.map[x]) == wexp.yy.map[fmap[(z, x)]]
+                     for x in wexp.sx.carrier)] for z in sz.carrier]
+    for values in itertools.product(*per_z):
+        cand = TVFunctor(sz, wexp.structure, dict(zip(sz.carrier, values)))
+        if check_functor(cand).passed:
+            return cand.map
+    return None
+
+
+def both_orders(cell):
+    """The draws of a cell, then those over its carriers reversed, which are
+    out of sort_key order."""
+    qname, mname, xs, ys, least = cell
+    yield from draws(qname, mname, xs, ys, least)
+    yield from draws(qname, mname, xs[::-1], ys[::-1], least)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%s-%s" % c[:2])
+def test_compatible_maps_match_product_loop(cell):
+    # shuffled domains of varying size, so a pruned prefix, the product
+    # order and the last position of each entry's letters all matter
+    rng = random.Random("search:%s:%s" % cell[:2])
+    for sx, sy in both_orders(cell):
+        q, monad = sx.quantale, sx.monad
+        domains = {x: rng.sample(sy.carrier, rng.randint(1, len(sy.carrier)))
+                   for x in sx.carrier}
+        entries = list(sx.a.entries.items())
+        got = list(compatible_maps(q, monad, domains, entries, sy.a))
+        assert got == compatible_oracle(q, monad, domains, entries, sy.a)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%s-%s" % c[:2])
+def test_admissible_maps_match_product_loop(cell):
+    for sx, sy in both_orders(cell):
+        assert admissible_maps(sx, sy) == admissible_oracle(sx, sy)
+        assert admissible_maps(sy, sx) == admissible_oracle(sy, sx)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%s-%s" % c[:2])
+def test_presheaf_carrier_matches_product_loop(cell):
+    for sx, _ in both_orders(cell):
+        px = build_presheaf_category(sx)
+        assert px.structure.carrier == presheaf_carrier_oracle(sx)
+
+
+def test_weak_factorize_search_matches_product_loop():
+    # TX != X under labelled:z2, so the factorization is searched; over
+    # random Z the first compatible map is often not the first candidate
+    ext = LaxExtension(monad_by_name("labelled:z2"), quantale_by_name("two"))
+    p = discrete(ext, ("x",))
+    wexp = weak_exponential(p, p)
+    rng = random.Random("factorize")
+    firsts = set()
+    for zs in [("b", "a"), ("z2", "z0", "z1")] * 6:
+        sz = random_category(ext, zs, rng)
+        fmap = {(z, "x"): "x" for z in zs}
+        got = weak_factorize(wexp, fmap, sz).map
+        assert got == factorization_oracle(wexp, fmap, sz)
+        firsts.add(got[zs[0]] == wexp.structure.carrier[0])
+    assert firsts == {True, False}
+
+
+def test_admissible_maps_to_one_point_at_1200_points():
+    # one key per point: the search keeps a stack, not a recursion, so its
+    # depth is not bounded by the interpreter's recursion limit
+    ext = LaxExtension(monad_by_name("identity"), quantale_by_name("two"))
+    xs = tuple("x%d" % i for i in range(1200))
+    assert admissible_maps(discrete(ext, xs), one_point(ext)) == (("*",) * 1200,)
 
 
 # ---- the fiber-direct lax extension against the literal enumeration ----
@@ -871,10 +999,12 @@ def test_extension_laws_planted_defects(plant):
         assert got.skipped > 0
 
 
-def algebra_oracle(alg):
+def algebra_oracle(alg, order=None):
     """check_algebra as written before algebra-mult read the in-bound
-    fragment: all of T(TX) in enumeration order, one skip per XX out of
-    bound or outside the domain of alpha."""
+    fragment and alpha-v-functor the rows of Ta0: all of T(TX) in sort_key
+    order, one skip per XX out of bound or outside the domain of alpha, and
+    every cell of T(TX) x T(TX) in enumeration order.  order, when given,
+    is that sorted T(TX), shared by the calls on one carrier."""
     rep = Reporter("em_algebra", bound=alg.ext.bound_info())
     q = alg.quantale
     monad = alg.ext.monad
@@ -893,7 +1023,7 @@ def algebra_oracle(alg):
         rep.tick()
         if alg.alpha.get(monad.unit(x)) != x:
             return rep.fail("algebra-unit", [repr(x)])
-    for xx in monad.carrier(tx):
+    for xx in order or sorted(monad.carrier(tx), key=sort_key):
         mx = monad.mult(xx)
         if mx is None or any(t not in alg.alpha for t in monad.letters(xx)):
             rep.skip()
@@ -920,24 +1050,54 @@ def algebra_oracle(alg):
 def test_algebra_mult_matches_full_walk(mname):
     # M X = (TX, Ta . m-degree, m): for the word monad alpha is partial on
     # TTX, so algebra-mult skips both out-of-bound XX and XX with a letter
-    # outside its domain
+    # outside its domain.  Over ("b", "a") the carrier is out of sort_key
+    # order, where the sorted walk and the enumeration of TTX part ways
     ext = LaxExtension(monad_by_name(mname), quantale_by_name("godel:3"))
-    alg = functor_M(discrete(ext, ("a", "b")))
-    # alpha moved at its first and its last XX whose value is not fixed by
-    # reversal: algebra-unit fails at the first, algebra-mult at the last
-    bends = [xx for xx, mx in sorted(alg.alpha.items(), key=sort_key)
-             if mx != mx[::-1]]
-    reports = []
-    for xx in [None, bends[0], bends[-1]]:
-        moved = dict(alg.alpha)
-        if xx is not None:
-            moved[xx] = moved[xx][::-1]
-        bent = EMAlgebra(ext, alg.carrier, alg.a0, moved)
-        got = check_algebra(bent)
-        assert fields(got) == fields(algebra_oracle(bent))
-        reports.append(got)
-    assert [r.law for r in reports] == [None, "algebra-unit", "algebra-mult"]
-    assert reports[2].skipped > 0 or not ext.monad.bounded
+    for xs in (("a", "b"), ("b", "a")):
+        alg = functor_M(discrete(ext, xs))
+        # alpha moved at its first and its last XX whose value is not fixed
+        # by reversal: algebra-unit fails at the first, algebra-mult at the
+        # last
+        bends = [xx for xx, mx in sorted(alg.alpha.items(), key=sort_key)
+                 if mx != mx[::-1]]
+        reports = []
+        for xx in [None, bends[0], bends[-1]]:
+            moved = dict(alg.alpha)
+            if xx is not None:
+                moved[xx] = moved[xx][::-1]
+            bent = EMAlgebra(ext, alg.carrier, alg.a0, moved)
+            got = check_algebra(bent)
+            assert fields(got) == fields(algebra_oracle(bent))
+            reports.append(got)
+        assert [r.law for r in reports] == [None, "algebra-unit", "algebra-mult"]
+        assert reports[2].skipped > 0 or not ext.monad.bounded
+
+
+@pytest.mark.parametrize("mname", ("word:2", "labelled:z2", "identity"))
+@pytest.mark.parametrize("qname", EXT_QUANTALES)
+def test_algebra_matches_oracle_with_alpha_moved(qname, mname):
+    # alpha of M X moved at each XX in turn, on carriers in and out of
+    # sort_key order: every law's report, alpha-v-functor's closed-form
+    # counts included, equals the full loops'
+    ext = LaxExtension(monad_by_name(mname), quantale_by_name(qname))
+    rng = random.Random("algebra:%s:%s" % (qname, mname))
+    laws = set()
+    for xs in (("a", "b"), ("b", "a")):
+        alg = functor_M(random_category(ext, xs, rng))
+        order = sorted(ext.monad.carrier(ext.monad.carrier(alg.carrier)),
+                       key=sort_key)
+        points = sorted(alg.carrier, key=sort_key)
+        for xx in [None] + sorted(alg.alpha, key=sort_key):
+            moved = dict(alg.alpha)
+            if xx is not None:
+                moved[xx] = points[(points.index(moved[xx]) + 1) % len(points)]
+            bent = EMAlgebra(ext, alg.carrier, alg.a0, moved)
+            got = check_algebra(bent)
+            assert fields(got) == fields(algebra_oracle(bent, order))
+            laws.add(got.law)
+    assert None in laws and "algebra-unit" in laws
+    if mname == "word:2":
+        assert {"algebra-mult", "alpha-v-functor"} <= laws
 
 
 # ---- which XX the rewritten checks apply m to ----

@@ -148,3 +148,43 @@ def test_check_quantale_finds_broken_table():
     rep = check_quantale(broken)
     assert rep.status == "fail"
     assert rep.witness is not None
+
+
+def m3() -> Quantale:
+    """The diamond M3, 0 < a, b, c < 1, with the meet as tensor: a lattice
+    whose meet does not distribute over joins."""
+    r = range(5)
+    leq = tuple(tuple(i == j or i == 0 or j == 4 for j in r) for i in r)
+    meet = tuple(tuple(i if i == j or j == 4 else j if i == 4 else 0 for j in r)
+                 for i in r)
+    return Quantale(("0", "a", "b", "c", "1"), leq, meet, 4, name="m3")
+
+
+def godel_skewed() -> Quantale:
+    """The godel:3 order whose tensor rows are (0,0,0), (0,1,2), (0,1,2):
+    1 (x) 2 = 2 but 2 (x) 1 = 1."""
+    q = godel_chain(3)
+    return Quantale(q.labels, q.leq, ((0, 0, 0), (0, 1, 2), (0, 1, 2)), 2)
+
+
+# one planted defect per law site that no other test makes fail, with the
+# first failing tuple in the check's order as its exact witness
+PLANTED = [
+    ("preserves-unit", lambda: check_hom(QuantaleHom(two(), two(), (0, 0))),
+     ["1"]),
+    ("preserves-tensor", lambda: check_hom(
+        QuantaleHom(lukasiewicz(3), godel_chain(3), (0, 1, 2))), ["1/2", "1/2"]),
+    # the top of powerset:2 goes to 1, every other subset to 0
+    ("preserves-joins", lambda: check_hom(
+        QuantaleHom(powerset_frame(2), two(), (0, 0, 0, 1))), ["{0}", "{1}"]),
+    ("preserves-bottom", lambda: check_hom(QuantaleHom(two(), two(), (1, 1))),
+     ["0"]),
+    ("tensor-commutative", lambda: check_quantale(godel_skewed()), ["1", "2"]),
+    ("tensor-join-distributive", lambda: check_quantale(m3()), ["a", "b", "c"]),
+]
+
+
+@pytest.mark.parametrize("law,run,witness", PLANTED, ids=[p[0] for p in PLANTED])
+def test_planted_defects_fail_their_law(law, run, witness):
+    rep = run()
+    assert (rep.status, rep.law, rep.witness) == ("fail", law, witness)
