@@ -352,6 +352,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.guard_size is not None and args.guard_size < 0:
+            raise FormatError("--guard-size must be a non-negative integer, "
+                              "got %r" % str(args.guard_size))
         structures = [structure_from_file(getattr(args, name))
                       for name in args.files]
         for s in structures[1:]:

@@ -20,8 +20,8 @@ from math import prod
 
 from .categories import (TVFunctor, TVStructure, check_fully_faithful,
                          check_functor, compatible_maps, dual, product,
-                         separated, subspace)
-from .exponential import (check_exponentiability, graph_exponential,
+                         separated)
+from .exponential import (admissible_maps, check_exponentiability,
                           largest_compatible, point_tests)
 from .limits import check_guard
 from .quantale import FormatError
@@ -252,21 +252,24 @@ def weak_exponential(sx: TVStructure, sy: TVStructure,
     """The separated weak exponential: maps PX -> PY (elements of the
     exponential of the presheaf structures) that send the Yoneda image of X
     into the Yoneda image of Y, with the initial structure induced by the
-    inclusion."""
+    inclusion.  The largest compatible structure at a kept map reads only
+    T-elements whose letters are kept maps, so it is built on the kept
+    maps alone and equals that initial structure."""
     if not separated(sx) or not separated(sy):
         raise NotSeparated("weak exponentials are built for separated input")
     px = build_presheaf_category(sx, guard)
     py = build_presheaf_category(sy, guard)
     yx = yoneda(sx, px)
     yy = yoneda(sy, py)
-    big = graph_exponential(px.structure, py.structure, guard)
     yximg = [yx.map[x] for x in sx.carrier]
     yyimg = set(yy.map.values())
     pidx = {psi: i for i, psi in enumerate(px.structure.carrier)}
-    keep = tuple(phi for phi in big.structure.carrier
+    keep = tuple(phi for phi in admissible_maps(px.structure, py.structure, guard)
                  if all(phi[pidx[psi]] in yyimg for psi in yximg))
-    inc = subspace(big.structure, keep)
-    return WeakExponential(sx, sy, px, py, inc.source, yx, yy)
+    pa, pb = px.structure, py.structure
+    rel = largest_compatible(pa.ext, keep, pa.a, lambda tev: {
+        y: pb.a(tev, y) for y in pb.carrier}, pa.quantale.heyting, guard)
+    return WeakExponential(sx, sy, px, py, TVStructure(pa.ext, keep, rel), yx, yy)
 
 
 def weak_factorize(wexp: WeakExponential, fmap: dict,

@@ -23,6 +23,9 @@ the assumptions bundle) extend each distinct relation once through
 ``Lifts``, which also indexes each lift's non-bottom entries by row.  The
 comparison square of ``check_infi`` can fail only where both lifted sides
 are non-bottom, so it visits those cells alone and counts the rest in bulk.
+Its left table is folded per visited w from the fibers of T(supp(r owedge
+s)) above w, read off the rows of r owedge s and pushed along can_dst, so
+no pair builds the joint relation or its extension.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from .limits import check_guard
 from .monads import TheoryMonad, can_map
 from .quantale import FormatError, Quantale, check_condition_inj
 from .report import CheckReport, Reporter, sort_key
-from .vrel import (VRel, all_relations, id_rel, push_forward, random_relation,
-                   tabulate)
+from .vrel import (VRel, all_relations, id_rel, pair_carrier, push_forward,
+                   random_relation, tabulate)
 
 
 class LaxExtension:
@@ -222,39 +225,46 @@ def check_infi(ext: LaxExtension, r: VRel, s: VRel,
     and s.  The <= direction holds automatically, so only the >= direction is
     searched for witnesses: over w in T(X x X') in sort_key order, then x'
     and y' in dst order, the cell (w, x', y') fails when the meet of
-    Tr(wx, x') and Ts(wy, y') is not below the push-forward of T(r owedge s)
-    at (w, (x', y')).  A cell whose meet is bottom cannot fail, so only the
-    non-bottom row entries of Tr and Ts are visited; samples still count
-    every cell up to the witness, or all |W| |Tr.dst| |Ts.dst| cells on a
-    pass.  ``lifts`` shares the extensions of r and s across calls."""
+    Tr(wx, x') and Ts(wy, y') is not below the left side at (w, (x', y')),
+    the join of T(r owedge s)(w, w') over the w' above (x', y').  A cell
+    whose meet is bottom cannot fail, so only the non-bottom row entries of
+    Tr and Ts are visited, and only at a w where both rows are non-empty is
+    the left side built: the fibers of T(supp(r owedge s)) above w, folded
+    through xi straight into a table keyed by can_dst, without T(r owedge s)
+    or the joint relation itself.  Samples still count every cell up to the
+    witness, or all |W| |Tr.dst| |Ts.dst| cells on a pass.  ``lifts``
+    shares the extensions of r and s across calls."""
     rep = Reporter("infi", bound=ext.bound_info())
     q = ext.quantale
+    monad = ext.monad
     if lifts is None:
         lifts = Lifts(ext)
     tr, trows = lifts.indexed(r)
     ts, srows = lifts.indexed(s)
-    rs = r.owedge(s)
-    trs = ext.extend(rs)
+    joint = r.owedge_rows(s)
     can_dst = ext.can_map(r.dst, s.dst)
     can_src = ext.can_map(r.src, s.src)
-    # left(w, (x', y')) = sup over w' in the can-fiber of T(r owedge s)(w, w')
-    left = push_forward(q, (((w, can_dst[w1]), v)
-                            for (w, w1), v in trs.entries.items()))
-    bot, meet, le = q.bottom, q.meet, q.le
+    bot, meet, le, xi = q.bottom, q.meet, q.le, monad.xi_of_values
     nx, ny = len(tr.dst), len(ts.dst)
-    for k, w in enumerate(ext.sorted_carrier(rs.src)):
+    ws = ext.sorted_carrier(pair_carrier(r.src, s.src))
+    for k, w in enumerate(ws):
         wx, wy = can_src[w]
-        srow = srows.get(wy, ())
-        for i, u in trows.get(wx, ()):
+        trow, srow = trows.get(wx), srows.get(wy)
+        if not trow or not srow:
+            continue
+        # left(w, (x', y')) = sup over w' in the can-fiber of T(r owedge s)(w, w')
+        left = push_forward(q, ((can_dst[w1], xi(values, q))
+                                for w1, values in monad.fiber(w, joint)))
+        for i, u in trow:
             x1 = tr.dst[i]
             for j, v in srow:
                 rhs = meet[u][v]
-                lhs = left.get((w, (x1, ts.dst[j])), bot)
+                lhs = left.get((x1, ts.dst[j]), bot)
                 if not le(rhs, lhs):
                     rep.tick((k * nx + i) * ny + j + 1)
                     return rep.fail("infi-ge", [repr(w), repr(x1), repr(ts.dst[j])],
                                     lhs=q.labels[lhs], rhs=q.labels[rhs])
-    rep.tick(len(trs.src) * nx * ny)
+    rep.tick(len(ws) * nx * ny)
     return rep.ok()
 
 

@@ -343,6 +343,19 @@ def test_malformed_guard_variable_is_usage_error(capsys, monkeypatch,
     assert err.startswith("error: TVCAT_GUARD_SIZE must be")
 
 
+@pytest.mark.parametrize("argv", [["psh", "build", "{chain2}"],
+                                  ["gallery", "run"],
+                                  ["theory", "check-assumptions", "--quantale",
+                                   "godel:3", "--monad", "identity"]])
+def test_negative_guard_flag_is_usage_error(capsys, chain2_file, argv):
+    argv = [a.format(chain2=chain2_file) for a in argv]
+    assert main(argv + ["--guard-size", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --guard-size must be a non-negative "
+                            "integer, got '-5'\n")
+
+
 class _EnvironSpy(dict):
     """A stand-in for os.environ that records every write."""
 

@@ -10,7 +10,8 @@ TTX against their loops over all of it, the representation search, the
 op-lax mult square of the extension laws and the algebra laws included, with a
 planted defect per extension law, planted (T) witnesses past passing terms
 and a count of the XX passed to m; and the sparse comparison square of
-check_infi and sparse owedge against their dense loops."""
+check_infi, whose left table is folded from fibers with no relation built,
+and sparse owedge against their dense loops."""
 
 import itertools
 import random
@@ -789,7 +790,13 @@ def dense_infi(ext, r, s):
 
 INFI_CELLS = [(q, m) for m in ("identity", "word:2", "labelled:z2")
               for q in ("two", "godel:3", "lukasiewicz:3")]
+INFI_CELLS += [("two", "word:3"), ("lukasiewicz:3", "word:3")]
+# the cells where the square genuinely fails, so witnesses and the samples
+# up to them are compared
+INFI_FAILING = {("lukasiewicz:3", "word:2"), ("lukasiewicz:3", "word:3")}
 INFI_SAMPLES = 400
+# the dense loop takes about 25 ms a pair over word:3
+INFI_WORD3_SAMPLES = 40
 
 
 @pytest.mark.parametrize("cell", INFI_CELLS, ids=lambda c: "%s-%s" % c)
@@ -799,12 +806,12 @@ def test_sparse_infi_matches_dense_loop(cell):
     q = ext.quantale
     # carriers out of sort_key order, so dst order and witness order differ
     rels = list(all_relations(q, ("b", "a"), ("d", "c")))
-    if q.n == 2:
+    if q.n == 2 and mname != "word:3":
         pairs = [(r, s) for r in rels for s in rels]
     else:
         rng = random.Random("infi:%s:%s" % cell)
-        pairs = [(rng.choice(rels), rng.choice(rels))
-                 for _ in range(INFI_SAMPLES)]
+        samples = INFI_WORD3_SAMPLES if mname == "word:3" else INFI_SAMPLES
+        pairs = [(rng.choice(rels), rng.choice(rels)) for _ in range(samples)]
     lifts = Lifts(ext)  # shared, as in the assumptions bundle
     statuses = set()
     for k, (r, s) in enumerate(pairs):
@@ -816,9 +823,40 @@ def test_sparse_infi_matches_dense_loop(cell):
         got = check_infi(ext, r, s, lifts if k % 2 else None)
         assert got.to_dict() == dense_infi(ext, r, s).to_dict()
         statuses.add(got.status)
-    # the one cell where the square genuinely fails, so witnesses and the
-    # samples up to them are compared
-    assert ("fail" in statuses) == (cell == ("lukasiewicz:3", "word:2"))
+    assert ("fail" in statuses) == (cell in INFI_FAILING)
+
+
+def test_warm_infi_builds_no_relation(monkeypatch):
+    # with r and s lifted and the carrier tables filled, the square reads the
+    # lifts and the fibers of T(supp(r owedge s)) alone: no extension and no
+    # relation is built, not even the joint relation
+    ext = LaxExtension(monad_by_name("word:2"), quantale_by_name("godel:3"))
+    rels = list(all_relations(ext.quantale, ("b", "a"), ("d", "c")))
+    rng = random.Random("infi:warm")
+    lifts = Lifts(ext)
+    pairs = [(rng.choice(rels), rng.choice(rels)) for _ in range(20)]
+    expect = [dense_infi(ext, r, s).to_dict() for r, s in pairs]
+    for r, s in pairs:
+        check_infi(ext, r, s, lifts)
+    counts = {"extend": 0, "built": 0, "fiber": 0}
+    monad = ext.monad
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(LaxExtension, "extend",
+                        counted("extend", LaxExtension.extend))
+    monkeypatch.setattr(VRel, "__post_init__",
+                        counted("built", VRel.__post_init__))
+    monkeypatch.setattr(monad, "fiber", counted("fiber", monad.fiber))
+    got = [check_infi(ext, r, s, lifts).to_dict() for r, s in pairs]
+    assert got == expect
+    assert counts["extend"] == 0 and counts["built"] == 0
+    # the left table was folded from fibers, at least once per call
+    assert counts["fiber"] >= len(pairs)
 
 
 @pytest.mark.parametrize("qname", ["two", "godel:3", "lukasiewicz:3",

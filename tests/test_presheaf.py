@@ -6,8 +6,8 @@ from itertools import product as iter_product
 import pytest
 
 from tvcat.categories import (check_category, check_functor, discrete,
-                              from_order, separated, v_hom_xi)
-from tvcat.exponential import check_exponentiability
+                              from_order, separated, subspace, v_hom_xi)
+from tvcat.exponential import check_exponentiability, graph_exponential
 from tvcat.limits import GuardError
 from tvcat.monads import monad_by_name
 from tvcat.presheaf import (NoExtensionFound, NotSeparated,
@@ -144,6 +144,38 @@ def test_weak_exponential_chain_antichain(ext_ord):
     for phi in wexp.structure.carrier:
         for x in ch.carrier:
             assert wexp.weak_ev(phi, x) in ch.carrier
+
+
+def subspace_oracle(wexp):
+    """The weak exponential as built before the kept maps were chosen first:
+    the graph exponential over every admissible map PX -> PY, then the
+    initial structure along the inclusion of the maps that send the Yoneda
+    image of X into that of Y; with the count of admissible maps."""
+    big = graph_exponential(wexp.px.structure, wexp.py.structure).structure
+    image = set(wexp.yy.map.values())
+    keep = tuple(phi for phi in big.carrier
+                 if all(wexp.apply(phi, wexp.yx.map[x]) in image
+                        for x in wexp.sx.carrier))
+    return subspace(big, keep).source, len(big.carrier)
+
+
+@pytest.mark.parametrize("kind", ["posets", "labelled"])
+def test_weak_exponential_is_the_subspace(kind, ext_ord, ext_labelled):
+    if kind == "posets":
+        spaces = list(all_posets2(ext_ord))
+        pairs = [(sx, sy) for sx in spaces for sy in spaces]
+    else:
+        p = discrete(ext_labelled, ("x",))
+        pairs = [(p, p)]
+    for sx, sy in pairs:
+        wexp = weak_exponential(sx, sy)
+        got = wexp.structure
+        expect, admissible = subspace_oracle(wexp)
+        # some admissible maps are dropped, so the filter is exercised
+        assert len(got.carrier) < admissible
+        assert got.carrier == expect.carrier
+        assert got.tx == expect.tx
+        assert list(got.a.entries.items()) == list(expect.a.entries.items())
 
 
 def test_weak_factorize_exhaustive_small(ext_ord):
