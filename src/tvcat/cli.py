@@ -326,6 +326,14 @@ def _apply_replay(payload: dict, replay: str):
 
 # ---- argument grammar ----
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one "error: ..." line and exit 2, like a malformed
+    file; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -333,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--guard-size", type=int, default=None)
     common.add_argument("--replay", default=None, metavar="WITNESS_JSON")
 
-    top = argparse.ArgumentParser(prog="tvcat", description=__doc__)
+    top = _Parser(prog="tvcat", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True)
     commands = {}
     for group, cmd, files, options, action in COMMANDS:

@@ -95,7 +95,9 @@ class TheoryMonad:
     def fiber(self, t, rows: dict):
         """(T pi_Y w, the values of r at the letters of w) for every w in
         T(supp r) with T pi_X w = t, where rows[x] lists the (y, r(x, y)) of
-        the non-bottom entries of r at x."""
+        the non-bottom entries of r at x.  It reads rows only at the letters
+        of t, so two relations that agree there have the same fibers above
+        t; the per-w memo of check_infi rests on this."""
         raise NotImplementedError
 
     def unit(self, x):

@@ -25,7 +25,13 @@ comparison square of ``check_infi`` can fail only where both lifted sides
 are non-bottom, so it visits those cells alone and counts the rest in bulk.
 Its left table is folded per visited w from the fibers of T(supp(r owedge
 s)) above w, read off the rows of r owedge s and pushed along can_dst, so
-no pair builds the joint relation or its extension.
+no pair builds the joint relation or its extension.  The fibers above w
+read only the rows at the letters of w (``TheoryMonad.fiber``), so the
+outcome of the square at w is a function of w and of the rows of r and s
+at the letters of wx and wy; ``Lifts`` memoizes it by those, and a pair
+folds only the w no earlier pair of the sweep decided.
+``carrier`` enumerates T(X) once per carrier, for ``extend`` and
+``sorted_carrier``.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ class LaxExtension:
                                   % quantale.labels[u])
         self.monad = monad
         self.quantale = quantale
+        self._carrier_cache: dict = {}
         self._sorted_cache: dict = {}
         self._mult_cache: dict = {}
         self._can_cache: dict = {}
@@ -68,19 +75,26 @@ class LaxExtension:
         the join of xi over the fibers of T(supp r) above each t."""
         monad = self.monad
         q = self.quantale
-        tx = monad.carrier(r.src) if src is None else src
+        tx = self.carrier(r.src) if src is None else src
         rows = r.rows()
         xi = monad.xi_of_values
-        return VRel(q, tx, monad.carrier(r.dst), push_forward(q, (
+        return VRel(q, tx, self.carrier(r.dst), push_forward(q, (
             ((t, ty), xi(values, q))
             for t in tx for ty, values in monad.fiber(t, rows))))
+
+    def carrier(self, xs: tuple) -> tuple:
+        """T(xs), enumerated once per carrier."""
+        tx = self._carrier_cache.get(xs)
+        if tx is None:
+            tx = self._carrier_cache[xs] = self.monad.carrier(xs)
+        return tx
 
     def sorted_carrier(self, xs: tuple) -> tuple:
         """T(xs) in sort_key order, sorted once per carrier."""
         order = self._sorted_cache.get(xs)
         if order is None:
             order = self._sorted_cache[xs] = tuple(
-                sorted(self.monad.carrier(xs), key=sort_key))
+                sorted(self.carrier(xs), key=sort_key))
         return order
 
     def fragment(self, tx: tuple) -> tuple:
@@ -130,18 +144,27 @@ class LaxExtension:
 
 class Lifts:
     """``ext.extend`` memoized by relation content, for checks whose many
-    pairs reuse few relations: each distinct relation is extended once."""
+    pairs reuse few relations: each distinct relation is extended once.
+    ``squares[(r.src, s.src, r.dst, s.dst)]`` keeps the outcome of the
+    comparison square of ``check_infi`` at each w, the first failing
+    (i, j, lhs, rhs) there or () where it holds, keyed by (k, the row ids
+    of r at the letters of wx, those of s at the letters of wy), k the
+    position of w: pairs that agree on those rows decide it once."""
 
     def __init__(self, ext: LaxExtension):
         self.ext = ext
         self._memo: dict = {}
+        self._row_ids: dict = {}
+        self.squares: dict = {}
 
     def __call__(self, r: VRel) -> VRel:
         return self.indexed(r)[0]
 
     def indexed(self, r: VRel):
-        """(Tr, rows), where rows[t] lists the non-bottom entries of Tr at t
-        as (position in Tr.dst, value), in dst order; no key when all bottom."""
+        """(Tr, rows, ids), where rows[t] lists the non-bottom entries of Tr
+        at t as (position in Tr.dst, value), in dst order, with no key when
+        all bottom, and ids[x] is an int naming the set of non-bottom
+        entries of r at x with r.dst: equal ids, equal rows."""
         key = (r.src, r.dst, frozenset(r.entries.items()))
         hit = self._memo.get(key)
         if hit is None:
@@ -149,7 +172,11 @@ class Lifts:
             pos = {y: j for j, y in enumerate(tr.dst)}
             rows = {t: sorted((pos[y], v) for y, v in row)
                     for t, row in tr.rows().items()}
-            hit = self._memo[key] = (tr, rows)
+            base = r.rows()
+            intern = self._row_ids.setdefault
+            ids = {x: intern((r.dst, frozenset(base.get(x, ()))),
+                             len(self._row_ids)) for x in r.src}
+            hit = self._memo[key] = (tr, rows, ids)
         return hit
 
 
@@ -169,7 +196,7 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
     for r in rels:
         # T(id) >= id
         tid = lift(id_rel(q, r.src))
-        idt = id_rel(q, monad.carrier(r.src))
+        idt = id_rel(q, ext.carrier(r.src))
         gap = idt.first_gap(tid)
         rep.tick()
         if gap is not None:
@@ -233,18 +260,23 @@ def check_infi(ext: LaxExtension, r: VRel, s: VRel,
     through xi straight into a table keyed by can_dst, without T(r owedge s)
     or the joint relation itself.  Samples still count every cell up to the
     witness, or all |W| |Tr.dst| |Ts.dst| cells on a pass.  ``lifts``
-    shares the extensions of r and s across calls."""
+    shares the extensions of r and s across calls, and the outcome at each
+    w (the first failing cell there, or none) keyed by the rows of r and s
+    that the square at w reads: a w decided by an earlier call is not
+    folded again, and r owedge s is built only if some w is folded."""
     rep = Reporter("infi", bound=ext.bound_info())
     q = ext.quantale
     monad = ext.monad
     if lifts is None:
         lifts = Lifts(ext)
-    tr, trows = lifts.indexed(r)
-    ts, srows = lifts.indexed(s)
-    joint = r.owedge_rows(s)
+    tr, trows, rids = lifts.indexed(r)
+    ts, srows, sids = lifts.indexed(s)
+    memo = lifts.squares.setdefault((r.src, s.src, r.dst, s.dst), {})
+    joint = None
     can_dst = ext.can_map(r.dst, s.dst)
     can_src = ext.can_map(r.src, s.src)
     bot, meet, le, xi = q.bottom, q.meet, q.le, monad.xi_of_values
+    letters = monad.letters
     nx, ny = len(tr.dst), len(ts.dst)
     ws = ext.sorted_carrier(pair_carrier(r.src, s.src))
     for k, w in enumerate(ws):
@@ -252,18 +284,25 @@ def check_infi(ext: LaxExtension, r: VRel, s: VRel,
         trow, srow = trows.get(wx), srows.get(wy)
         if not trow or not srow:
             continue
-        # left(w, (x', y')) = sup over w' in the can-fiber of T(r owedge s)(w, w')
-        left = push_forward(q, ((can_dst[w1], xi(values, q))
-                                for w1, values in monad.fiber(w, joint)))
-        for i, u in trow:
-            x1 = tr.dst[i]
-            for j, v in srow:
-                rhs = meet[u][v]
-                lhs = left.get((x1, ts.dst[j]), bot)
-                if not le(rhs, lhs):
-                    rep.tick((k * nx + i) * ny + j + 1)
-                    return rep.fail("infi-ge", [repr(w), repr(x1), repr(ts.dst[j])],
-                                    lhs=q.labels[lhs], rhs=q.labels[rhs])
+        # k fixes w and so the number of letters of wx and of wy, and the
+        # square at w reads only the rows at those letters
+        key = (k, *[rids[x] for x in letters(wx)], *[sids[x] for x in letters(wy)])
+        bad = memo.get(key)
+        if bad is None:
+            if joint is None:
+                joint = r.owedge_rows(s)
+            # left(w, (x', y')) = sup over w' in the can-fiber of T(r owedge s)(w, w')
+            left = push_forward(q, ((can_dst[w1], xi(values, q))
+                                    for w1, values in monad.fiber(w, joint)))
+            bad = memo[key] = next((
+                (i, j, lhs, rhs) for i, u in trow for j, v in srow
+                if not le(rhs := meet[u][v],
+                          lhs := left.get((tr.dst[i], ts.dst[j]), bot))), ())
+        if bad:
+            i, j, lhs, rhs = bad
+            rep.tick((k * nx + i) * ny + j + 1)
+            return rep.fail("infi-ge", [repr(w), repr(tr.dst[i]), repr(ts.dst[j])],
+                            lhs=q.labels[lhs], rhs=q.labels[rhs])
     rep.tick(len(ws) * nx * ny)
     return rep.ok()
 
@@ -384,16 +423,16 @@ def check_assumptions_bundle(ext: LaxExtension, seed: int = 0,
     # sampled infi pairs before the scalar-tensor relations) and run up to
     # the first failure
     if exhaustive:
-        infi_pairs = ((r, s) for r in all_relations(q, xs, ys)
-                      for s in all_relations(q, xs, ys))
+        rels = list(all_relations(q, xs, ys))
+        infi_pairs = ((r, s) for r in rels for s in rels)
     else:
         infi_pairs = ((random_relation(q, xs, ys, rng), random_relation(q, xs, ys, rng))
                       for _ in range(samples))
 
     def scalar_tensor():
-        rels = (list(all_relations(q, xs, ys)) if exhaustive
-                else [random_relation(q, xs, ys, rng) for _ in range(samples)])
-        return (check_assumption3(ext, r, u) for u in range(q.n) for r in rels)
+        drawn = (rels if exhaustive
+                 else [random_relation(q, xs, ys, rng) for _ in range(samples)])
+        return (check_assumption3(ext, r, u) for u in range(q.n) for r in drawn)
 
     lifts = Lifts(ext)
     conditions = (

@@ -356,6 +356,22 @@ def test_negative_guard_flag_is_usage_error(capsys, chain2_file, argv):
                             "integer, got '-5'\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gallery", "run", "--guard-size", "abc"],
+     "argument --guard-size: invalid int value: 'abc'"),
+    (["frob"], "argument group: invalid choice: 'frob'"),
+    (["cat", "check"], "the following arguments are required: file"),
+])
+def test_argparse_error_is_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 class _EnvironSpy(dict):
     """A stand-in for os.environ that records every write."""
 

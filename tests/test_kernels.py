@@ -10,8 +10,9 @@ TTX against their loops over all of it, the representation search, the
 op-lax mult square of the extension laws and the algebra laws included, with a
 planted defect per extension law, planted (T) witnesses past passing terms
 and a count of the XX passed to m; and the sparse comparison square of
-check_infi, whose left table is folded from fibers with no relation built,
-and sparse owedge against their dense loops."""
+check_infi, whose left table is folded from fibers with no relation built
+and memoized per w across a sweep, and sparse owedge against their dense
+loops."""
 
 import itertools
 import random
@@ -827,9 +828,9 @@ def test_sparse_infi_matches_dense_loop(cell):
 
 
 def test_warm_infi_builds_no_relation(monkeypatch):
-    # with r and s lifted and the carrier tables filled, the square reads the
-    # lifts and the fibers of T(supp(r owedge s)) alone: no extension and no
-    # relation is built, not even the joint relation
+    # with r and s lifted, the carrier tables filled and the squares of a
+    # first pass memoized, a second pass reads the lifts and the memo alone:
+    # no extension, no relation (not even the joint one) and no fold
     ext = LaxExtension(monad_by_name("word:2"), quantale_by_name("godel:3"))
     rels = list(all_relations(ext.quantale, ("b", "a"), ("d", "c")))
     rng = random.Random("infi:warm")
@@ -854,9 +855,73 @@ def test_warm_infi_builds_no_relation(monkeypatch):
     monkeypatch.setattr(monad, "fiber", counted("fiber", monad.fiber))
     got = [check_infi(ext, r, s, lifts).to_dict() for r, s in pairs]
     assert got == expect
-    assert counts["extend"] == 0 and counts["built"] == 0
-    # the left table was folded from fibers, at least once per call
-    assert counts["fiber"] >= len(pairs)
+    # every square the first pass decided is in the memo: the second pass
+    # folds no fiber either
+    assert counts == {"extend": 0, "built": 0, "fiber": 0}
+
+
+def visited_squares(ext, r, s, rep):
+    """The w whose square check_infi decides, in its order, up to the
+    witness of a failing rep: those where the rows of Tr at wx and of Ts at
+    wy both hold a non-bottom entry."""
+    trows, srows = ext.extend(r).rows(), ext.extend(s).rows()
+    can_src = ext.can_map(r.src, s.src)
+    out = []
+    for w in sorted(ext.monad.carrier(pair_carrier(r.src, s.src)), key=sort_key):
+        wx, wy = can_src[w]
+        if trows.get(wx) and srows.get(wy):
+            out.append(w)
+        if not rep.passed and repr(w) == rep.witness[0]:
+            break
+    return out
+
+
+def memo_pairs(cell):
+    qname, mname = cell
+    q = quantale_by_name(qname)
+    rels = list(all_relations(q, ("b", "a"), ("d", "c")))
+    if mname == "identity":
+        return rels, [(r, s) for r in rels for s in rels]
+    rng = random.Random("infi-memo:%s:%s" % cell)
+    return rels, [(rng.choice(rels), rng.choice(rels)) for _ in range(300)]
+
+
+@pytest.mark.parametrize("cell", [("godel:3", "identity"),
+                                  ("lukasiewicz:3", "identity"),
+                                  ("lukasiewicz:3", "word:2")],
+                         ids=lambda c: "%s-%s" % c)
+def test_infi_memo_matches_dense_loop(monkeypatch, cell):
+    # one Lifts over the sweep, as in the assumptions bundle, on carriers
+    # out of sort_key order; every relation is lifted first, so each fiber
+    # call made inside check_infi folds the square at a w
+    qname, mname = cell
+    ext = LaxExtension(monad_by_name(mname), quantale_by_name(qname))
+    rels, pairs = memo_pairs(cell)
+    lifts = Lifts(ext)
+    for r in rels:
+        lifts(r)
+    monad = ext.monad
+    fiber, folded = monad.fiber, []
+
+    def counted(t, rows):
+        folded.append(t)
+        return fiber(t, rows)
+
+    hits = failing_hits = 0
+    for r, s in pairs:
+        folded.clear()
+        monkeypatch.setattr(monad, "fiber", counted)
+        got = check_infi(ext, r, s, lifts)
+        monkeypatch.setattr(monad, "fiber", fiber)
+        assert got.to_dict() == dense_infi(ext, r, s).to_dict()
+        seen = visited_squares(ext, r, s, got)
+        # each w is folded at most once, and only where the square is decided
+        assert len(set(folded)) == len(folded) and set(folded) <= set(seen)
+        hits += len(seen) - len(folded)
+        if not got.passed:
+            failing_hits += seen[-1] not in folded
+    assert hits > 0
+    assert (failing_hits > 0) == (mname == "word:2")
 
 
 @pytest.mark.parametrize("qname", ["two", "godel:3", "lukasiewicz:3",

@@ -1,5 +1,6 @@
 """Monad data and laws; xi closed forms recomputed independently."""
 
+import random
 from itertools import product
 
 import pytest
@@ -186,3 +187,20 @@ def test_monad_laws_planted_defects(monad, q, law, witness):
     rep = check_monad_laws(monad, XS, q)
     assert rep.status == "fail"
     assert (rep.law, rep.witness) == (law, witness)
+
+
+@pytest.mark.parametrize("spec", ["identity", "finite_ultrafilter",
+                                  "labelled:z2", "word:1", "word:2", "word:3"])
+@pytest.mark.parametrize("xs", [("b", "a"), ("c", "a", "b")], ids=len)
+def test_fiber_reads_only_the_rows_at_the_letters(spec, xs):
+    # the contract the per-w memo of check_infi rests on: the rows outside
+    # the letters of t never change the fibers above t
+    m = monad_by_name(spec)
+    rng = random.Random("fiber-letters:%s:%d" % (spec, len(xs)))
+    ys = ("e", "d")
+    for _ in range(4):
+        rows = {x: [(y, rng.randrange(1, 3)) for y in ys if rng.random() < 0.7]
+                for x in xs if rng.random() < 0.8}
+        for t in m.carrier(xs):
+            read = {x: rows[x] for x in m.letters(t) if x in rows}
+            assert list(m.fiber(t, rows)) == list(m.fiber(t, read))
