@@ -14,6 +14,11 @@ composite a . Ta is VRel.compose, read by (T), the closure and the frame
 criterion.  The checks walk TTX through ext.walk, the closure and M read
 ext.fragment, and the closure's defect scan reads T(supp a) alone.
 
+Each derived table has one owner: constructions take T(X) from ext.carrier
+and sort_key walks read ext.sorted_carrier; ``TVStructure.ta`` is Ta on the
+fragment, extended once per structure for (T), the splitting and frame
+criteria and M (so the dual, representation and presheaves).
+
 compatible_maps is the one search for maps h with a(t, x) <= b(Th t, h x):
 the exponential and presheaf carriers, the representation search and weak
 factorization all run it.  The algebra law alpha-v-functor reads only the
@@ -25,6 +30,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iter_product
 
 from .limits import check_guard
@@ -41,7 +47,7 @@ class TVStructure:
 
     def __init__(self, ext: LaxExtension, carrier: tuple, a: VRel,
                  name: str = "", flags: dict | None = None):
-        if a.src != ext.monad.carrier(carrier) or a.dst != carrier:
+        if a.src != ext.carrier(carrier) or a.dst != carrier:
             raise FormatError("structure relation carriers do not match TX, X")
         if len(set(carrier)) != len(carrier):
             raise FormatError("carrier has duplicate elements")
@@ -62,6 +68,12 @@ class TVStructure:
     @property
     def tx(self) -> tuple:
         return self.a.src
+
+    @cached_property
+    def ta(self) -> VRel:
+        """Ta on the in-bound fragment of TTX, extended once per structure
+        for the checks and constructions that read it."""
+        return self.ext.extend(self.a, src=self.ext.fragment(self.tx)[2])
 
     def a0(self) -> VRel:
         """The underlying V-category structure a . e: X -|-> X."""
@@ -139,7 +151,7 @@ def check_category(s: TVStructure) -> CheckReport:
     rep.tick(sub.samples)
     if not sub.passed:
         return rep.fail(sub.law, sub.witness, **sub.details)
-    ta = s.ext.extend(s.a, src=s.ext.fragment(s.tx)[2])
+    ta = s.ta
     via = s.a.compose(ta)
     nt, nx = len(s.tx), len(s.carrier)
     for k, (xx, mx) in enumerate(s.ext.walk(s.tx, rep)):
@@ -161,7 +173,7 @@ def _compare_along(f: TVFunctor, check: str, law: str, holds) -> CheckReport:
     rep = Reporter(check, bound=f.source.ext.bound_info())
     q = f.source.quantale
     a, b = f.source.a, f.target.a
-    for t in sorted(f.source.tx, key=sort_key):
+    for t in f.source.ext.sorted_carrier(f.source.carrier):
         ft = f.t_map(t)
         for x in f.source.carrier:
             rep.tick()
@@ -234,7 +246,7 @@ def initial_lift(ext: LaxExtension, carrier: tuple, cone) -> TVStructure:
     q = ext.quantale
     monad = ext.monad
     return TVStructure(ext, carrier, tabulate(
-        q, monad.carrier(carrier), carrier,
+        q, ext.carrier(carrier), carrier,
         lambda t, x: q.inf(tgt.a(monad.map_elem(lambda z: m[z], t), m[x])
                            for m, tgt in cone)))
 
@@ -269,7 +281,7 @@ def final_lift(ext: LaxExtension, carrier: tuple, cocone) -> TVStructure:
     images = [((monad.map_elem(lambda z: m[z], t), m[x]), v)
               for src, m in cocone for (t, x), v in src.a.entries.items()]
     ent = push_forward(q, floor + images)
-    return TVStructure(ext, carrier, VRel(q, monad.carrier(carrier), carrier, ent))
+    return TVStructure(ext, carrier, VRel(q, ext.carrier(carrier), carrier, ent))
 
 
 def graph_to_category(s: TVStructure) -> TVStructure:
@@ -310,7 +322,7 @@ def _out_of_bound_defect(ext: LaxExtension, a: VRel) -> bool:
     monad = ext.monad
     rows = a.rows()
     return any(q.tens(monad.xi_of_values(values, q), v) != q.bottom
-               for xx in monad.carrier(tuple(rows)) if monad.mult(xx) is None
+               for xx in ext.carrier(tuple(rows)) if monad.mult(xx) is None
                for xv, values in monad.fiber(xx, rows)
                for _, v in rows.get(xv, ()))
 
@@ -345,7 +357,7 @@ def tensor(sx: TVStructure, sy: TVStructure) -> TVStructure:
     carrier = pair_carrier(sx.carrier, sy.carrier)
     can = sx.ext.can_map(sx.carrier, sy.carrier)
     return TVStructure(sx.ext, carrier, tabulate(
-        q, sx.monad.carrier(carrier), carrier,
+        q, sx.ext.carrier(carrier), carrier,
         lambda w, p: q.tens(sx.a(can[w][0], p[0]), sy.a(can[w][1], p[1]))))
 
 
@@ -401,7 +413,7 @@ def reflect_R(s: TVStructure):
         if rep_of[x] not in carrier:
             carrier.append(rep_of[x])
     carrier = tuple(carrier)
-    ty = monad.carrier(carrier)
+    ty = s.ext.carrier(carrier)
     ent = push_forward(q, (((monad.map_elem(lambda z: rep_of[z], w), rep_of[x1]), v)
                            for (w, x1), v in s.a.entries.items()))
     out = TVStructure(s.ext, carrier, VRel(q, ty, carrier, ent), name=s.name)
@@ -428,7 +440,7 @@ def check_final(f: TVFunctor) -> CheckReport:
     acc = push_forward(q, (((f.t_map(t), f.map[x]), v)
                            for (t, x), v in f.source.a.entries.items()))
     b = f.target.a
-    for t in sorted(f.target.tx, key=sort_key):
+    for t in f.target.ext.sorted_carrier(f.target.carrier):
         for y in f.target.carrier:
             rep.tick()
             if b(t, y) != acc.get((t, y), q.bottom):
@@ -505,7 +517,7 @@ def check_algebra(alg: EMAlgebra) -> CheckReport:
                 rep.tick()
                 if not q.le(q.tens(a0(x, y), a0(y, z)), a0(x, z)):
                     return rep.fail("v-transitivity", [repr(x), repr(y), repr(z)])
-    tx = monad.carrier(alg.carrier)
+    tx = alg.ext.carrier(alg.carrier)
     for x in alg.carrier:
         rep.tick()
         if alg.alpha.get(monad.unit(x)) != x:
@@ -540,12 +552,9 @@ def check_algebra(alg: EMAlgebra) -> CheckReport:
 def functor_M(s: TVStructure) -> EMAlgebra:
     """M sends (X, a) to (TX, Ta . m-degree, m)."""
     q = s.quantale
-    ext = s.ext
-    rows, _, xxs = ext.fragment(s.tx)
-    ta = ext.extend(s.a, src=xxs)
     carrier = s.tx
-    alpha = {xx: mx for _, xx, mx in rows}
-    ent = push_forward(q, (((alpha[xx], t), v) for (xx, t), v in ta.entries.items()))
+    alpha = {xx: mx for _, xx, mx in s.ext.fragment(carrier)[0]}
+    ent = push_forward(q, (((alpha[xx], t), v) for (xx, t), v in s.ta.entries.items()))
     return EMAlgebra(s.ext, carrier, VRel(q, carrier, carrier, ent), alpha)
 
 
@@ -554,7 +563,7 @@ def functor_K(alg: EMAlgebra) -> TVStructure:
     graph of alpha; bottom where alpha is undefined."""
     q = alg.quantale
     alpha = alg.alpha
-    tx = alg.ext.monad.carrier(alg.carrier)
+    tx = alg.ext.carrier(alg.carrier)
     graph = VRel(q, tx, alg.carrier, {(t, x): q.unit for t, x in alpha.items()})
     out = TVStructure(alg.ext, alg.carrier, alg.a0.compose(graph))
     if any(t not in alpha for t in tx):
@@ -588,7 +597,7 @@ def find_representation(s: TVStructure, guard: int | None = None):
     hat = functor_K(functor_M(s)).a
     a0 = s.a0()
     order = sorted(s.carrier, key=sort_key)
-    domains = {t: order for t in sorted(tx, key=sort_key)}
+    domains = {t: order for t in s.ext.sorted_carrier(s.carrier)}
     for x in s.carrier:
         domains[monad.unit(x)] = [y for y in order if q.le(q.unit, a0(y, x))
                                   and q.le(q.unit, a0(x, y))]
@@ -611,15 +620,14 @@ def find_representation(s: TVStructure, guard: int | None = None):
 def discrete(ext: LaxExtension, xs: tuple) -> TVStructure:
     """a(t, x) = k iff t = e(x), bottom elsewhere."""
     q = ext.quantale
-    monad = ext.monad
-    tx = monad.carrier(xs)
-    ent = {(monad.unit(x), x): q.unit for x in xs}
-    return TVStructure(ext, tuple(xs), VRel(q, tx, tuple(xs), ent))
+    unit = ext.monad.unit
+    return TVStructure(ext, tuple(xs), VRel(q, ext.carrier(tuple(xs)), tuple(xs),
+                                            {(unit(x), x): q.unit for x in xs}))
 
 
 def indiscrete(ext: LaxExtension, xs: tuple) -> TVStructure:
     q = ext.quantale
-    return TVStructure(ext, tuple(xs), constant_rel(q, ext.monad.carrier(xs),
+    return TVStructure(ext, tuple(xs), constant_rel(q, ext.carrier(tuple(xs)),
                                                     tuple(xs), q.top))
 
 
@@ -643,19 +651,15 @@ def from_order(ext: LaxExtension, xs: tuple, pairs) -> TVStructure:
                     changed = True
     letters = ext.monad.letters
     return TVStructure(ext, tuple(xs), tabulate(
-        q, ext.monad.carrier(tuple(xs)), tuple(xs),
+        q, ext.carrier(tuple(xs)), tuple(xs),
         lambda t, x: q.unit if all((l, x) in rel for l in letters(t)) else q.bottom))
 
 
 def random_category(ext: LaxExtension, xs: tuple, rng) -> TVStructure:
     """A random graph closed into a category; the workhorse for sampled
     soundness suites."""
-    q = ext.quantale
-    monad = ext.monad
-    tx = monad.carrier(tuple(xs))
-    r = random_relation(q, tx, tuple(xs), rng)
-    s = TVStructure(ext, tuple(xs), r)
-    return graph_to_category(s)
+    r = random_relation(ext.quantale, ext.carrier(tuple(xs)), tuple(xs), rng)
+    return graph_to_category(TVStructure(ext, tuple(xs), r))
 
 
 def structure_entries(s: TVStructure) -> dict:
@@ -702,7 +706,8 @@ def structure_from_dict(d: dict) -> TVStructure:
     if not isinstance(carrier, (list, tuple)) or not carrier:
         raise FormatError("structure file needs a nonempty list as its carrier")
     carrier = tuple(str(x) for x in carrier)
-    tx = monad.carrier(carrier)
+    ext = LaxExtension(monad, q)
+    tx = ext.carrier(carrier)
     keys = key_table(tx, carrier, monad.elem_to_str)
     given = d.get("structure", {})
     if not isinstance(given, dict):
@@ -713,7 +718,7 @@ def structure_from_dict(d: dict) -> TVStructure:
             raise FormatError("structure key %r is not 'T-elem;x' over the "
                               "carrier" % key)
         ent[keys[key]] = q.index(lab)
-    return TVStructure(LaxExtension(monad, q), carrier, VRel(q, tx, carrier, ent),
+    return TVStructure(ext, carrier, VRel(q, tx, carrier, ent),
                        name=str(d.get("name", "")))
 
 

@@ -12,6 +12,8 @@ each point test as soon as the map is fixed on its letters.  The presheaf
 category (presheaf.py) is built by the same two kernels: its carrier is
 the same search over the same ``point_tests``, and its structure is
 ``largest_compatible`` with residuation in place of implication.
+T-carriers come from ``ext.carrier`` and ``ext.can_map``, and the
+splitting and frame criteria read Ta from ``TVStructure.ta``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from .categories import (TVFunctor, TVStructure, check_category, check_functor,
                          compatible_maps, product)
 from .limits import check_guard
-from .monads import TheoryMonad, can_map
 from .quantale import FormatError
 from .report import CheckReport, Reporter
 from .theory import LaxExtension
@@ -58,12 +59,12 @@ class ExponentialGraph:
         return TVFunctor(p, self.sy, ev)
 
 
-def point_tests(monad: TheoryMonad, xs: tuple) -> list:
+def point_tests(ext: LaxExtension, xs: tuple) -> list:
     """The T-elements of X seen through the one-point generator: the
     X-parts of the elements of T(X x 1) that sit above the unit point of
     T1."""
-    estar = monad.unit("*")
-    return [t for t, star in can_map(monad, xs, ("*",)).values() if star == estar]
+    estar = ext.monad.unit("*")
+    return [t for t, star in ext.can_map(xs, ("*",)).values() if star == estar]
 
 
 def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b_row,
@@ -83,9 +84,9 @@ def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b_row,
     check_guard(monad.carrier_size(len(z) * len(xs)), "T(carrier x X) enumeration",
                 guard)
     xidx = {x: i for i, x in enumerate(xs)}
-    tz = monad.carrier(z)
+    tz = ext.carrier(z)
     acc = {(p, h): q.top for p in tz for h in z}
-    for w in monad.carrier(pair_carrier(z, xs)):
+    for w in ext.carrier(pair_carrier(z, xs)):
         p = monad.map_elem(lambda c: c[0], w)
         tx = monad.map_elem(lambda c: c[1], w)
         row = b_row(monad.map_elem(lambda c: c[0][xidx[c[1]]], w))
@@ -107,7 +108,7 @@ def admissible_maps(sx: TVStructure, sy: TVStructure,
     return tuple(compatible_maps(
         q, sx.monad, {x: sy.carrier for x in sx.carrier},
         (((t, x), q.meet[sx.a(t, x)][q.unit])
-         for t in point_tests(sx.monad, sx.carrier) for x in sx.carrier), sy.a))
+         for t in point_tests(sx.ext, sx.carrier) for x in sx.carrier), sy.a))
 
 
 def graph_exponential(sx: TVStructure, sy: TVStructure,
@@ -130,7 +131,7 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
     (XX, x) joins over the distinct value pairs of such middle points t."""
     rep = Reporter("exponentiability", bound=sx.ext.bound_info())
     q = sx.quantale
-    ta_rows = sx.ext.extend(sx.a, src=sx.ext.fragment(sx.tx)[2]).rows()
+    ta_rows = sx.ta.rows()
     a_rows = {t: dict(row) for t, row in sx.a.rows().items()}
     meet, tensor = q.meet, q.tensor
     elems = range(q.n)
@@ -160,7 +161,7 @@ def check_frame_criterion(sx: TVStructure,
     if not q.is_frame():
         raise FormatError("the frame criterion needs a frame quantale")
     rep = Reporter("frame_criterion", bound=sx.ext.bound_info())
-    via = sx.a.compose(sx.ext.extend(sx.a, src=sx.ext.fragment(sx.tx)[2]))
+    via = sx.a.compose(sx.ta)
     expo = (check_exponentiability(sx) if expo is None else expo).passed
     for xx, mx in sx.ext.walk(sx.tx, rep):
         for x in sx.carrier:

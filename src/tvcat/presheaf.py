@@ -63,7 +63,7 @@ def build_presheaf_category(s: TVStructure, guard: int | None = None) -> Preshea
     # tests T of TX (for the identity monad, compatibility out of the dual)
     carrier = tuple(sorted(compatible_maps(
         q, monad, {t: range(q.n) for t in tx},
-        (((tt, t), op.a(tt, t)) for tt in point_tests(monad, tx) for t in tx),
+        (((tt, t), op.a(tt, t)) for tt in point_tests(s.ext, tx) for t in tx),
         lambda tv, u: q.hom[monad.xi(tv, q)][u]), key=sort_key))
     rel = largest_compatible(s.ext, carrier, op.a,
                              lambda tev: q.hom[monad.xi(tev, q)], q.hom, guard)

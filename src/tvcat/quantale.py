@@ -70,32 +70,16 @@ class Quantale:
             raise FormatError("unit index out of range")
         leq = self.leq
         rng = range(n)
-
-        def lub(cands):
-            for w in cands:
-                if all(leq[w][z] for z in cands):
-                    return w
-            return None
-
-        def glb(cands):
-            for w in cands:
-                if all(leq[z][w] for z in cands):
-                    return w
-            return None
-
-        join = [[None] * n for _ in rng]
-        meet = [[None] * n for _ in rng]
-        for u, v in product(rng, rng):
-            join[u][v] = lub([w for w in rng if leq[u][w] and leq[v][w]])
-            meet[u][v] = glb([w for w in rng if leq[w][u] and leq[w][v]])
-        bot = next((w for w in rng if all(leq[w][z] for z in rng)), None)
-        top = next((w for w in rng if all(leq[z][w] for z in rng)), None)
-        if bot is None or top is None or any(
-                x is None for row in join + meet for x in row):
-            raise FormatError("order is not a lattice")
-        hom = [[self._sup_of([v for v in rng if leq[self.tensor[u][v]][w]])
+        sup = self._sup_of
+        join = [[sup((u, v)) for v in rng] for u in rng]
+        # a finite order with every join is a lattice, its meets the joins
+        # of the lower bounds
+        meet = [[sup([w for w in rng if leq[w][u] and leq[w][v]]) for v in rng]
+                for u in rng]
+        bot, top = sup(()), sup(rng)
+        hom = [[sup([v for v in rng if leq[self.tensor[u][v]][w]])
                 for w in rng] for u in rng]
-        heyt = [[self._sup_of([v for v in rng if leq[meet[u][v]][w]])
+        heyt = [[sup([v for v in rng if leq[meet[u][v]][w]])
                  for w in rng] for u in rng]
         object.__setattr__(self, "join", tuple(map(tuple, join)))
         object.__setattr__(self, "meet", tuple(map(tuple, meet)))

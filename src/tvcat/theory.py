@@ -16,7 +16,6 @@ out-of-bound elements between its members, which ``walk`` counts as skips,
 so Ta (TTr in the op-lax mult square) is computed on it alone.  The square
 reads only the non-bottom row of TTr at each XX and counts the rest of TTY
 in closed form.
-``sorted_carrier`` is the sort_key order of T(X), sorted once per carrier.
 
 Checks over many pairs of relations (the extension laws, the infi pairs of
 the assumptions bundle) extend each distinct relation once through
@@ -30,8 +29,11 @@ read only the rows at the letters of w (``TheoryMonad.fiber``), so the
 outcome of the square at w is a function of w and of the rows of r and s
 at the letters of wx and wy; ``Lifts`` memoizes it by those, and a pair
 folds only the w no earlier pair of the sweep decided.
-``carrier`` enumerates T(X) once per carrier, for ``extend`` and
-``sorted_carrier``.
+
+``LaxExtension`` owns the tables derived per carrier, each built once:
+T(X) (``carrier``, the one enumeration of T(X) outside monads.py), its
+sort_key order (``sorted_carrier``), the fragment and the comparison map
+(``can_map``).  Ta of a structure is ``TVStructure.ta`` (categories.py).
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ class LaxExtension:
         T(V) x V, with element indices as carrier labels."""
         q = self.quantale
         elems = tuple(range(q.n))
-        tv = self.monad.carrier(elems)
+        tv = self.carrier(elems)
         xi = {t: self.monad.xi(t, q) for t in tv}
         return tabulate(q, tv, elems, lambda t, v: q.hom[xi[t]][v])
 
@@ -334,7 +336,7 @@ def check_xi_point(ext: LaxExtension, u: int) -> CheckReport:
     rep = Reporter("xi_point", bound=ext.bound_info())
     q = ext.quantale
     monad = ext.monad
-    t1 = monad.carrier(("*",))
+    t1 = ext.carrier(("*",))
     equality = True
     for t in t1:
         if not monad.letters(t):
@@ -361,8 +363,8 @@ def check_assumption3(ext: LaxExtension, r: VRel, u: int) -> CheckReport:
     monad = ext.monad
     lhs = ext.extend(r.tensor_scalar(u))
     rhs = ext.extend(r).tensor_scalar(u)
-    for x in sorted(lhs.src, key=sort_key):
-        for y in sorted(lhs.dst, key=sort_key):
+    for x in ext.sorted_carrier(r.src):
+        for y in ext.sorted_carrier(r.dst):
             if not monad.letters(x) and not monad.letters(y):
                 # the scalar is invisible on letterless elements; excluded as
                 # a truncation boundary artifact, reported as skipped

@@ -242,6 +242,55 @@ def test_algebra_laws_planted_defects(alg, law, witness):
     assert (rep.law, rep.witness) == (law, witness)
 
 
+# ---- planted defects: the checks that walk T(X) in sort_key order ----
+
+# word:2 enumerates T(b, a) as (), (b), (a), (b, b), (b, a), (a, b), (a, a),
+# out of sort_key order; each defect below fails at two elements that the
+# two orders rank differently, so its witness names the order walked
+SWAPPED = ("b", "a")
+
+
+def swapped(ext, cells):
+    """The discrete structure on SWAPPED with the given cells raised to k,
+    or without its diagonal when cells is None."""
+    q = ext.quantale
+    s = discrete(ext, SWAPPED)
+    ent = {} if cells is None else {**s.a.entries, **dict.fromkeys(cells, q.unit)}
+    return TVStructure(ext, SWAPPED, VRel(q, s.tx, SWAPPED, ent))
+
+
+RAISED = ((("b", "b"), "b"), (("a", "a"), "b"))
+
+
+def along(ext, source_cells, target_cells):
+    """The identity map between two swapped structures."""
+    return TVFunctor(swapped(ext, source_cells), swapped(ext, target_cells),
+                     {x: x for x in SWAPPED})
+
+
+@pytest.mark.parametrize("check,build,law,witness,samples", [
+    (check_functor, lambda ext: along(ext, RAISED, ()), "functoriality",
+     ["('a', 'a')", "'b'"], 7),
+    (check_fully_faithful, lambda ext: along(ext, (), RAISED), "fully-faithful",
+     ["('a', 'a')", "'b'"], 7),
+    (check_initial, lambda ext: along(ext, RAISED, ()), "fully-faithful",
+     ["('a', 'a')", "'b'"], 7),
+    (check_final, lambda ext: along(ext, (), RAISED), "final-structure",
+     ["('a', 'a')", "'b'"], 7),
+    (check_graph, lambda ext: swapped(ext, None), "reflexivity", ["'a'"], 1),
+    (check_category, lambda ext: swapped(ext, None), "reflexivity", ["'a'"], 1),
+], ids=["functoriality", "fully-faithful", "initial", "final-structure",
+        "reflexivity", "category-reflexivity"])
+def test_sort_key_walks_planted_defects(ext_word2, check, build, law, witness,
+                                        samples):
+    tx = ext_word2.monad.carrier(SWAPPED)
+    assert tx.index(("b", "b")) < tx.index(("a", "a"))
+    assert tx.index(("b",)) < tx.index(("a",))
+    rep = check(build(ext_word2))
+    assert rep.status == "fail"
+    assert (rep.law, rep.witness, rep.samples) == (law, witness, samples)
+
+
 def test_v_hom_xi_is_category():
     for qname, mname in (("two", "identity"), ("lukasiewicz:3", "identity"),
                          ("godel:3", "labelled:z2"), ("two", "word:2")):

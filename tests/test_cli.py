@@ -88,6 +88,23 @@ def test_extension_over_a_non_absorbing_bottom_is_usage_error(capsys, tmp_path):
     assert (rep["law"], rep["witness"]) == ("tensor-bottom", ["1"])
 
 
+@pytest.mark.parametrize("elements,order", [
+    ("0ab", ["0a", "0b"]),
+    ("ab1", ["a1", "b1"]),
+    # a and b have the two least upper bounds c and d
+    ("0abcd1", ["0a", "0b", "ac", "ad", "bc", "bd", "c1", "d1"]),
+], ids=["no-top", "no-bottom", "bowtie"])
+def test_non_lattice_order_is_usage_error(capsys, tmp_path, elements, order):
+    p = tmp_path / "q.json"
+    p.write_text(json.dumps({
+        "elements": list(elements), "order": [list(pair) for pair in order],
+        "tensor": {"%s,%s" % (u, v): elements[0]
+                   for u in elements for v in elements},
+        "unit": elements[0]}))
+    assert main(["quantale", "check", str(p)]) == 2
+    assert capsys.readouterr().err == "error: order is not a lattice\n"
+
+
 def test_malformed_json_is_usage_error(capsys, tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{nope")

@@ -146,7 +146,7 @@ def admissible_oracle(sx, sy):
     tested in full, in itertools.product order."""
     q = sx.quantale
     monad = sx.monad
-    tests = point_tests(monad, sx.carrier)
+    tests = point_tests(sx.ext, sx.carrier)
     out = []
     for values in itertools.product(sy.carrier, repeat=len(sx.carrier)):
         h = dict(zip(sx.carrier, values))
@@ -163,7 +163,7 @@ def presheaf_carrier_oracle(s):
     q = s.quantale
     monad = s.monad
     op = dual(s)
-    tests = point_tests(monad, s.tx)
+    tests = point_tests(s.ext, s.tx)
     out = []
     for values in itertools.product(range(q.n), repeat=len(s.tx)):
         psi = dict(zip(s.tx, values))

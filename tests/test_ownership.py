@@ -1,0 +1,140 @@
+"""One owner per derived table.
+
+``LaxExtension`` owns T(X): the ``tx`` of every structure a construction
+returns is, as an object, its extension's ``carrier`` of the points, so no
+construction enumerates T(X) on its own.  ``TVStructure.ta`` owns Ta on
+the in-bound fragment: the checks and constructions that read it extend a
+structure once between them.  A source guard keeps a monad's ``carrier``
+from being called anywhere in ``src/tvcat`` but inside
+``LaxExtension.carrier`` and the monad-level code of ``monads.py``."""
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+
+from tvcat.categories import (check_category, coproduct, discrete, dual,
+                              find_representation, from_order,
+                              graph_to_category, indiscrete, product, quotient,
+                              random_category, reflect_R, structure_from_dict,
+                              structure_to_dict, tensor)
+from tvcat.exponential import (check_exponentiability, check_frame_criterion,
+                               graph_exponential)
+from tvcat.monads import monad_by_name
+from tvcat.presheaf import build_presheaf_category
+from tvcat.quantale import quantale_by_name
+from tvcat.theory import LaxExtension
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tvcat"
+
+
+def word2(qname="two"):
+    return LaxExtension(monad_by_name("word:2"), quantale_by_name(qname))
+
+
+def built(ext):
+    """One structure from each construction, by name."""
+    xs = ("b", "a")
+    sx = random_category(ext, xs, random.Random(5))
+    sy = discrete(ext, ("d", "c"))
+    one = random_category(ext, ("p",), random.Random(5))
+    return {
+        "product": product(sx, sy)[0],
+        "coproduct": coproduct(sx, sy)[0],
+        "quotient": quotient(sx, {"b": "b", "a": "b"})[0],
+        "tensor": tensor(sx, sy),
+        "reflect_R": reflect_R(indiscrete(ext, xs))[0],
+        "dual": dual(sx),
+        "discrete": sy,
+        "indiscrete": indiscrete(ext, xs),
+        "from_order": from_order(ext, xs, {("a", "b")}),
+        "random_category": sx,
+        "graph_to_category": graph_to_category(sy),
+        "structure_from_dict": structure_from_dict(structure_to_dict(sx)),
+        "graph_exponential": graph_exponential(sy, sx).structure,
+        "build_presheaf_category": build_presheaf_category(one).structure,
+    }
+
+
+@pytest.fixture(scope="module")
+def constructions():
+    return built(word2())
+
+
+@pytest.mark.parametrize("name", [
+    "product", "coproduct", "quotient", "tensor", "reflect_R", "dual",
+    "discrete", "indiscrete", "from_order", "random_category",
+    "graph_to_category", "structure_from_dict", "graph_exponential",
+    "build_presheaf_category"])
+def test_constructions_share_the_extensions_carrier(constructions, name):
+    s = constructions[name]
+    assert s.tx is s.ext.carrier(s.carrier)
+
+
+def test_ta_is_extended_once_per_structure(monkeypatch):
+    ext = word2("godel:3")
+    s = random_category(ext, ("b", "a"), random.Random(7))
+    frag = ext.fragment(s.tx)[2]
+    calls = []
+    extend = LaxExtension.extend
+
+    def counted(self, r, src=None):
+        calls.append(src is frag)
+        return extend(self, r, src)
+
+    monkeypatch.setattr(LaxExtension, "extend", counted)
+    check_category(s)
+    check_exponentiability(s)
+    check_frame_criterion(s)
+    dual(s)
+    find_representation(s)
+    assert calls.count(True) == 1
+
+
+def carrier_calls(tree):
+    """(line, source) of each ``.carrier(...)`` call not made on an
+    extension (``ext``, ``<x>.ext``, or ``self`` inside LaxExtension), and
+    not inside the body of LaxExtension.carrier."""
+    out = []
+
+    def visit(node, cls, fn):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "carrier"
+              and (cls, fn) != ("LaxExtension", "carrier")):
+            recv = node.func.value
+            on_ext = ((isinstance(recv, ast.Name) and recv.id == "ext")
+                      or (isinstance(recv, ast.Attribute) and recv.attr == "ext")
+                      or (isinstance(recv, ast.Name) and recv.id == "self"
+                          and cls == "LaxExtension"))
+            if not on_ext:
+                out.append((node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, fn)
+
+    visit(tree, None, None)
+    return out
+
+
+def test_only_the_extension_enumerates_t_carriers():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "monads.py":
+            continue
+        calls = carrier_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if calls:
+            found[path.name] = calls
+    assert found == {}
+
+
+def test_the_guard_sees_a_monad_carrier_call():
+    tree = ast.parse("class LaxExtension:\n"
+                     "    def carrier(self, xs):\n"
+                     "        return self.monad.carrier(xs)\n"
+                     "def f(s, xs):\n"
+                     "    return s.monad.carrier(xs), s.ext.carrier(xs)\n")
+    assert carrier_calls(tree) == [(5, "s.monad.carrier(xs)")]
