@@ -9,10 +9,10 @@ whose category status is established by an explicit check_category call.
 The fibers of the multiplication m are joined over in one place, the functor
 M X = (TX, Ta . m-degree, m); K reads an algebra back along its algebra map.
 The dual X^op is K((M X)-degree), read along m, and the canonical structure
-on TX that representability is tested against is K M X.  The Kleisli
-composite a . Ta is VRel.compose, read by (T), the closure and the frame
-criterion.  The checks walk TTX through ext.walk, the closure and M read
-ext.fragment, and the closure's defect scan reads T(supp a) alone.
+on TX that representability is tested against is K M X.  (T) and the frame
+criterion read the Kleisli composite a . Ta from ``TVStructure.kleisli``.
+The checks walk TTX through ext.walk, the closure and M read ext.fragment,
+and the closure's defect scan reads T(supp a) alone.
 
 Each derived table has one owner: constructions take T(X) from ext.carrier
 and sort_key walks read ext.sorted_carrier; ``TVStructure.ta`` is Ta on the
@@ -74,6 +74,11 @@ class TVStructure:
         """Ta on the in-bound fragment of TTX, extended once per structure
         for the checks and constructions that read it."""
         return self.ext.extend(self.a, src=self.ext.fragment(self.tx)[2])
+
+    @cached_property
+    def kleisli(self) -> VRel:
+        """The Kleisli composite a . Ta, once per structure."""
+        return self.a.compose(self.ta)
 
     def a0(self) -> VRel:
         """The underlying V-category structure a . e: X -|-> X."""
@@ -151,8 +156,7 @@ def check_category(s: TVStructure) -> CheckReport:
     rep.tick(sub.samples)
     if not sub.passed:
         return rep.fail(sub.law, sub.witness, **sub.details)
-    ta = s.ta
-    via = s.a.compose(ta)
+    ta, via = s.ta, s.kleisli
     nt, nx = len(s.tx), len(s.carrier)
     for k, (xx, mx) in enumerate(s.ext.walk(s.tx, rep)):
         if all(q.le(via(xx, x), s.a(mx, x)) for x in s.carrier):

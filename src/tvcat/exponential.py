@@ -161,7 +161,7 @@ def check_frame_criterion(sx: TVStructure,
     if not q.is_frame():
         raise FormatError("the frame criterion needs a frame quantale")
     rep = Reporter("frame_criterion", bound=sx.ext.bound_info())
-    via = sx.a.compose(sx.ta)
+    via = sx.kleisli
     expo = (check_exponentiability(sx) if expo is None else expo).passed
     for xx, mx in sx.ext.walk(sx.tx, rep):
         for x in sx.carrier:

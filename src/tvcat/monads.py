@@ -97,7 +97,7 @@ class TheoryMonad:
         T(supp r) with T pi_X w = t, where rows[x] lists the (y, r(x, y)) of
         the non-bottom entries of r at x.  It reads rows only at the letters
         of t, so two relations that agree there have the same fibers above
-        t; the per-w memo of check_infi rests on this."""
+        t; the row classes of theory.infi_sweep rest on this."""
         raise NotImplementedError
 
     def unit(self, x):
@@ -325,12 +325,12 @@ def monad_by_name(spec: str) -> TheoryMonad:
     return monad_from_dict({"kind": base, "max_len": arg})
 
 
-def can_map(monad: TheoryMonad, xs: tuple, ys: tuple) -> dict:
-    """The comparison map T(X x Y) -> TX x TY as an explicit dict."""
-    pairs = pair_carrier(xs, ys)
+def can_map(monad: TheoryMonad, ws) -> dict:
+    """The comparison map T(X x Y) -> TX x TY as an explicit dict, on the
+    elements ws of T(X x Y)."""
     return {w: (monad.map_elem(lambda p: p[0], w),
                 monad.map_elem(lambda p: p[1], w))
-            for w in monad.carrier(pairs)}
+            for w in ws}
 
 
 # ---- law checks ----

@@ -17,23 +17,22 @@ so Ta (TTr in the op-lax mult square) is computed on it alone.  The square
 reads only the non-bottom row of TTr at each XX and counts the rest of TTY
 in closed form.
 
-Checks over many pairs of relations (the extension laws, the infi pairs of
-the assumptions bundle) extend each distinct relation once through
-``Lifts``, which also indexes each lift's non-bottom entries by row.  The
-comparison square of ``check_infi`` can fail only where both lifted sides
-are non-bottom, so it visits those cells alone and counts the rest in bulk.
-Its left table is folded per visited w from the fibers of T(supp(r owedge
-s)) above w, read off the rows of r owedge s and pushed along can_dst, so
-no pair builds the joint relation or its extension.  The fibers above w
-read only the rows at the letters of w (``TheoryMonad.fiber``), so the
-outcome of the square at w is a function of w and of the rows of r and s
-at the letters of wx and wy; ``Lifts`` memoizes it by those, and a pair
-folds only the w no earlier pair of the sweep decided.
+The comparison square of the infi condition is decided by ``infi_sweep``
+over all pairs of two lists of relations at once; ``check_infi`` is the
+sweep of one pair.  The square can fail only where both lifted sides are
+non-bottom, so only those cells are visited, and its left table is folded
+from the fibers of T(supp(r owedge s)) above w, read off the joint rows and
+pushed along can_dst, so no pair builds the joint relation or its
+extension.  The fibers above w read only the rows at the letters of w, so
+per w the sweep folds one square per class of pairs that agree on those
+rows; nothing it builds outlives the call.  The extension laws extend each
+distinct relation of their pairs once, in a table local to the call.
 
 ``LaxExtension`` owns the tables derived per carrier, each built once:
 T(X) (``carrier``, the one enumeration of T(X) outside monads.py), its
 sort_key order (``sorted_carrier``), the fragment and the comparison map
-(``can_map``).  Ta of a structure is ``TVStructure.ta`` (categories.py).
+(``can_map``, on the T(X x Y) of ``carrier``).  Ta of a structure is
+``TVStructure.ta`` (categories.py).
 """
 
 from __future__ import annotations
@@ -127,11 +126,11 @@ class LaxExtension:
         rep.skip(tail)
 
     def can_map(self, xs: tuple, ys: tuple) -> dict:
-        """monads.can_map, once per carrier pair."""
+        """monads.can_map on T(xs x ys), once per carrier pair."""
         key = (xs, ys)
         cm = self._can_cache.get(key)
         if cm is None:
-            cm = self._can_cache[key] = can_map(self.monad, xs, ys)
+            cm = self._can_cache[key] = can_map(self.monad, self.carrier(pair_carrier(xs, ys)))
         return cm
 
     def hom_xi(self) -> VRel:
@@ -142,44 +141,6 @@ class LaxExtension:
         tv = self.carrier(elems)
         xi = {t: self.monad.xi(t, q) for t in tv}
         return tabulate(q, tv, elems, lambda t, v: q.hom[xi[t]][v])
-
-
-class Lifts:
-    """``ext.extend`` memoized by relation content, for checks whose many
-    pairs reuse few relations: each distinct relation is extended once.
-    ``squares[(r.src, s.src, r.dst, s.dst)]`` keeps the outcome of the
-    comparison square of ``check_infi`` at each w, the first failing
-    (i, j, lhs, rhs) there or () where it holds, keyed by (k, the row ids
-    of r at the letters of wx, those of s at the letters of wy), k the
-    position of w: pairs that agree on those rows decide it once."""
-
-    def __init__(self, ext: LaxExtension):
-        self.ext = ext
-        self._memo: dict = {}
-        self._row_ids: dict = {}
-        self.squares: dict = {}
-
-    def __call__(self, r: VRel) -> VRel:
-        return self.indexed(r)[0]
-
-    def indexed(self, r: VRel):
-        """(Tr, rows, ids), where rows[t] lists the non-bottom entries of Tr
-        at t as (position in Tr.dst, value), in dst order, with no key when
-        all bottom, and ids[x] is an int naming the set of non-bottom
-        entries of r at x with r.dst: equal ids, equal rows."""
-        key = (r.src, r.dst, frozenset(r.entries.items()))
-        hit = self._memo.get(key)
-        if hit is None:
-            tr = self.ext.extend(r)
-            pos = {y: j for j, y in enumerate(tr.dst)}
-            rows = {t: sorted((pos[y], v) for y, v in row)
-                    for t, row in tr.rows().items()}
-            base = r.rows()
-            intern = self._row_ids.setdefault
-            ids = {x: intern((r.dst, frozenset(base.get(x, ()))),
-                             len(self._row_ids)) for x in r.src}
-            hit = self._memo[key] = (tr, rows, ids)
-        return hit
 
 
 # ---- extension-level checks ----
@@ -194,7 +155,15 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
         rels = list(all_relations(q, xs, xs))[:: max(1, q.n ** 4 // 16)]
     if pairs is None:
         pairs = [(r, s) for r in rels for s in rels]
-    lift = Lifts(ext)
+    lifts: dict = {}
+
+    def lift(r: VRel) -> VRel:
+        # the pairs reuse few relations: extend each distinct one once
+        key = (r.src, r.dst, frozenset(r.entries.items()))
+        if key not in lifts:
+            lifts[key] = ext.extend(r)
+        return lifts[key]
+
     for r in rels:
         # T(id) >= id
         tid = lift(id_rel(q, r.src))
@@ -248,65 +217,98 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
     return rep.ok()
 
 
-def check_infi(ext: LaxExtension, r: VRel, s: VRel,
-               lifts: Lifts | None = None) -> CheckReport:
-    """Commutation of the comparison-map square for the joint relation of r
-    and s.  The <= direction holds automatically, so only the >= direction is
-    searched for witnesses: over w in T(X x X') in sort_key order, then x'
-    and y' in dst order, the cell (w, x', y') fails when the meet of
-    Tr(wx, x') and Ts(wy, y') is not below the left side at (w, (x', y')),
-    the join of T(r owedge s)(w, w') over the w' above (x', y').  A cell
-    whose meet is bottom cannot fail, so only the non-bottom row entries of
-    Tr and Ts are visited, and only at a w where both rows are non-empty is
-    the left side built: the fibers of T(supp(r owedge s)) above w, folded
-    through xi straight into a table keyed by can_dst, without T(r owedge s)
-    or the joint relation itself.  Samples still count every cell up to the
-    witness, or all |W| |Tr.dst| |Ts.dst| cells on a pass.  ``lifts``
-    shares the extensions of r and s across calls, and the outcome at each
-    w (the first failing cell there, or none) keyed by the rows of r and s
-    that the square at w reads: a w decided by an earlier call is not
-    folded again, and r owedge s is built only if some w is folded."""
+def infi_sweep(ext: LaxExtension, rs: list, ss: list):
+    """The comparison-map square for the joint relation of each pair of
+    rs x ss (rs on one pair of carriers, ss on another), in product order:
+    (index, report) of the least failing pair, or (len(rs) len(ss), pass).
+    Only >= can fail: over w in T(X x X') in sort_key order, then x', y' in
+    dst order, the cell (w, x', y') fails when Tr(wx, x') /\\ Ts(wy, y') is
+    not below the join of T(r owedge s)(w, w') over the w' above (x', y').
+    Only where the rows of Tr at wx and of Ts at wy are non-empty is that
+    left side folded, from the fibers of T(supp(r owedge s)) above w through
+    xi.  Samples count the cells up to the witness, or all on a pass.
+
+    The square at w reads only the rows of r at the letters of wx and of s
+    at those of wy (``TheoryMonad.fiber``): per w it is folded once per pair
+    of first members of the classes of rs and ss by those rows, below the
+    least failure found so far.  The least failing pair is such a pair at
+    its first failing w, so its report is that of its sweep alone."""
     rep = Reporter("infi", bound=ext.bound_info())
     q = ext.quantale
     monad = ext.monad
-    if lifts is None:
-        lifts = Lifts(ext)
-    tr, trows, rids = lifts.indexed(r)
-    ts, srows, sids = lifts.indexed(s)
-    memo = lifts.squares.setdefault((r.src, s.src, r.dst, s.dst), {})
-    joint = None
-    can_dst = ext.can_map(r.dst, s.dst)
-    can_src = ext.can_map(r.src, s.src)
-    bot, meet, le, xi = q.bottom, q.meet, q.le, monad.xi_of_values
-    letters = monad.letters
-    nx, ny = len(tr.dst), len(ts.dst)
-    ws = ext.sorted_carrier(pair_carrier(r.src, s.src))
+    bot, meet, le, xi, letters = q.bottom, q.meet, q.le, monad.xi_of_values, monad.letters
+    (xs, ys), (xs1, ys1) = (rs[0].src, rs[0].dst), (ss[0].src, ss[0].dst)
+    can_src, can_dst = ext.can_map(xs, xs1), ext.can_map(ys, ys1)
+    tys, tys1 = ext.carrier(ys), ext.carrier(ys1)
+    lifts, rows, joint, classes = {}, {}, {}, {}
+
+    def indexed(r):
+        # the non-bottom entries of Tr by row as (position in T(dst), value)
+        # in dst order, and the rows of r by point, equal rows one object
+        key = (r.src, r.dst, frozenset(r.entries.items()))
+        if key not in lifts:
+            pos = {y: j for j, y in enumerate(ext.carrier(r.dst))}
+            lifts[key] = {t: sorted((pos[y], v) for y, v in row)
+                          for t, row in ext.extend(r).rows().items()}
+        base = r.rows()
+        return lifts[key], {x: rows.setdefault(row := frozenset(base.get(x, ())), row)
+                            for x in r.src}
+
+    sides = (list(map(indexed, rs)), list(map(indexed, ss)))
+
+    def firsts(side, at):
+        # the first member of each class of a side by its rows at the points at
+        if (side, at) not in classes:
+            first: dict = {}
+            for k, (_, base) in enumerate(sides[side]):
+                first.setdefault(tuple(base[x] for x in at), k)
+            classes[side, at] = list(first.values())
+        return classes[side, at]
+
+    def joint_row(row, row1):
+        # bottom absorbs the meet, so only pairs of non-bottom entries count
+        if (row, row1) not in joint:
+            joint[row, row1] = [((y, y1), m) for y, u in row for y1, v in row1
+                                if (m := meet[u][v]) != bot]
+        return joint[row, row1]
+
+    ws = ext.sorted_carrier(pair_carrier(xs, xs1))
+    nss, best, found = len(ss), len(rs) * len(ss), None
     for k, w in enumerate(ws):
         wx, wy = can_src[w]
-        trow, srow = trows.get(wx), srows.get(wy)
-        if not trow or not srow:
-            continue
-        # k fixes w and so the number of letters of wx and of wy, and the
-        # square at w reads only the rows at those letters
-        key = (k, *[rids[x] for x in letters(wx)], *[sids[x] for x in letters(wy)])
-        bad = memo.get(key)
-        if bad is None:
-            if joint is None:
-                joint = r.owedge_rows(s)
-            # left(w, (x', y')) = sup over w' in the can-fiber of T(r owedge s)(w, w')
-            left = push_forward(q, ((can_dst[w1], xi(values, q))
-                                    for w1, values in monad.fiber(w, joint)))
-            bad = memo[key] = next((
-                (i, j, lhs, rhs) for i, u in trow for j, v in srow
-                if not le(rhs := meet[u][v],
-                          lhs := left.get((tr.dst[i], ts.dst[j]), bot))), ())
-        if bad:
-            i, j, lhs, rhs = bad
-            rep.tick((k * nx + i) * ny + j + 1)
-            return rep.fail("infi-ge", [repr(w), repr(tr.dst[i]), repr(ts.dst[j])],
-                            lhs=q.labels[lhs], rhs=q.labels[rhs])
-    rep.tick(len(ws) * nx * ny)
-    return rep.ok()
+        bs = firsts(1, frozenset(letters(wy)))
+        for a in firsts(0, frozenset(letters(wx))):
+            if a * nss >= best:
+                break
+            trows, base = sides[0][a]
+            for b in bs if trows.get(wx) else ():
+                srows, base1 = sides[1][b]
+                if a * nss + b >= best:
+                    break
+                if not srows.get(wy):
+                    continue
+                wrows = {p: joint_row(base[p[0]], base1[p[1]]) for p in letters(w)}
+                # left(w, (x', y')) = sup over w' in the can-fiber of T(r owedge s)(w, w')
+                left = push_forward(q, ((can_dst[w1], xi(values, q))
+                                        for w1, values in monad.fiber(w, wrows)))
+                bad = next(((i, j, lhs, rhs) for i, u in trows[wx] for j, v in srows[wy]
+                            if not le(rhs := meet[u][v],
+                                      lhs := left.get((tys[i], tys1[j]), bot))), None)
+                if bad:
+                    best, found = a * nss + b, (k, w, *bad)
+    if found is None:
+        rep.tick(len(ws) * len(tys) * len(tys1))
+        return best, rep.ok()
+    k, w, i, j, lhs, rhs = found
+    rep.tick((k * len(tys) + i) * len(tys1) + j + 1)
+    return best, rep.fail("infi-ge", [repr(w), repr(tys[i]), repr(tys1[j])],
+                          lhs=q.labels[lhs], rhs=q.labels[rhs])
+
+
+def check_infi(ext: LaxExtension, r: VRel, s: VRel) -> CheckReport:
+    """The comparison-map square for the joint relation of r and s: the
+    sweep of the one pair."""
+    return infi_sweep(ext, [r], [s])[1]
 
 
 def check_xi_meet(ext: LaxExtension) -> CheckReport:
@@ -407,9 +409,9 @@ def check_assumptions_bundle(ext: LaxExtension, seed: int = 0,
                              samples: int = 8, exhaustive: bool | None = None,
                              guard: int | None = None) -> CheckReport:
     """Aggregate verdicts for the four standing assumptions; per-condition
-    results land in the details table.  The largest extension, that of the
-    joint relation X x X' -|-> Y x Y', is guarded by its count of
-    T((X x X') x (Y x Y'))."""
+    results land in the details table.  The fibers of the joint relations
+    X x X' -|-> Y x Y' of the infi pairs range over T((X x X') x (Y x Y')),
+    which is guarded by its count."""
     import random
 
     rep = Reporter("assumptions_bundle", bound=ext.bound_info())
@@ -421,34 +423,37 @@ def check_assumptions_bundle(ext: LaxExtension, seed: int = 0,
                 "T((X x X') x (Y x Y')) enumeration", guard)
     if exhaustive is None:
         exhaustive = q.n <= 4
-    # the sub-checks of each condition, drawn lazily in a fixed order (the
-    # sampled infi pairs before the scalar-tensor relations) and run up to
-    # the first failure
+    # the sub-checks of each condition as (pairs or relations it ran,
+    # report), drawn lazily in a fixed order (the sampled infi pairs before
+    # the scalar-tensor relations) and run up to the first failure
     if exhaustive:
         rels = list(all_relations(q, xs, ys))
-        infi_pairs = ((r, s) for r in rels for s in rels)
-    else:
-        infi_pairs = ((random_relation(q, xs, ys, rng), random_relation(q, xs, ys, rng))
-                      for _ in range(samples))
+
+    def infi():
+        if exhaustive:
+            index, sub = infi_sweep(ext, rels, rels)
+            return [(index + (not sub.passed), sub)]
+        return ((1, check_infi(ext, random_relation(q, xs, ys, rng),
+                               random_relation(q, xs, ys, rng)))
+                for _ in range(samples))
 
     def scalar_tensor():
         drawn = (rels if exhaustive
                  else [random_relation(q, xs, ys, rng) for _ in range(samples)])
-        return (check_assumption3(ext, r, u) for u in range(q.n) for r in drawn)
+        return ((1, check_assumption3(ext, r, u)) for u in range(q.n) for r in drawn)
 
-    lifts = Lifts(ext)
     conditions = (
-        ("infi", lambda: (check_infi(ext, r, s, lifts) for r, s in infi_pairs)),
-        ("condition_inj", lambda: (check_condition_inj(q),)),
+        ("infi", infi),
+        ("condition_inj", lambda: [(1, check_condition_inj(q))]),
         ("scalar_tensor", scalar_tensor),
-        ("functors", lambda: (check_assumption4(ext),)),
+        ("functors", lambda: [(1, check_assumption4(ext))]),
     )
     verdicts = {}
     witnesses = {}
     for name, subs in conditions:
         verdicts[name] = True
-        for sub in subs():
-            rep.tick()
+        for ran, sub in subs():
+            rep.tick(ran)
             if not sub.passed:
                 verdicts[name] = False
                 witnesses[name] = sub.witness

@@ -72,27 +72,14 @@ class VRel:
 
     def owedge(self, s: "VRel") -> "VRel":
         """Joint relation on product carriers with entrywise meet."""
-        return VRel(self.quantale, pair_carrier(self.src, s.src),
-                    pair_carrier(self.dst, s.dst),
-                    {(xx, yy): v for xx, row in self.owedge_rows(s).items()
-                     for yy, v in row})
-
-    def owedge_rows(self, s: "VRel") -> dict:
-        """The rows of self owedge s, built from the rows of both:
-        rows[(x, x')] lists ((y, y'), self(x, y) /\\ s(x', y')), bottom
-        dropped, and no key holds an empty row."""
         q = self.quantale
         meet, bot = q.meet, q.bottom
         # bottom absorbs the meet, so only pairs of non-bottom entries count
-        srows = s.rows()
-        out = {}
-        for x, row in self.rows().items():
-            for x1, row1 in srows.items():
-                joint = [((y, y1), m) for y, u in row for y1, v in row1
-                         if (m := meet[u][v]) != bot]
-                if joint:
-                    out[(x, x1)] = joint
-        return out
+        return VRel(q, pair_carrier(self.src, s.src), pair_carrier(self.dst, s.dst),
+                    {((x, x1), (y, y1)): m
+                     for (x, y), u in self.entries.items()
+                     for (x1, y1), v in s.entries.items()
+                     if (m := meet[u][v]) != bot})
 
     def tensor_scalar(self, u: int) -> "VRel":
         q = self.quantale

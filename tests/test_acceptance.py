@@ -33,9 +33,9 @@ from tvcat.presheaf import (build_presheaf_category, certify_injective,
 from tvcat.quantale import (chain_trunc_add, check_condition_inj,
                             check_quantale, godel_chain, lukasiewicz,
                             powerset_frame, quantale_by_name, two)
-from tvcat.theory import (LaxExtension, Lifts, check_assumption3,
+from tvcat.theory import (LaxExtension, check_assumption3,
                           check_assumptions_bundle, check_extension_laws,
-                          check_infi)
+                          infi_sweep)
 from tvcat.vrel import all_relations, constant_rel
 
 XS = ("x0", "x1")
@@ -50,7 +50,7 @@ INFI_CELLS = [c for c in CELLS if c not in INFI_FAILING]
 FRAMES = {"two", "godel:3"}
 # the depth-3 word monad: the extension laws over each quantale, infi over
 # two, and over lukasiewicz:3 the failure of its word:2 cell, pinned below;
-# godel:3 x word:3 infi (about 17 s) waits for a faster relational core
+# godel:3 x word:3 infi (about 5.5 s) is over the grid's time budget
 WORD3_CELLS = [(q, "word:3") for q in QUANTALES]
 WORD3_INFI = [("two", "word:3"), ("lukasiewicz:3", "word:3")]
 
@@ -88,17 +88,10 @@ def extension_grid():
         assert any(r.dst == s.src for r, s in pairs)
         laws = check_extension_laws(ext, rels=rels, pairs=pairs)
         infi_witness = None
-        infi_rels = rels if (qname, mname) in CELLS + WORD3_INFI else []
-        # one memo of extensions per cell, as check_assumptions_bundle keeps
-        lifts = Lifts(ext)
-        for r in infi_rels:
-            for s in rels:
-                rep = check_infi(ext, r, s, lifts)
-                if not rep.passed:
-                    infi_witness = rep
-                    break
-            if infi_witness is not None:
-                break
+        if (qname, mname) in CELLS + WORD3_INFI:
+            # every pair of rels, as check_assumptions_bundle sweeps them
+            rep = infi_sweep(ext, rels, rels)[1]
+            infi_witness = None if rep.passed else rep
         results[(qname, mname)] = (laws, infi_witness)
     results["elapsed"] = time.time() - t0
     return results
@@ -125,6 +118,21 @@ def test_criterion_2_infi_word3_lukasiewicz_witness(extension_grid):
                                     "('y0', 'y1')", "('y1', 'y0')"]
     assert infi_witness.details == {"lhs": "0", "rhs": "1/2"}
     assert infi_witness.samples == 4566
+
+
+@pytest.mark.parametrize("cell", [("trunc_add:4", "identity"),
+                                  ("powerset:2", "identity"),
+                                  ("powerset:2", "labelled:z2")],
+                         ids=lambda c: "%s-%s" % c)
+def test_criterion_2_exhaustive_bundle(cell):
+    # all 65,536 infi pairs of the 256 relations, then 1 + 1,024 + 1
+    # sub-checks of the other conditions
+    rep = check_assumptions_bundle(make_ext(*cell), exhaustive=True)
+    assert rep.to_dict() == {
+        "check": "assumptions_bundle", "status": "pass", "samples": 66562,
+        "details": {"exhaustive": True,
+                    "verdicts": {"condition_inj": True, "functors": True,
+                                 "infi": True, "scalar_tensor": True}}}
 
 
 def test_criterion_2_runtime(extension_grid):

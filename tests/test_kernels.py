@@ -10,9 +10,9 @@ TTX against their loops over all of it, the representation search, the
 op-lax mult square of the extension laws and the algebra laws included, with a
 planted defect per extension law, planted (T) witnesses past passing terms
 and a count of the XX passed to m; and the sparse comparison square of
-check_infi, whose left table is folded from fibers with no relation built
-and memoized per w across a sweep, and sparse owedge against their dense
-loops."""
+check_infi, whose left table is folded from fibers with no relation built,
+the infi sweep over row classes against the dense pair loop, and sparse
+owedge against their dense loops."""
 
 import itertools
 import random
@@ -32,8 +32,8 @@ from tvcat.presheaf import (build_presheaf_category, weak_exponential,
                             weak_factorize)
 from tvcat.quantale import FormatError, Quantale, quantale_by_name
 from tvcat.report import Reporter, sort_key
-from tvcat.theory import (LaxExtension, Lifts, check_extension_laws,
-                          check_infi)
+from tvcat.theory import (LaxExtension, check_extension_laws, check_infi,
+                          infi_sweep)
 from tvcat.vrel import (VRel, all_relations, id_rel, pair_carrier,
                         push_forward, random_relation, tabulate)
 
@@ -776,14 +776,17 @@ def dense_infi(ext, r, s):
     can_src = ext.can_map(r.src, s.src)
     left = push_forward(q, (((w, can_dst[w1]), v)
                             for (w, w1), v in trs.entries.items()))
+    meet, le, bot = q.meet, q.le, q.bottom
     for w in sorted(trs.src, key=sort_key):
         wx, wy = can_src[w]
+        srow = [(y1, ts(wy, y1)) for y1 in ts.dst]
         for x1 in tr.dst:
-            for y1 in ts.dst:
+            u = tr(wx, x1)
+            for y1, v in srow:
                 rep.tick()
-                rhs = q.meet[tr(wx, x1)][ts(wy, y1)]
-                lhs = left.get((w, (x1, y1)), q.bottom)
-                if not q.le(rhs, lhs):
+                rhs = meet[u][v]
+                lhs = left.get((w, (x1, y1)), bot)
+                if not le(rhs, lhs):
                     return rep.fail("infi-ge", [repr(w), repr(x1), repr(y1)],
                                     lhs=q.labels[lhs], rhs=q.labels[rhs])
     return rep.ok()
@@ -794,7 +797,8 @@ INFI_CELLS = [(q, m) for m in ("identity", "word:2", "labelled:z2")
 INFI_CELLS += [("two", "word:3"), ("lukasiewicz:3", "word:3")]
 # the cells where the square genuinely fails, so witnesses and the samples
 # up to them are compared
-INFI_FAILING = {("lukasiewicz:3", "word:2"), ("lukasiewicz:3", "word:3")}
+INFI_RED = ("lukasiewicz:3", "word:2")
+INFI_FAILING = {INFI_RED, ("lukasiewicz:3", "word:3")}
 INFI_SAMPLES = 400
 # the dense loop takes about 25 ms a pair over word:3
 INFI_WORD3_SAMPLES = 40
@@ -813,115 +817,95 @@ def test_sparse_infi_matches_dense_loop(cell):
         rng = random.Random("infi:%s:%s" % cell)
         samples = INFI_WORD3_SAMPLES if mname == "word:3" else INFI_SAMPLES
         pairs = [(rng.choice(rels), rng.choice(rels)) for _ in range(samples)]
-    lifts = Lifts(ext)  # shared, as in the assumptions bundle
     statuses = set()
     for k, (r, s) in enumerate(pairs):
         if k % 2 == 0:
-            # entries in reverse dst order, extended afresh: the rows of the
-            # lifts must still be visited in dst order
+            # entries in reverse dst order: the rows of the lifts must still
+            # be visited in dst order
             r, s = (VRel(q, t.src, t.dst, dict(reversed(t.entries.items())))
                     for t in (r, s))
-        got = check_infi(ext, r, s, lifts if k % 2 else None)
+        got = check_infi(ext, r, s)
         assert got.to_dict() == dense_infi(ext, r, s).to_dict()
         statuses.add(got.status)
     assert ("fail" in statuses) == (cell in INFI_FAILING)
 
 
-def test_warm_infi_builds_no_relation(monkeypatch):
-    # with r and s lifted, the carrier tables filled and the squares of a
-    # first pass memoized, a second pass reads the lifts and the memo alone:
-    # no extension, no relation (not even the joint one) and no fold
-    ext = LaxExtension(monad_by_name("word:2"), quantale_by_name("godel:3"))
-    rels = list(all_relations(ext.quantale, ("b", "a"), ("d", "c")))
-    rng = random.Random("infi:warm")
-    lifts = Lifts(ext)
-    pairs = [(rng.choice(rels), rng.choice(rels)) for _ in range(20)]
-    expect = [dense_infi(ext, r, s).to_dict() for r, s in pairs]
-    for r, s in pairs:
-        check_infi(ext, r, s, lifts)
-    counts = {"extend": 0, "built": 0, "fiber": 0}
-    monad = ext.monad
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(LaxExtension, "extend",
-                        counted("extend", LaxExtension.extend))
-    monkeypatch.setattr(VRel, "__post_init__",
-                        counted("built", VRel.__post_init__))
-    monkeypatch.setattr(monad, "fiber", counted("fiber", monad.fiber))
-    got = [check_infi(ext, r, s, lifts).to_dict() for r, s in pairs]
-    assert got == expect
-    # every square the first pass decided is in the memo: the second pass
-    # folds no fiber either
-    assert counts == {"extend": 0, "built": 0, "fiber": 0}
+def dense_sweep(ext, rs, ss):
+    """The pair loop of dense_infi over rs x ss in product order: (index,
+    report) of the first failing pair, or (len(rs) len(ss), pass)."""
+    rep = None
+    for k, (r, s) in enumerate(itertools.product(rs, ss)):
+        rep = dense_infi(ext, r, s)
+        if not rep.passed:
+            return k, rep
+    return len(rs) * len(ss), rep
 
 
-def visited_squares(ext, r, s, rep):
-    """The w whose square check_infi decides, in its order, up to the
-    witness of a failing rep: those where the rows of Tr at wx and of Ts at
-    wy both hold a non-bottom entry."""
-    trows, srows = ext.extend(r).rows(), ext.extend(s).rows()
-    can_src = ext.can_map(r.src, s.src)
-    out = []
-    for w in sorted(ext.monad.carrier(pair_carrier(r.src, s.src)), key=sort_key):
-        wx, wy = can_src[w]
-        if trows.get(wx) and srows.get(wy):
-            out.append(w)
-        if not rep.passed and repr(w) == rep.witness[0]:
-            break
-    return out
+SWEEP_CELLS = [(q, m) for m in ("identity", "labelled:z2", "word:2")
+               for q in ("two", "godel:3", "lukasiewicz:3")]
+SWEEP_CELLS += [("lukasiewicz:3", "word:3")]
 
 
-def memo_pairs(cell):
-    qname, mname = cell
-    q = quantale_by_name(qname)
-    rels = list(all_relations(q, ("b", "a"), ("d", "c")))
-    if mname == "identity":
-        return rels, [(r, s) for r in rels for s in rels]
-    rng = random.Random("infi-memo:%s:%s" % cell)
-    return rels, [(rng.choice(rels), rng.choice(rels)) for _ in range(300)]
-
-
-@pytest.mark.parametrize("cell", [("godel:3", "identity"),
-                                  ("lukasiewicz:3", "identity"),
-                                  ("lukasiewicz:3", "word:2")],
-                         ids=lambda c: "%s-%s" % c)
-def test_infi_memo_matches_dense_loop(monkeypatch, cell):
-    # one Lifts over the sweep, as in the assumptions bundle, on carriers
-    # out of sort_key order; every relation is lifted first, so each fiber
-    # call made inside check_infi folds the square at a w
+@pytest.mark.parametrize("cell", SWEEP_CELLS, ids=lambda c: "%s-%s" % c)
+def test_infi_sweep_matches_dense_loop(cell):
+    # carriers out of sort_key order; every relation where the dense loop
+    # is cheap (two, and the failing word:2 cell, whose loop stops at pair
+    # 410), two samples of 30 relations on each side (8 of the 16 over
+    # two), and per point the relations that share one row there, so that
+    # at a w reading both points their classes split on the other point,
+    # paired with their copies on the carriers ("f", "e") and ("h", "g")
     qname, mname = cell
     ext = LaxExtension(monad_by_name(mname), quantale_by_name(qname))
-    rels, pairs = memo_pairs(cell)
-    lifts = Lifts(ext)
-    for r in rels:
-        lifts(r)
-    monad = ext.monad
-    fiber, folded = monad.fiber, []
+    rels = list(all_relations(ext.quantale, ("b", "a"), ("d", "c")))
+    rng = random.Random("infi-sweep:%s:%s" % cell)
+    sweeps = [(rels, rels)] if qname == "two" or cell == INFI_RED else []
+    k = min(30, len(rels) // 2)
+    sweeps += [(rng.sample(rels, k), rng.sample(rels, k)) for _ in range(2)]
+    for x in ("b", "a"):
+        row = sorted(rels[10].rows().get(x, ()))
+        fixed = [r for r in rels if sorted(r.rows().get(x, ())) == row]
+        sweeps.append((fixed, [r.rename(dict(b="f", a="e").get, dict(d="h", c="g").get)
+                               for r in fixed]))
+    statuses = set()
+    for rs, ss in sweeps:
+        index, got = infi_sweep(ext, rs, ss)
+        expect_index, expect = dense_sweep(ext, rs, ss)
+        assert (index, got.to_dict()) == (expect_index, expect.to_dict())
+        statuses.add(got.status)
+    assert ("fail" in statuses) == (cell in INFI_FAILING)
 
-    def counted(t, rows):
-        folded.append(t)
-        return fiber(t, rows)
 
-    hits = failing_hits = 0
-    for r, s in pairs:
-        folded.clear()
-        monkeypatch.setattr(monad, "fiber", counted)
-        got = check_infi(ext, r, s, lifts)
-        monkeypatch.setattr(monad, "fiber", fiber)
-        assert got.to_dict() == dense_infi(ext, r, s).to_dict()
-        seen = visited_squares(ext, r, s, got)
-        # each w is folded at most once, and only where the square is decided
-        assert len(set(folded)) == len(folded) and set(folded) <= set(seen)
-        hits += len(seen) - len(folded)
-        if not got.passed:
-            failing_hits += seen[-1] not in folded
-    assert hits > 0
-    assert (failing_hits > 0) == (mname == "word:2")
+def test_sweep_extends_each_relation_once(monkeypatch):
+    # rs and ss overlap, and repeat relations as equal copies: the sweep
+    # extends each distinct relation of rs and ss once, and builds no
+    # relation per square (neither the joint relation nor its extension)
+    ext = LaxExtension(monad_by_name("word:2"), quantale_by_name("godel:3"))
+    q = ext.quantale
+    rels = list(all_relations(q, ("b", "a"), ("d", "c")))
+    rng = random.Random("infi-sweep:once")
+    rs = rng.sample(rels, 20)
+    ss = rng.sample(rs, 10) + rng.sample(rels, 10)
+    ss += [VRel(q, r.src, r.dst, dict(r.entries)) for r in ss[:5]]
+    distinct = {frozenset(r.entries.items()) for r in rs + ss}
+    extended, built = [], [0]
+    extend, post_init = LaxExtension.extend, VRel.__post_init__
+
+    def counted_extend(self, r, src=None):
+        extended.append(frozenset(r.entries.items()))
+        return extend(self, r, src)
+
+    def counted_post_init(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(LaxExtension, "extend", counted_extend)
+    monkeypatch.setattr(VRel, "__post_init__", counted_post_init)
+    index, got = infi_sweep(ext, rs, ss)
+    monkeypatch.undo()
+    assert got.passed and index == len(rs) * len(ss)
+    assert len(extended) == len(set(extended)) and set(extended) == distinct
+    # the extensions are the only relations built
+    assert built[0] == len(distinct)
 
 
 @pytest.mark.parametrize("qname", ["two", "godel:3", "lukasiewicz:3",
@@ -954,16 +938,15 @@ def extension_laws_oracle(ext, rels, pairs):
     rep = Reporter("extension_laws", bound=ext.bound_info())
     q = ext.quantale
     monad = ext.monad
-    lift = Lifts(ext)
     for r in rels:
-        tid = lift(id_rel(q, r.src))
+        tid = ext.extend(id_rel(q, r.src))
         idt = id_rel(q, monad.carrier(r.src))
         gap = idt.first_gap(tid)
         rep.tick()
         if gap is not None:
             return rep.fail("lax-identity", [repr(gap[0])])
-        tr = lift(r)
-        trt = lift(r.transpose())
+        tr = ext.extend(r)
+        trt = ext.extend(r.transpose())
         rep.tick()
         if trt != tr.transpose():
             gap = trt.first_gap(tr.transpose()) or tr.transpose().first_gap(trt)
@@ -991,7 +974,7 @@ def extension_laws_oracle(ext, rels, pairs):
         if r.dst != s.src:
             continue
         rep.tick()
-        gap = lift(s).compose(lift(r)).first_gap(lift(s.compose(r)))
+        gap = ext.extend(s).compose(ext.extend(r)).first_gap(ext.extend(s.compose(r)))
         if gap is not None:
             return rep.fail("lax-composition", [repr(gap[0]), repr(gap[1])])
     return rep.ok()

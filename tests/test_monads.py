@@ -9,6 +9,7 @@ from tvcat.monads import (FormatError, LabelledMonad, Monoid, WordMonad, can_map
                           check_bc_samples, check_monad_laws, monad_by_name,
                           monad_from_dict, z2)
 from tvcat.quantale import Quantale, lukasiewicz, two
+from tvcat.vrel import pair_carrier
 
 XS = ("a", "b")
 
@@ -80,17 +81,17 @@ def test_monoid_validation():
 
 def test_can_map_components():
     m = WordMonad(2)
-    cm = can_map(m, ("x",), ("y", "z"))
+    cm = can_map(m, m.carrier(pair_carrier(("x",), ("y", "z"))))
     w = (("x", "y"), ("x", "z"))
     assert cm[w] == (("x", "x"), ("y", "z"))
     ident = monad_by_name("identity")
-    assert can_map(ident, XS, XS)[("a", "b")] == ("a", "b")
+    assert can_map(ident, ident.carrier(pair_carrier(XS, XS)))[("a", "b")] == ("a", "b")
 
 
 def test_can_map_word_surjective_on_equal_lengths():
     # every pair of equal-length words is hit by exactly one joint word
     m = WordMonad(2)
-    cm = can_map(m, XS, XS)
+    cm = can_map(m, m.carrier(pair_carrier(XS, XS)))
     hits = {}
     for w, pair in cm.items():
         hits.setdefault(pair, []).append(w)
@@ -193,7 +194,7 @@ def test_monad_laws_planted_defects(monad, q, law, witness):
                                   "labelled:z2", "word:1", "word:2", "word:3"])
 @pytest.mark.parametrize("xs", [("b", "a"), ("c", "a", "b")], ids=len)
 def test_fiber_reads_only_the_rows_at_the_letters(spec, xs):
-    # the contract the per-w memo of check_infi rests on: the rows outside
+    # the contract the infi sweep's row classes rest on: the rows outside
     # the letters of t never change the fibers above t
     m = monad_by_name(spec)
     rng = random.Random("fiber-letters:%s:%d" % (spec, len(xs)))

@@ -92,10 +92,11 @@ def test_ta_is_extended_once_per_structure(monkeypatch):
     assert calls.count(True) == 1
 
 
-def carrier_calls(tree):
-    """(line, source) of each ``.carrier(...)`` call not made on an
-    extension (``ext``, ``<x>.ext``, or ``self`` inside LaxExtension), and
-    not inside the body of LaxExtension.carrier."""
+def monad_calls(tree, name):
+    """(class, function, line, source) of each call of ``name`` not made on
+    an extension (``ext``, ``<x>.ext``, or ``self`` inside LaxExtension):
+    a monad's method, or a function of monads.py, bare or through its
+    module."""
     out = []
 
     def visit(node, cls, fn):
@@ -103,21 +104,30 @@ def carrier_calls(tree):
             cls = node.name
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node.name
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "carrier"
-              and (cls, fn) != ("LaxExtension", "carrier")):
-            recv = node.func.value
-            on_ext = ((isinstance(recv, ast.Name) and recv.id == "ext")
-                      or (isinstance(recv, ast.Attribute) and recv.attr == "ext")
-                      or (isinstance(recv, ast.Name) and recv.id == "self"
-                          and cls == "LaxExtension"))
-            if not on_ext:
-                out.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == name:
+                recv = func.value
+                found = not ((isinstance(recv, ast.Name) and recv.id == "ext")
+                             or (isinstance(recv, ast.Attribute) and recv.attr == "ext")
+                             or (isinstance(recv, ast.Name) and recv.id == "self"
+                                 and cls == "LaxExtension"))
+            else:
+                found = isinstance(func, ast.Name) and func.id == name
+            if found:
+                out.append((cls, fn, node.lineno, ast.unparse(node)))
         for child in ast.iter_child_nodes(node):
             visit(child, cls, fn)
 
     visit(tree, None, None)
     return out
+
+
+def carrier_calls(tree):
+    """(line, source) of each ``.carrier(...)`` call not made on an
+    extension, and not inside the body of LaxExtension.carrier."""
+    return [(line, source) for cls, fn, line, source in monad_calls(tree, "carrier")
+            if (cls, fn) != ("LaxExtension", "carrier")]
 
 
 def test_only_the_extension_enumerates_t_carriers():
@@ -138,3 +148,22 @@ def test_the_guard_sees_a_monad_carrier_call():
                      "def f(s, xs):\n"
                      "    return s.monad.carrier(xs), s.ext.carrier(xs)\n")
     assert carrier_calls(tree) == [(5, "s.monad.carrier(xs)")]
+
+
+def test_only_the_extension_calls_can_map():
+    # monads.can_map maps the T(X x Y) it is given, and only
+    # LaxExtension.can_map gives it one, from its own carrier table
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for cls, fn, _, _ in monad_calls(
+                ast.parse(path.read_text(encoding="utf-8")), "can_map"):
+            found.setdefault(path.name, []).append((cls, fn))
+    assert found == {"theory.py": [("LaxExtension", "can_map")]}
+
+
+def test_the_guard_sees_a_can_map_call():
+    tree = ast.parse("def f(s, ws):\n"
+                     "    return (monads.can_map(s.monad, ws), can_map(s.monad, ws),\n"
+                     "            s.ext.can_map(s.xs, s.ys), ext.can_map(s.xs, s.ys))\n")
+    assert [(line, source) for _, _, line, source in monad_calls(tree, "can_map")] == [
+        (2, "monads.can_map(s.monad, ws)"), (2, "can_map(s.monad, ws)")]
