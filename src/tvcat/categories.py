@@ -12,12 +12,12 @@ The dual X^op is K((M X)-degree), read along m, and the canonical structure
 on TX that representability is tested against is K M X.  (T) and the frame
 criterion read the Kleisli composite a . Ta from ``TVStructure.kleisli``.
 The checks walk TTX through ext.walk, the closure and M read ext.fragment,
-and the closure's defect scan reads T(supp a) alone.
+both keyed by the points X, and the closure's defect scan reads T(supp a).
 
 Each derived table has one owner: constructions take T(X) from ext.carrier
 and sort_key walks read ext.sorted_carrier; ``TVStructure.ta`` is Ta on the
-fragment, extended once per structure for (T), the splitting and frame
-criteria and M (so the dual, representation and presheaves).
+fragment, once per structure for the closure round that returns it, (T),
+the splitting and frame criteria and M (so dual, representation, presheaves).
 
 compatible_maps is the one search for maps h with a(t, x) <= b(Th t, h x):
 the exponential and presheaf carriers, the representation search and weak
@@ -73,7 +73,7 @@ class TVStructure:
     def ta(self) -> VRel:
         """Ta on the in-bound fragment of TTX, extended once per structure
         for the checks and constructions that read it."""
-        return self.ext.extend(self.a, src=self.ext.fragment(self.tx)[2])
+        return self.ext.extend(self.a, src=self.ext.fragment(self.carrier)[2])
 
     @cached_property
     def kleisli(self) -> VRel:
@@ -158,7 +158,7 @@ def check_category(s: TVStructure) -> CheckReport:
         return rep.fail(sub.law, sub.witness, **sub.details)
     ta, via = s.ta, s.kleisli
     nt, nx = len(s.tx), len(s.carrier)
-    for k, (xx, mx) in enumerate(s.ext.walk(s.tx, rep)):
+    for k, (xx, mx) in enumerate(s.ext.walk(s.carrier, rep)):
         if all(q.le(via(xx, x), s.a(mx, x)) for x in s.carrier):
             continue
         for (j, t), (i, x) in iter_product(enumerate(s.tx), enumerate(s.carrier)):
@@ -290,29 +290,23 @@ def final_lift(ext: LaxExtension, carrier: tuple, cocone) -> TVStructure:
 
 def graph_to_category(s: TVStructure) -> TVStructure:
     """Least category structure above the given graph: joins in the
-    reflexive floor, then iterates the transitivity-defect closure
-    a |-> a v (push-forward along m of a . Ta) to its fixed point on the
-    in-bound fragment of TTX.  Defects sitting at out-of-bound words cannot
-    be propagated; their presence is recorded in the bounded_closure flag.
-    Ta grows with a, so a defect of any iterate is one of the fixed point,
-    and the fixed point alone is scanned for them."""
+    reflexive floor, then iterates a |-> a v (push-forward along m of the
+    ``kleisli`` a . Ta of each round's structure) to its fixed point on the
+    in-bound fragment of TTX, returned with its Ta and a . Ta built.
+    Defects at out-of-bound words cannot be propagated; the bounded_closure
+    flag records them.  Ta grows with a, so a defect of any iterate is one
+    of the fixed point, and the fixed point alone is scanned for them."""
     q = s.quantale
-    monad = s.monad
-    ext = s.ext
     ent = push_forward(q, [*s.a.entries.items(),
-                           *(((monad.unit(x), x), q.unit) for x in s.carrier)])
-    rows, _, xxs = ext.fragment(s.tx)
-    mult = {xx: mx for _, xx, mx in rows}
+                           *(((s.monad.unit(x), x), q.unit) for x in s.carrier)])
+    mult = {xx: mx for _, xx, mx in s.ext.fragment(s.carrier)[0]}
     while True:
-        a = VRel(q, s.tx, s.carrier, ent)
-        step = a.compose(ext.extend(a, src=xxs))
-        new = push_forward(q, [*ent.items(), *(((mult[xx], x), v)
-                                               for (xx, x), v in step.entries.items())])
-        if new == ent:
+        out = TVStructure(s.ext, s.carrier, VRel(q, s.tx, s.carrier, ent), name=s.name)
+        ent = push_forward(q, [*ent.items(), *(((mult[xx], x), v) for (xx, x), v
+                                               in out.kleisli.entries.items())])
+        if ent == out.a.entries:
             break
-        ent = new
-    out = TVStructure(s.ext, s.carrier, a, name=s.name)
-    if _out_of_bound_defect(ext, a):
+    if _out_of_bound_defect(s.ext, out.a):
         out.flags["bounded_closure"] = True
     return out
 
@@ -526,7 +520,7 @@ def check_algebra(alg: EMAlgebra) -> CheckReport:
         rep.tick()
         if alg.alpha.get(monad.unit(x)) != x:
             return rep.fail("algebra-unit", [repr(x)])
-    for xx, mx in alg.ext.walk(tx, rep):
+    for xx, mx in alg.ext.walk(alg.carrier, rep):
         if any(t not in alg.alpha for t in monad.letters(xx)):
             rep.skip()
             continue
@@ -556,10 +550,9 @@ def check_algebra(alg: EMAlgebra) -> CheckReport:
 def functor_M(s: TVStructure) -> EMAlgebra:
     """M sends (X, a) to (TX, Ta . m-degree, m)."""
     q = s.quantale
-    carrier = s.tx
-    alpha = {xx: mx for _, xx, mx in s.ext.fragment(carrier)[0]}
+    alpha = {xx: mx for _, xx, mx in s.ext.fragment(s.carrier)[0]}
     ent = push_forward(q, (((alpha[xx], t), v) for (xx, t), v in s.ta.entries.items()))
-    return EMAlgebra(s.ext, carrier, VRel(q, carrier, carrier, ent), alpha)
+    return EMAlgebra(s.ext, s.tx, VRel(q, s.tx, s.tx, ent), alpha)
 
 
 def functor_K(alg: EMAlgebra) -> TVStructure:
@@ -596,8 +589,7 @@ def find_representation(s: TVStructure, guard: int | None = None):
     in-bound elements."""
     q = s.quantale
     monad = s.monad
-    tx = s.tx
-    check_guard(len(s.carrier) ** len(tx), "representation search", guard)
+    check_guard(len(s.carrier) ** len(s.tx), "representation search", guard)
     hat = functor_K(functor_M(s)).a
     a0 = s.a0()
     order = sorted(s.carrier, key=sort_key)
@@ -609,7 +601,7 @@ def find_representation(s: TVStructure, guard: int | None = None):
         alpha = dict(zip(domains, values))
         rep = Reporter("representation", bound=s.ext.bound_info())
         pseudo = True
-        for xx, mx in s.ext.walk(tx, rep):
+        for xx, mx in s.ext.walk(s.carrier, rep):
             rep.tick()
             lhs = alpha[monad.map_elem(lambda u: alpha[u], xx)]
             rhs = alpha[mx]

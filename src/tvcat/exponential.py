@@ -135,7 +135,7 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
     a_rows = {t: dict(row) for t, row in sx.a.rows().items()}
     meet, tensor = q.meet, q.tensor
     elems = range(q.n)
-    for xx, mx in sx.ext.walk(sx.tx, rep):
+    for xx, mx in sx.ext.walk(sx.carrier, rep):
         row = ta_rows.get(xx, ())
         for x in sx.carrier:
             pairs = {(v1, a_rows[t][x]) for t, v1 in row if x in a_rows.get(t, ())}
@@ -163,7 +163,7 @@ def check_frame_criterion(sx: TVStructure,
     rep = Reporter("frame_criterion", bound=sx.ext.bound_info())
     via = sx.kleisli
     expo = (check_exponentiability(sx) if expo is None else expo).passed
-    for xx, mx in sx.ext.walk(sx.tx, rep):
+    for xx, mx in sx.ext.walk(sx.carrier, rep):
         for x in sx.carrier:
             rep.tick()
             via_m, via_ta = sx.a(mx, x), via(xx, x)

@@ -12,8 +12,8 @@ form, the fibers over TX of T(supp r) for a relation r given by its rows
 word monad the multiplication is partial: flattening may exceed the depth
 bound, in which case operations skip the element and report it as a
 coverage statistic.  ``inbound`` yields the part of T(TX) where the
-multiplication is defined, in sort_key order and with each element's rank
-in all of T(TX), so the skipped elements are counted without being built.
+multiplication is defined, ranked in the sort_key order of T(TX), from TX
+in the order of ``LaxExtension.sorted_carrier``: nothing is built or sorted.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable
 
 from .limits import check_guard
 from .quantale import FormatError, Quantale
-from .report import CheckReport, Reporter, sort_key
+from .report import CheckReport, Reporter
 from .vrel import pair_carrier
 
 
@@ -107,14 +107,13 @@ class TheoryMonad:
         """Flatten one level; None when out of the depth bound."""
         raise NotImplementedError
 
-    def inbound(self, tx: tuple):
-        """(rank, XX) for each in-bound XX of T(tx) (where mult is defined),
-        in sort_key order, where rank is the position of XX in the sorted
-        T(tx); the ranks skipped over count the out-of-bound XX.  A rank
-        needs sort_key to be injective on tx, as it is on the string and
-        tuple carriers tvcat builds.  Here mult is total and T(tx) small
-        enough to sort; a monad with a partial mult overrides this."""
-        return enumerate(sorted(self.carrier(tx), key=sort_key))
+    def inbound(self, order: tuple):
+        """(rank, XX) for each in-bound XX of T(TX) (where mult is defined)
+        in sort_key order, given TX as ``order`` in sort_key order; rank is
+        the position of XX in the sorted T(TX), so the ranks skipped over
+        count the out-of-bound XX.  A rank needs sort_key to be injective on
+        TX, as it is on the string and tuple carriers tvcat builds."""
+        raise NotImplementedError
 
     def letters(self, t) -> tuple:
         """Base positions of a T-element: the points map_elem acts on."""
@@ -163,6 +162,10 @@ class IdentityMonad(TheoryMonad):
     def mult(self, tt):
         return tt
 
+    def inbound(self, order):
+        # T(TX) = TX and mult is total
+        return enumerate(order)
+
 
 class FiniteUltrafilterMonad(IdentityMonad):
     """On finite carriers every ultrafilter is principal, so this is the
@@ -205,12 +208,11 @@ class WordMonad(TheoryMonad):
         for picks in product(*(rows.get(x, ()) for x in t)):
             yield tuple(zip(*picks)) or ((), ())
 
-    def inbound(self, tx):
-        # sorted tx runs by word length, so the words within a remaining
-        # length budget are a prefix of it; words of words of one length L
-        # sort lexicographically by the ranks of their letters, so XX has
-        # rank sum_{l<L} N^l + sum_k idx(XX_k) N^(L-1-k)
-        order = sorted(tx, key=sort_key)
+    def inbound(self, order):
+        # order runs by word length, so the words within a remaining length
+        # budget are a prefix of it; words of words of one length L sort
+        # lexicographically by the ranks of their letters, so XX has rank
+        # sum_{l<L} N^l + sum_k idx(XX_k) N^(L-1-k)
         n = len(order)
         fits = [sum(len(w) <= b for w in order) for b in range(self.max_len + 1)]
 
@@ -281,6 +283,12 @@ class LabelledMonad(TheoryMonad):
     def mult(self, tt):
         (x, h1), h2 = tt
         return (x, self.monoid.mul(h1, h2))
+
+    def inbound(self, order):
+        # T(TX) = TX x H sorts pairwise (sort_key), and mult is total; the
+        # first |H| elements of order share their point, so list H in order
+        labels = [h for _, h in order[:len(self.monoid.labels)]]
+        return enumerate(product(order, labels))
 
     def letters(self, t):
         return (t[0],)

@@ -207,7 +207,7 @@ def check_thm_injective_exponentiable(s: TVStructure,
     exponentiable.  Vacuous cases (assumptions or injectivity failing) pass
     with the reason recorded."""
     rep = Reporter("injective_exponentiable", bound=s.ext.bound_info())
-    bundle = check_assumptions_bundle(s.ext)
+    bundle = check_assumptions_bundle(s.ext, guard=guard)
     rep.tick()
     if not bundle.passed:
         return rep.ok(vacuous="assumptions", verdicts=bundle.details.get("verdicts"))

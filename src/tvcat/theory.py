@@ -9,9 +9,9 @@ the rows of r, over the requested T-elements.  The literal enumeration of
 T(X x Y) is kept in the tests as the oracle the fibers are checked against.
 
 Checks that quantify over TTX read only its in-bound fragment (where m is
-defined); ``fragment`` gives them that fragment per carrier, generated in
-sort_key order by the monad's ``inbound`` without enumerating or sorting
-the rest of TTX (the tests keep that sort as its oracle), with the count of
+defined); ``fragment`` gives it keyed by the points X, generated by the
+monad's ``inbound`` from ``sorted_carrier(X)`` without enumerating or
+sorting TTX (the tests keep that sort as its oracle), with the count of
 out-of-bound elements between its members, which ``walk`` counts as skips,
 so Ta (TTr in the op-lax mult square) is computed on it alone.  The square
 reads only the non-bottom row of TTr at each XX and counts the rest of TTY
@@ -30,9 +30,9 @@ distinct relation of their pairs once, in a table local to the call.
 
 ``LaxExtension`` owns the tables derived per carrier, each built once:
 T(X) (``carrier``, the one enumeration of T(X) outside monads.py), its
-sort_key order (``sorted_carrier``), the fragment and the comparison map
-(``can_map``, on the T(X x Y) of ``carrier``).  Ta of a structure is
-``TVStructure.ta`` (categories.py).
+sort_key order (``sorted_carrier``, the one sort of a T-carrier), the
+fragment and the comparison map (``can_map``, on the T(X x Y) of
+``carrier``).  Ta and a . Ta are ``TVStructure.ta``/``kleisli``.
 """
 
 from __future__ import annotations
@@ -98,28 +98,29 @@ class LaxExtension:
                 sorted(self.carrier(xs), key=sort_key))
         return order
 
-    def fragment(self, tx: tuple) -> tuple:
-        """The in-bound fragment of T(tx), where m is defined, once per
-        carrier: (rows, tail, xxs), where rows lists (gap, XX, m XX) in
-        sort_key order, gap counting the out-of-bound XX just before XX,
-        tail counts those after the last row, and xxs holds the XX alone.
-        Checks over TTX visit the rows through ``walk``."""
-        frag = self._mult_cache.get(tx)
+    def fragment(self, xs: tuple) -> tuple:
+        """The in-bound fragment of TTX, where m is defined, once per point
+        carrier xs, from ``inbound`` of ``sorted_carrier(xs)``: (rows, tail,
+        xxs), where rows lists (gap, XX, m XX) in sort_key order, gap
+        counting the out-of-bound XX just before XX, tail those after the
+        last row, and xxs the XX alone.  Checks visit it through ``walk``."""
+        frag = self._mult_cache.get(xs)
         if frag is None:
             mult = self.monad.mult
+            order = self.sorted_carrier(xs)
             rows, nxt = [], 0
-            for rank, xx in self.monad.inbound(tx):
+            for rank, xx in self.monad.inbound(order):
                 rows.append((rank - nxt, xx, mult(xx)))
                 nxt = rank + 1
-            frag = self._mult_cache[tx] = (
-                tuple(rows), self.monad.carrier_size(len(tx)) - nxt,
+            frag = self._mult_cache[xs] = (
+                tuple(rows), self.monad.carrier_size(len(order)) - nxt,
                 tuple(xx for _, xx, _ in rows))
         return frag
 
-    def walk(self, tx: tuple, rep: Reporter):
-        """The rows (XX, m XX) of fragment(tx), skipping each gap on rep
+    def walk(self, xs: tuple, rep: Reporter):
+        """The rows (XX, m XX) of fragment(xs), skipping each gap on rep
         before its row, and the tail only if the walk runs to its end."""
-        rows, tail, _ = self.fragment(tx)
+        rows, tail, _ = self.fragment(xs)
         for gap, xx, mx in rows:
             rep.skip(gap)
             yield xx, mx
@@ -189,13 +190,14 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
         # fragments of TTX and TTY.  Only a non-bottom cell of TTr can fail,
         # so each XX reads its row of TTr alone and counts the other in-bound
         # YY in bulk, with one skip per out-of-bound YY up to the witness
-        yrows, ytail, _ = ext.fragment(tr.dst)
+        xs, ys = r.src, r.dst
+        yrows, ytail, _ = ext.fragment(ys)
         ypos, ygaps = {}, 0
         for j, (ygap, yy, my) in enumerate(yrows):
             ygaps += ygap
             ypos[yy] = (j, yy, my, ygaps)
-        ttr = ext.extend(tr, src=ext.fragment(tr.src)[2]).rows()
-        for xx, mx in ext.walk(tr.src, rep):
+        ttr = ext.extend(tr, src=ext.fragment(xs)[2]).rows()
+        for xx, mx in ext.walk(xs, rep):
             bad = [ypos[yy] for yy, v in ttr.get(xx, ())
                    if yy in ypos and not q.le(v, tr(mx, ypos[yy][2]))]
             if bad:

@@ -99,17 +99,14 @@ class VRel:
                    for x in self.src for y in self.dst)
 
     def first_gap(self, s: "VRel"):
-        """First (x, y) in deterministic order where self(x,y) is not below
-        s(x,y), or None; the witness primitive for relation comparisons."""
+        """First (x, y) in sort_key order, x before y, where self(x,y) is not
+        below s(x,y), or None; the witness primitive for relation
+        comparisons.  First is well defined when sort_key is injective on
+        the carriers, as the ranks of ``TheoryMonad.inbound`` need too."""
         q = self.quantale
-        # bottom is below everything, so gaps sit at entries of self; the
-        # carriers are sorted only to pick the first of several
+        # bottom is below everything, so gaps sit at entries of self
         gaps = [xy for xy, v in self.entries.items() if not q.le(v, s(*xy))]
-        if not gaps:
-            return None
-        xrank = {x: i for i, x in enumerate(sorted(self.src, key=sort_key))}
-        yrank = {y: i for i, y in enumerate(sorted(self.dst, key=sort_key))}
-        return min(gaps, key=lambda xy: (xrank[xy[0]], yrank[xy[1]]))
+        return min(gaps, key=lambda xy: (sort_key(xy[0]), sort_key(xy[1])), default=None)
 
     def __eq__(self, other):
         if not isinstance(other, VRel):

@@ -14,6 +14,7 @@ check_infi, whose left table is folded from fibers with no relation built,
 the infi sweep over row classes against the dense pair loop, and sparse
 owedge against their dense loops."""
 
+import functools
 import itertools
 import random
 
@@ -27,7 +28,7 @@ from tvcat.categories import (EMAlgebra, TVFunctor, TVStructure, check_algebra,
 from tvcat.exponential import (admissible_maps, check_exponentiability,
                                check_frame_criterion, graph_exponential,
                                point_tests)
-from tvcat.monads import WordMonad, monad_by_name
+from tvcat.monads import LabelledMonad, Monoid, WordMonad, monad_by_name
 from tvcat.presheaf import (build_presheaf_category, weak_exponential,
                             weak_factorize)
 from tvcat.quantale import FormatError, Quantale, quantale_by_name
@@ -256,9 +257,12 @@ EXT_MONADS = ("identity", "finite_ultrafilter", "word:1", "word:2", "word:3",
 EXT_QUANTALES = ("two", "godel:3", "lukasiewicz:3")
 
 
+@functools.lru_cache(maxsize=16)
 def literal_extension(ext, r, src=None):
     """Tr as the join over all of T(X x Y), each element sent through the
-    comparison map, restricted to the T-elements src of TX when given."""
+    comparison map, restricted to the T-elements src of TX when given.
+    Several oracles read the Ta of one structure, so the last few are kept
+    (a VRel hashes by its carriers and compares by its entries)."""
     q = ext.quantale
     monad = ext.monad
     tx = monad.carrier(r.src) if src is None else src
@@ -311,9 +315,21 @@ def test_inbound_matches_sorted_enumeration(mname, xs):
     tx = monad.carrier(xs)
     rows, tail = inbound_oracle(monad, tx)
     ext = LaxExtension(monad, quantale_by_name("two"))
-    assert ext.fragment(tx) == (rows, tail, tuple(xx for _, xx, _ in rows))
+    assert ext.fragment(xs) == (rows, tail, tuple(xx for _, xx, _ in rows))
     assert (sum(gap for gap, _, _ in rows) + tail
             == monad.carrier_size(len(tx)) - len(rows))
+
+
+def test_labelled_inbound_reads_the_label_order_off_its_carrier():
+    # a monoid listed out of sort_key order: T(TX) sorts its labels by
+    # sort_key, not in the order of the table
+    z3 = Monoid(("e", "b", "a"),
+                tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3)), 0)
+    monad = LabelledMonad(z3)
+    xs = ("c", "a", "b")
+    rows, tail = inbound_oracle(monad, monad.carrier(xs))
+    ext = LaxExtension(monad, quantale_by_name("two"))
+    assert ext.fragment(xs) == (rows, tail, tuple(xx for _, xx, _ in rows))
 
 
 @pytest.mark.parametrize("mname", EXT_MONADS)
@@ -337,7 +353,7 @@ def test_fiber_extension_matches_literal_enumeration(qname, mname):
         assert as_table(ext.extend(r)) == as_table(literal_extension(ext, r))
     # the in-bound fragment of TTX, for a structure relation a: TX -|-> X
     tx = monad.carrier(xs)
-    rows, tail, xxs = ext.fragment(tx)
+    rows, tail, xxs = ext.fragment(xs)
     assert (rows, tail) == inbound_oracle(monad, tx)
     assert xxs == tuple(xx for _, xx, _ in rows)
     for _ in range(1 if mname == "word:3" else 4):
@@ -1200,7 +1216,7 @@ class CountingMult(WordMonad):
 
 def inbound_count(monad, xs):
     """The number of in-bound XX of T(T xs), counted without m."""
-    return sum(1 for _ in monad.inbound(monad.carrier(xs)))
+    return sum(1 for _ in monad.inbound(tuple(sorted(monad.carrier(xs), key=sort_key))))
 
 
 @pytest.mark.parametrize("qname", ("two", "godel:3"))

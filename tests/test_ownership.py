@@ -4,9 +4,12 @@
 returns is, as an object, its extension's ``carrier`` of the points, so no
 construction enumerates T(X) on its own.  ``TVStructure.ta`` owns Ta on
 the in-bound fragment: the checks and constructions that read it extend a
-structure once between them.  A source guard keeps a monad's ``carrier``
-from being called anywhere in ``src/tvcat`` but inside
-``LaxExtension.carrier`` and the monad-level code of ``monads.py``."""
+structure once between them, the closure that built it included.  A
+source guard keeps a monad's ``carrier`` from being called anywhere in
+``src/tvcat`` but inside ``LaxExtension.carrier`` and the monad-level code
+of ``monads.py``; another keeps the sort_key order of T-carriers with
+``LaxExtension.sorted_carrier``: no sort in ``monads.py`` or ``vrel.py``,
+and no ``fragment`` or ``walk`` handed a T-carrier for the points."""
 
 import ast
 import random
@@ -73,23 +76,25 @@ def test_constructions_share_the_extensions_carrier(constructions, name):
 
 
 def test_ta_is_extended_once_per_structure(monkeypatch):
+    # the closure's last round is the fixed point it returns, so the Ta that
+    # round read is the one the checks and constructions after it read
     ext = word2("godel:3")
-    s = random_category(ext, ("b", "a"), random.Random(7))
-    frag = ext.fragment(s.tx)[2]
     calls = []
     extend = LaxExtension.extend
 
     def counted(self, r, src=None):
-        calls.append(src is frag)
+        calls.append((r, src))
         return extend(self, r, src)
 
     monkeypatch.setattr(LaxExtension, "extend", counted)
+    s = random_category(ext, ("b", "a"), random.Random(7))
     check_category(s)
     check_exponentiability(s)
     check_frame_criterion(s)
     dual(s)
     find_representation(s)
-    assert calls.count(True) == 1
+    frag = ext.fragment(s.carrier)[2]
+    assert sum(r is s.a and src is frag for r, src in calls) == 1
 
 
 def monad_calls(tree, name):
@@ -167,3 +172,46 @@ def test_the_guard_sees_a_can_map_call():
                      "            s.ext.can_map(s.xs, s.ys), ext.can_map(s.xs, s.ys))\n")
     assert [(line, source) for _, _, line, source in monad_calls(tree, "can_map")] == [
         (2, "monads.can_map(s.monad, ws)"), (2, "can_map(s.monad, ws)")]
+
+
+def order_calls(tree, sorts):
+    """(line, source) of each ``fragment`` or ``walk`` call whose argument
+    is a ``.tx``, ``.src`` or ``.dst`` attribute (a T-carrier, where the
+    points belong), and of each ``sorted`` call when sorts is set."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if ((sorts and isinstance(func, ast.Name) and func.id == "sorted")
+                or (isinstance(func, ast.Attribute) and func.attr in ("fragment", "walk")
+                    and args and isinstance(args[0], ast.Attribute)
+                    and args[0].attr in ("tx", "src", "dst"))):
+            out.append((node.lineno, ast.unparse(node)))
+    return sorted(out)
+
+
+def test_only_the_extension_orders_t_carriers():
+    # the sort_key order of a T-carrier is LaxExtension.sorted_carrier's:
+    # the fragment is keyed by the points and handed that order, the monads
+    # and relations sort nothing
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        calls = order_calls(ast.parse(path.read_text(encoding="utf-8")),
+                            path.name in ("monads.py", "vrel.py"))
+        if calls:
+            found[path.name] = calls
+    assert found == {}
+
+
+def test_the_guard_sees_a_sort_and_a_t_carrier_fragment():
+    tree = ast.parse("def f(ext, s, r, rep):\n"
+                     "    return (sorted(s.carrier), ext.fragment(s.tx), ext.walk(r.src, rep),\n"
+                     "            ext.fragment(r.dst)[2], ext.fragment(s.carrier),\n"
+                     "            ext.walk(xs, rep), s.sort())\n")
+    assert order_calls(tree, True) == [
+        (2, "ext.fragment(s.tx)"), (2, "ext.walk(r.src, rep)"),
+        (2, "sorted(s.carrier)"), (3, "ext.fragment(r.dst)")]
+    assert order_calls(tree, False) == [
+        (2, "ext.fragment(s.tx)"), (2, "ext.walk(r.src, rep)"),
+        (3, "ext.fragment(r.dst)")]

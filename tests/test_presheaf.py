@@ -16,7 +16,7 @@ from tvcat.presheaf import (NoExtensionFound, NotSeparated,
                             check_yoneda, find_sup, oplus, weak_exponential,
                             weak_factorize, weak_factorize_general, yoneda)
 from tvcat.quantale import quantale_by_name
-from tvcat.theory import LaxExtension
+from tvcat.theory import LaxExtension, check_assumptions_bundle
 
 
 def downsets(xs, pairs):
@@ -115,6 +115,17 @@ def test_injective_implies_exponentiable_instance(ext_ord):
     rep = check_thm_injective_exponentiable(anti)
     assert rep.passed
     assert rep.details.get("vacuous") == "not-injective"
+
+
+def test_injective_exponentiable_passes_its_guard_to_the_bundle():
+    # the bundle's T((X x X') x (Y x Y')) has 273 elements over word:2; a
+    # guard below that must stop the theorem check too, not pass it vacuously
+    ext = LaxExtension(monad_by_name("word:2"), quantale_by_name("lukasiewicz:3"))
+    s = discrete(ext, ("a",))
+    with pytest.raises(GuardError, match="needs 273 candidates, above the guard 1"):
+        check_assumptions_bundle(ext, guard=1)
+    with pytest.raises(GuardError, match="needs 273 candidates, above the guard 1"):
+        check_thm_injective_exponentiable(s, guard=1)
 
 
 def all_posets2(ext):

@@ -69,7 +69,9 @@ def test_compose_associative(data):
 def test_sparse_compose_and_first_gap_match_dense_exhaustive(qname):
     """Composition joins only non-bottom entries and first_gap scans only
     the entries of the left side; both against the dense formula and the
-    sorted scan, over every pair of relations X -|-> Y -|-> X."""
+    sorted scan, over every pair of relations X -|-> Y -|-> X.  The gaps
+    are also compared on carriers out of sort_key order, where the entries
+    come in another order than the scan's."""
     q = quantale_by_name(qname)
     rels = list(all_relations(q, XS, YS))
     back = list(all_relations(q, YS, XS))
@@ -78,12 +80,14 @@ def test_sparse_compose_and_first_gap_match_dense_exhaustive(qname):
             dense = {k: v for k, v in brute_compose(q, r, s).items()
                      if v != q.bottom}
             assert dict(s.compose(r).entries) == dense
-    for r in rels:
-        for s in rels[::7]:
-            scan = next(((x, y) for x in sorted(XS, key=sort_key)
-                         for y in sorted(YS, key=sort_key)
-                         if not q.le(r(x, y), s(x, y))), None)
-            assert r.first_gap(s) == scan
+    for xs, ys in ((XS, YS), (XS[::-1], YS[::-1])):
+        rels = list(all_relations(q, xs, ys))
+        for r in rels:
+            for s in rels[::7]:
+                scan = next(((x, y) for x in sorted(xs, key=sort_key)
+                             for y in sorted(ys, key=sort_key)
+                             if not q.le(r(x, y), s(x, y))), None)
+                assert r.first_gap(s) == scan
 
 
 def test_identity_neutral():
