@@ -4,12 +4,14 @@ Carrier elements are arbitrary hashable values (strings, or nested tuples for
 product and monad carriers).  Entries map carrier pairs to quantale element
 indices; missing pairs are bottom, so sparse structures stay sparse.  Every
 relation given cell by cell is built by ``tabulate``, every relation given as
-a join of images by ``push_forward``.
+a join of images by ``push_forward``.  ``compose`` ORs the cached value
+levels of its left factor (``VRel.levels``, Python-int bitsets).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Mapping
 
@@ -50,22 +52,43 @@ class VRel:
                 out.setdefault(x, []).append((y, v))
         return out
 
+    @cached_property
+    def levels(self) -> dict:
+        """levels[x][v]: the bitset over the positions of dst of the y with
+        self(x, y) = v, for v not bottom; built once per relation."""
+        pos = {y: i for i, y in enumerate(self.dst)}
+        out: dict = {}
+        for x, row in self.rows().items():
+            level = out[x] = {}
+            for y, v in row:
+                level[v] = level.get(v, 0) | 1 << pos[y]
+        return out
+
     # ---- relational calculus ----
 
     def compose(self, r: "VRel") -> "VRel":
-        """self . r, for r: X -|-> Y and self: Y -|-> Z."""
+        """self . r, for r: X -|-> Y and self: Y -|-> Z: each r(x, y) = u ORs
+        the levels (v, bits) of self at y into the row of x at u (x) v.  Exact
+        as bottom absorbs the tensor; no monotonicity is needed."""
         if self.quantale is not r.quantale and self.quantale != r.quantale:
             raise FormatError("composition across different quantales")
         if self.src != r.dst:
             raise FormatError("carrier mismatch in composition")
         q = self.quantale
-        tensor = q.tensor
-        # bottom absorbs the tensor, so only pairs of non-bottom entries that
-        # meet at a middle point contribute to the join
-        after = self.rows()
-        return VRel(q, r.src, self.dst, push_forward(q, (
-            ((x, z), tensor[u][v])
-            for (x, y), u in r.entries.items() for z, v in after.get(y, ()))))
+        tensor, bot, join, levels = q.tensor, q.bottom, q.join, self.levels
+        cols: dict = {}
+        for (x, y), u in r.entries.items():
+            for v, bits in levels.get(y, {}).items():
+                key = (x, tensor[u][v])
+                cols[key] = cols.get(key, 0) | bits
+        dst, out = self.dst, {}
+        for (x, w), bits in cols.items():
+            while bits and w != bot:
+                low = bits & -bits
+                bits ^= low
+                key = (x, dst[low.bit_length() - 1])
+                out[key] = join[out[key]][w] if key in out else w
+        return VRel(q, r.src, dst, out)
 
     def transpose(self) -> "VRel":
         return tabulate(self.quantale, self.dst, self.src, lambda y, x: self(x, y))
@@ -114,8 +137,9 @@ class VRel:
         if (self.quantale != other.quantale or self.src != other.src
                 or self.dst != other.dst):
             return False
-        return all(self(x, y) == other(x, y)
-                   for x in self.src for y in self.dst)
+        bot = self.quantale.bottom  # a missing entry is bottom
+        return ({xy: v for xy, v in self.entries.items() if v != bot}
+                == {xy: v for xy, v in other.entries.items() if v != bot})
 
     def __hash__(self):
         return hash((self.src, self.dst))

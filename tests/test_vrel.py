@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvcat.quantale import FormatError, lukasiewicz, quantale_by_name, two
+from tvcat.quantale import (FormatError, Quantale, lukasiewicz,
+                            quantale_by_name, two)
 from tvcat.report import sort_key
 from tvcat.vrel import (VRel, all_relations, constant_rel, from_function,
                         id_rel, pair_carrier, random_relation)
@@ -88,6 +89,78 @@ def test_sparse_compose_and_first_gap_match_dense_exhaustive(qname):
                              for y in sorted(ys, key=sort_key)
                              if not q.le(r(x, y), s(x, y))), None)
                 assert r.first_gap(s) == scan
+
+
+def cut_compose(q, r, s):
+    """The cut form of s . r: the join of u (x) v over non-bottom u, v such
+    that some y has r(x, y) >= u and s(y, z) >= v.  It equals the composite
+    only when the tensor is monotone."""
+    up = [u for u in range(q.n) if u != q.bottom]
+    return {(x, z): q.sup(q.tens(u, v) for u in up for v in up
+                          if any(q.le(u, r(x, y)) and q.le(v, s(y, z))
+                                 for y in r.dst))
+            for x in r.src for z in s.dst}
+
+
+def test_compose_needs_no_monotone_tensor():
+    """On the chain 0 < 1 < 2 with unit 2, 1 (x) 1 = 2 lies above
+    2 (x) 1 = 1: the tensor is not monotone, while bottom still absorbs it.
+    Compose regroups the join by value pairs, so it matches the brute force
+    on every pair of relations; the cut form does not."""
+    q = Quantale.from_dict({
+        "elements": ["0", "1", "2"], "order": [["0", "1"], ["1", "2"]],
+        "unit": "2", "tensor": {"0,0": "0", "0,1": "0", "0,2": "0",
+                                "1,1": "2", "1,2": "1", "2,2": "2"}})
+    assert q.le(1, 2) and not q.le(q.tens(1, 1), q.tens(2, 1))
+    back = list(all_relations(q, YS, ZS))
+    cut_wrong = False
+    for r in all_relations(q, XS, YS):
+        for s in back:
+            brute = brute_compose(q, r, s)
+            assert dict(s.compose(r).entries) == {
+                k: v for k, v in brute.items() if v != q.bottom}
+            cut_wrong = cut_wrong or cut_compose(q, r, s) != brute
+    assert cut_wrong
+
+
+@pytest.mark.parametrize("qname", ["two", "godel:3", "lukasiewicz:3"])
+def test_compose_on_carriers_wider_than_a_word(qname):
+    """The left factor's level bitsets run over a 72-point target, past one
+    64-bit word, and are read at 70 middle points; compose still matches
+    the brute force entry by entry."""
+    q = quantale_by_name(qname)
+    rng = random.Random(19)
+    mid = tuple("m%d" % i for i in range(70))
+    far = tuple("f%d" % i for i in range(72))
+    for _ in range(3):
+        r = random_relation(q, XS, mid, rng)
+        s = random_relation(q, mid, far, rng)
+        assert s.compose(r).entries == {
+            k: v for k, v in brute_compose(q, r, s).items() if v != q.bottom}
+
+
+@pytest.mark.parametrize("qname", ["two", "lukasiewicz:3"])
+def test_explicit_bottom_entries(qname):
+    """Relations that store bottom cells compose like their sparse forms
+    and compare equal to them; a missing entry is bottom."""
+    q = quantale_by_name(qname)
+    rng = random.Random(23)
+    for _ in range(20):
+        sparse_r = random_relation(q, XS, YS, rng)
+        sparse_s = random_relation(q, YS, ZS, rng)
+        r = VRel(q, XS, YS, {(x, y): sparse_r(x, y) for x in XS for y in YS})
+        s = VRel(q, YS, ZS, {(y, z): sparse_s(y, z) for y in YS for z in ZS})
+        dense = {k: v for k, v in brute_compose(q, r, s).items()
+                 if v != q.bottom}
+        assert dict(s.compose(r).entries) == dense
+        assert dict(sparse_s.compose(r).entries) == dense
+        assert dict(s.compose(sparse_r).entries) == dense
+        assert r == sparse_r and sparse_r == r
+    r = VRel(q, XS, YS, {("x0", "y0"): q.bottom, ("x1", "y1"): q.top})
+    assert r == VRel(q, XS, YS, {("x1", "y1"): q.top})
+    assert r != VRel(q, XS, YS, {("x0", "y0"): q.top, ("x1", "y1"): q.top})
+    assert r != VRel(q, XS, YS, {("x1", "y1"): q.top, ("x1", "y0"): q.top})
+    assert r != VRel(q, XS, YS, {("x1", "y1"): q.bottom})
 
 
 def test_identity_neutral():
