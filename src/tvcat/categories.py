@@ -7,7 +7,7 @@ never assumed; constructors and the file loader return unchecked structures
 whose category status is established by an explicit check_category call.
 
 The fibers of the multiplication m are joined over in one place, the functor
-M X = (TX, Ta . m-degree, m); K reads an algebra back along its algebra map.
+M X = (TX, Ta . m-degree, m); K reindexes a0 along the algebra map alpha.
 The dual X^op is K((M X)-degree), read along m, and the canonical structure
 on TX that representability is tested against is K M X.  (T) and the frame
 criterion read the Kleisli composite a . Ta from ``TVStructure.kleisli``.
@@ -556,13 +556,13 @@ def functor_M(s: TVStructure) -> EMAlgebra:
 
 
 def functor_K(alg: EMAlgebra) -> TVStructure:
-    """K sends (X, a0, alpha) to (X, a0 . alpha), the composite with the
-    graph of alpha; bottom where alpha is undefined."""
-    q = alg.quantale
-    alpha = alg.alpha
+    """K sends (X, a0, alpha) to (X, a0 . alpha), a0 reindexed along alpha:
+    a(t, y) = k (x) a0(alpha t, y), bottom where alpha is undefined."""
+    q, alpha, rows = alg.quantale, alg.alpha, alg.a0.rows()
     tx = alg.ext.carrier(alg.carrier)
-    graph = VRel(q, tx, alg.carrier, {(t, x): q.unit for t, x in alpha.items()})
-    out = TVStructure(alg.ext, alg.carrier, alg.a0.compose(graph))
+    out = TVStructure(alg.ext, alg.carrier, VRel(q, tx, alg.carrier, {
+        (t, y): w for t, x in alpha.items() for y, v in rows.get(x, ())
+        if (w := q.tensor[q.unit][v]) != q.bottom}))
     if any(t not in alpha for t in tx):
         out.flags["bounded_algebra"] = True
     return out
@@ -686,7 +686,7 @@ def structure_to_dict(s: TVStructure) -> dict:
             "carrier": list(s.carrier), "structure": structure_entries(s)}
 
 
-def structure_from_dict(d: dict) -> TVStructure:
+def structure_from_dict(d: dict, guard: int | None = None) -> TVStructure:
     if not isinstance(d, dict):
         raise FormatError("a structure is described by a JSON object")
     qspec = d.get("quantale")
@@ -702,6 +702,7 @@ def structure_from_dict(d: dict) -> TVStructure:
     if not isinstance(carrier, (list, tuple)) or not carrier:
         raise FormatError("structure file needs a nonempty list as its carrier")
     carrier = tuple(str(x) for x in carrier)
+    check_guard(monad.carrier_size(len(carrier)), "T(carrier) enumeration", guard)
     ext = LaxExtension(monad, q)
     tx = ext.carrier(carrier)
     keys = key_table(tx, carrier, monad.elem_to_str)
@@ -718,9 +719,9 @@ def structure_from_dict(d: dict) -> TVStructure:
                        name=str(d.get("name", "")))
 
 
-def structure_from_file(path: str) -> TVStructure:
+def structure_from_file(path: str, guard: int | None = None) -> TVStructure:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return structure_from_dict(json.load(fh))
+            return structure_from_dict(json.load(fh), guard)
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError("cannot load structure %s: %s" % (path, exc))

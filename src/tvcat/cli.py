@@ -363,7 +363,7 @@ def main(argv=None) -> int:
         if args.guard_size is not None and args.guard_size < 0:
             raise FormatError("--guard-size must be a non-negative integer, "
                               "got %r" % str(args.guard_size))
-        structures = [structure_from_file(getattr(args, name))
+        structures = [structure_from_file(getattr(args, name), args.guard_size)
                       for name in args.files]
         for s in structures[1:]:
             if s.quantale != structures[0].quantale:

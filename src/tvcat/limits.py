@@ -10,6 +10,7 @@ through the TVCAT_GUARD_SIZE environment variable.
 from __future__ import annotations
 
 import os
+from typing import Callable
 
 from .quantale import FormatError
 
@@ -19,10 +20,16 @@ DEFAULT_GUARD_SIZE = 100_000
 class GuardError(RuntimeError):
     """A search space exceeded the configured guard."""
 
-    def __init__(self, what: str, size: int, limit: int):
-        super().__init__("%s needs %d candidates, above the guard %d "
+    def __init__(self, what: str, size: int, limit: int, exact: bool = True):
+        # past 64 bits a count is given by its power of two, which prints
+        # where a long decimal cannot; a count known only from below says so
+        bits = size.bit_length()
+        count = "%d" % size if bits <= 64 else "2^%d" % (bits - 1)
+        if bits > 64 or not exact:
+            count = "at least " + count
+        super().__init__("%s needs %s candidates, above the guard %d "
                          "(raise with --guard-size or TVCAT_GUARD_SIZE)"
-                         % (what, size, limit))
+                         % (what, count, limit))
         self.what = what
         self.size = size
         self.limit = limit
@@ -44,3 +51,16 @@ def check_guard(size: int, what: str, override: int | None = None) -> None:
     limit = guard_limit(override)
     if size > limit:
         raise GuardError(what, size, limit)
+
+
+def check_nested_guard(step: Callable, n: int, depth: int, what: str,
+                       override: int | None = None) -> None:
+    """Guard step^depth(n), the size of a nested enumeration, for a step
+    with step(m) >= m: once an inner level passes the guard the whole does,
+    and it is reported from below instead of being counted out."""
+    limit = guard_limit(override)
+    for _ in range(depth - 1):
+        n = step(n)
+        if n > limit:
+            raise GuardError(what, n, limit, exact=False)
+    check_guard(step(n), what, override)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .limits import check_guard
+from .limits import check_nested_guard
 from .quantale import FormatError, Quantale
 from .report import CheckReport, Reporter
 from .vrel import pair_carrier
@@ -198,7 +198,8 @@ class WordMonad(TheoryMonad):
         return tuple(out)
 
     def carrier_size(self, n):
-        return sum(n ** ln for ln in range(self.max_len + 1))
+        # the geometric sum 1 + n + ... + n^max_len in closed form
+        return (n ** (self.max_len + 1) - 1) // (n - 1) if n > 1 else n * self.max_len + 1
 
     def map_elem(self, f, t):
         return tuple(f(x) for x in t)
@@ -349,10 +350,9 @@ def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None,
     plus the algebra laws for xi on the quantale when one is given.  T^3 of
     xs and T^2 of the quantale are counted against the guard before they
     are enumerated."""
-    size = monad.carrier_size
-    check_guard(size(size(size(len(xs)))), "T^3 X enumeration", guard)
+    check_nested_guard(monad.carrier_size, len(xs), 3, "T^3 X enumeration", guard)
     if q is not None:
-        check_guard(size(size(q.n)), "T^2 V enumeration", guard)
+        check_nested_guard(monad.carrier_size, q.n, 2, "T^2 V enumeration", guard)
     rep = Reporter("monad_laws", bound=monad.bound_info())
     tx = monad.carrier(xs)
     # m . eT = id and m . Te = id

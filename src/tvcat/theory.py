@@ -207,13 +207,18 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
                 return rep.fail("oplax-mult", [repr(xx), repr(yy)])
             rep.tick(len(yrows))
             rep.skip(ygaps + ytail)
+    # Ts . Tr <= T(s . r) term by term: a join is below a value exactly when
+    # each Tr(t, t') (x) Ts(t', t'') is; the witness is the least failing cell
+    leq, tensor, bot = q.leq, q.tensor, q.bottom
     for r, s in pairs:
         if r.dst != s.src:
             continue
         rep.tick()
-        lhs = lift(s.compose(r))
-        rhs = lift(s).compose(lift(r))
-        gap = rhs.first_gap(lhs)
+        lhs, srows = lift(s.compose(r)).entries, lift(s).rows()
+        gap = min(((t, t2) for (t, t1), u in lift(r).entries.items()
+                   for t2, v in srows.get(t1, ())
+                   if not leq[tensor[u][v]][lhs.get((t, t2), bot)]), key=sort_key,
+                  default=None)
         if gap is not None:
             return rep.fail("lax-composition", [repr(gap[0]), repr(gap[1])])
     return rep.ok()

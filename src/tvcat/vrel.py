@@ -4,14 +4,13 @@ Carrier elements are arbitrary hashable values (strings, or nested tuples for
 product and monad carriers).  Entries map carrier pairs to quantale element
 indices; missing pairs are bottom, so sparse structures stay sparse.  Every
 relation given cell by cell is built by ``tabulate``, every relation given as
-a join of images by ``push_forward``.  ``compose`` ORs the cached value
-levels of its left factor (``VRel.levels``, Python-int bitsets).
+a join of images by ``push_forward``.  ``compose`` ORs the value levels of
+its left factor (Python-int bitsets), which it builds per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from typing import Callable, Mapping
 
@@ -52,30 +51,22 @@ class VRel:
                 out.setdefault(x, []).append((y, v))
         return out
 
-    @cached_property
-    def levels(self) -> dict:
-        """levels[x][v]: the bitset over the positions of dst of the y with
-        self(x, y) = v, for v not bottom; built once per relation."""
-        pos = {y: i for i, y in enumerate(self.dst)}
-        out: dict = {}
-        for x, row in self.rows().items():
-            level = out[x] = {}
-            for y, v in row:
-                level[v] = level.get(v, 0) | 1 << pos[y]
-        return out
-
     # ---- relational calculus ----
 
     def compose(self, r: "VRel") -> "VRel":
         """self . r, for r: X -|-> Y and self: Y -|-> Z: each r(x, y) = u ORs
-        the levels (v, bits) of self at y into the row of x at u (x) v.  Exact
-        as bottom absorbs the tensor; no monotonicity is needed."""
+        the levels of self at y (v and the bits of the z with self(y, z) = v)
+        into the row of x at u (x) v.  Exact as bottom absorbs the tensor."""
         if self.quantale is not r.quantale and self.quantale != r.quantale:
             raise FormatError("composition across different quantales")
         if self.src != r.dst:
             raise FormatError("carrier mismatch in composition")
         q = self.quantale
-        tensor, bot, join, levels = q.tensor, q.bottom, q.join, self.levels
+        tensor, bot, join = q.tensor, q.bottom, q.join
+        pos, levels = {z: i for i, z in enumerate(self.dst)}, {}
+        for (y, z), v in self.entries.items():
+            level = levels.setdefault(y, {})
+            level[v] = level.get(v, 0) | 1 << pos[z]
         cols: dict = {}
         for (x, y), u in r.entries.items():
             for v, bits in levels.get(y, {}).items():
@@ -129,7 +120,7 @@ class VRel:
         q = self.quantale
         # bottom is below everything, so gaps sit at entries of self
         gaps = [xy for xy, v in self.entries.items() if not q.le(v, s(*xy))]
-        return min(gaps, key=lambda xy: (sort_key(xy[0]), sort_key(xy[1])), default=None)
+        return min(gaps, key=sort_key, default=None)
 
     def __eq__(self, other):
         if not isinstance(other, VRel):

@@ -19,7 +19,8 @@ from tvcat.categories import (EMAlgebra, TVFunctor, TVStructure, check_algebra,
                               structure_from_dict, structure_to_dict, subspace,
                               tensor, v_hom_xi)
 from tvcat.monads import monad_by_name
-from tvcat.quantale import FormatError, lukasiewicz, quantale_by_name, two
+from tvcat.quantale import (FormatError, Quantale, lukasiewicz, quantale_by_name,
+                            two)
 from tvcat.theory import LaxExtension
 from tvcat.vrel import VRel
 
@@ -199,6 +200,43 @@ def test_M_K_roundtrip_identity(ext_ord):
     assert check_algebra(alg).passed
     back = functor_K(alg)
     assert back == s
+
+
+def graph_composite_K(alg):
+    """K as the composite a0 . alpha with the graph of alpha, unit on each
+    (t, alpha t): the oracle of K's reindexing."""
+    q = alg.quantale
+    tx = alg.ext.carrier(alg.carrier)
+    graph = VRel(q, tx, alg.carrier, {(t, x): q.unit for t, x in alg.alpha.items()})
+    return alg.a0.compose(graph)
+
+
+def unitless_chain():
+    """The chain 0 < a < 1 with unit 1, where 1 (x) a = 0 but a (x) 1 = a:
+    bottom absorbs the tensor, the unit law fails at a on the left."""
+    leq = tuple(tuple(u <= v for v in range(3)) for u in range(3))
+    tensor = ((0, 0, 0), (0, 1, 1), (0, 0, 2))
+    return Quantale(("0", "a", "1"), leq, tensor, 2, name="unitless")
+
+
+def test_K_reindexes_like_the_graph_composite():
+    # M of a word:3 structure: alpha = m is partial on the fragment of T(TX)
+    ext = LaxExtension(monad_by_name("word:3"), quantale_by_name("godel:3"))
+    alg = functor_M(random_category(ext, ("b", "a"), random.Random(3)))
+    k = functor_K(alg)
+    assert k.flags.get("bounded_algebra")
+    assert len(alg.alpha) < len(k.tx) and k.a.entries
+    assert k.a == graph_composite_K(alg)
+    # where the unit law fails, K keeps k (x) a0(alpha t, y), not a0(alpha t, y)
+    q = unitless_chain()
+    xs = ("b", "a")
+    ext = LaxExtension(monad_by_name("identity"), q)
+    a0 = VRel(q, xs, xs, {("a", "a"): 2, ("a", "b"): 1, ("b", "b"): 2, ("b", "a"): 1})
+    alg = EMAlgebra(ext, xs, a0, {"a": "b", "b": "b"})
+    k = functor_K(alg).a
+    assert k == graph_composite_K(alg)
+    assert k != VRel(q, xs, xs, {(t, y): a0("b", y) for t in xs for y in xs})
+    assert k == VRel(q, xs, xs, {("a", "b"): 2, ("b", "b"): 2})
 
 
 # ---- planted defects: every law of check_algebra can fail ----

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,6 +337,47 @@ def test_monad_check_guards_t3(capsys):
     assert main(["monad", "check", "word:3"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "T^3 X enumeration" in err
+
+
+GUARD_HINT = ", above the guard %d (raise with --guard-size or TVCAT_GUARD_SIZE)\n"
+
+
+@pytest.mark.parametrize("argv,need", [
+    (["theory", "check-assumptions", "--quantale", "two", "--monad", "word:5000"],
+     "T((X x X') x (Y x Y')) enumeration needs at least 2^20000"),
+    (["theory", "check-assumptions", "--quantale", "two", "--monad", "word:100000"],
+     "T((X x X') x (Y x Y')) enumeration needs at least 2^400000"),
+    # the nested count stops at T X = 2^5001 - 1, above the guard
+    (["monad", "check", "word:5000"], "T^3 X enumeration needs at least 2^5000"),
+], ids=["assumptions-word:5000", "assumptions-word:100000", "monad-word:5000"])
+def test_astronomical_counts_are_one_line_guard_errors(capsys, monkeypatch, argv, need):
+    # a count past 64 bits is given by its power of two: word:5000 once
+    # ended in a ValueError formatting a 6,000-digit count, and the nested
+    # T^3 count of word:5000 and the count of word:100000 ran for minutes
+    monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: %s candidates%s" % (need, GUARD_HINT % 100000)
+
+
+def test_structure_file_guards_its_t_carrier(capsys, monkeypatch, tmp_path):
+    # word:24 over two points has 33,554,431 words; loading once enumerated
+    # them all and ended in a MemoryError under an address-space cap
+    monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
+    deep = tmp_path / "word24.json"
+    deep.write_text('{"quantale":"two","monad":"word:24","carrier":["a","b"]}')
+    assert main(["cat", "check", str(deep)]) == 2
+    assert capsys.readouterr().err == (
+        "error: T(carrier) enumeration needs 33554431 candidates" + GUARD_HINT % 100000)
+    # the command's guard reaches the loader: word:2 over two points has 7
+    shallow = tmp_path / "word2.json"
+    shallow.write_text('{"quantale":"two","monad":"word:2","carrier":["a","b"]}')
+    assert main(["cat", "check", str(shallow), "--guard-size", "6"]) == 2
+    assert capsys.readouterr().err == (
+        "error: T(carrier) enumeration needs 7 candidates" + GUARD_HINT % 6)
+    assert main(["cat", "check", str(shallow), "--guard-size", "7"]) in (0, 1)
+    capsys.readouterr()
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

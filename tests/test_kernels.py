@@ -1101,6 +1101,29 @@ def test_extension_laws_planted_defects(plant):
         assert got.skipped > 0
 
 
+def test_lax_composition_witness_is_the_least_failing_cell():
+    """Two cells of Ts . Tr fail to be below T(s . r) on carriers listed
+    out of sort_key order; the term scan meets the larger one first, and
+    the witness is the least by sort_key, as the composite's first_gap."""
+    q = skew_chain()
+    ext = LaxExtension(WordMonad(2), q)
+    xs, ys = ("x1", "x0"), ("y1", "y0")
+    r = VRel(q, xs, ys, {("x1", "y1"): 1, ("x1", "y0"): 1, ("x0", "y1"): 1,
+                         ("x0", "y0"): 3})
+    s = VRel(q, ys, xs, {("y0", "x1"): 2, ("y0", "x0"): 3})
+    tr, ts, tsr = ext.extend(r), ext.extend(s), ext.extend(s.compose(r))
+    rhs = ts.compose(tr)
+    cells = [c for c, v in rhs.entries.items() if not q.le(v, tsr(*c))]
+    scan = [(t, t2) for (t, t1), u in tr.entries.items() for t2, v in ts.rows().get(t1, ())
+            if not q.le(q.tensor[u][v], tsr(t, t2))]
+    assert len(cells) >= 2 and set(scan) == set(cells)
+    assert min(cells, key=sort_key) != scan[0]
+    got = check_extension_laws(ext, rels=[r], pairs=[(r, s)])
+    assert (got.status, got.law, got.witness) == (
+        "fail", "lax-composition", ["('x0', 'x1')", "('x1', 'x0')"])
+    assert fields(got) == fields(extension_laws_oracle(ext, [r], [(r, s)]))
+
+
 def algebra_oracle(alg, order=None):
     """check_algebra as written before algebra-mult read the in-bound
     fragment and alpha-v-functor the rows of Ta0: all of T(TX) in sort_key

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from tvcat.limits import GuardError
 from tvcat.monads import (FormatError, LabelledMonad, Monoid, WordMonad, can_map,
                           check_bc_samples, check_monad_laws, monad_by_name,
                           monad_from_dict, z2)
@@ -205,3 +206,21 @@ def test_fiber_reads_only_the_rows_at_the_letters(spec, xs):
         for t in m.carrier(xs):
             read = {x: rows[x] for x in m.letters(t) if x in rows}
             assert list(m.fiber(t, rows)) == list(m.fiber(t, read))
+
+
+def test_word_carrier_size_counts_the_words():
+    for max_len in (1, 2, 3):
+        m = WordMonad(max_len)
+        for n in range(4):
+            assert m.carrier_size(n) == len(m.carrier(tuple(range(n))))
+
+
+def test_nested_guard_reports_an_inner_level_from_below():
+    # T X has 15 words and T^2 X 3,616 over word:3, so T^3 X is not counted
+    # out once T^2 X passes the guard
+    with pytest.raises(GuardError, match=r"^T\^3 X enumeration needs at least 3616 "
+                                         r"candidates, above the guard 100 "):
+        check_monad_laws(WordMonad(3), XS, guard=100)
+    with pytest.raises(GuardError, match=r"^T\^3 X enumeration needs 47293927969 "
+                                         r"candidates, above the guard 3616 "):
+        check_monad_laws(WordMonad(3), XS, guard=3616)

@@ -9,7 +9,9 @@ source guard keeps a monad's ``carrier`` from being called anywhere in
 ``src/tvcat`` but inside ``LaxExtension.carrier`` and the monad-level code
 of ``monads.py``; another keeps the sort_key order of T-carriers with
 ``LaxExtension.sorted_carrier``: no sort in ``monads.py`` or ``vrel.py``,
-and no ``fragment`` or ``walk`` handed a T-carrier for the points."""
+and no ``fragment`` or ``walk`` handed a T-carrier for the points.  A
+third keeps composition to the Kleisli composite and the base composite of
+the lax-composition law, with no cache in ``vrel.py``."""
 
 import ast
 import random
@@ -97,11 +99,9 @@ def test_ta_is_extended_once_per_structure(monkeypatch):
     assert sum(r is s.a and src is frag for r, src in calls) == 1
 
 
-def monad_calls(tree, name):
-    """(class, function, line, source) of each call of ``name`` not made on
-    an extension (``ext``, ``<x>.ext``, or ``self`` inside LaxExtension):
-    a monad's method, or a function of monads.py, bare or through its
-    module."""
+def calls(tree, name):
+    """(class, function, node) of each call of ``name``: a method
+    ``<x>.name(...)`` or a bare ``name(...)``."""
     out = []
 
     def visit(node, cls, fn):
@@ -111,20 +111,29 @@ def monad_calls(tree, name):
             fn = node.name
         elif isinstance(node, ast.Call):
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == name:
-                recv = func.value
-                found = not ((isinstance(recv, ast.Name) and recv.id == "ext")
-                             or (isinstance(recv, ast.Attribute) and recv.attr == "ext")
-                             or (isinstance(recv, ast.Name) and recv.id == "self"
-                                 and cls == "LaxExtension"))
-            else:
-                found = isinstance(func, ast.Name) and func.id == name
-            if found:
-                out.append((cls, fn, node.lineno, ast.unparse(node)))
+            if ((isinstance(func, ast.Attribute) and func.attr == name)
+                    or (isinstance(func, ast.Name) and func.id == name)):
+                out.append((cls, fn, node))
         for child in ast.iter_child_nodes(node):
             visit(child, cls, fn)
 
     visit(tree, None, None)
+    return out
+
+
+def monad_calls(tree, name):
+    """(class, function, line, source) of each call of ``name`` not made on
+    an extension (``ext``, ``<x>.ext``, or ``self`` inside LaxExtension):
+    a monad's method, or a function of monads.py, bare or through its
+    module."""
+    out = []
+    for cls, fn, node in calls(tree, name):
+        recv = getattr(node.func, "value", None)
+        if not ((isinstance(recv, ast.Name) and recv.id == "ext")
+                or (isinstance(recv, ast.Attribute) and recv.attr == "ext")
+                or (isinstance(recv, ast.Name) and recv.id == "self"
+                    and cls == "LaxExtension")):
+            out.append((cls, fn, node.lineno, ast.unparse(node)))
     return out
 
 
@@ -215,3 +224,54 @@ def test_the_guard_sees_a_sort_and_a_t_carrier_fragment():
     assert order_calls(tree, False) == [
         (2, "ext.fragment(s.tx)"), (2, "ext.walk(r.src, rep)"),
         (3, "ext.fragment(r.dst)")]
+
+
+CACHES = ("cached_property", "lru_cache", "cache")
+
+
+def cache_uses(tree):
+    """(line, source) of each import of functools and each name or
+    attribute that names one of its caches."""
+    out = []
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Name) and node.id in CACHES)
+                or (isinstance(node, ast.Attribute) and node.attr in CACHES)
+                or (isinstance(node, ast.ImportFrom) and node.module == "functools")
+                or (isinstance(node, ast.Import)
+                    and any(alias.name == "functools" for alias in node.names))):
+            out.append((node.lineno, ast.unparse(node)))
+    return sorted(out)
+
+
+def test_only_kleisli_and_the_base_composite_compose():
+    # K reindexes a0 along alpha and the lax-composition law is checked
+    # term by term, so a . Ta and the base composite s . r are the only
+    # compositions; compose builds its table per call, and no relation
+    # keeps one between calls
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for cls, fn, node in calls(ast.parse(path.read_text(encoding="utf-8")), "compose"):
+            found.setdefault(path.name, []).append((cls, fn, ast.unparse(node)))
+    assert found == {
+        "categories.py": [("TVStructure", "kleisli", "self.a.compose(self.ta)")],
+        "theory.py": [(None, "check_extension_laws", "s.compose(r)")]}
+    assert cache_uses(ast.parse((SRC / "vrel.py").read_text(encoding="utf-8"))) == []
+
+
+def test_the_guard_sees_a_compose_call_and_a_cache():
+    tree = ast.parse("import functools\n"
+                     "from functools import cached_property\n"
+                     "class VRel:\n"
+                     "    @cached_property\n"
+                     "    def levels(self):\n"
+                     "        return graph.compose(self)\n"
+                     "    @functools.lru_cache\n"
+                     "    def rows(self):\n"
+                     "        return compose(lift(s), lift(r)), self.compose_all()\n")
+    assert [(cls, fn, node.lineno, ast.unparse(node))
+            for cls, fn, node in calls(tree, "compose")] == [
+        ("VRel", "levels", 6, "graph.compose(self)"),
+        ("VRel", "rows", 9, "compose(lift(s), lift(r))")]
+    assert cache_uses(tree) == [
+        (1, "import functools"), (2, "from functools import cached_property"),
+        (4, "cached_property"), (7, "functools.lru_cache")]

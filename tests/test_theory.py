@@ -1,8 +1,6 @@
 """Lax extension against closed-form oracles, and the standing assumptions."""
 
 import random
-from collections import Counter
-from functools import cached_property
 
 import pytest
 
@@ -89,32 +87,6 @@ def test_extension_laws_small_grid():
             ext = LaxExtension(monad_by_name(mname), q)
             rep = check_extension_laws(ext)
             assert rep.passed, (qname, mname, rep.to_json())
-
-
-def test_levels_built_once_per_left_factor(monkeypatch):
-    """The lax-composition pairs of the two x identity grid cell repeat
-    their left factors s and Ts; each one's level table is built once."""
-    builds = Counter()
-    build = VRel.levels.func
-
-    def key(rel):
-        return rel.src, rel.dst, frozenset(rel.entries.items())
-
-    def counted(rel):
-        builds[key(rel)] += 1
-        return build(rel)
-    levels = cached_property(counted)
-    levels.__set_name__(VRel, "levels")
-    monkeypatch.setattr(VRel, "levels", levels)
-    q = two()
-    ext = LaxExtension(monad_by_name("identity"), q)
-    rels = list(all_relations(q, XS, YS))
-    back = list(all_relations(q, YS, XS))
-    pairs = [(r, s) for r in rels for s in back]
-    assert check_extension_laws(ext, rels=rels, pairs=pairs).passed
-    # under the identity monad Ts equals s, so each s of back is the left
-    # factor of s . r and of Ts . Tr: two objects, one build each
-    assert builds == Counter({key(s): 2 for s in back})
 
 
 def test_infi_passes_identity_exhaustive(ext_ord):
