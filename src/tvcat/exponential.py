@@ -4,16 +4,18 @@ The carrier of an exponential <X,Y> is the set of admissible maps X -> Y
 (those underlying structure-compatible maps out of X x E, where E is the
 one-point generator), stored as value tuples in carrier order so they can
 serve as carrier elements themselves.  The structure b^a is the largest
-structure making evaluation compatible, computed by ``largest_compatible``
-with Heyting-implication meets; since binary meet distributes over joins,
-the defining supremum is attained and the meet formula is exact.  The
-admissible maps are found by ``categories.compatible_maps``, which tests
-each point test as soon as the map is fixed on its letters.  The presheaf
-category (presheaf.py) is built by the same two kernels: its carrier is
-the same search over the same ``point_tests``, and its structure is
-``largest_compatible`` with residuation in place of implication.
-T-carriers come from ``ext.carrier`` and ``ext.can_map``, and the
-splitting and frame criteria read Ta from ``TVStructure.ta``.
+structure making evaluation compatible: ``largest_compatible`` computes it
+as a meet of Heyting implications, the residual dual to ``VRel.compose``
+and like it on value levels (bitsets of the maps by value); since binary
+meet distributes over joins, the defining supremum is attained and the
+meet formula is exact.  The admissible maps are found by
+``categories.compatible_maps``, which tests each point test as soon as the
+map is fixed on its letters.  The presheaf category (presheaf.py) is
+built by the same two kernels: its carrier is the same search over the
+same ``point_tests``, and its structure is ``largest_compatible`` with
+residuation in place of implication.  T-carriers come from ``ext.carrier``
+and ``ext.can_map``, and the splitting and frame criteria read Ta from
+``TVStructure.ta``.
 """
 
 from __future__ import annotations
@@ -76,27 +78,51 @@ def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b_row,
     is the row b(tev, -), indexed by the points of Y; imp is the
     implication table (Heyting for exponentials, residuation for
     presheaves).  The T-elements of Z x X are counted against the guard
-    before they are enumerated."""
+    before they are enumerated.
+
+    This is the residual dual to ``VRel.compose``, on value levels: per
+    position i of X and value y, the maps h with h[i] = y form a bitset
+    (their level), and each term's value ORs a level into the column of p
+    at that value; each column is decoded once into the meets of its cells.
+    Only the non-bottom row of a at Tpi_X w is read, since imp[bottom] is
+    all top (for residuation because bottom absorbs the tensor, law
+    tensor-bottom of ``LaxExtension``), and a top term moves no meet, so it
+    is dropped.  Entries come in the order p in T(z), then h in z."""
     q = ext.quantale
     monad = ext.monad
-    meet = q.meet
+    meet, top, bot = q.meet, q.top, q.bottom
     xs = a.dst
     check_guard(monad.carrier_size(len(z) * len(xs)), "T(carrier x X) enumeration",
                 guard)
     xidx = {x: i for i, x in enumerate(xs)}
-    tz = ext.carrier(z)
-    acc = {(p, h): q.top for p in tz for h in z}
+    arows = {t: [(xidx[x], imp[u]) for x, u in row] for t, row in a.rows().items()}
+    levels = [{} for _ in xs]
+    for k, h in enumerate(z):
+        for level, y in zip(levels, h):
+            level[y] = level.get(y, 0) | 1 << k
+    cols: dict = {}
     for w in ext.carrier(pair_carrier(z, xs)):
+        arow = arows.get(monad.map_elem(lambda c: c[1], w))
+        if arow is None:
+            continue
         p = monad.map_elem(lambda c: c[0], w)
-        tx = monad.map_elem(lambda c: c[1], w)
         row = b_row(monad.map_elem(lambda c: c[0][xidx[c[1]]], w))
-        imps = [imp[a(tx, x)] for x in xs]
-        for h in z:
-            cur = acc[(p, h)]
-            for imp_x, hx in zip(imps, h):
-                cur = meet[cur][imp_x[row[hx]]]
-            acc[(p, h)] = cur
-    return VRel(q, tz, z, {k: v for k, v in acc.items() if v != q.bottom})
+        for i, imp_u in arow:
+            for y, bits in levels[i].items():
+                v = imp_u[row[y]]
+                if v != top:
+                    cols[p, v] = cols.get((p, v), 0) | bits
+    tz = ext.carrier(z)
+    acc = {p: [top] * len(z) for p in tz}
+    for (p, v), bits in cols.items():
+        cells = acc[p]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            k = low.bit_length() - 1
+            cells[k] = meet[cells[k]][v]
+    return VRel(q, tz, z, {(p, h): v for p in tz for h, v in zip(z, acc[p])
+                           if v != bot})
 
 
 def admissible_maps(sx: TVStructure, sy: TVStructure,

@@ -158,12 +158,16 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
         pairs = [(r, s) for r in rels for s in rels]
     lifts: dict = {}
 
-    def lift(r: VRel) -> VRel:
-        # the pairs reuse few relations: extend each distinct one once
+    def lift(r: VRel, rows: bool = False):
+        # the pairs reuse few relations: extend each distinct one once, and
+        # keep its rows beside it once a lax-composition term reads them
         key = (r.src, r.dst, frozenset(r.entries.items()))
-        if key not in lifts:
-            lifts[key] = ext.extend(r)
-        return lifts[key]
+        got = lifts.get(key)
+        if got is None:
+            got = lifts[key] = [ext.extend(r), None]
+        if rows and got[1] is None:
+            got[1] = got[0].rows()
+        return got[1] if rows else got[0]
 
     for r in rels:
         # T(id) >= id
@@ -214,7 +218,7 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
         if r.dst != s.src:
             continue
         rep.tick()
-        lhs, srows = lift(s.compose(r)).entries, lift(s).rows()
+        lhs, srows = lift(s.compose(r)).entries, lift(s, rows=True)
         gap = min(((t, t2) for (t, t1), u in lift(r).entries.items()
                    for t2, v in srows.get(t1, ())
                    if not leq[tensor[u][v]][lhs.get((t, t2), bot)]), key=sort_key,

@@ -1,18 +1,19 @@
 """The shared relational kernels and fast paths against the loops they
 replaced: push-forward of entries; the largest structure making evaluation
 compatible, for exponentials (Heyting implication) and presheaf categories
-(residuation); the search for structure-compatible maps against the
-product loops of the exponential carrier, the presheaf carrier and weak
-factorization, over carriers in and out of sort_key order, and at 1,200
-points; the fiber-direct lax extension against the literal
-enumeration of T(X x Y); the checks that read only the in-bound fragment of
-TTX against their loops over all of it, the representation search, the
-op-lax mult square of the extension laws and the algebra laws included, with a
-planted defect per extension law, planted (T) witnesses past passing terms
-and a count of the XX passed to m; and the sparse comparison square of
-check_infi, whose left table is folded from fibers with no relation built,
-the infi sweep over row classes against the dense pair loop, and sparse
-owedge against their dense loops."""
+(residuation, of a non-commutative tensor too), entry order and 125 maps
+included, with the bottom row of both implications it rests on; the search
+for structure-compatible maps against the product loops of the exponential
+carrier, the presheaf carrier and weak factorization, over carriers in and
+out of sort_key order, and at 1,200 points; the fiber-direct lax extension
+against the literal enumeration of T(X x Y); the checks that read only the
+in-bound fragment of TTX against their loops over all of it, the
+representation search, the op-lax mult square of the extension laws and the
+algebra laws included, with a planted defect per extension law, planted (T)
+witnesses past passing terms and a count of the XX passed to m; and the
+sparse comparison square of check_infi, whose left table is folded from
+fibers with no relation built, the infi sweep over row classes against the
+dense pair loop, and sparse owedge against their dense loops."""
 
 import functools
 import itertools
@@ -37,6 +38,17 @@ from tvcat.theory import (LaxExtension, check_extension_laws, check_infi,
                           infi_sweep)
 from tvcat.vrel import (VRel, all_relations, id_rel, pair_carrier,
                         push_forward, random_relation, tabulate)
+
+from conftest import all_quantales
+
+
+def skew_chain():
+    """The chain 0 < a < b < 1 with unit 1 and a (x) b = a but b (x) a = 0:
+    the word extension is lax functorial only for a commutative tensor."""
+    leq = tuple(tuple(u <= v for v in range(4)) for u in range(4))
+    tensor = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 2, 2), (0, 1, 2, 3))
+    return Quantale(("0", "a", "b", "1"), leq, tensor, 3, name="skew")
+
 
 # (quantale, monad, carrier of X, carrier of Y, least number of non-bottom
 # structure entries of X).  A near-discrete X over word:2 has a presheaf
@@ -109,7 +121,7 @@ def test_largest_compatible_matches_exponential_loop(cell):
     for sx, sy in draws(*cell):
         exp = graph_exponential(sx, sy)
         expect = exponential_oracle(sx, sy, exp.structure.carrier)
-        assert dict(exp.structure.a.entries) == expect
+        assert list(exp.structure.a.entries.items()) == list(expect.items())
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%s-%s" % c[:2])
@@ -117,7 +129,60 @@ def test_largest_compatible_matches_presheaf_loop(cell):
     for sx, _ in draws(*cell):
         px = build_presheaf_category(sx)
         expect = presheaf_oracle(sx, px.structure.carrier)
-        assert dict(px.structure.a.entries) == expect
+        assert list(px.structure.a.entries.items()) == list(expect.items())
+
+
+@pytest.mark.parametrize("mname", ("identity", "labelled:z2"))
+def test_largest_compatible_matches_presheaf_loop_over_a_skew_tensor(mname):
+    # residuation of a non-commutative tensor: hom[u][w] is the largest v
+    # with u (x) v <= w, read as the loop reads it
+    ext = LaxExtension(monad_by_name(mname), skew_chain())
+    rng = random.Random("kernels:skew:%s" % mname)
+    for _ in range(DRAWS):
+        sx = random_category(ext, ("a", "b"), rng)
+        px = build_presheaf_category(sx)
+        expect = presheaf_oracle(sx, px.structure.carrier)
+        assert list(px.structure.a.entries.items()) == list(expect.items())
+
+
+def test_largest_compatible_past_one_machine_word():
+    # every map of a discrete 3-point X into a discrete 5-point Y is
+    # admissible: 125 maps, so the bitsets of maps by value pass 64 bits
+    ext = LaxExtension(monad_by_name("identity"), quantale_by_name("two"))
+    sx, sy = discrete(ext, ("a", "b", "c")), discrete(ext, tuple("vwxyz"))
+    exp = graph_exponential(sx, sy)
+    assert len(exp.structure.carrier) == 125
+    expect = exponential_oracle(sx, sy, exp.structure.carrier)
+    assert list(exp.structure.a.entries.items()) == list(expect.items())
+
+
+@pytest.mark.parametrize("q", all_quantales() + [skew_chain()],
+                         ids=lambda q: q.name)
+def test_implication_from_bottom_is_top(q):
+    # why largest_compatible reads only the non-bottom rows of a: a term
+    # imp[bottom][v] is top and moves no meet
+    assert q.heyting[q.bottom] == (q.top,) * q.n
+    assert q.hom[q.bottom] == (q.top,) * q.n
+
+
+def test_residuation_from_bottom_is_top_where_the_extension_is_accepted():
+    # for residuation it rests on tensor-bottom: over every tensor table and
+    # unit on the chain 0 < 1, each one LaxExtension accepts has
+    # hom[bottom] all top, and the tables it refuses include one that has not
+    leq = ((True, True), (False, True))
+    accepted = refused_without = 0
+    for cells in itertools.product(range(2), repeat=4):
+        for unit in range(2):
+            q = Quantale(("0", "1"), leq, (cells[:2], cells[2:]), unit)
+            from_bottom = q.hom[q.bottom] == (q.top,) * q.n
+            try:
+                LaxExtension(monad_by_name("identity"), q)
+            except FormatError:
+                refused_without += not from_bottom
+                continue
+            accepted += 1
+            assert from_bottom
+    assert accepted and refused_without
 
 
 def test_push_forward_joins_and_drops_bottom():
@@ -1057,14 +1122,6 @@ class DoubledUnit(WordMonad):
 
     def unit(self, x):
         return (x, x)
-
-
-def skew_chain():
-    """The chain 0 < a < b < 1 with unit 1 and a (x) b = a but b (x) a = 0:
-    the word extension is lax functorial only for a commutative tensor."""
-    leq = tuple(tuple(u <= v for v in range(4)) for u in range(4))
-    tensor = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 2, 2), (0, 1, 2, 3))
-    return Quantale(("0", "a", "b", "1"), leq, tensor, 3, name="skew")
 
 
 # (law, monad, quantale, entries of r: X -|-> Y, entries of s: Y -|-> X or
