@@ -6,6 +6,10 @@ carries the depth bound.  Reflexivity (R) and transitivity (T) are checked,
 never assumed; constructors and the file loader return unchecked structures
 whose category status is established by an explicit check_category call.
 
+The final lift is the one push-forward of a structure along maps: coproduct,
+quotient and the reflector build their structure with it, and check_final
+compares against it.  The reflexive-transitive closures of from_order and
+equiv_classes are the Warshall closure of quantale orders, ``_closure``.
 The fibers of the multiplication m are joined over in one place, the functor
 M X = (TX, Ta . m-degree, m); K reindexes a0 along the algebra map alpha.
 The dual X^op is K((M X)-degree), read along m, and the canonical structure
@@ -31,11 +35,11 @@ import json
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product as iter_product
+from itertools import compress, product as iter_product
 
 from .limits import check_guard
 from .monads import TheoryMonad, monad_by_name, monad_from_dict
-from .quantale import FormatError, Quantale, quantale_by_name
+from .quantale import FormatError, Quantale, _closure, quantale_by_name
 from .report import CheckReport, Reporter, sort_key
 from .theory import LaxExtension
 from .vrel import (VRel, constant_rel, pair_carrier, push_forward, random_relation,
@@ -278,15 +282,13 @@ def subspace(s: TVStructure, subset: tuple) -> TVFunctor:
 
 
 def final_lift(ext: LaxExtension, carrier: tuple, cocone) -> TVStructure:
-    """Final graph structure for a sink of maps out of structured sources,
-    joined with the reflexive floor e-degree: b(t, y) = \\/ {a_i(s, x) |
-    Tf_i s = t, f_i x = y} v (k at (e y, y))."""
+    """Final structure for a sink of maps out of structured sources, the
+    push-forward b(t, y) = \\/ {a_i(s, x) | Tf_i s = t, f_i x = y}; a graph
+    in general, closed into a category by graph_to_category."""
     q = ext.quantale
     monad = ext.monad
-    floor = [((monad.unit(y), y), q.unit) for y in carrier]
-    images = [((monad.map_elem(lambda z: m[z], t), m[x]), v)
-              for src, m in cocone for (t, x), v in src.a.entries.items()]
-    ent = push_forward(q, floor + images)
+    ent = push_forward(q, (((monad.map_elem(m.__getitem__, t), m[x]), v)
+                           for src, m in cocone for (t, x), v in src.a.entries.items()))
     return TVStructure(ext, carrier, VRel(q, ext.carrier(carrier), carrier, ent))
 
 
@@ -341,12 +343,8 @@ def coproduct(sx: TVStructure, sy: TVStructure):
 def quotient(s: TVStructure, proj: dict):
     """Final structure along a surjection, closed back into a category;
     returns (structure, projection functor)."""
-    image = []
-    for x in s.carrier:
-        if proj[x] not in image:
-            image.append(proj[x])
-    g = final_lift(s.ext, tuple(image), [(s, proj)])
-    g = graph_to_category(g)
+    image = tuple(dict.fromkeys(proj[x] for x in s.carrier))
+    g = graph_to_category(final_lift(s.ext, image, [(s, proj)]))
     return g, TVFunctor(s, g, proj)
 
 
@@ -366,31 +364,16 @@ def tensor(sx: TVStructure, sy: TVStructure) -> TVStructure:
 def equiv_classes(s: TVStructure) -> list[tuple]:
     """Partition of the carrier by mutual k-closeness of points (the
     relation compared by the separation condition), closed transitively so
-    that graphs are handled as well as categories."""
+    that graphs are handled as well as categories.  Classes come in the
+    carrier order of their first point, members in sort_key order."""
     q = s.quantale
     a0 = s.a0()
-    near = {x: {x} for x in s.carrier}
-    for x in s.carrier:
-        for y in s.carrier:
-            if q.le(q.unit, a0(x, y)) and q.le(q.unit, a0(y, x)):
-                near[x].add(y)
-    changed = True
-    while changed:
-        changed = False
-        for x in s.carrier:
-            for y in tuple(near[x]):
-                if not near[y] <= near[x]:
-                    near[x] |= near[y]
-                    changed = True
-    seen = set()
-    classes = []
-    for x in s.carrier:
-        if x in seen:
-            continue
-        cls = tuple(sorted(near[x], key=sort_key))
-        seen.update(cls)
-        classes.append(cls)
-    return classes
+    xs = s.carrier
+    close = [[q.le(q.unit, a0(x, y)) for y in xs] for x in xs]
+    near = _closure(len(xs), {(i, j) for i, row in enumerate(close)
+                              for j, c in enumerate(row) if c and close[j][i]})
+    return list(dict.fromkeys(tuple(sorted(compress(xs, row), key=sort_key))
+                              for row in near))
 
 
 def separated(s: TVStructure) -> bool:
@@ -401,29 +384,16 @@ def reflect_R(s: TVStructure):
     """Quotient by mutual k-closeness with the induced structure
     a~(t, [x]) = \\/ {a(w, x') | T eta w = t, x' ~ x}; returns (quotient,
     eta).  Class labels are the least original member of each class."""
-    q = s.quantale
-    monad = s.monad
-    classes = equiv_classes(s)
-    rep_of = {}
-    for cls in classes:
-        for x in cls:
-            rep_of[x] = cls[0]
-    carrier = []
-    for x in s.carrier:
-        if rep_of[x] not in carrier:
-            carrier.append(rep_of[x])
-    carrier = tuple(carrier)
-    ty = s.ext.carrier(carrier)
-    ent = push_forward(q, (((monad.map_elem(lambda z: rep_of[z], w), rep_of[x1]), v)
-                           for (w, x1), v in s.a.entries.items()))
-    out = TVStructure(s.ext, carrier, VRel(q, ty, carrier, ent), name=s.name)
-    reached = {monad.map_elem(lambda z: rep_of[z], w) for w in s.tx}
-    if any(t not in reached for t in ty):
+    rep_of = {x: cls[0] for cls in equiv_classes(s) for x in cls}
+    image = tuple(dict.fromkeys(rep_of[x] for x in s.carrier))
+    out = final_lift(s.ext, image, [(s, rep_of)])
+    out.name = s.name
+    reached = {s.monad.map_elem(rep_of.__getitem__, w) for w in s.tx}
+    if any(t not in reached for t in out.tx):
         # a fiber of T eta came out empty (possible only under depth
         # truncation); the affected entries default to bottom
         out.flags["empty_eta_fiber"] = True
-    eta = TVFunctor(s, out, dict(rep_of))
-    return out, eta
+    return out, TVFunctor(s, out, rep_of)
 
 
 def check_initial(f: TVFunctor) -> CheckReport:
@@ -434,19 +404,17 @@ def check_initial(f: TVFunctor) -> CheckReport:
 
 def check_final(f: TVFunctor) -> CheckReport:
     """f carries the final structure: b(t, y) is exactly the join of a over
-    the fiber of (Tf, f)."""
+    the fiber of (Tf, f), the final lift along f alone."""
     rep = Reporter("final", bound=f.source.ext.bound_info())
     q = f.source.quantale
-    acc = push_forward(q, (((f.t_map(t), f.map[x]), v)
-                           for (t, x), v in f.source.a.entries.items()))
     b = f.target.a
+    lift = final_lift(f.target.ext, f.target.carrier, [(f.source, f.map)]).a
     for t in f.target.ext.sorted_carrier(f.target.carrier):
         for y in f.target.carrier:
             rep.tick()
-            if b(t, y) != acc.get((t, y), q.bottom):
+            if b(t, y) != lift(t, y):
                 return rep.fail("final-structure", [repr(t), repr(y)],
-                                lhs=q.labels[b(t, y)],
-                                rhs=q.labels[acc.get((t, y), q.bottom)])
+                                lhs=q.labels[b(t, y)], rhs=q.labels[lift(t, y)])
     return rep.ok()
 
 
@@ -635,22 +603,18 @@ def one_point(ext: LaxExtension) -> TVStructure:
 
 def from_order(ext: LaxExtension, xs: tuple, pairs) -> TVStructure:
     """Identity-monad convenience: the structure of a preorder given by
-    covering or order pairs (reflexive-transitive closure taken)."""
+    covering or order pairs over xs (reflexive-transitive closure taken)."""
     q = ext.quantale
-    rel = {(x, x) for x in xs}
-    rel.update(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (x, y) in tuple(rel):
-            for (y2, z) in tuple(rel):
-                if y == y2 and (x, z) not in rel:
-                    rel.add((x, z))
-                    changed = True
+    xs = tuple(xs)
+    idx = {x: i for i, x in enumerate(xs)}
+    try:
+        leq = _closure(len(xs), {(idx[x], idx[y]) for x, y in pairs})
+    except KeyError as exc:
+        raise FormatError("order pair names %r, not a carrier point" % exc.args[0]) from None
     letters = ext.monad.letters
-    return TVStructure(ext, tuple(xs), tabulate(
-        q, ext.carrier(tuple(xs)), tuple(xs),
-        lambda t, x: q.unit if all((l, x) in rel for l in letters(t)) else q.bottom))
+    return TVStructure(ext, xs, tabulate(
+        q, ext.carrier(xs), xs,
+        lambda t, x: q.unit if all(leq[idx[l]][idx[x]] for l in letters(t)) else q.bottom))
 
 
 def random_category(ext: LaxExtension, xs: tuple, rng) -> TVStructure:
@@ -693,7 +657,7 @@ def structure_from_dict(d: dict, guard: int | None = None) -> TVStructure:
         raise FormatError("a structure is described by a JSON object")
     qspec = d.get("quantale")
     if isinstance(qspec, str):
-        q = quantale_by_name(qspec)
+        q = quantale_by_name(qspec, guard)
     elif isinstance(qspec, dict):
         q = Quantale.from_dict(qspec)
     else:

@@ -90,7 +90,7 @@ def _result(s, full: bool = True, **extra):
 
 
 def _quantale_check(args):
-    q = quantale_by_name(args.quantale)
+    q = quantale_by_name(args.quantale, args.guard_size)
     return _finish([check_quantale(q), check_condition_inj(q)],
                    quantale=q.name, size=q.n)
 
@@ -151,13 +151,16 @@ def _search_cond2(args):
 def _monad_check(args):
     monad = _load_monad(args.monad)
     carrier = tuple(args.carrier.split(","))
-    q = quantale_by_name(args.quantale) if args.quantale else None
+    if "" in carrier or len(set(carrier)) != len(carrier):
+        raise FormatError("--carrier needs distinct nonempty points, got %r"
+                          % args.carrier)
+    q = quantale_by_name(args.quantale, args.guard_size) if args.quantale else None
     laws = check_monad_laws(monad, carrier, q, guard=args.guard_size)
     return _finish([laws, check_bc_samples(monad)], monad=repr(monad))
 
 
 def _theory_check(args):
-    q = quantale_by_name(args.quantale)
+    q = quantale_by_name(args.quantale, args.guard_size)
     ext = LaxExtension(_load_monad(args.monad), q)
     return _finish([check_assumptions_bundle(ext, seed=args.seed,
                                              exhaustive=args.exhaustive,

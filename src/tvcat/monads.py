@@ -310,9 +310,9 @@ def monad_from_dict(d: dict) -> TheoryMonad:
     if kind == "finite_ultrafilter":
         return FiniteUltrafilterMonad()
     if kind == "word":
-        try:
-            max_len = int(d["max_len"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+        # a bool is an int to Python, and int() would round 2.7 down
+        max_len = d.get("max_len")
+        if not isinstance(max_len, int) or isinstance(max_len, bool):
             raise FormatError("word monad needs an integer depth (max_len), e.g. word:2")
         return WordMonad(max_len)
     if kind == "labelled":
@@ -331,7 +331,8 @@ def monad_by_name(spec: str) -> TheoryMonad:
         return LabelledMonad(z2())
     if sep and base in ("identity", "finite_ultrafilter"):
         raise FormatError("monad %s takes no parameter" % base)
-    return monad_from_dict({"kind": base, "max_len": arg})
+    return monad_from_dict({"kind": base,
+                            "max_len": int(arg) if arg.isdecimal() else arg})
 
 
 def can_map(monad: TheoryMonad, ws) -> dict:

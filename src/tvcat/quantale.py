@@ -418,8 +418,11 @@ BUILTIN_QUANTALES = {
 }
 
 
-def quantale_by_name(spec: str) -> Quantale:
-    """Resolve ``two``, ``lukasiewicz:3`` etc., or a path to a JSON file."""
+def quantale_by_name(spec: str, guard: int | None = None) -> Quantale:
+    """Resolve ``two``, ``lukasiewicz:3`` etc., or a path to a JSON file.
+    The n x n cells of a bundled quantale's tables are counted against the
+    guard before any is built (a powerset past 2^64 elements from below)."""
+    from .limits import check_guard  # limits imports FormatError from here
     base, sep, arg = spec.partition(":")
     if base not in BUILTIN_QUANTALES:
         return Quantale.from_file(spec)
@@ -431,4 +434,8 @@ def quantale_by_name(spec: str) -> Quantale:
         n = int(arg)
     except ValueError:
         raise FormatError("quantale %s needs a numeric size, e.g. %s:3" % (base, base))
+    side = max(n, 0)
+    if base == "powerset":
+        side = 1 << min(side, 64)
+    check_guard(side * side, "quantale %s (n x n table cells)" % spec, guard)
     return BUILTIN_QUANTALES[base](n)

@@ -1,5 +1,6 @@
 """Structures, lifts, reflector, duals and serialization, with brute-force
-order-theoretic oracles over the identity monad."""
+order-theoretic oracles over the identity monad, and the fixed-point loops
+equiv_classes and from_order ran before they read the Warshall closure."""
 
 import random
 from itertools import product as iter_product
@@ -13,16 +14,17 @@ from tvcat.categories import (EMAlgebra, TVFunctor, TVStructure, check_algebra,
                               coproduct, discrete, dual, equiv_classes,
                               find_representation, from_order, functor_K,
                               functor_M, functor_equiv, functor_leq,
-                              graph_to_category, identity_functor, indiscrete,
-                              initial_lift, one_point, product,
+                              final_lift, graph_to_category, identity_functor,
+                              indiscrete, initial_lift, one_point, product,
                               quotient, random_category, reflect_R, separated,
                               structure_from_dict, structure_to_dict, subspace,
                               tensor, v_hom_xi)
 from tvcat.monads import monad_by_name
 from tvcat.quantale import (FormatError, Quantale, lukasiewicz, quantale_by_name,
                             two)
+from tvcat.report import sort_key
 from tvcat.theory import LaxExtension
-from tvcat.vrel import VRel
+from tvcat.vrel import VRel, random_relation, tabulate
 
 
 def order_pairs(s):
@@ -43,6 +45,59 @@ def transitive_reflexive_closure(xs, pairs):
                     rel.add((x, z))
                     changed = True
     return rel
+
+
+def from_order_oracle(ext, xs, pairs):
+    """from_order as written with its own fixed-point closure loop."""
+    q = ext.quantale
+    rel = transitive_reflexive_closure(xs, pairs)
+    letters = ext.monad.letters
+    return TVStructure(ext, tuple(xs), tabulate(
+        q, ext.carrier(tuple(xs)), tuple(xs),
+        lambda t, x: q.unit if all((l, x) in rel for l in letters(t)) else q.bottom))
+
+
+def equiv_classes_oracle(s):
+    """equiv_classes as written with its own fixed-point closure loop."""
+    q = s.quantale
+    a0 = s.a0()
+    near = {x: {x} for x in s.carrier}
+    for x in s.carrier:
+        for y in s.carrier:
+            if q.le(q.unit, a0(x, y)) and q.le(q.unit, a0(y, x)):
+                near[x].add(y)
+    changed = True
+    while changed:
+        changed = False
+        for x in s.carrier:
+            for y in tuple(near[x]):
+                if not near[y] <= near[x]:
+                    near[x] |= near[y]
+                    changed = True
+    seen = set()
+    classes = []
+    for x in s.carrier:
+        if x in seen:
+            continue
+        cls = tuple(sorted(near[x], key=sort_key))
+        seen.update(cls)
+        classes.append(cls)
+    return classes
+
+
+WORLDS = [("two", "identity"), ("godel:3", "identity"),
+          ("lukasiewicz:3", "labelled:z2"), ("two", "word:2")]
+
+
+def random_graphs(rng, count):
+    """Graphs with random values in every cell, so in general neither
+    reflexive nor transitive, on carriers listed out of sort_key order."""
+    for qname, mname in WORLDS:
+        ext = LaxExtension(monad_by_name(mname), quantale_by_name(qname))
+        for _ in range(count):
+            xs = ("d", "b", "c", "a")[:rng.randint(1, 2 if mname == "word:2" else 4)]
+            yield TVStructure(ext, xs, random_relation(ext.quantale, ext.carrier(xs),
+                                                       xs, rng))
 
 
 def test_structure_validates_carriers(ext_ord):
@@ -136,6 +191,36 @@ def test_quotient_projection_is_final(ext_ord):
     assert len(g.carrier) == 2
 
 
+def test_final_lift_joins_no_floor(ext_ord):
+    # the final lift along the identity of a non-reflexive graph is that
+    # graph, and check_final accepts the functor it was built along
+    q = ext_ord.quantale
+    xs = ("a", "b")
+    g = TVStructure(ext_ord, xs, VRel(q, xs, xs, {("a", "b"): q.unit}))
+    ident = {x: x for x in xs}
+    lift = final_lift(ext_ord, xs, [(g, ident)])
+    assert check_final(TVFunctor(g, lift, ident)).passed
+    assert lift.a == g.a
+
+
+def test_check_final_accepts_the_final_lift_of_random_graphs():
+    rng = random.Random(23)
+    for g in random_graphs(rng, 12):
+        q = g.quantale
+        proj = {x: rng.choice(g.carrier[:2]) for x in g.carrier}
+        image = tuple(dict.fromkeys(proj[x] for x in g.carrier))
+        f = TVFunctor(g, final_lift(g.ext, image, [(g, proj)]), proj)
+        # the join over each fiber of (Tf, f), taken cell by cell
+        assert f.target.a.entries == {
+            (t, y): v for t in f.target.tx for y in image
+            if (v := q.sup([g.a(s, x) for s in g.tx for x in g.carrier
+                            if f.t_map(s) == t and proj[x] == y])) != q.bottom}
+        assert check_final(f).passed
+        # the closure adds to the lift exactly where check_final then fails
+        closed = graph_to_category(f.target)
+        assert check_final(TVFunctor(g, closed, proj)).passed == (closed.a == f.target.a)
+
+
 def test_tensor_formula_and_category_flag():
     q = lukasiewicz(3)
     ext = LaxExtension(monad_by_name("identity"), q)
@@ -166,6 +251,32 @@ def test_separation_and_reflector(ext_ord):
     r2, eta2 = reflect_R(r)
     assert r2 == r
     assert all(eta2.map[x] == x for x in r.carrier)
+
+
+def test_equiv_classes_match_the_fixed_point_loop():
+    rng = random.Random(29)
+    for s in random_graphs(rng, 40):
+        assert equiv_classes(s) == equiv_classes_oracle(s)
+        c = graph_to_category(s)
+        assert equiv_classes(c) == equiv_classes_oracle(c)
+
+
+@pytest.mark.parametrize("mname", ("identity", "word:2"))
+def test_from_order_matches_the_fixed_point_loop(mname):
+    ext = LaxExtension(monad_by_name(mname), two())
+    rng = random.Random("from_order:" + mname)
+    for _ in range(40):
+        xs = ("d", "b", "c", "a")[:rng.randint(1, 3 if mname == "word:2" else 4)]
+        pairs = {(rng.choice(xs), rng.choice(xs)) for _ in range(rng.randint(0, 5))}
+        # and a cycle through up to three points
+        cycle = rng.sample(xs, min(len(xs), 3))
+        pairs |= set(zip(cycle, cycle[1:] + cycle[:1]))
+        assert from_order(ext, xs, pairs) == from_order_oracle(ext, xs, pairs)
+
+
+def test_from_order_refuses_a_pair_off_the_carrier(ext_ord):
+    with pytest.raises(FormatError, match="'z'"):
+        from_order(ext_ord, ("a", "b"), {("a", "b"), ("b", "z")})
 
 
 def test_reflector_preserves_products_sampled():

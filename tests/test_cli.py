@@ -332,6 +332,46 @@ def test_bare_word_needs_a_depth(capsys):
     capsys.readouterr()
 
 
+WORD_DEPTH = "error: word monad needs an integer depth (max_len), e.g. word:2\n"
+
+
+@pytest.mark.parametrize("max_len", [True, 2.7, 2.0, "2", " 2"])
+def test_word_depth_is_an_integer_in_files(capsys, tmp_path, max_len):
+    # int() once read true as depth 1 and 2.7 as depth 2, and the check
+    # passed; only an int is a depth, in a monad file and in the monad
+    # object of a structure file
+    monad = {"kind": "word", "max_len": max_len}
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(monad))
+    assert main(["monad", "check", str(path)]) == 2
+    assert capsys.readouterr().err == WORD_DEPTH
+    path.write_text(json.dumps({"quantale": "two", "monad": monad,
+                                "carrier": ["a"]}))
+    assert main(["cat", "check", str(path)]) == 2
+    assert capsys.readouterr().err == WORD_DEPTH
+
+
+def test_word_depth_text_is_decimal(capsys, tmp_path):
+    for spec in ("word:2.7", "word:+2", "word: 2", "word:-1", "word:true"):
+        assert main(["monad", "check", spec, "--carrier", "a"]) == 2
+        assert capsys.readouterr().err == WORD_DEPTH
+    path = tmp_path / "w.json"
+    path.write_text('{"kind": "word", "max_len": 2}')
+    for spec in ("word:2", str(path)):
+        code, out = run(capsys, ["monad", "check", spec, "--carrier", "a",
+                                 "--format", "json"])
+        assert code == 0 and json.loads(out)["monad"] == "WordMonad(word)"
+
+
+@pytest.mark.parametrize("carrier", ["a,a", ",", "a,,b", "", "b,a,b"])
+def test_monad_check_carrier_has_distinct_nonempty_points(capsys, carrier):
+    # a repeated point was counted twice (99 samples for a,a against 39 for
+    # a), and "," ran on two empty-named points
+    assert main(["monad", "check", "word:2", "--carrier", carrier]) == 2
+    assert capsys.readouterr().err == (
+        "error: --carrier needs distinct nonempty points, got %r\n" % carrier)
+
+
 def test_monad_check_guards_t3(capsys):
     # T^3 of two points under word:3 has about 4.7e10 elements
     assert main(["monad", "check", "word:3"]) == 2
@@ -359,6 +399,51 @@ def test_astronomical_counts_are_one_line_guard_errors(capsys, monkeypatch, argv
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == "error: %s candidates%s" % (need, GUARD_HINT % 100000)
+
+
+@pytest.mark.parametrize("argv,need", [
+    (["quantale", "check", "godel:100000000"],
+     "quantale godel:100000000 (n x n table cells) needs 10000000000000000"),
+    # 2^100000 elements: the count is given from below, at 2^64 of them
+    (["quantale", "check", "powerset:100000"],
+     "quantale powerset:100000 (n x n table cells) needs at least 2^128"),
+    (["theory", "check-assumptions", "--quantale", "lukasiewicz:317",
+      "--monad", "identity"],
+     "quantale lukasiewicz:317 (n x n table cells) needs 100489"),
+    (["monad", "check", "identity", "--quantale", "trunc_add:1000"],
+     "quantale trunc_add:1000 (n x n table cells) needs 1000000"),
+], ids=["godel", "powerset", "assumptions", "monad"])
+def test_huge_builtin_quantales_are_one_line_guard_errors(capsys, monkeypatch,
+                                                          argv, need):
+    # the n x n tables were built before any check: godel:100000000 ran
+    # past a 10 s timeout
+    monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: %s candidates%s" % (need, GUARD_HINT % 100000)
+
+
+def test_quantale_guard_is_the_commands_guard(capsys, monkeypatch, tmp_path):
+    # godel:3 has 9 table cells; the guard of each command, from the flag
+    # or the environment, reaches the quantale, in structure files too
+    monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
+    path = tmp_path / "s.json"
+    path.write_text('{"quantale": "godel:3", "monad": "identity", "carrier": ["a"]}')
+    err = "error: quantale godel:3 (n x n table cells) needs 9 candidates" + GUARD_HINT % 8
+    for argv in (["quantale", "check", "godel:3"],
+                 ["theory", "check-assumptions", "--quantale", "godel:3",
+                  "--monad", "identity"],
+                 ["monad", "check", "identity", "--quantale", "godel:3"],
+                 ["cat", "check", str(path)]):
+        assert main(argv + ["--guard-size", "8"]) == 2
+        assert capsys.readouterr().err == err
+        monkeypatch.setenv("TVCAT_GUARD_SIZE", "8")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+        monkeypatch.delenv("TVCAT_GUARD_SIZE")
+        main(argv + ["--guard-size", "9"])
+        assert "table cells" not in capsys.readouterr().err
 
 
 def test_structure_file_guards_its_t_carrier(capsys, monkeypatch, tmp_path):

@@ -1,8 +1,9 @@
 """The shared relational kernels and fast paths against the loops they
 replaced: push-forward of entries; the largest structure making evaluation
 compatible, for exponentials (Heyting implication) and presheaf categories
-(residuation, of a non-commutative tensor too), entry order and 125 maps
-included, with the bottom row of both implications it rests on; the search
+(residuation, of a non-commutative tensor too, at the cell where its two
+sides part), entry order and 125 maps included, with the bottom row of both
+implications it rests on; the search
 for structure-compatible maps against the product loops of the exponential
 carrier, the presheaf carrier and weak factorization, over carriers in and
 out of sort_key order, and at 1,200 points; the fiber-direct lax extension
@@ -28,7 +29,7 @@ from tvcat.categories import (EMAlgebra, TVFunctor, TVStructure, check_algebra,
                               graph_to_category, one_point, random_category)
 from tvcat.exponential import (admissible_maps, check_exponentiability,
                                check_frame_criterion, graph_exponential,
-                               point_tests)
+                               largest_compatible, point_tests)
 from tvcat.monads import LabelledMonad, Monoid, WordMonad, monad_by_name
 from tvcat.presheaf import (build_presheaf_category, weak_exponential,
                             weak_factorize)
@@ -143,6 +144,34 @@ def test_largest_compatible_matches_presheaf_loop_over_a_skew_tensor(mname):
         px = build_presheaf_category(sx)
         expect = presheaf_oracle(sx, px.structure.carrier)
         assert list(px.structure.a.entries.items()) == list(expect.items())
+
+
+@pytest.mark.parametrize("u", ("a", "b"))
+def test_presheaf_reads_the_left_residual_at_bottom(u):
+    # hom[u][0] for u in {a, b} is where the residuals of skew_chain() part:
+    # a (x) v <= 0 up to v = a and v (x) a <= 0 up to v = b, b (x) v <= 0 up
+    # to v = a and v (x) b <= 0 only at 0.  Random draws never reach it; here
+    # a(x, y) = u reaches it in the presheaf condition, in the inner
+    # hom[p(y)][psi(x)] and in the outer hom[aop(y, x)][hom[1][0]]
+    q = skew_chain()
+    ext = LaxExtension(monad_by_name("identity"), q)
+    xs = ("x", "y")
+    s = TVStructure(ext, xs, VRel(q, xs, xs, {
+        ("x", "x"): q.unit, ("y", "y"): q.unit, ("x", "y"): q.index(u)}))
+    px = build_presheaf_category(s)
+    carrier = px.structure.carrier
+    assert px.opposite.a("y", "x") == q.index(u)
+    assert any(p[1] == q.top for p in carrier) and any(psi[0] == 0 for psi in carrier)
+    assert carrier == presheaf_carrier_oracle(s)
+    assert list(px.structure.a.entries.items()) == list(presheaf_oracle(s, carrier).items())
+    # the outer side cannot be told through PX: psi(y) (x) u <= psi(x) makes
+    # the right residual's term at (y, x) lie above the diagonal one at y, as
+    # p(y) (x) u <= p(x) does the left one's at x, so the meet is the same
+    right = [[q.sup([v for v in range(q.n) if q.le(q.tensor[v][w], z)])
+              for z in range(q.n)] for w in range(q.n)]
+    assert right[q.index(u)][0] != q.hom[q.index(u)][0]
+    assert largest_compatible(ext, carrier, px.opposite.a, q.hom.__getitem__,
+                              right) == px.structure.a
 
 
 def test_largest_compatible_past_one_machine_word():

@@ -11,7 +11,11 @@ of ``monads.py``; another keeps the sort_key order of T-carriers with
 ``LaxExtension.sorted_carrier``: no sort in ``monads.py`` or ``vrel.py``,
 and no ``fragment`` or ``walk`` handed a T-carrier for the points.  A
 third keeps composition to the Kleisli composite and the base composite of
-the lax-composition law, with no cache in ``vrel.py``."""
+the lax-composition law, with no cache in ``vrel.py``.  A fourth keeps the
+final lift the one push-forward of a structure along maps in
+``categories.py`` and its closures to the Warshall closure of
+``quantale.py``: no ``while`` loop but the category closure's and the map
+search's."""
 
 import ast
 import random
@@ -275,3 +279,49 @@ def test_the_guard_sees_a_compose_call_and_a_cache():
     assert cache_uses(tree) == [
         (1, "import functools"), (2, "from functools import cached_property"),
         (4, "cached_property"), (7, "functools.lru_cache")]
+
+
+def while_loops(tree):
+    """(function, line) of each ``while`` loop, by its innermost function."""
+    out = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif isinstance(node, ast.While):
+            out.append((fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return out
+
+
+def test_one_push_forward_and_one_closure_in_categories():
+    # coproduct, quotient and the reflector are final lifts and check_final
+    # compares with one; besides it only the category closure joins its
+    # rounds and M reads Ta along m.  from_order and equiv_classes read
+    # quantale._closure, so the only loops to a fixed point are the
+    # closure's and the stack of the map search
+    tree = ast.parse((SRC / "categories.py").read_text(encoding="utf-8"))
+    assert {fn for _, fn, _ in calls(tree, "push_forward")} == {
+        "final_lift", "graph_to_category", "functor_M"}
+    assert {fn for _, fn, _ in calls(tree, "final_lift")} == {
+        "coproduct", "quotient", "reflect_R", "check_final"}
+    assert {fn for fn, _ in while_loops(tree)} == {"graph_to_category",
+                                                   "compatible_maps"}
+
+
+def test_the_guard_sees_a_push_forward_and_a_while():
+    tree = ast.parse("def reflect_R(s, q):\n"
+                     "    while s:\n"
+                     "        s = vrel.push_forward(q, s)\n"
+                     "    return final_lift(s)\n"
+                     "def f(q):\n"
+                     "    def g():\n"
+                     "        while True:\n"
+                     "            break\n"
+                     "    return push_forward(q, [])\n")
+    assert [(fn, node.lineno) for _, fn, node in calls(tree, "push_forward")] == [
+        ("reflect_R", 3), ("f", 9)]
+    assert while_loops(tree) == [("reflect_R", 2), ("g", 7)]
