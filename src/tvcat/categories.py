@@ -442,11 +442,13 @@ def check_R_preserves_products(sx: TVStructure, sy: TVStructure) -> CheckReport:
 
 # ---- duals, M and K ----
 
-def dual(s: TVStructure) -> TVStructure:
+def dual(s: TVStructure, guard: int | None = None) -> TVStructure:
     """X^op = K((M X)-degree) read along m: the structure on TX whose value
     at (XX, t) is (M X)(t, m XX), the join of Ta(YY, m XX) over all YY with
     m YY = t.  Out-of-bound XX, where m is undefined, stay bottom and are
-    recorded in the bounded_dual flag."""
+    recorded in the bounded_dual flag.  K enumerates T(TX), which is
+    counted against the guard first."""
+    check_guard(s.monad.carrier_size(len(s.tx)), "T(TX) enumeration", guard)
     mx = functor_M(s)
     op = functor_K(EMAlgebra(mx.ext, mx.carrier, mx.a0.transpose(), mx.alpha))
     out = TVStructure(s.ext, s.tx, op.a, name=s.name + "^op" if s.name else "")

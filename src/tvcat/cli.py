@@ -22,7 +22,7 @@ from .exponential import (NotTransitive, check_exponentiability,
                           check_frame_criterion, check_universal_property,
                           curry, exponential_in_cats)
 from .gallery import DATA_PATH, run_gallery
-from .limits import GuardError
+from .limits import GuardError, guard_limit
 from .monads import check_bc_samples, check_monad_laws, monad_by_name, monad_from_dict
 from .presheaf import (NotSeparated, build_presheaf_category, check_yoneda,
                        find_sup, injective_report, weak_exponential)
@@ -118,7 +118,12 @@ def _chain_tensors(n: int):
 
 
 def _search_cond2(args):
-    """Exhaust small chain quantales and report their condition verdicts."""
+    """Exhaust small chain quantales and report their condition verdicts.
+    The tensor tables are counted against the guard as they are generated,
+    since their number is not known beforehand."""
+    if args.max_size < 2:
+        raise FormatError("--max-size must be at least 2, got %d" % args.max_size)
+    limit = guard_limit(args.guard_size)
     found = []
     candidates = 0
     quantales = 0
@@ -127,6 +132,9 @@ def _search_cond2(args):
         leq = tuple(tuple(i <= j for j in range(n)) for i in range(n))
         for table in _chain_tensors(n):
             candidates += 1
+            if candidates > limit:
+                raise GuardError("chain tensor enumeration", candidates, limit,
+                                 exact=False)
             units = [k for k in range(n)
                      if all(table[k][u] == u for u in range(n))]
             if not units:
@@ -271,7 +279,7 @@ COMMANDS = (
     ("cat", "check", FILE, [], lambda args, s: _finish(
         [check_graph(s), check_category(s)], separated=separated(s))),
     ("cat", "reflect", FILE, [], _reflect),
-    ("cat", "dual", FILE, [], lambda args, s: _result(dual(s))),
+    ("cat", "dual", FILE, [], lambda args, s: _result(dual(s, args.guard_size))),
     ("cat", "represent", FILE, [], _represent),
     ("cat", "product", PAIR, [], lambda args, sx, sy: _result(product(sx, sy)[0])),
     ("cat", "tensor", PAIR, [], lambda args, sx, sy: _result(tensor(sx, sy))),

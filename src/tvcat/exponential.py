@@ -15,7 +15,9 @@ built by the same two kernels: its carrier is the same search over the
 same ``point_tests``, and its structure is ``largest_compatible`` with
 residuation in place of implication.  T-carriers come from ``ext.carrier``
 and ``ext.can_map``, and the splitting and frame criteria read Ta from
-``TVStructure.ta``.
+``TVStructure.ta``.  The splitting criterion decides each distinct key of a
+cell (XX, x), its set of value pairs over the middle points and a(m XX, x),
+once per call.
 """
 
 from __future__ import annotations
@@ -153,28 +155,44 @@ def graph_exponential(sx: TVStructure, sy: TVStructure,
 def check_exponentiability(sx: TVStructure) -> CheckReport:
     """The splitting criterion: for all in-bound XX, x, u, v,
     \\/_t (Ta(XX,t) /\\ u) (x) (a(t,x) /\\ v) >= a(m XX, x) /\\ (u (x) v).
-    A term is bottom unless Ta(XX, t) and a(t, x) both are not, so each
-    (XX, x) joins over the distinct value pairs of such middle points t."""
+    A term is bottom unless Ta(XX, t) and a(t, x) both are not, so a cell
+    (XX, x) reads only its key: the set of value pairs (Ta(XX, t), a(t, x))
+    of such middle points t, filled for every x in one pass over the row
+    of Ta at XX, and a(m XX, x).  Each key is folded over u, v once per
+    call; a key that passed before ticks its n^2 pairs at once, and the
+    first failing key ends the call, so counts and witnesses are those of
+    the literal loop."""
     rep = Reporter("exponentiability", bound=sx.ext.bound_info())
     q = sx.quantale
+    xs = sx.carrier
+    xidx = {x: i for i, x in enumerate(xs)}
     ta_rows = sx.ta.rows()
-    a_rows = {t: dict(row) for t, row in sx.a.rows().items()}
+    a_rows = {t: [(xidx[x], v) for x, v in row] for t, row in sx.a.rows().items()}
     meet, tensor = q.meet, q.tensor
     elems = range(q.n)
-    for xx, mx in sx.ext.walk(sx.carrier, rep):
-        row = ta_rows.get(xx, ())
-        for x in sx.carrier:
-            pairs = {(v1, a_rows[t][x]) for t, v1 in row if x in a_rows.get(t, ())}
+    square = q.n * q.n
+    passed = set()
+    for xx, mx in sx.ext.walk(xs, rep):
+        pairs = [set() for _ in xs]
+        for t, v1 in ta_rows.get(xx, ()):
+            for i, v2 in a_rows.get(t, ()):
+                pairs[i].add((v1, v2))
+        for x, ps in zip(xs, pairs):
             amx = sx.a(mx, x)
+            key = (frozenset(ps), amx)
+            if key in passed:
+                rep.tick(square)
+                continue
             for u in elems:
                 for v in elems:
                     rep.tick()
                     rhs = meet[amx][tensor[u][v]]
-                    lhs = q.sup(tensor[meet[v1][u]][meet[v2][v]] for v1, v2 in pairs)
+                    lhs = q.sup(tensor[meet[v1][u]][meet[v2][v]] for v1, v2 in ps)
                     if not q.le(rhs, lhs):
                         return rep.fail("splitting", [repr(xx), repr(x),
                                                       q.labels[u], q.labels[v]],
                                         lhs=q.labels[lhs], rhs=q.labels[rhs])
+            passed.add(key)
     return rep.ok()
 
 

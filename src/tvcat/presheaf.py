@@ -57,7 +57,7 @@ def build_presheaf_category(s: TVStructure, guard: int | None = None) -> Preshea
     monad = s.monad
     tx = s.tx
     check_guard(q.n ** len(tx), "presheaf carrier", guard)
-    op = dual(s)
+    op = dual(s, guard)
     # the presheaf condition through the one-point generator, as for the
     # exponential carrier: aop(T, t) <= hom(xi(Tpsi T), psi t) at the point
     # tests T of TX (for the identity monad, compatibility out of the dual)

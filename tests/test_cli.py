@@ -465,6 +465,54 @@ def test_structure_file_guards_its_t_carrier(capsys, monkeypatch, tmp_path):
     capsys.readouterr()
 
 
+def test_dual_guards_the_words_over_its_t_carrier(capsys, monkeypatch, tmp_path):
+    # the dual enumerates T(TX): over six points word:3 once built 17.4M
+    # words, peaked at 2 GB and ended in a MemoryError under an address cap
+    monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
+    for points, words in ((6, 17441320), (4, 621436)):
+        path = tmp_path / ("word3_%d.json" % points)
+        path.write_text(json.dumps({"quantale": "two", "monad": "word:3",
+                                    "carrier": list("abcdef"[:points])}))
+        start = time.perf_counter()
+        assert main(["cat", "dual", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: T(TX) enumeration needs %d candidates" % words
+            + GUARD_HINT % 100000)
+    # a guard that admits the count runs the dual; the empty structure is
+    # no category
+    assert main(["cat", "dual", str(path), "--guard-size", "621436"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_search_cond2_counts_tensors_against_the_guard(capsys, monkeypatch):
+    # the chain tensors were enumerated past any guard: --max-size 9 ran
+    # past 20 s, and --max-size 6 makes 2,646,497 candidates
+    monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
+    start = time.perf_counter()
+    assert main(["quantale", "search-cond2", "--max-size", "9",
+                 "--guard-size", "10"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: chain tensor enumeration needs at least 11 candidates"
+        + GUARD_HINT % 10)
+    # the 39 tables on the chains of sizes 2 and 3 pass a guard of 39 only
+    assert main(["quantale", "search-cond2", "--max-size", "3",
+                 "--guard-size", "38"]) == 2
+    capsys.readouterr()
+    code, out = run(capsys, ["quantale", "search-cond2", "--max-size", "3",
+                             "--guard-size", "39", "--format", "json"])
+    assert code == 0 and json.loads(out)["candidates"] == 39
+
+
+@pytest.mark.parametrize("size", ["1", "0", "-3"])
+def test_search_cond2_below_two_is_usage_error(capsys, size):
+    # no chain has fewer than two elements, so the search would pass vacuously
+    assert main(["quantale", "search-cond2", "--max-size", size]) == 2
+    assert capsys.readouterr().err == (
+        "error: --max-size must be at least 2, got %s\n" % size)
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("planted")

@@ -11,7 +11,10 @@ against the literal enumeration of T(X x Y); the checks that read only the
 in-bound fragment of TTX against their loops over all of it, the
 representation search, the op-lax mult square of the extension laws and the
 algebra laws included, with a planted defect per extension law, planted (T)
-witnesses past passing terms and a count of the XX passed to m; and the
+witnesses past passing terms and a count of the XX passed to m; the
+splitting criterion, decided once per key of value pairs and a(m XX, x),
+against its literal loop over a non-commutative tensor and at two cells
+that share their pairs but not a(m XX, x); and the
 sparse comparison square of check_infi, whose left table is folded from
 fibers with no relation built, the infi sweep over row classes against the
 dense pair loop, and sparse owedge against their dense loops."""
@@ -771,6 +774,40 @@ def test_inbound_consumers_skip_before_a_witness(plant, qname):
     assert [fields(r) for r in got] == [fields(r) for r in expect]
     rep = next(r for r in got if r.check == check)
     assert rep.status == "fail" and rep.skipped > 0 and rep.witness[0] == xx
+
+
+@pytest.mark.parametrize("mname", ("identity", "labelled:z2"))
+def test_splitting_matches_literal_loop_over_a_skew_tensor(mname):
+    # a non-commutative tensor tells (Ta(XX, t) /\ u) (x) (a(t, x) /\ v)
+    # from its arguments swapped, which the commutative quantales cannot
+    ext = LaxExtension(monad_by_name(mname), skew_chain())
+    rng = random.Random("splitting:skew:%s" % mname)
+    xs = ("b", "a")
+    statuses = set()
+    for _ in range(40):
+        raw = TVStructure(ext, xs, random_relation(ext.quantale, ext.carrier(xs), xs, rng))
+        for s in (raw, graph_to_category(raw)):
+            got = check_exponentiability(s)
+            assert fields(got) == fields(exponentiability_oracle(s))
+            statuses.add(got.status)
+    assert statuses == {"pass", "fail"}
+
+
+def test_splitting_keys_a_cell_by_its_pairs_and_a_of_m():
+    # the cells ('a', 'a') and ('b', 'a') over godel:3 both have the one
+    # value pair (1, 1), from the middle point 'c'; a(m XX, x) is 0 at the
+    # first, which passes, and 2 at the second, which fails at u = v = 2
+    q = quantale_by_name("godel:3")
+    ext = LaxExtension(monad_by_name("identity"), q)
+    xs = ("a", "b", "c")
+    s = TVStructure(ext, xs, VRel(q, xs, xs, {
+        ("a", "c"): 1, ("c", "a"): 1, ("c", "c"): 1, ("b", "c"): 1, ("b", "a"): 2}))
+    got = check_exponentiability(s)
+    assert fields(got) == fields(exponentiability_oracle(s))
+    # three passing cells of 9 pairs each, then the ninth pair of ('b', 'a')
+    assert (got.law, got.witness, got.samples) == ("splitting",
+                                                   ["'b'", "'a'", "2", "2"], 36)
+    assert got.details == {"lhs": "1", "rhs": "2"}
 
 
 def planted(ext, xs, cells):

@@ -41,6 +41,18 @@ def test_presheaf_guard_precedes_the_dual(monkeypatch, ext_word2):
         build_presheaf_category(s, guard=1)
 
 
+def test_presheaf_guard_reaches_the_dual():
+    # two x word:3 on one point: 2^4 presheaf candidates pass the guard,
+    # the 85 words over TX that the dual enumerates do not
+    ext = LaxExtension(monad_by_name("word:3"), quantale_by_name("two"))
+    s = discrete(ext, ("a",))
+    with pytest.raises(GuardError, match=r"T\(TX\) enumeration needs 85 "):
+        build_presheaf_category(s, guard=84)
+    # at 85 the dual is built, and the structure's own count trips next
+    with pytest.raises(GuardError, match=r"T\(carrier x X\) enumeration"):
+        build_presheaf_category(s, guard=85)
+
+
 def test_presheaf_counts_are_downsets(ext_ord):
     cases = [((("a", "b")), {("a", "b")}, 3),   # 2-chain
              ((("a", "b")), set(), 4),          # antichain
