@@ -35,9 +35,9 @@ import json
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, product as iter_product
+from itertools import compress, islice, product as iter_product
 
-from .limits import check_guard
+from .limits import DEFAULT_GUARD_SIZE, GuardError, check_guard, guard_limit
 from .monads import TheoryMonad, monad_by_name, monad_from_dict
 from .quantale import FormatError, Quantale, _closure, quantale_by_name
 from .report import CheckReport, Reporter, sort_key
@@ -388,11 +388,6 @@ def reflect_R(s: TVStructure):
     image = tuple(dict.fromkeys(rep_of[x] for x in s.carrier))
     out = final_lift(s.ext, image, [(s, rep_of)])
     out.name = s.name
-    reached = {s.monad.map_elem(rep_of.__getitem__, w) for w in s.tx}
-    if any(t not in reached for t in out.tx):
-        # a fiber of T eta came out empty (possible only under depth
-        # truncation); the affected entries default to bottom
-        out.flags["empty_eta_fiber"] = True
     return out, TVFunctor(s, out, rep_of)
 
 
@@ -404,18 +399,10 @@ def check_initial(f: TVFunctor) -> CheckReport:
 
 def check_final(f: TVFunctor) -> CheckReport:
     """f carries the final structure: b(t, y) is exactly the join of a over
-    the fiber of (Tf, f), the final lift along f alone."""
-    rep = Reporter("final", bound=f.source.ext.bound_info())
-    q = f.source.quantale
-    b = f.target.a
-    lift = final_lift(f.target.ext, f.target.carrier, [(f.source, f.map)]).a
-    for t in f.target.ext.sorted_carrier(f.target.carrier):
-        for y in f.target.carrier:
-            rep.tick()
-            if b(t, y) != lift(t, y):
-                return rep.fail("final-structure", [repr(t), repr(y)],
-                                lhs=q.labels[b(t, y)], rhs=q.labels[lift(t, y)])
-    return rep.ok()
+    the fiber of (Tf, f): b compared along the identity with the lift."""
+    lift = final_lift(f.target.ext, f.target.carrier, [(f.source, f.map)])
+    return _compare_along(TVFunctor(f.target, lift, {y: y for y in lift.carrier}),
+                          "final", "final-structure", operator.eq)
 
 
 def check_R_preserves_products(sx: TVStructure, sy: TVStructure) -> CheckReport:
@@ -655,6 +642,7 @@ def structure_to_dict(s: TVStructure) -> dict:
 
 
 def structure_from_dict(d: dict, guard: int | None = None) -> TVStructure:
+    """A structure file's object: its specs resolved, then ``structure_on``."""
     if not isinstance(d, dict):
         raise FormatError("a structure is described by a JSON object")
     qspec = d.get("quantale")
@@ -666,25 +654,37 @@ def structure_from_dict(d: dict, guard: int | None = None) -> TVStructure:
         raise FormatError("structure file needs a quantale name or object")
     mspec = d.get("monad", "identity")
     monad = monad_by_name(mspec) if isinstance(mspec, str) else monad_from_dict(mspec)
-    carrier = d.get("carrier", [])
+    return structure_on(LaxExtension(monad, q), d.get("carrier", []),
+                        d.get("structure", {}), str(d.get("name", "")), guard)
+
+
+def structure_on(ext: LaxExtension, carrier, entries, name: str = "",
+                 guard: int | None = None) -> TVStructure:
+    """The structure over ext on carrier (a nonempty list, its points read
+    as strings) with entries {'T-elem;x': label}.  T(carrier) is counted
+    against the guard before it is built, then the in-bound fragment of
+    T(T carrier) the checks walk, as the monad yields it, up to one past the
+    larger of the guard and the default (a lowered guard still admits it)."""
     if not isinstance(carrier, (list, tuple)) or not carrier:
         raise FormatError("structure file needs a nonempty list as its carrier")
     carrier = tuple(str(x) for x in carrier)
+    monad, limit = ext.monad, max(guard_limit(guard), DEFAULT_GUARD_SIZE)
     check_guard(monad.carrier_size(len(carrier)), "T(carrier) enumeration", guard)
-    ext = LaxExtension(monad, q)
+    if sum(1 for _ in islice(monad.inbound(ext.sorted_carrier(carrier)),
+                             limit + 1)) > limit:
+        raise GuardError("in-bound T(T carrier) fragment", limit + 1, limit,
+                         exact=False)
     tx = ext.carrier(carrier)
     keys = key_table(tx, carrier, monad.elem_to_str)
-    given = d.get("structure", {})
-    if not isinstance(given, dict):
+    if not isinstance(entries, dict):
         raise FormatError("structure entries must be a JSON object")
     ent = {}
-    for key, lab in given.items():
+    for key, lab in entries.items():
         if key not in keys:
             raise FormatError("structure key %r is not 'T-elem;x' over the "
                               "carrier" % key)
-        ent[keys[key]] = q.index(lab)
-    return TVStructure(ext, carrier, VRel(q, tx, carrier, ent),
-                       name=str(d.get("name", "")))
+        ent[keys[key]] = ext.quantale.index(lab)
+    return TVStructure(ext, carrier, VRel(ext.quantale, tx, carrier, ent), name=name)
 
 
 def structure_from_file(path: str, guard: int | None = None) -> TVStructure:

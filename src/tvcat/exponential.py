@@ -4,8 +4,8 @@ The carrier of an exponential <X,Y> is the set of admissible maps X -> Y
 (those underlying structure-compatible maps out of X x E, where E is the
 one-point generator), stored as value tuples in carrier order so they can
 serve as carrier elements themselves.  The structure b^a is the largest
-structure making evaluation compatible: ``largest_compatible`` computes it
-as a meet of Heyting implications, the residual dual to ``VRel.compose``
+structure making evaluation into (Y, b) compatible: ``largest_compatible``,
+given the relation b, computes it as a meet of Heyting implications, the residual dual to ``VRel.compose``
 and like it on value levels (bitsets of the maps by value); since binary
 meet distributes over joins, the defining supremum is attained and the
 meet formula is exact.  The admissible maps are found by
@@ -71,25 +71,25 @@ def point_tests(ext: LaxExtension, xs: tuple) -> list:
     return [t for t, star in ext.can_map(xs, ("*",)).values() if star == estar]
 
 
-def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b_row,
+def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b: VRel,
                        imp, guard: int | None = None) -> VRel:
     """The largest structure on z, a set of maps X -> Y stored as value
     tuples in the order of X = a.dst, making evaluation Z x X -> Y
-    structure-compatible: c(p, h) is the meet, over T-elements w of Z x X
-    above p and points x, of imp[a(Tpi_X w, x)][b(Tev w, h x)].  b_row(tev)
-    is the row b(tev, -), indexed by the points of Y; imp is the
-    implication table (Heyting for exponentials, residuation for
-    presheaves).  The T-elements of Z x X are counted against the guard
-    before they are enumerated.
+    structure-compatible for the structure b on Y, whose rows are read once
+    per call: c(p, h) is the meet, over T-elements w of Z x X above p and
+    points x, of imp[a(Tpi_X w, x)][b(Tev w, h x)]; imp is the implication
+    table (Heyting for exponentials, residuation for presheaves).  The
+    T-elements of Z x X are counted against the guard before they are
+    enumerated.
 
     This is the residual dual to ``VRel.compose``, on value levels: per
     position i of X and value y, the maps h with h[i] = y form a bitset
     (their level), and each term's value ORs a level into the column of p
     at that value; each column is decoded once into the meets of its cells.
     Only the non-bottom row of a at Tpi_X w is read, since imp[bottom] is
-    all top (for residuation because bottom absorbs the tensor, law
-    tensor-bottom of ``LaxExtension``), and a top term moves no meet, so it
-    is dropped.  Entries come in the order p in T(z), then h in z."""
+    all top (for residuation because bottom absorbs the tensor, the law
+    ``tensor_bottom`` LaxExtension requires), and a top term moves no meet,
+    so it is dropped.  Entries come in the order p in T(z), then h in z."""
     q = ext.quantale
     monad = ext.monad
     meet, top, bot = q.meet, q.top, q.bottom
@@ -98,6 +98,7 @@ def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b_row,
                 guard)
     xidx = {x: i for i, x in enumerate(xs)}
     arows = {t: [(xidx[x], imp[u]) for x, u in row] for t, row in a.rows().items()}
+    brows = {t: dict(row) for t, row in b.rows().items()}
     levels = [{} for _ in xs]
     for k, h in enumerate(z):
         for level, y in zip(levels, h):
@@ -108,10 +109,10 @@ def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b_row,
         if arow is None:
             continue
         p = monad.map_elem(lambda c: c[0], w)
-        row = b_row(monad.map_elem(lambda c: c[0][xidx[c[1]]], w))
+        row = brows.get(monad.map_elem(lambda c: c[0][xidx[c[1]]], w), {})
         for i, imp_u in arow:
             for y, bits in levels[i].items():
-                v = imp_u[row[y]]
+                v = imp_u[row.get(y, bot)]
                 if v != top:
                     cols[p, v] = cols.get((p, v), 0) | bits
     tz = ext.carrier(z)
@@ -147,8 +148,7 @@ def graph_exponential(sx: TVStructure, sy: TVStructure,
     if sx.quantale != sy.quantale:
         raise FormatError("exponential across different quantales")
     z = admissible_maps(sx, sy, guard)
-    rel = largest_compatible(sx.ext, z, sx.a, lambda tev: {
-        y: sy.a(tev, y) for y in sy.carrier}, sx.quantale.heyting, guard)
+    rel = largest_compatible(sx.ext, z, sx.a, sy.a, sx.quantale.heyting, guard)
     return ExponentialGraph(sx, sy, TVStructure(sx.ext, z, rel))
 
 

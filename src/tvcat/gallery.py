@@ -13,7 +13,7 @@ import os
 
 from .categories import (TVStructure, check_category, discrete,
                          find_representation, from_order, separated,
-                         structure_from_dict, v_hom_xi)
+                         structure_on, v_hom_xi)
 from .exponential import check_exponentiability
 from .limits import GuardError
 from .monads import check_monad_laws, monad_by_name
@@ -64,12 +64,7 @@ def _build_structure(ext: LaxExtension, spec: dict) -> TVStructure:
     if kind == "order":
         return from_order(ext, tuple(spec["carrier"]),
                           {tuple(p) for p in spec.get("pairs", [])})
-    return structure_from_dict({
-        "quantale": ext.quantale.to_dict(),
-        "monad": ext.monad.describe(),
-        "carrier": spec["carrier"],
-        "structure": spec.get("structure", {}),
-    })
+    return structure_on(ext, spec["carrier"], spec.get("structure", {}))
 
 
 def run_entry(entry: dict, seed: int = 0, guard: int | None = None) -> dict:

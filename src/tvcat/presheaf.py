@@ -1,13 +1,13 @@
 """Presheaves, Yoneda, suprema, the V-action, and weak exponentials.
 
 PX is the set of structure-compatible maps from the dual of X into the
-quantale with its hom_xi structure; elements are stored as tuples of value
-indices in the enumeration order of TX, so they double as carrier elements.
-PX is an exponential of (V, hom_xi): its carrier and its structure come
-from the kernels of the graph exponential, the search
+quantale with its structure ``LaxExtension.hom_xi``; elements are stored as
+tuples of value indices in the enumeration order of TX, so they double as
+carrier elements.  PX is an exponential of (V, hom_xi): its carrier and its
+structure come from the kernels of the graph exponential, the search
 ``categories.compatible_maps`` over ``point_tests`` and
-``largest_compatible`` (exponential.py), with residuation in place of
-Heyting implication.  Weak factorization searches with ``compatible_maps``
+``largest_compatible`` (exponential.py), both given hom_xi, built once, as
+their target relation, with residuation in place of Heyting implication.  Weak factorization searches with ``compatible_maps``
 as well when TX is not X.  The structure's correctness is not assumed but
 certified per instance by the full faithfulness of the Yoneda map and the
 separation and injectivity checks.
@@ -45,28 +45,24 @@ class PresheafCategory:
     opposite: TVStructure
     structure: TVStructure  # carrier: presheaves as value-index tuples
 
-    def value(self, psi: tuple, t) -> int:
-        return psi[self.base.tx.index(t)]
-
 
 def build_presheaf_category(s: TVStructure, guard: int | None = None) -> PresheafCategory:
     """All structure-compatible maps from the dual of X into (V, hom_xi),
     carrying the largest structure that makes evaluation out of the tensor
     with the dual structure-compatible."""
     q = s.quantale
-    monad = s.monad
     tx = s.tx
     check_guard(q.n ** len(tx), "presheaf carrier", guard)
     op = dual(s, guard)
+    hom_xi = s.ext.hom_xi()
     # the presheaf condition through the one-point generator, as for the
     # exponential carrier: aop(T, t) <= hom(xi(Tpsi T), psi t) at the point
     # tests T of TX (for the identity monad, compatibility out of the dual)
     carrier = tuple(sorted(compatible_maps(
-        q, monad, {t: range(q.n) for t in tx},
+        q, s.monad, {t: range(q.n) for t in tx},
         (((tt, t), op.a(tt, t)) for tt in point_tests(s.ext, tx) for t in tx),
-        lambda tv, u: q.hom[monad.xi(tv, q)][u]), key=sort_key))
-    rel = largest_compatible(s.ext, carrier, op.a,
-                             lambda tev: q.hom[monad.xi(tev, q)], q.hom, guard)
+        hom_xi), key=sort_key))
+    rel = largest_compatible(s.ext, carrier, op.a, hom_xi, q.hom, guard)
     px = TVStructure(s.ext, carrier, rel,
                      name=(s.name + "^" if s.name else "") + "P")
     return PresheafCategory(s, op, px)
@@ -267,8 +263,7 @@ def weak_exponential(sx: TVStructure, sy: TVStructure,
     keep = tuple(phi for phi in admissible_maps(px.structure, py.structure, guard)
                  if all(phi[pidx[psi]] in yyimg for psi in yximg))
     pa, pb = px.structure, py.structure
-    rel = largest_compatible(pa.ext, keep, pa.a, lambda tev: {
-        y: pb.a(tev, y) for y in pb.carrier}, pa.quantale.heyting, guard)
+    rel = largest_compatible(pa.ext, keep, pa.a, pb.a, pa.quantale.heyting, guard)
     return WeakExponential(sx, sy, px, py, TVStructure(pa.ext, keep, rel), yx, yy)
 
 

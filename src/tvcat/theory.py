@@ -41,7 +41,7 @@ from itertools import product
 
 from .limits import check_guard
 from .monads import TheoryMonad, can_map
-from .quantale import FormatError, Quantale, check_condition_inj
+from .quantale import FormatError, Quantale, check_condition_inj, tensor_bottom
 from .report import CheckReport, Reporter, sort_key
 from .vrel import (VRel, all_relations, id_rel, pair_carrier, push_forward,
                    random_relation, tabulate)
@@ -52,9 +52,8 @@ class LaxExtension:
     carrier the tables its checks share."""
 
     def __init__(self, monad: TheoryMonad, quantale: Quantale):
-        bot = quantale.bottom
         for u in range(quantale.n):
-            if quantale.tensor[u][bot] != bot or quantale.tensor[bot][u] != bot:
+            if not tensor_bottom(quantale, u):
                 raise FormatError("the lax extension needs bottom to absorb the "
                                   "tensor (law tensor-bottom), which fails at %r"
                                   % quantale.labels[u])
@@ -417,7 +416,7 @@ def check_assumption4(ext: LaxExtension) -> CheckReport:
 
 
 def check_assumptions_bundle(ext: LaxExtension, seed: int = 0,
-                             samples: int = 8, exhaustive: bool | None = None,
+                             exhaustive: bool | None = None,
                              guard: int | None = None) -> CheckReport:
     """Aggregate verdicts for the four standing assumptions; per-condition
     results land in the details table.  The fibers of the joint relations
@@ -428,6 +427,7 @@ def check_assumptions_bundle(ext: LaxExtension, seed: int = 0,
     rep = Reporter("assumptions_bundle", bound=ext.bound_info())
     q = ext.quantale
     rng = random.Random(seed)
+    samples = 8  # relations or pairs a sampled condition draws
     xs = ("x0", "x1")
     ys = ("y0", "y1")
     check_guard(ext.monad.carrier_size(len(xs) ** 2 * len(ys) ** 2),

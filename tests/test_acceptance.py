@@ -120,6 +120,50 @@ def test_criterion_2_infi_word3_lukasiewicz_witness(extension_grid):
     assert infi_witness.samples == 4566
 
 
+# the comparison square one point wider: every pair of the relations between
+# 3-point carriers (3^9 = 19,683 per side over a 3-element quantale, 512 over
+# two), as (quantale, monad, index of infi_sweep, its report); the cells
+# whose sweep finishes in a few seconds
+XS3 = ("x0", "x1", "x2")
+YS3 = ("y0", "y1", "y2")
+ALL_PAIRS, WORD2 = 19683 ** 2, {"max_word_len": 2}
+INFI3_CELLS = [
+    ("godel:3", "identity", ALL_PAIRS, {"status": "pass", "samples": 81}),
+    ("lukasiewicz:3", "identity", ALL_PAIRS, {"status": "pass", "samples": 81}),
+    ("godel:3", "finite_ultrafilter", ALL_PAIRS, {"status": "pass", "samples": 81}),
+    ("godel:3", "labelled:z2", ALL_PAIRS, {"status": "pass", "samples": 648}),
+    ("lukasiewicz:3", "labelled:z2", ALL_PAIRS, {"status": "pass", "samples": 648}),
+    ("two", "labelled:z2", 512 ** 2, {"status": "pass", "samples": 648}),
+    ("two", "word:2", 512 ** 2,
+     {"status": "bounded-pass", "samples": 15379, "bound": WORD2}),
+    ("lukasiewicz:3", "word:2", 98420,
+     {"status": "fail", "law": "infi-ge", "samples": 15339, "bound": WORD2,
+      "witness": ["(('x2', 'x2'), ('x2', 'x2'))", "('y1', 'y2')", "('y2', 'y1')"],
+      "details": {"lhs": "0", "rhs": "1/2"}}),
+]
+
+
+@pytest.fixture(scope="module")
+def rels3():
+    """The relations XS3 -|-> YS3 of a quantale, built once and shared by
+    its cells."""
+    built = {}
+
+    def of(qname):
+        if qname not in built:
+            built[qname] = list(all_relations(quantale_by_name(qname), XS3, YS3))
+        return built[qname]
+    return of
+
+
+@pytest.mark.parametrize("qname,mname,index,report", INFI3_CELLS,
+                         ids=["%s-%s" % c[:2] for c in INFI3_CELLS])
+def test_criterion_2_infi_on_three_points(rels3, qname, mname, index, report):
+    rels = rels3(qname)
+    got, rep = infi_sweep(make_ext(qname, mname), rels, rels)
+    assert (got, rep.to_dict()) == (index, {"check": "infi", **report})
+
+
 @pytest.mark.parametrize("cell", [("trunc_add:4", "identity"),
                                   ("powerset:2", "identity"),
                                   ("powerset:2", "labelled:z2")],

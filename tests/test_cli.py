@@ -485,6 +485,34 @@ def test_dual_guards_the_words_over_its_t_carrier(capsys, monkeypatch, tmp_path)
     assert capsys.readouterr().err == ""
 
 
+def test_structure_file_guards_its_in_bound_fragment(capsys, monkeypatch, tmp_path):
+    # one point over word:12 has 13 words, but empty letters let millions of
+    # in-bound words of words through: these four commands ran past 8 s
+    # inside WordMonad.inbound, walking the fragment the loader now counts
+    monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
+    err = ("error: in-bound T(T carrier) fragment needs at least 100001 "
+           "candidates" + GUARD_HINT % 100000)
+    for n in (12, 10):
+        (tmp_path / ("word%d.json" % n)).write_text(json.dumps({
+            "quantale": "two", "monad": "word:%d" % n, "carrier": ["p"],
+            "structure": {"p;p": "1"}}))
+    path = str(tmp_path / "word12.json")
+    for argv in (["cat", "check"], ["cat", "reflect"], ["cat", "represent"],
+                 ["exp", "criterion"]):
+        start = time.perf_counter()
+        assert main(argv + [path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == err
+    # word:10 has 352,716 in-bound words of words: a raised guard loads the
+    # file, and the dual stops at its own guard on T(TX)
+    path = str(tmp_path / "word10.json")
+    assert main(["cat", "dual", path]) == 2
+    assert capsys.readouterr().err == err
+    assert main(["cat", "dual", path, "--guard-size", "400000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: T(TX) enumeration needs 28531167061 candidates" + GUARD_HINT % 400000)
+
+
 def test_search_cond2_counts_tensors_against_the_guard(capsys, monkeypatch):
     # the chain tensors were enumerated past any guard: --max-size 9 ran
     # past 20 s, and --max-size 6 makes 2,646,497 candidates

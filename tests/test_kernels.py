@@ -173,7 +173,7 @@ def test_presheaf_reads_the_left_residual_at_bottom(u):
     right = [[q.sup([v for v in range(q.n) if q.le(q.tensor[v][w], z)])
               for z in range(q.n)] for w in range(q.n)]
     assert right[q.index(u)][0] != q.hom[q.index(u)][0]
-    assert largest_compatible(ext, carrier, px.opposite.a, q.hom.__getitem__,
+    assert largest_compatible(ext, carrier, px.opposite.a, ext.hom_xi(),
                               right) == px.structure.a
 
 

@@ -15,7 +15,9 @@ the lax-composition law, with no cache in ``vrel.py``.  A fourth keeps the
 final lift the one push-forward of a structure along maps in
 ``categories.py`` and its closures to the Warshall closure of
 ``quantale.py``: no ``while`` loop but the category closure's and the map
-search's."""
+search's.  A fifth keeps (V, hom_xi) with ``LaxExtension.hom_xi``: the
+presheaf and exponential kernels compute no xi, and the gallery loads its
+structures on its own extension, serializing nothing."""
 
 import ast
 import random
@@ -325,3 +327,23 @@ def test_the_guard_sees_a_push_forward_and_a_while():
     assert [(fn, node.lineno) for _, fn, node in calls(tree, "push_forward")] == [
         ("reflect_R", 3), ("f", 9)]
     assert while_loops(tree) == [("reflect_R", 2), ("g", 7)]
+
+
+def source_calls(name, *funcs):
+    """The source of each call of one of funcs in src/tvcat/<name>."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    return [ast.unparse(node) for func in funcs for _, _, node in calls(tree, func)]
+
+
+def test_the_kernels_read_v_hom_xi_as_a_relation():
+    # largest_compatible and compatible_maps take their target as a
+    # relation: sy.a, pb.a or the extension's hom_xi, built once per presheaf
+    # category, never hom(xi(-), -) recomputed per T-element
+    assert {name: source_calls(name, "xi") for name in (
+        "presheaf.py", "exponential.py")} == {"presheaf.py": [], "exponential.py": []}
+
+
+def test_the_gallery_loads_structures_on_its_extension():
+    # an explicit structure is structure_on over the entry's extension, not
+    # its quantale and monad serialized and parsed back into new ones
+    assert source_calls("gallery.py", "to_dict", "structure_from_dict") == []

@@ -5,8 +5,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from tvcat.quantale import (FormatError, Quantale, QuantaleHom, chain_trunc_add,
-                            check_condition_inj, check_hom,
+from tvcat.quantale import (QUANTALE_LAWS, FormatError, Quantale, QuantaleHom,
+                            chain_trunc_add, check_condition_inj, check_hom,
                             check_lemma_surjective_transfer, check_quantale,
                             godel_chain, lukasiewicz, powerset_frame,
                             quantale_by_name, two)
@@ -167,8 +167,27 @@ def godel_skewed() -> Quantale:
     return Quantale(q.labels, q.leq, ((0, 0, 0), (0, 1, 2), (0, 1, 2)), 2)
 
 
-# one planted defect per law site that no other test makes fail, with the
-# first failing tuple in the check's order as its exact witness
+def overridden(q: Quantale, table: str, value) -> Quantale:
+    """q with one table replaced after construction, for a defect that the
+    constructor or an earlier law rules out."""
+    object.__setattr__(q, table, value)
+    return q
+
+
+def chain4() -> Quantale:
+    """The first chain that ``quantale search-cond2 --max-size 4`` reports:
+    lawful, but the meet does not distribute over decompositions."""
+    leq = tuple(tuple(i <= j for j in range(4)) for i in range(4))
+    tensor = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
+    return Quantale(("0", "1", "2", "3"), leq, tensor, 3, name="chain4")
+
+
+CHAIN3 = tuple(tuple(i <= j for j in range(3)) for i in range(3))
+TOP2 = ((1, 1), (1, 1))
+
+# one planted defect per law site, with the first failing tuple in the
+# check's order as its exact witness: each row of QUANTALE_LAWS fails first
+# on its quantale, and inj-decomposition on a lawful one
 PLANTED = [
     ("preserves-unit", lambda: check_hom(QuantaleHom(two(), two(), (0, 0))),
      ["1"]),
@@ -179,8 +198,35 @@ PLANTED = [
         QuantaleHom(powerset_frame(2), two(), (0, 0, 0, 1))), ["{0}", "{1}"]),
     ("preserves-bottom", lambda: check_hom(QuantaleHom(two(), two(), (1, 1))),
      ["0"]),
+    # 1 is not below itself; 2 stays above it, so the joins exist
+    ("order-reflexive", lambda: check_quantale(Quantale(
+        ("0", "1", "2"), ((True, True, True), (False, False, True),
+                          (False, False, True)), godel_chain(3).tensor, 2)),
+     ["1"]),
+    ("order-antisymmetric", lambda: check_quantale(Quantale(
+        ("0", "1"), ((True, True), (True, True)), two().tensor, 1)), ["0", "1"]),
+    # a reflexive, antisymmetric order without 0 <= 2 has no join of 0 and
+    # 2, so the constructor refuses it: the order is overridden on godel:3
+    ("order-transitive", lambda: check_quantale(overridden(godel_chain(3), "leq", (
+        (True, True, False), (False, True, True), (False, False, True)))),
+     ["0", "1", "2"]),
     ("tensor-commutative", lambda: check_quantale(godel_skewed()), ["1", "2"]),
+    ("tensor-associative", lambda: check_quantale(Quantale(
+        ("0", "1", "2"), CHAIN3, ((0, 0, 0), (0, 0, 1), (0, 1, 0)), 0)),
+     ["1", "2", "2"]),
+    ("tensor-unit", lambda: check_quantale(
+        Quantale(two().labels, two().leq, two().tensor, 0)), ["1"]),
     ("tensor-join-distributive", lambda: check_quantale(m3()), ["a", "b", "c"]),
+    # max on 0 < 1 with unit 0: 1 (x) 0 = 1, above the bottom 0
+    ("tensor-bottom", lambda: check_quantale(
+        Quantale(two().labels, two().leq, ((0, 1), (1, 1)), 0)), ["1"]),
+    # the constructor derives hom and heyting as the adjoints of the tensor
+    # and the meet, so each is overridden on a lawful two()
+    ("hom-adjunction", lambda: check_quantale(overridden(two(), "hom", TOP2)),
+     ["1", "1", "0"]),
+    ("heyting-adjunction", lambda: check_quantale(
+        overridden(two(), "heyting", TOP2)), ["1", "1", "0"]),
+    ("inj-decomposition", lambda: check_condition_inj(chain4()), ["2", "2", "1"]),
 ]
 
 
@@ -188,3 +234,10 @@ PLANTED = [
 def test_planted_defects_fail_their_law(law, run, witness):
     rep = run()
     assert (rep.status, rep.law, rep.witness) == ("fail", law, witness)
+
+
+def test_every_quantale_law_has_a_plant():
+    # a law added to QUANTALE_LAWS fails here until PLANTED plants it
+    laws = [law for law, _, _ in QUANTALE_LAWS] + ["inj-decomposition"]
+    assert [p[0] for p in PLANTED if p[0] in laws] == laws
+    assert check_quantale(chain4()).passed
