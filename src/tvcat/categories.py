@@ -13,15 +13,15 @@ equiv_classes are the Warshall closure of quantale orders, ``_closure``.
 The fibers of the multiplication m are joined over in one place, the functor
 M X = (TX, Ta . m-degree, m); K reindexes a0 along the algebra map alpha.
 The dual X^op is K((M X)-degree), read along m, and the canonical structure
-on TX that representability is tested against is K M X.  (T) and the frame
-criterion read the Kleisli composite a . Ta from ``TVStructure.kleisli``.
-The checks walk TTX through ext.walk, the closure and M read ext.fragment,
-both keyed by the points X, and the closure's defect scan reads T(supp a).
+on TX that representability is tested against is K M X.  The checks walk
+TTX through ext.walk, the closure and M read ext.fragment, both keyed by
+the points X, and the closure's defect scan reads T(supp a).
 
 Each derived table has one owner: constructions take T(X) from ext.carrier
-and sort_key walks read ext.sorted_carrier; ``TVStructure.ta`` is Ta on the
-fragment, once per structure for the closure round that returns it, (T),
-the splitting and frame criteria and M (so dual, representation, presheaves).
+and sort_key walks read ext.sorted_carrier.  Per structure, once, for the
+closure round that returns it, (T), the splitting and frame criteria and M
+(so dual, representation, presheaves): ``TVStructure.ta``, the rows of Ta
+on the fragment, and ``kleisli``, the value levels of a . Ta, no relation.
 
 compatible_maps is the one search for maps h with a(t, x) <= b(Th t, h x):
 the exponential and presheaf carriers, the representation search and weak
@@ -42,8 +42,8 @@ from .monads import TheoryMonad, monad_by_name, monad_from_dict
 from .quantale import FormatError, Quantale, _closure, quantale_by_name
 from .report import CheckReport, Reporter, sort_key
 from .theory import LaxExtension
-from .vrel import (VRel, constant_rel, pair_carrier, push_forward, random_relation,
-                   tabulate)
+from .vrel import (VRel, compose_levels, constant_rel, decode_levels, pair_carrier,
+                   push_forward, random_relation, tabulate)
 
 
 class TVStructure:
@@ -74,15 +74,21 @@ class TVStructure:
         return self.a.src
 
     @cached_property
-    def ta(self) -> VRel:
-        """Ta on the in-bound fragment of TTX, extended once per structure
-        for the checks and constructions that read it."""
-        return self.ext.extend(self.a, src=self.ext.fragment(self.carrier)[2])
+    def ta(self) -> dict:
+        """Ta by rows on the in-bound fragment of TTX, ta[XX] = {t: Ta(XX, t)},
+        lifted once per structure for the checks that read it."""
+        return self.ext.lift_rows(self.a, self.ext.fragment(self.carrier)[2])
 
     @cached_property
-    def kleisli(self) -> VRel:
-        """The Kleisli composite a . Ta, once per structure."""
-        return self.a.compose(self.ta)
+    def levels(self) -> dict:
+        return self.a.levels()
+
+    @cached_property
+    def kleisli(self) -> dict:
+        """a . Ta by value levels: kleisli[XX][w] is the bitset of the points
+        x with a term Ta(XX, t) (x) a(t, x) = w, once per structure."""
+        return {xx: compose_levels(self.quantale, row.items(), self.levels)
+                for xx, row in self.ta.items()}
 
     def a0(self) -> VRel:
         """The underlying V-category structure a . e: X -|-> X."""
@@ -151,29 +157,32 @@ def check_graph(s: TVStructure) -> CheckReport:
 
 
 def check_category(s: TVStructure) -> CheckReport:
-    """(R), then (T): a . Ta <= a . m on in-bound TTX.  Bottom is below
-    everything, so each XX reads only the non-bottom cells of its row of
-    a . Ta.  A join is below a value exactly when each term is, so only a
-    failing row is scanned, t before x, for the witness term
-    Ta(XX, t) (x) a(t, x)."""
+    """(R), then (T): a . Ta <= a . m on in-bound TTX.  A join is below a
+    value exactly when each term is, so a row of ``kleisli`` passes when no
+    level w meets the points x where w is not below a(m XX, x), a bitset per
+    m XX and w.  Only a failing row is scanned, t before x, for the witness
+    term Ta(XX, t) (x) a(t, x)."""
     rep = Reporter("category", bound=s.ext.bound_info())
     q = s.quantale
     sub = check_graph(s)
     rep.tick(sub.samples)
     if not sub.passed:
         return rep.fail(sub.law, sub.witness, **sub.details)
-    ta, via, leq = s.ta, s.kleisli.rows(), q.leq
+    a, leq, bot, bad = s.a, q.leq, q.bottom, {}
     nt, nx = len(s.tx), len(s.carrier)
     for k, (xx, mx) in enumerate(s.ext.walk(s.carrier, rep)):
-        if all(leq[v][s.a(mx, x)] for x, v in via.get(xx, ())):
+        if mx not in bad:  # by w, the complement of the x with w <= a(m XX, x)
+            above = s.levels.get(mx, {}).items()
+            bad[mx] = [~sum(bits for u, bits in above if leq[w][u]) for w in range(q.n)]
+        if not any(bits & bad[mx][w] for w, bits in s.kleisli.get(xx, {}).items()):
             continue
         for (j, t), (i, x) in iter_product(enumerate(s.tx), enumerate(s.carrier)):
-            lhs, rhs = q.tens(ta(xx, t), s.a(t, x)), s.a(mx, x)
+            lhs, rhs = q.tens(s.ta[xx].get(t, bot), a(t, x)), a(mx, x)
             if not q.le(lhs, rhs):
                 rep.tick((k * nt + j) * nx + i + 1)
                 return rep.fail("transitivity", [repr(xx), repr(t), repr(x)],
                                 lhs=q.labels[lhs], rhs=q.labels[rhs])
-    rep.tick(len(ta.src) * nt * nx)
+    rep.tick(len(s.ext.fragment(s.carrier)[2]) * nt * nx)
     return rep.ok()
 
 
@@ -306,8 +315,9 @@ def graph_to_category(s: TVStructure) -> TVStructure:
     mult = {xx: mx for _, xx, mx in s.ext.fragment(s.carrier)[0]}
     while True:
         out = TVStructure(s.ext, s.carrier, VRel(q, s.tx, s.carrier, ent), name=s.name)
-        ent = push_forward(q, [*ent.items(), *(((mult[xx], x), v) for (xx, x), v
-                                               in out.kleisli.entries.items())])
+        ent = push_forward(q, [*ent.items(), *(
+            ((mult[xx], x), v) for xx, level in out.kleisli.items()
+            for x, v in decode_levels(q.join, level, s.carrier).items())])
         if ent == out.a.entries:
             break
     if _out_of_bound_defect(s.ext, out.a):
@@ -510,7 +520,8 @@ def functor_M(s: TVStructure) -> EMAlgebra:
     """M sends (X, a) to (TX, Ta . m-degree, m)."""
     q = s.quantale
     alpha = {xx: mx for _, xx, mx in s.ext.fragment(s.carrier)[0]}
-    ent = push_forward(q, (((alpha[xx], t), v) for (xx, t), v in s.ta.entries.items()))
+    ent = push_forward(q, (((alpha[xx], t), v) for xx, row in s.ta.items()
+                           for t, v in row.items()))
     return EMAlgebra(s.ext, s.tx, VRel(q, s.tx, s.tx, ent), alpha)
 
 

@@ -14,10 +14,10 @@ map is fixed on its letters.  The presheaf category (presheaf.py) is
 built by the same two kernels: its carrier is the same search over the
 same ``point_tests``, and its structure is ``largest_compatible`` with
 residuation in place of implication.  T-carriers come from ``ext.carrier``
-and ``ext.can_map``, and the splitting and frame criteria read Ta from
-``TVStructure.ta``.  The splitting criterion decides each distinct key of a
-cell (XX, x), its set of value pairs over the middle points and a(m XX, x),
-once per call.
+and ``ext.can_map``.  The splitting criterion reads the rows of Ta and
+decides each distinct key of a cell (XX, x), its set of value pairs over
+the middle points and a(m XX, x), once per call; the frame criterion reads
+the levels of a . Ta.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .limits import check_guard
 from .quantale import FormatError
 from .report import CheckReport, Reporter
 from .theory import LaxExtension
-from .vrel import VRel, pair_carrier
+from .vrel import VRel, decode_levels, pair_carrier
 
 
 class NotTransitive(RuntimeError):
@@ -84,15 +84,15 @@ def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b: VRel,
 
     This is the residual dual to ``VRel.compose``, on value levels: per
     position i of X and value y, the maps h with h[i] = y form a bitset
-    (their level), and each term's value ORs a level into the column of p
-    at that value; each column is decoded once into the meets of its cells.
+    (their level), and each term's value ORs a level into the levels of p,
+    decoded once into the meets of their cells by ``decode_levels``.
     Only the non-bottom row of a at Tpi_X w is read, since imp[bottom] is
     all top (for residuation because bottom absorbs the tensor, the law
     ``tensor_bottom`` LaxExtension requires), and a top term moves no meet,
     so it is dropped.  Entries come in the order p in T(z), then h in z."""
     q = ext.quantale
     monad = ext.monad
-    meet, top, bot = q.meet, q.top, q.bottom
+    top, bot = q.top, q.bottom
     xs = a.dst
     check_guard(monad.carrier_size(len(z) * len(xs)), "T(carrier x X) enumeration",
                 guard)
@@ -108,24 +108,17 @@ def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b: VRel,
         arow = arows.get(monad.map_elem(lambda c: c[1], w))
         if arow is None:
             continue
-        p = monad.map_elem(lambda c: c[0], w)
+        col = cols.setdefault(monad.map_elem(lambda c: c[0], w), {})
         row = brows.get(monad.map_elem(lambda c: c[0][xidx[c[1]]], w), {})
         for i, imp_u in arow:
             for y, bits in levels[i].items():
                 v = imp_u[row.get(y, bot)]
                 if v != top:
-                    cols[p, v] = cols.get((p, v), 0) | bits
+                    col[v] = col.get(v, 0) | bits
     tz = ext.carrier(z)
-    acc = {p: [top] * len(z) for p in tz}
-    for (p, v), bits in cols.items():
-        cells = acc[p]
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            k = low.bit_length() - 1
-            cells[k] = meet[cells[k]][v]
-    return VRel(q, tz, z, {(p, h): v for p in tz for h, v in zip(z, acc[p])
-                           if v != bot})
+    cols = {p: decode_levels(q.meet, col, z) for p, col in cols.items()}
+    return VRel(q, tz, z, {(p, h): v for p in tz for row in (cols.get(p, {}),)
+                           for h in z if (v := row.get(h, top)) != bot})
 
 
 def admissible_maps(sx: TVStructure, sy: TVStructure,
@@ -166,7 +159,6 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
     q = sx.quantale
     xs = sx.carrier
     xidx = {x: i for i, x in enumerate(xs)}
-    ta_rows = sx.ta.rows()
     a_rows = {t: [(xidx[x], v) for x, v in row] for t, row in sx.a.rows().items()}
     meet, tensor = q.meet, q.tensor
     elems = range(q.n)
@@ -174,7 +166,7 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
     passed = set()
     for xx, mx in sx.ext.walk(xs, rep):
         pairs = [set() for _ in xs]
-        for t, v1 in ta_rows.get(xx, ()):
+        for t, v1 in sx.ta.get(xx, {}).items():
             for i, v2 in a_rows.get(t, ()):
                 pairs[i].add((v1, v2))
         for x, ps in zip(xs, pairs):
@@ -205,12 +197,12 @@ def check_frame_criterion(sx: TVStructure,
     if not q.is_frame():
         raise FormatError("the frame criterion needs a frame quantale")
     rep = Reporter("frame_criterion", bound=sx.ext.bound_info())
-    via = sx.kleisli
     expo = (check_exponentiability(sx) if expo is None else expo).passed
     for xx, mx in sx.ext.walk(sx.carrier, rep):
+        via = decode_levels(q.join, sx.kleisli.get(xx, {}), sx.carrier)
         for x in sx.carrier:
             rep.tick()
-            via_m, via_ta = sx.a(mx, x), via(xx, x)
+            via_m, via_ta = sx.a(mx, x), via.get(x, q.bottom)
             if via_m != via_ta:
                 return rep.fail("composite-mismatch", [repr(xx), repr(x)],
                                 via_m=q.labels[via_m], via_ta=q.labels[via_ta],

@@ -15,7 +15,7 @@ from .categories import (TVStructure, check_category, discrete,
                          find_representation, from_order, separated,
                          structure_on, v_hom_xi)
 from .exponential import check_exponentiability
-from .limits import GuardError
+from .limits import DEFAULT_GUARD_SIZE, GuardError, guard_limit
 from .monads import check_monad_laws, monad_by_name
 from .quantale import (FormatError, check_condition_inj, check_quantale,
                        quantale_by_name)
@@ -68,7 +68,8 @@ def _build_structure(ext: LaxExtension, spec: dict) -> TVStructure:
 
 
 def run_entry(entry: dict, seed: int = 0, guard: int | None = None) -> dict:
-    q = quantale_by_name(entry["quantale"])
+    # a lowered guard still admits the bundled quantales, as in structure_on
+    q = quantale_by_name(entry["quantale"], max(guard_limit(guard), DEFAULT_GUARD_SIZE))
     monad = monad_by_name(entry["monad"])
     ext = LaxExtension(monad, q)
     out: dict = {"name": entry["name"]}

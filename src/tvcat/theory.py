@@ -32,7 +32,7 @@ distinct relation of their pairs once, in a table local to the call.
 T(X) (``carrier``, the one enumeration of T(X) outside monads.py), its
 sort_key order (``sorted_carrier``, the one sort of a T-carrier), the
 fragment and the comparison map (``can_map``, on the T(X x Y) of
-``carrier``).  Ta and a . Ta are ``TVStructure.ta``/``kleisli``.
+``carrier``).  ``lift_rows`` folds the fibers, ``extend`` is its relation.
 """
 
 from __future__ import annotations
@@ -72,15 +72,22 @@ class LaxExtension:
 
     def extend(self, r: VRel, src: tuple | None = None) -> VRel:
         """Tr: TX -|-> TY, on the T-elements src of TX (all of TX when None):
-        the join of xi over the fibers of T(supp r) above each t."""
-        monad = self.monad
-        q = self.quantale
+        the relation of the rows of ``lift_rows``."""
         tx = self.carrier(r.src) if src is None else src
-        rows = r.rows()
-        xi = monad.xi_of_values
-        return VRel(q, tx, self.carrier(r.dst), push_forward(q, (
-            ((t, ty), xi(values, q))
-            for t in tx for ty, values in monad.fiber(t, rows))))
+        return VRel(self.quantale, tx, self.carrier(r.dst), {
+            (t, ty): v for t, row in self.lift_rows(r, tx).items() for ty, v in row.items()})
+
+    def lift_rows(self, r: VRel, tx: tuple) -> dict:
+        """Tr by rows at the T-elements tx, {t: {ty: v}} without bottom: v is
+        the join of xi over the fibers of T(supp r) above t."""
+        q, monad, rows = self.quantale, self.monad, r.rows()
+        xi, join, bot, out = monad.xi_of_values, q.join, q.bottom, {}
+        for t in tx:
+            row = out[t] = {}
+            for ty, values in monad.fiber(t, rows):
+                if (v := xi(values, q)) != bot:
+                    row[ty] = join[row[ty]][v] if ty in row else v
+        return out
 
     def carrier(self, xs: tuple) -> tuple:
         """T(xs), enumerated once per carrier."""
@@ -199,9 +206,9 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
         for j, (ygap, yy, my) in enumerate(yrows):
             ygaps += ygap
             ypos[yy] = (j, yy, my, ygaps)
-        ttr = ext.extend(tr, src=ext.fragment(xs)[2]).rows()
+        ttr = ext.lift_rows(tr, ext.fragment(xs)[2])
         for xx, mx in ext.walk(xs, rep):
-            bad = [ypos[yy] for yy, v in ttr.get(xx, ())
+            bad = [ypos[yy] for yy, v in ttr.get(xx, {}).items()
                    if yy in ypos and not q.le(v, tr(mx, ypos[yy][2]))]
             if bad:
                 j, yy, _, skipped = min(bad)
@@ -369,12 +376,13 @@ def check_xi_point(ext: LaxExtension, u: int) -> CheckReport:
 
 
 def check_assumption3(ext: LaxExtension, r: VRel, u: int) -> CheckReport:
-    """T(r (x) u) must equal (Tr) (x) u entrywise."""
+    """T(r (x) u) must equal (Tr) (x) u entrywise, read off the rows of
+    both lifts (bottom absorbs the tensor, so a missing cell is bottom)."""
     rep = Reporter("assumption3", bound=ext.bound_info())
     q = ext.quantale
     monad = ext.monad
-    lhs = ext.extend(r.tensor_scalar(u))
-    rhs = ext.extend(r).tensor_scalar(u)
+    tx = ext.carrier(r.src)
+    lhs, rows = ext.lift_rows(r.tensor_scalar(u), tx), ext.lift_rows(r, tx)
     for x in ext.sorted_carrier(r.src):
         for y in ext.sorted_carrier(r.dst):
             if not monad.letters(x) and not monad.letters(y):
@@ -383,10 +391,10 @@ def check_assumption3(ext: LaxExtension, r: VRel, u: int) -> CheckReport:
                 rep.skip()
                 continue
             rep.tick()
-            if lhs(x, y) != rhs(x, y):
-                return rep.fail("scalar-tensor", [repr(x), repr(y)],
-                                u=q.labels[u],
-                                lhs=q.labels[lhs(x, y)], rhs=q.labels[rhs(x, y)])
+            left, right = lhs[x].get(y, q.bottom), q.tens(rows[x].get(y, q.bottom), u)
+            if left != right:
+                return rep.fail("scalar-tensor", [repr(x), repr(y)], u=q.labels[u],
+                                lhs=q.labels[left], rhs=q.labels[right])
     return rep.ok()
 
 

@@ -5,7 +5,7 @@ product and monad carriers).  Entries map carrier pairs to quantale element
 indices; missing pairs are bottom, so sparse structures stay sparse.  Every
 relation given cell by cell is built by ``tabulate``, every relation given as
 a join of images by ``push_forward``.  ``compose`` ORs the value levels of
-its left factor (Python-int bitsets), which it builds per call.
+its left factor (Python-int bitsets), built per call, as a . Ta does.
 """
 
 from __future__ import annotations
@@ -51,35 +51,29 @@ class VRel:
                 out.setdefault(x, []).append((y, v))
         return out
 
+    def levels(self) -> dict:
+        """The value levels: levels[x][v] is the bitset of the positions in
+        dst of the y with self(x, y) = v, bottom left out."""
+        pos, out = {y: i for i, y in enumerate(self.dst)}, {}
+        for x, row in self.rows().items():
+            level = out[x] = {}
+            for y, v in row:
+                level[v] = level.get(v, 0) | 1 << pos[y]
+        return out
+
     # ---- relational calculus ----
 
     def compose(self, r: "VRel") -> "VRel":
-        """self . r, for r: X -|-> Y and self: Y -|-> Z: each r(x, y) = u ORs
-        the levels of self at y (v and the bits of the z with self(y, z) = v)
-        into the row of x at u (x) v.  Exact as bottom absorbs the tensor."""
+        """self . r, for r: X -|-> Y and self: Y -|-> Z: the rows of r
+        through ``compose_levels`` on the levels of self, decoded."""
         if self.quantale is not r.quantale and self.quantale != r.quantale:
             raise FormatError("composition across different quantales")
         if self.src != r.dst:
             raise FormatError("carrier mismatch in composition")
-        q = self.quantale
-        tensor, bot, join = q.tensor, q.bottom, q.join
-        pos, levels = {z: i for i, z in enumerate(self.dst)}, {}
-        for (y, z), v in self.entries.items():
-            level = levels.setdefault(y, {})
-            level[v] = level.get(v, 0) | 1 << pos[z]
-        cols: dict = {}
-        for (x, y), u in r.entries.items():
-            for v, bits in levels.get(y, {}).items():
-                key = (x, tensor[u][v])
-                cols[key] = cols.get(key, 0) | bits
-        dst, out = self.dst, {}
-        for (x, w), bits in cols.items():
-            while bits and w != bot:
-                low = bits & -bits
-                bits ^= low
-                key = (x, dst[low.bit_length() - 1])
-                out[key] = join[out[key]][w] if key in out else w
-        return VRel(q, r.src, dst, out)
+        q, dst, levels = self.quantale, self.dst, self.levels()
+        return VRel(q, r.src, dst, {
+            (x, z): w for x, row in r.rows().items()
+            for z, w in decode_levels(q.join, compose_levels(q, row, levels), dst).items()})
 
     def transpose(self) -> "VRel":
         return tabulate(self.quantale, self.dst, self.src, lambda y, x: self(x, y))
@@ -171,6 +165,30 @@ def push_forward(q: Quantale, items) -> dict:
         if v != bot:
             prev = out.get(key)
             out[key] = v if prev is None else join[prev][v]
+    return out
+
+
+def compose_levels(q: Quantale, row, levels: dict) -> dict:
+    """The levels of s . r at x from the (y, u) of the row of r at x and the
+    levels of s: each (v, bits) of s at y ORs into u (x) v.  Bottom absorbs
+    the tensor, so a bottom level is dropped and the join stays exact."""
+    tensor, bot, out = q.tensor, q.bottom, {}
+    for y, u in row:
+        for v, bits in levels.get(y, {}).items():
+            if (w := tensor[u][v]) != bot:
+                out[w] = out.get(w, 0) | bits
+    return out
+
+
+def decode_levels(op, level: dict, dst: tuple) -> dict:
+    """One row from its levels: z in dst to the op (join or meet table)
+    of the values w whose bitset holds the position of z."""
+    out = {}
+    for w, bits in level.items():
+        while bits:
+            bits ^= (low := bits & -bits)
+            z = dst[low.bit_length() - 1]
+            out[z] = op[out[z]][w] if z in out else w
     return out
 
 

@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
+import tvcat.gallery as gallery
 from tvcat.gallery import DATA_PATH, _diff, load_gallery, run_entry, run_gallery
+from tvcat.limits import DEFAULT_GUARD_SIZE
 
 
 def test_data_file_is_valid_json():
@@ -47,3 +51,26 @@ def test_tampered_expectations_fail(tmp_path):
     assert not ok
     assert any(d["path"] == "quantale" for r in results
                for d in r.get("diff", []))
+
+
+def test_raised_guard_reaches_the_quantale(monkeypatch):
+    # godel:317 has 100,489 table cells, past the default guard: the entry's
+    # guard reaches quantale_by_name when raised, and a lowered one leaves
+    # the default, so the bundled quantales still load under --guard-size 1
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def spy(spec, guard=None):
+        seen.append((spec, guard))
+        raise Stop
+
+    monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
+    monkeypatch.setattr(gallery, "quantale_by_name", spy)
+    entry = {"name": "big", "quantale": "godel:317", "monad": "identity"}
+    for guard in (200_000, 1, None):
+        with pytest.raises(Stop):
+            run_entry(entry, guard=guard)
+    assert seen == [("godel:317", 200_000), ("godel:317", DEFAULT_GUARD_SIZE),
+                    ("godel:317", DEFAULT_GUARD_SIZE)]

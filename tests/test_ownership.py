@@ -3,15 +3,17 @@
 ``LaxExtension`` owns T(X): the ``tx`` of every structure a construction
 returns is, as an object, its extension's ``carrier`` of the points, so no
 construction enumerates T(X) on its own.  ``TVStructure.ta`` owns Ta on
-the in-bound fragment: the checks and constructions that read it extend a
-structure once between them, the closure that built it included.  A
-source guard keeps a monad's ``carrier`` from being called anywhere in
-``src/tvcat`` but inside ``LaxExtension.carrier`` and the monad-level code
-of ``monads.py``; another keeps the sort_key order of T-carriers with
+the in-bound fragment, as rows from ``LaxExtension.lift_rows``: the checks
+and constructions that read it lift a structure once between them, the
+closure that built it included.  A source guard keeps a monad's
+``carrier`` from being called anywhere in ``src/tvcat`` but inside
+``LaxExtension.carrier`` and the monad-level code of ``monads.py``;
+another keeps the sort_key order of T-carriers with
 ``LaxExtension.sorted_carrier``: no sort in ``monads.py`` or ``vrel.py``,
 and no ``fragment`` or ``walk`` handed a T-carrier for the points.  A
-third keeps composition to the Kleisli composite and the base composite of
-the lax-composition law, with no cache in ``vrel.py``.  A fourth keeps the
+third keeps composition to the Kleisli composite, in value levels, and
+the base composite of the lax-composition law, with no cache in
+``vrel.py``.  A fourth keeps the
 final lift the one push-forward of a structure along maps in
 ``categories.py`` and its closures to the Warshall closure of
 ``quantale.py``: no ``while`` loop but the category closure's and the map
@@ -86,15 +88,16 @@ def test_constructions_share_the_extensions_carrier(constructions, name):
 def test_ta_is_extended_once_per_structure(monkeypatch):
     # the closure's last round is the fixed point it returns, so the Ta that
     # round read is the one the checks and constructions after it read
+    # (extend is the relation of lift_rows, so every lift is counted)
     ext = word2("godel:3")
     calls = []
-    extend = LaxExtension.extend
+    lift_rows = LaxExtension.lift_rows
 
-    def counted(self, r, src=None):
-        calls.append((r, src))
-        return extend(self, r, src)
+    def counted(self, r, tx):
+        calls.append((r, tx))
+        return lift_rows(self, r, tx)
 
-    monkeypatch.setattr(LaxExtension, "extend", counted)
+    monkeypatch.setattr(LaxExtension, "lift_rows", counted)
     s = random_category(ext, ("b", "a"), random.Random(7))
     check_category(s)
     check_exponentiability(s)
@@ -102,7 +105,7 @@ def test_ta_is_extended_once_per_structure(monkeypatch):
     dual(s)
     find_representation(s)
     frag = ext.fragment(s.carrier)[2]
-    assert sum(r is s.a and src is frag for r, src in calls) == 1
+    assert sum(r is s.a and tx is frag for r, tx in calls) == 1
 
 
 def calls(tree, name):
@@ -252,15 +255,20 @@ def cache_uses(tree):
 def test_only_kleisli_and_the_base_composite_compose():
     # K reindexes a0 along alpha and the lax-composition law is checked
     # term by term, so a . Ta and the base composite s . r are the only
-    # compositions; compose builds its table per call, and no relation
-    # keeps one between calls
+    # compositions: s . r is the one VRel compose, and a . Ta stays in
+    # value levels, the same compose_levels as VRel.compose; compose builds
+    # its table per call, and no relation keeps one between calls
     found = {}
     for path in sorted(SRC.glob("*.py")):
-        for cls, fn, node in calls(ast.parse(path.read_text(encoding="utf-8")), "compose"):
-            found.setdefault(path.name, []).append((cls, fn, ast.unparse(node)))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in ("compose", "compose_levels"):
+            for cls, fn, node in calls(tree, name):
+                found.setdefault(path.name, []).append((cls, fn, ast.unparse(node)))
     assert found == {
-        "categories.py": [("TVStructure", "kleisli", "self.a.compose(self.ta)")],
-        "theory.py": [(None, "check_extension_laws", "s.compose(r)")]}
+        "categories.py": [("TVStructure", "kleisli",
+                           "compose_levels(self.quantale, row.items(), self.levels)")],
+        "theory.py": [(None, "check_extension_laws", "s.compose(r)")],
+        "vrel.py": [("VRel", "compose", "compose_levels(q, row, levels)")]}
     assert cache_uses(ast.parse((SRC / "vrel.py").read_text(encoding="utf-8"))) == []
 
 
