@@ -660,7 +660,7 @@ def structure_from_dict(d: dict, guard: int | None = None) -> TVStructure:
     if isinstance(qspec, str):
         q = quantale_by_name(qspec, guard)
     elif isinstance(qspec, dict):
-        q = Quantale.from_dict(qspec)
+        q = Quantale.from_dict(qspec, guard=guard)
     else:
         raise FormatError("structure file needs a quantale name or object")
     mspec = d.get("monad", "identity")

@@ -40,9 +40,14 @@ class Quantale:
 
     ``leq``, ``tensor`` are the primal tables; joins, meets, bottom, top,
     residuation ``hom`` and the Heyting implication are derived at
-    construction time.  Construction is lenient about algebraic laws (so that
-    ``check_quantale`` can report violations with witnesses) but requires the
-    order to be a lattice, since everything else is derived from joins.
+    construction time.  The join of u and v is the element whose up-set is
+    up(u) & up(v), their meet the one whose down-set is down(u) & down(v):
+    lookups exact on a partial order, which is no lattice when one misses.
+    hom and Heyting are ``sup`` folds over the join table.  Construction is
+    lenient about algebraic laws, so that ``check_quantale`` can report
+    violations with witnesses.  Other orders come only by direct
+    construction; ``check_quantale`` fails them on an order law before it
+    reads a derived table.
     """
 
     labels: tuple[str, ...]
@@ -68,35 +73,28 @@ class Quantale:
             raise FormatError("tensor entry out of range")
         if not 0 <= self.unit < n:
             raise FormatError("unit index out of range")
-        leq = self.leq
-        rng = range(n)
-        sup = self._sup_of
-        join = [[sup((u, v)) for v in rng] for u in rng]
-        # a finite order with every join is a lattice, its meets the joins
-        # of the lower bounds
-        meet = [[sup([w for w in rng if leq[w][u] and leq[w][v]]) for v in rng]
-                for u in rng]
-        bot, top = sup(()), sup(rng)
-        hom = [[sup([v for v in rng if leq[self.tensor[u][v]][w]])
-                for w in rng] for u in rng]
-        heyt = [[sup([v for v in rng if leq[meet[u][v]][w]])
-                 for w in rng] for u in rng]
+        leq, rng = self.leq, range(n)
+        # the up- and down-set of each element as a bitset
+        up = [sum(1 << v for v in rng if leq[u][v]) for u in rng]
+        down = [sum(1 << v for v in rng if leq[v][u]) for u in rng]
+        by_up = {bits: u for u, bits in enumerate(up)}
+        by_down = {bits: u for u, bits in enumerate(down)}
+        try:
+            join = [[by_up[up[u] & up[v]] for v in rng] for u in rng]
+            meet = [[by_down[down[u] & down[v]] for v in rng] for u in rng]
+            bot, top = by_up[(1 << n) - 1], by_down[(1 << n) - 1]
+        except KeyError:
+            raise FormatError("order is not a lattice") from None
         object.__setattr__(self, "join", tuple(map(tuple, join)))
         object.__setattr__(self, "meet", tuple(map(tuple, meet)))
         object.__setattr__(self, "bottom", bot)
         object.__setattr__(self, "top", top)
+        hom = [[self.sup(v for v in rng if leq[self.tensor[u][v]][w])
+                for w in rng] for u in rng]
+        heyt = [[self.sup(v for v in rng if leq[meet[u][v]][w]) for w in rng]
+                for u in rng]
         object.__setattr__(self, "hom", tuple(map(tuple, hom)))
         object.__setattr__(self, "heyting", tuple(map(tuple, heyt)))
-
-    def _sup_of(self, elems) -> int:
-        # used during construction, before self.join is frozen
-        n = len(self.labels)
-        cands = [w for w in range(n)
-                 if all(self.leq[u][w] for u in elems)]
-        for w in cands:
-            if all(self.leq[w][z] for z in cands):
-                return w
-        raise FormatError("order is not a lattice")
 
     # ---- element-level operations ----
 
@@ -158,7 +156,9 @@ class Quantale:
                 "tensor": tens, "unit": self.labels[self.unit]}
 
     @classmethod
-    def from_dict(cls, d: dict, name: str = "quantale") -> "Quantale":
+    def from_dict(cls, d: dict, name: str = "quantale",
+                  guard: int | None = None) -> "Quantale":
+        from .limits import check_guard  # limits imports FormatError from here
         try:
             elements, order = d["elements"], d["order"]
             tens_in, unit_label = d["tensor"], d["unit"]
@@ -171,6 +171,7 @@ class Quantale:
             raise FormatError("duplicate element labels")
         idx = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
+        check_guard(n * n, "quantale %s (n x n table cells)" % name, guard)
 
         def index(label, what):
             if not isinstance(label, str) or label not in idx:
@@ -209,13 +210,13 @@ class Quantale:
                    index(unit_label, "unit"), name=name)
 
     @classmethod
-    def from_file(cls, path: str) -> "Quantale":
+    def from_file(cls, path: str, guard: int | None = None) -> "Quantale":
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 d = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise FormatError("%s: invalid JSON: %s" % (path, exc))
-        return cls.from_dict(d, name=path)
+        return cls.from_dict(d, name=path, guard=guard)
 
 
 # ---- law checking ----
@@ -362,14 +363,11 @@ def lukasiewicz(n: int) -> Quantale:
     """Evenly spaced n-point subchain of [0,1] with u (x) v = max(0, u+v-1)."""
     if n < 2:
         raise FormatError("chain needs at least two elements")
-    vals = [Fraction(i, n - 1) for i in range(n)]
-    labels = tuple(str(v) for v in vals)
-    leq = tuple(tuple(vals[i] <= vals[j] for j in range(n)) for i in range(n))
-
-    def t(i, j):
-        return vals.index(max(Fraction(0), vals[i] + vals[j] - 1))
-
-    tensor = tuple(tuple(t(i, j) for j in range(n)) for i in range(n))
+    # index i stands for i/(n-1)
+    labels = tuple(str(Fraction(i, n - 1)) for i in range(n))
+    leq = tuple(tuple(i <= j for j in range(n)) for i in range(n))
+    tensor = tuple(tuple(max(0, i + j - (n - 1)) for j in range(n))
+                   for i in range(n))
     return Quantale(labels, leq, tensor, n - 1, name="lukasiewicz_%d" % n)
 
 
@@ -393,7 +391,7 @@ def powerset_frame(k: int) -> Quantale:
         "{" + ",".join(str(i) for i in range(k) if s >> i & 1) + "}"
         for s in subsets)
     leq = tuple(tuple(s & t == s for t in subsets) for s in subsets)
-    tensor = tuple(tuple(subsets.index(s & t) for t in subsets) for s in subsets)
+    tensor = tuple(tuple(s & t for t in subsets) for s in subsets)
     return Quantale(labels, leq, tensor, (1 << k) - 1, name="powerset_%d" % k)
 
 
@@ -408,12 +406,12 @@ BUILTIN_QUANTALES = {
 
 def quantale_by_name(spec: str, guard: int | None = None) -> Quantale:
     """Resolve ``two``, ``lukasiewicz:3`` etc., or a path to a JSON file.
-    The n x n cells of a bundled quantale's tables are counted against the
+    The n x n cells of its tables, a file's too, are counted against the
     guard before any is built (a powerset past 2^64 elements from below)."""
     from .limits import check_guard  # limits imports FormatError from here
     base, sep, arg = spec.partition(":")
     if base not in BUILTIN_QUANTALES:
-        return Quantale.from_file(spec)
+        return Quantale.from_file(spec, guard)
     if base == "two":
         if sep:
             raise FormatError("quantale two takes no parameter")

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from tvcat import cli
 from tvcat.cli import main
-from tvcat.quantale import lukasiewicz
+from tvcat.quantale import godel_chain, lukasiewicz
 
 
 @pytest.fixture
@@ -426,16 +426,26 @@ def test_huge_builtin_quantales_are_one_line_guard_errors(capsys, monkeypatch,
 
 def test_quantale_guard_is_the_commands_guard(capsys, monkeypatch, tmp_path):
     # godel:3 has 9 table cells; the guard of each command, from the flag
-    # or the environment, reaches the quantale, in structure files too
+    # or the environment, reaches the quantale, in structure files too, and
+    # a quantale given as a file or as an object inside a structure file
     monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
     path = tmp_path / "s.json"
     path.write_text('{"quantale": "godel:3", "monad": "identity", "carrier": ["a"]}')
-    err = "error: quantale godel:3 (n x n table cells) needs 9 candidates" + GUARD_HINT % 8
-    for argv in (["quantale", "check", "godel:3"],
-                 ["theory", "check-assumptions", "--quantale", "godel:3",
-                  "--monad", "identity"],
-                 ["monad", "check", "identity", "--quantale", "godel:3"],
-                 ["cat", "check", str(path)]):
+    qfile = tmp_path / "q.json"
+    qfile.write_text(json.dumps(godel_chain(3).to_dict()))
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps({"quantale": godel_chain(3).to_dict(),
+                                  "monad": "identity", "carrier": ["a"]}))
+    for argv, name in ((["quantale", "check", "godel:3"], "godel:3"),
+                       (["theory", "check-assumptions", "--quantale", "godel:3",
+                         "--monad", "identity"], "godel:3"),
+                       (["monad", "check", "identity", "--quantale", "godel:3"],
+                        "godel:3"),
+                       (["cat", "check", str(path)], "godel:3"),
+                       (["quantale", "check", str(qfile)], str(qfile)),
+                       (["cat", "check", str(inline)], "quantale")):
+        err = ("error: quantale %s (n x n table cells) needs 9 candidates" % name
+               + GUARD_HINT % 8)
         assert main(argv + ["--guard-size", "8"]) == 2
         assert capsys.readouterr().err == err
         monkeypatch.setenv("TVCAT_GUARD_SIZE", "8")

@@ -19,7 +19,10 @@ final lift the one push-forward of a structure along maps in
 ``quantale.py``: no ``while`` loop but the category closure's and the map
 search's.  A fifth keeps (V, hom_xi) with ``LaxExtension.hom_xi``: the
 presheaf and exponential kernels compute no xi, and the gallery loads its
-structures on its own extension, serializing nothing."""
+structures on its own extension, serializing nothing.  A sixth keeps
+``Quantale.sup`` the one sup-finder of ``quantale.py``: joins and meets are
+up- and down-set lookups, and hom and Heyting fold the join table through
+it."""
 
 import ast
 import random
@@ -355,3 +358,39 @@ def test_the_gallery_loads_structures_on_its_extension():
     # an explicit structure is structure_on over the entry's extension, not
     # its quantale and monad serialized and parsed back into new ones
     assert source_calls("gallery.py", "to_dict", "structure_from_dict") == []
+
+
+def sup_folds(tree):
+    """The names of the functions defined in tree that hold ``sup``, and for
+    each assignment in a ``__post_init__`` that calls a ``sup``, its target
+    and the callees."""
+    defs = sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and "sup" in node.name)
+    folds = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            for stmt in ast.walk(node):
+                if isinstance(stmt, ast.Assign):
+                    found = [ast.unparse(call.func)
+                             for _, _, call in calls(stmt.value, "sup")]
+                    if found:
+                        folds[ast.unparse(stmt.targets[0])] = found
+    return defs, folds
+
+
+def test_quantale_sup_is_the_one_sup_finder():
+    # join, meet, bottom and top are looked up by up- and down-sets, so the
+    # constructor calls no sup but the fold of hom and Heyting over join
+    tree = ast.parse((SRC / "quantale.py").read_text(encoding="utf-8"))
+    assert sup_folds(tree) == (["sup"], {"hom": ["self.sup"], "heyt": ["self.sup"]})
+
+
+def test_the_guard_sees_a_second_sup_finder():
+    tree = ast.parse("class Quantale:\n"
+                     "    def __post_init__(self):\n"
+                     "        sup = self._sup_of\n"
+                     "        join = [[sup((u, v)) for v in r] for u in r]\n"
+                     "        hom = self.sup(v for v in r)\n"
+                     "    def _sup_of(self, elems):\n"
+                     "        return 0\n")
+    assert sup_folds(tree) == (["_sup_of"], {"join": ["sup"], "hom": ["self.sup"]})

@@ -1,6 +1,9 @@
 """Quantale tables against independently computed closed forms."""
 
 import json
+import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +11,9 @@ from hypothesis import given, strategies as st
 from tvcat.quantale import (QUANTALE_LAWS, FormatError, Quantale, QuantaleHom,
                             chain_trunc_add, check_condition_inj, check_hom,
                             check_lemma_surjective_transfer, check_quantale,
-                            godel_chain, lukasiewicz, powerset_frame,
+                            _closure, godel_chain, lukasiewicz, powerset_frame,
                             quantale_by_name, two)
+from tvcat.limits import GuardError
 
 from conftest import all_quantales
 
@@ -198,15 +202,17 @@ PLANTED = [
         QuantaleHom(powerset_frame(2), two(), (0, 0, 0, 1))), ["{0}", "{1}"]),
     ("preserves-bottom", lambda: check_hom(QuantaleHom(two(), two(), (1, 1))),
      ["0"]),
-    # 1 is not below itself; 2 stays above it, so the joins exist
+    # 1 is not below itself, but shares its up-set with 2 and its down-set
+    # with 0, so every join and meet lookup finds an element
     ("order-reflexive", lambda: check_quantale(Quantale(
         ("0", "1", "2"), ((True, True, True), (False, False, True),
                           (False, False, True)), godel_chain(3).tensor, 2)),
      ["1"]),
     ("order-antisymmetric", lambda: check_quantale(Quantale(
         ("0", "1"), ((True, True), (True, True)), two().tensor, 1)), ["0", "1"]),
-    # a reflexive, antisymmetric order without 0 <= 2 has no join of 0 and
-    # 2, so the constructor refuses it: the order is overridden on godel:3
+    # a reflexive, antisymmetric order without 0 <= 2: the up-sets of 0 and
+    # 2 share no element, so no join of 0 and 2 is found and the constructor
+    # refuses it; the order is overridden on godel:3
     ("order-transitive", lambda: check_quantale(overridden(godel_chain(3), "leq", (
         (True, True, False), (False, True, True), (False, False, True)))),
      ["0", "1", "2"]),
@@ -241,3 +247,104 @@ def test_every_quantale_law_has_a_plant():
     laws = [law for law, _, _ in QUANTALE_LAWS] + ["inj-decomposition"]
     assert [p[0] for p in PLANTED if p[0] in laws] == laws
     assert check_quantale(chain4()).passed
+
+
+def scanned_sup(leq, elems) -> int:
+    """The least upper bound of elems by a scan: the upper bounds, and the
+    first of them below all the others."""
+    cands = [w for w in range(len(leq)) if all(leq[u][w] for u in elems)]
+    for w in cands:
+        if all(leq[w][z] for z in cands):
+            return w
+    raise FormatError("order is not a lattice")
+
+
+def scanned_tables(leq, tensor):
+    """join, meet, bottom, top, hom and heyting of an order and a tensor,
+    each a least upper bound found by ``scanned_sup``, or the message of
+    its FormatError: the literal definitions the constructor's lookups and
+    folds must agree with."""
+    rng = range(len(leq))
+    try:
+        join = [[scanned_sup(leq, (u, v)) for v in rng] for u in rng]
+        meet = [[scanned_sup(leq, [w for w in rng if leq[w][u] and leq[w][v]])
+                 for v in rng] for u in rng]
+        bot, top = scanned_sup(leq, ()), scanned_sup(leq, rng)
+        hom = [[scanned_sup(leq, [v for v in rng if leq[tensor[u][v]][w]])
+                for w in rng] for u in rng]
+        heyt = [[scanned_sup(leq, [v for v in rng if leq[meet[u][v]][w]])
+                 for w in rng] for u in rng]
+    except FormatError as exc:
+        return str(exc)
+
+    def frozen(table):
+        return tuple(map(tuple, table))
+
+    return frozen(join), frozen(meet), bot, top, frozen(hom), frozen(heyt)
+
+
+def derived_tables(q: Quantale):
+    return (q.join, q.meet, q.bottom, q.top, q.hom, q.heyting)
+
+
+@pytest.mark.parametrize("base,sizes", [
+    ("two", [None]), ("godel", range(1, 41)), ("lukasiewicz", range(2, 41)),
+    ("trunc_add", range(1, 31)), ("powerset", range(6))])
+def test_bundled_tables_match_the_scan(base, sizes):
+    for n in sizes:
+        q = quantale_by_name(base if n is None else "%s:%d" % (base, n))
+        assert derived_tables(q) == scanned_tables(q.leq, q.tensor), q.name
+
+
+def test_random_orders_match_the_scan():
+    # closures of random pairs on up to 6 points, kept when antisymmetric,
+    # with a random tensor: the constructor and the scan give the same six
+    # tables on a lattice and the same message on any other order
+    rng = random.Random(26)
+    verdicts = {"lattice": 0, "refused": 0}
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        pairs = {(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(0, 2 * n))}
+        leq = tuple(map(tuple, _closure(n, pairs)))
+        if any(i != j and leq[i][j] and leq[j][i] for i in range(n) for j in range(n)):
+            continue
+        tensor = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+        want = scanned_tables(leq, tensor)
+        try:
+            got = derived_tables(Quantale(tuple(map(str, range(n))), leq, tensor, 0))
+        except FormatError as exc:
+            got = str(exc)
+        assert got == want, (leq, tensor)
+        verdicts["refused" if isinstance(want, str) else "lattice"] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
+
+def test_bundled_tensors_match_their_definitions():
+    # the Lukasiewicz order and tensor max(0, u + v - 1) on the values
+    # i/(n-1), and the powerset meet, located by search among the elements
+    for n in range(2, 41):
+        vals = [Fraction(i, n - 1) for i in range(n)]
+        q = lukasiewicz(n)
+        assert q.labels == tuple(map(str, vals))
+        assert q.leq == tuple(tuple(u <= v for v in vals) for u in vals)
+        assert q.tensor == tuple(tuple(vals.index(max(Fraction(0), u + v - 1))
+                                       for v in vals) for u in vals)
+    for k in range(6):
+        subsets = list(range(1 << k))
+        assert powerset_frame(k).tensor == tuple(
+            tuple(subsets.index(s & t) for t in subsets) for s in subsets)
+
+
+def test_guard_edge_quantale_builds_in_time(monkeypatch):
+    # godel:316 has 99,856 table cells, just inside the default guard of
+    # 100,000: what the guard admits is built, here in about 2.5 s (two
+    # cores, Python 3.11), and godel:317 is refused before it is built
+    monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
+    start = time.perf_counter()
+    q = quantale_by_name("godel:316")
+    assert time.perf_counter() - start < 15
+    assert (q.bottom, q.top, q.join[7][300], q.meet[7][300]) == (0, 315, 300, 7)
+    assert q.heyting[300][7] == 7 and q.heyting[7][300] == 315
+    with pytest.raises(GuardError):
+        quantale_by_name("godel:317")
