@@ -5,19 +5,19 @@ The carrier of an exponential <X,Y> is the set of admissible maps X -> Y
 one-point generator), stored as value tuples in carrier order so they can
 serve as carrier elements themselves.  The structure b^a is the largest
 structure making evaluation into (Y, b) compatible: ``largest_compatible``,
-given the relation b, computes it as a meet of Heyting implications, the residual dual to ``VRel.compose``
-and like it on value levels (bitsets of the maps by value); since binary
-meet distributes over joins, the defining supremum is attained and the
-meet formula is exact.  The admissible maps are found by
+given the relation b, computes it as a meet of Heyting implications, read
+off the fibers of Tpi_X above the rows of a, residual dual to
+``VRel.compose`` and like it on value levels (bitsets of the maps by
+value); binary meet distributes over joins, so the defining supremum is
+attained and the meet formula is exact.  The admissible maps are found by
 ``categories.compatible_maps``, which tests each point test as soon as the
-map is fixed on its letters.  The presheaf category (presheaf.py) is
-built by the same two kernels: its carrier is the same search over the
-same ``point_tests``, and its structure is ``largest_compatible`` with
-residuation in place of implication.  T-carriers come from ``ext.carrier``
-and ``ext.can_map``.  The splitting criterion reads the rows of Ta and
-decides each distinct key of a cell (XX, x), its set of value pairs over
-the middle points and a(m XX, x), once per call; the frame criterion reads
-the levels of a . Ta.
+map is fixed on its letters.  The presheaf category (presheaf.py) is built
+by the same two kernels: its carrier is the same search over the same
+``point_tests``, and its structure is ``largest_compatible`` with
+residuation in place of implication.  The splitting criterion reads the
+rows of Ta and decides each distinct key of a cell (XX, x), its set of
+value pairs over the middle points and a(m XX, x), once per call; the frame
+criterion reads the levels of a . Ta.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .limits import check_guard
 from .quantale import FormatError
 from .report import CheckReport, Reporter
 from .theory import LaxExtension
-from .vrel import VRel, decode_levels, pair_carrier
+from .vrel import VRel, decode_levels
 
 
 class NotTransitive(RuntimeError):
@@ -75,46 +75,45 @@ def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b: VRel,
                        imp, guard: int | None = None) -> VRel:
     """The largest structure on z, a set of maps X -> Y stored as value
     tuples in the order of X = a.dst, making evaluation Z x X -> Y
-    structure-compatible for the structure b on Y, whose rows are read once
-    per call: c(p, h) is the meet, over T-elements w of Z x X above p and
-    points x, of imp[a(Tpi_X w, x)][b(Tev w, h x)]; imp is the implication
-    table (Heyting for exponentials, residuation for presheaves).  The
-    T-elements of Z x X are counted against the guard before they are
-    enumerated.
-
-    This is the residual dual to ``VRel.compose``, on value levels: per
-    position i of X and value y, the maps h with h[i] = y form a bitset
-    (their level), and each term's value ORs a level into the levels of p,
-    decoded once into the meets of their cells by ``decode_levels``.
-    Only the non-bottom row of a at Tpi_X w is read, since imp[bottom] is
-    all top (for residuation because bottom absorbs the tensor, the law
-    ``tensor_bottom`` LaxExtension requires), and a top term moves no meet,
-    so it is dropped.  Entries come in the order p in T(z), then h in z."""
+    structure-compatible for the structure b on Y: c(p, h) is the meet, over
+    T-elements w of Z x X above p and points x, of imp[a(Tpi_X w, x)][b(Tev
+    w, h x)], for the implication table imp (Heyting for exponentials,
+    residuation for presheaves).  Only the fibers above the non-bottom rows
+    t of a are walked: imp[bottom] is all top (for residuation because
+    bottom absorbs the tensor, the law ``tensor_bottom`` LaxExtension
+    requires), and a top term moves no meet.  Above t, Tev w is fixed by the
+    values of w's maps at the letters of t, so one ``monad.fiber`` pass folds
+    each term once per value tuple, and a second ORs it into the column of
+    every p = Tpi_Z w with those values.  Terms are the residual dual to
+    ``VRel.compose``, on value levels: the maps h with h x = y form a bitset,
+    ORed into the value of the term; each column is decoded once by
+    ``decode_levels``.  The guard counts T(Z x X), an upper bound on the w
+    visited.  Entries come in the order p in T(z), then h in z."""
     q = ext.quantale
-    monad = ext.monad
-    top, bot = q.top, q.bottom
-    xs = a.dst
-    check_guard(monad.carrier_size(len(z) * len(xs)), "T(carrier x X) enumeration",
+    xs, top, bot = a.dst, q.top, q.bottom
+    check_guard(ext.monad.carrier_size(len(z) * len(xs)), "T(carrier x X) enumeration",
                 guard)
-    xidx = {x: i for i, x in enumerate(xs)}
-    arows = {t: [(xidx[x], imp[u]) for x, u in row] for t, row in a.rows().items()}
-    brows = {t: dict(row) for t, row in b.rows().items()}
-    levels = [{} for _ in xs]
+    levels = {x: {} for x in xs}
     for k, h in enumerate(z):
-        for level, y in zip(levels, h):
-            level[y] = level.get(y, 0) | 1 << k
+        for x, y in zip(xs, h):
+            levels[x][y] = levels[x].get(y, 0) | 1 << k
+    value_rows = {x: [(y, y) for y in level] for x, level in levels.items()}
+    map_rows = {x: [(h, h[i]) for h in z] for i, x in enumerate(xs)}
+    brows = {t: dict(row) for t, row in b.rows().items()}
     cols: dict = {}
-    for w in ext.carrier(pair_carrier(z, xs)):
-        arow = arows.get(monad.map_elem(lambda c: c[1], w))
-        if arow is None:
-            continue
-        col = cols.setdefault(monad.map_elem(lambda c: c[0], w), {})
-        row = brows.get(monad.map_elem(lambda c: c[0][xidx[c[1]]], w), {})
-        for i, imp_u in arow:
-            for y, bits in levels[i].items():
-                v = imp_u[row.get(y, bot)]
-                if v != top:
-                    col[v] = col.get(v, 0) | bits
+    for t, arow in a.rows().items():
+        terms = {}
+        for tev, values in ext.monad.fiber(t, value_rows):
+            row = brows.get(tev, {})
+            term = terms[values] = {}
+            for x, u in arow:
+                for y, bits in levels[x].items():
+                    if (v := imp[u][row.get(y, bot)]) != top:
+                        term[v] = term.get(v, 0) | bits
+        for p, values in ext.monad.fiber(t, map_rows):
+            col = cols.setdefault(p, {})
+            for v, bits in terms[values].items():
+                col[v] = col.get(v, 0) | bits
     tz = ext.carrier(z)
     cols = {p: decode_levels(q.meet, col, z) for p, col in cols.items()}
     return VRel(q, tz, z, {(p, h): v for p in tz for row in (cols.get(p, {}),)

@@ -5,12 +5,12 @@ quantale with its structure ``LaxExtension.hom_xi``; elements are stored as
 tuples of value indices in the enumeration order of TX, so they double as
 carrier elements.  PX is an exponential of (V, hom_xi): its carrier and its
 structure come from the kernels of the graph exponential, the search
-``categories.compatible_maps`` over ``point_tests`` and
-``largest_compatible`` (exponential.py), both given hom_xi, built once, as
-their target relation, with residuation in place of Heyting implication.  Weak factorization searches with ``compatible_maps``
-as well when TX is not X.  The structure's correctness is not assumed but
-certified per instance by the full faithfulness of the Yoneda map and the
-separation and injectivity checks.
+``categories.compatible_maps`` over ``point_tests`` and the fiber walk over
+the rows of the dual, ``largest_compatible`` (exponential.py), both given
+hom_xi, built once, as their target relation, with residuation in place of
+Heyting implication.  Weak factorization searches with ``compatible_maps``
+when TX is not X.  The structure is certified per instance by the full
+faithfulness of the Yoneda map and the separation and injectivity checks.
 """
 
 from __future__ import annotations

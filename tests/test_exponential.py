@@ -209,3 +209,6 @@ def test_structure_enumeration_is_guarded(ext_ord):
         # once a MemoryError: 3^7 candidates pass their guard, and T over
         # the kept presheaves times TX has about 2.3e8 elements
         build_presheaf_category(discrete(ext, ("a", "b")))
+    # the bound is inclusive: guard 8 admits the count of 8 that guard 5 refuses
+    assert len(graph_exponential(s, s, guard=8).structure.carrier) == 4
+    assert len(build_presheaf_category(s, guard=8).structure.carrier) == 4

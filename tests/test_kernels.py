@@ -1,10 +1,13 @@
 """The shared relational kernels and fast paths against the loops they
 replaced: push-forward of entries; the largest structure making evaluation
-compatible, for exponentials (Heyting implication) and presheaf categories
-(residuation, of a non-commutative tensor too, at the cell where its two
-sides part), entry order and 125 maps included, with the bottom row of both
-implications it rests on; the search
-for structure-compatible maps against the product loops of the exponential
+compatible, walked over the fibers above the rows of a, against the dense
+loop over T(Z x X), for exponentials (Heyting implication; over the
+identity, finite_ultrafilter, labelled and word:2/word:3 monads, at a row
+of a at the empty word, and for the weak exponential) and presheaf
+categories (residuation, of a non-commutative tensor too, at the cell where
+its two sides part), entry order and 125 maps included, with the bottom row
+of both implications it rests on and no T(Z x X) carrier requested; the
+search for structure-compatible maps against the product loops of the exponential
 carrier, the presheaf carrier and weak factorization, over carriers in and
 out of sort_key order, and at 1,200 points; the fiber-direct lax extension
 against the literal enumeration of T(X x Y); the checks that read only the
@@ -35,7 +38,8 @@ from tvcat.categories import (EMAlgebra, TVFunctor, TVStructure, check_algebra,
                               check_category, check_functor, check_graph,
                               compatible_maps, discrete, dual,
                               find_representation, functor_M,
-                              graph_to_category, one_point, random_category)
+                              graph_to_category, one_point, random_category,
+                              separated)
 from tvcat.exponential import (admissible_maps, check_exponentiability,
                                check_frame_criterion, graph_exponential,
                                largest_compatible, point_tests)
@@ -68,7 +72,14 @@ CELLS = [("two", "word:2", ("a", "b"), ("c", "d", "e"), 12),
          ("godel:3", "word:2", ("a", "b"), ("c", "d", "e"), 12),
          ("two", "labelled:z2", ("a", "b"), ("c", "d", "e"), 0),
          ("lukasiewicz:3", "labelled:z2", ("a", "b"), ("c", "d", "e"), 0),
-         ("godel:3", "labelled:z2", ("a", "b"), ("c", "d", "e"), 0)]
+         ("godel:3", "labelled:z2", ("a", "b"), ("c", "d", "e"), 0),
+         ("godel:3", "identity", ("a", "b", "c"), ("d", "e"), 0),
+         ("lukasiewicz:3", "finite_ultrafilter", ("a", "b", "c"), ("d", "e"), 0)]
+# Over word:3 the presheaf carriers of two points pass the default guard and
+# those of one point often do, so this cell runs against the exponential
+# loop only; the presheaf loop is run over word:3 on the structure of
+# test_largest_compatible_at_the_empty_word.
+WORD3 = ("godel:3", "word:3", ("a", "b"), ("c", "d"), 0)
 DRAWS = 3
 
 
@@ -126,7 +137,7 @@ def draws(qname, mname, xs, ys, least):
         yield sx, random_category(ext, ys, rng)
 
 
-@pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%s-%s" % c[:2])
+@pytest.mark.parametrize("cell", CELLS + [WORD3], ids=lambda c: "%s-%s" % c[:2])
 def test_largest_compatible_matches_exponential_loop(cell):
     for sx, sy in draws(*cell):
         exp = graph_exponential(sx, sy)
@@ -140,6 +151,63 @@ def test_largest_compatible_matches_presheaf_loop(cell):
         px = build_presheaf_category(sx)
         expect = presheaf_oracle(sx, px.structure.carrier)
         assert list(px.structure.a.entries.items()) == list(expect.items())
+
+
+def test_largest_compatible_at_the_empty_word():
+    # a non-bottom row of a at the empty word, whose fiber is the single
+    # pick ((), ()): Tev w and p = Tpi_Z w are the empty words of Y and Z,
+    # and against the discrete Y its terms are bottom
+    ext = LaxExtension(monad_by_name("word:3"), quantale_by_name("two"))
+    q, xs = ext.quantale, ("a",)
+    sx = graph_to_category(TVStructure(ext, xs, VRel(q, ext.carrier(xs), xs,
+                                                     {((), "a"): q.top})))
+    sy = discrete(ext, ("c", "d"))
+    exp = graph_exponential(sx, sy)
+    assert () in sx.a.rows() and exp.structure.a((), exp.structure.carrier[0]) == q.bottom
+    assert list(exp.structure.a.entries.items()) == list(
+        exponential_oracle(sx, sy, exp.structure.carrier).items())
+    px = build_presheaf_category(sx)
+    assert () in px.opposite.a.rows()
+    assert list(px.structure.a.entries.items()) == list(
+        presheaf_oracle(sx, px.structure.carrier).items())
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%s-%s" % c[:2])
+def test_largest_compatible_requests_no_pair_carrier(cell, monkeypatch):
+    # the walk reads only the fibers over the rows of a: T(Z x X) is
+    # counted against the guard, never enumerated
+    asked = []
+    carrier = LaxExtension.carrier
+    monkeypatch.setattr(LaxExtension, "carrier",
+                        lambda ext, xs: asked.append(xs) or carrier(ext, xs))
+    for sx, sy in draws(*cell):
+        exp = graph_exponential(sx, sy)
+        px = build_presheaf_category(sx)
+        assert pair_carrier(exp.structure.carrier, sx.carrier) not in asked
+        assert pair_carrier(px.structure.carrier, sx.tx) not in asked
+        assert asked
+
+
+def separated_category(ext, xs, rng):
+    s = random_category(ext, xs, rng)
+    while not separated(s):
+        s = random_category(ext, xs, rng)
+    return s
+
+
+@pytest.mark.parametrize("cell", [("godel:3", "identity"), ("two", "labelled:z2")],
+                         ids=lambda c: "%s-%s" % c)
+def test_weak_exponential_matches_exponential_loop(cell):
+    # the third caller of largest_compatible: the kept maps PX -> PY, with
+    # the structures of the presheaf categories as X and Y
+    ext = LaxExtension(monad_by_name(cell[1]), quantale_by_name(cell[0]))
+    rng = random.Random("kernels:weak:%s:%s" % cell)
+    for _ in range(DRAWS):
+        sx, sy = (separated_category(ext, xs, rng) for xs in (("a", "b"), ("c", "d")))
+        wexp = weak_exponential(sx, sy)
+        expect = exponential_oracle(wexp.px.structure, wexp.py.structure,
+                                    wexp.structure.carrier)
+        assert list(wexp.structure.a.entries.items()) == list(expect.items())
 
 
 @pytest.mark.parametrize("mname", ("identity", "labelled:z2"))
