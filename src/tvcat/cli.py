@@ -27,7 +27,7 @@ from .monads import check_bc_samples, check_monad_laws, monad_by_name, monad_fro
 from .presheaf import (NotSeparated, build_presheaf_category, check_yoneda,
                        find_sup, injective_report, weak_exponential)
 from .quantale import (FormatError, Quantale, check_condition_inj,
-                       check_quantale, quantale_by_name)
+                       check_quantale, guard_condition_inj, quantale_by_name)
 from .theory import LaxExtension, check_assumptions_bundle
 
 SCHEMA = 1
@@ -91,6 +91,7 @@ def _result(s, full: bool = True, **extra):
 
 def _quantale_check(args):
     q = quantale_by_name(args.quantale, args.guard_size)
+    guard_condition_inj(q, args.guard_size)
     return _finish([check_quantale(q), check_condition_inj(q)],
                    quantale=q.name, size=q.n)
 

@@ -18,7 +18,7 @@ from .exponential import check_exponentiability
 from .limits import DEFAULT_GUARD_SIZE, GuardError, guard_limit
 from .monads import check_monad_laws, monad_by_name
 from .quantale import (FormatError, check_condition_inj, check_quantale,
-                       quantale_by_name)
+                       guard_condition_inj, quantale_by_name)
 from .theory import LaxExtension, check_assumptions_bundle
 from .presheaf import (NotSeparated, build_presheaf_category, certify_injective,
                        check_yoneda)
@@ -70,6 +70,7 @@ def _build_structure(ext: LaxExtension, spec: dict) -> TVStructure:
 def run_entry(entry: dict, seed: int = 0, guard: int | None = None) -> dict:
     # a lowered guard still admits the bundled quantales, as in structure_on
     q = quantale_by_name(entry["quantale"], max(guard_limit(guard), DEFAULT_GUARD_SIZE))
+    guard_condition_inj(q, guard)
     monad = monad_by_name(entry["monad"])
     ext = LaxExtension(monad, q)
     out: dict = {"name": entry["name"]}

@@ -12,8 +12,10 @@ form, the fibers over TX of T(supp r) for a relation r given by its rows
 word monad the multiplication is partial: flattening may exceed the depth
 bound, in which case operations skip the element and report it as a
 coverage statistic.  ``inbound`` yields the part of T(TX) where the
-multiplication is defined, ranked in the sort_key order of T(TX), from TX
-in the order of ``LaxExtension.sorted_carrier``: nothing is built or sorted.
+multiplication is defined, ranked, from TX in carrier or sort_key order:
+nothing is built or sorted.  ``fragment`` counts the out-of-bound elements
+between, which ``walk_fragment`` skips; the law checks walk it from T(TX),
+TV and TA, and never build T^3 X, T^2 V or T(TA).
 """
 
 from __future__ import annotations
@@ -109,11 +111,24 @@ class TheoryMonad:
 
     def inbound(self, order: tuple):
         """(rank, XX) for each in-bound XX of T(TX) (where mult is defined)
-        in sort_key order, given TX as ``order`` in sort_key order; rank is
-        the position of XX in the sorted T(TX), so the ranks skipped over
-        count the out-of-bound XX.  A rank needs sort_key to be injective on
+        by rank, given TX as ``order``: rank is the position of XX in
+        carrier(order) when order is in carrier order, and in sorted T(TX)
+        when order is in sort_key order (the same position unless a labelled
+        monad lists its labels out of sort_key order), so skipped ranks
+        count the out-of-bound XX.  Sorted ranks need sort_key injective on
         TX, as it is on the string and tuple carriers tvcat builds."""
         raise NotImplementedError
+
+    def fragment(self, order: tuple) -> tuple:
+        """The in-bound XX of T(TX) from ``inbound(order)``: (rows, tail),
+        rows listing (gap, XX, m XX) by rank, gap counting the out-of-bound
+        XX just before XX, and tail those after the last row.  Checks visit
+        it through ``walk_fragment``."""
+        mult, rows, nxt = self.mult, [], 0
+        for rank, xx in self.inbound(order):
+            rows.append((rank - nxt, xx, mult(xx)))
+            nxt = rank + 1
+        return tuple(rows), self.carrier_size(len(order)) - nxt
 
     def letters(self, t) -> tuple:
         """Base positions of a T-element: the points map_elem acts on."""
@@ -343,14 +358,24 @@ def can_map(monad: TheoryMonad, ws) -> dict:
             for w in ws}
 
 
+def walk_fragment(fragment: tuple, rep: Reporter):
+    """The rows (XX, m XX) of a fragment, skipping each gap on rep before
+    its row, and the tail only if the walk runs to its end."""
+    rows, tail = fragment[:2]
+    for gap, xx, mx in rows:
+        rep.skip(gap)
+        yield xx, mx
+    rep.skip(tail)
+
+
 # ---- law checks ----
 
 def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None,
                      guard: int | None = None) -> CheckReport:
     """Monad unit/associativity laws on the in-bound fragment over carrier xs,
-    plus the algebra laws for xi on the quantale when one is given.  T^3 of
-    xs and T^2 of the quantale are counted against the guard before they
-    are enumerated."""
+    plus the algebra laws for xi on the quantale when one is given, walked
+    from T(TX) and TV in carrier order.  T^3 X and T^2 V, never built, are
+    still counted against the guard."""
     check_nested_guard(monad.carrier_size, len(xs), 3, "T^3 X enumeration", guard)
     if q is not None:
         check_nested_guard(monad.carrier_size, q.n, 2, "T^2 V enumeration", guard)
@@ -361,23 +386,16 @@ def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None,
         rep.tick()
         if monad.mult(monad.unit(t)) != t:
             return rep.fail("mult-unit-left", [repr(t)])
-        te = monad.map_elem(monad.unit, t)
-        m = monad.mult(te)
+        m = monad.mult(monad.map_elem(monad.unit, t))
         if m is None:
             rep.skip()
         elif m != t:
             return rep.fail("mult-unit-right", [repr(t)])
     # m . mT = m . Tm on in-bound three-level elements
-    ttx = monad.carrier(tx)
-    for ttt in monad.carrier(ttx):
-        lhs_inner = monad.mult(ttt)
-        tm = monad.map_elem(monad.mult, ttt) if all(
+    for ttt, inner in walk_fragment(monad.fragment(monad.carrier(tx)), rep):
+        rhs = monad.mult(monad.map_elem(monad.mult, ttt)) if all(
             monad.mult(t2) is not None for t2 in monad.letters(ttt)) else None
-        if lhs_inner is None or tm is None:
-            rep.skip()
-            continue
-        lhs = monad.mult(lhs_inner)
-        rhs = monad.mult(tm)
+        lhs = monad.mult(inner)
         if lhs is None or rhs is None:
             rep.skip()
             continue
@@ -390,11 +408,7 @@ def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None,
             rep.tick()
             if monad.xi(monad.unit(v), q) != v:
                 return rep.fail("xi-unit", [q.labels[v]])
-        for tt in monad.carrier(monad.carrier(elems)):
-            m = monad.mult(tt)
-            if m is None:
-                rep.skip()
-                continue
+        for tt, m in walk_fragment(monad.fragment(monad.carrier(elems)), rep):
             rep.tick()
             lhs = monad.xi(m, q)
             rhs = monad.xi(monad.map_elem(lambda t: monad.xi(t, q), tt), q)
@@ -405,20 +419,17 @@ def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None,
 
 def check_bc_samples(monad: TheoryMonad, squares=None) -> CheckReport:
     """Weak-pullback preservation on sampled pullback squares of finite
-    functions, and the weak-pullback property of the m-naturality squares."""
+    functions, and the weak-pullback property of the m-naturality squares,
+    walked over the in-bound fragments of T(TA) and T(TB)."""
     rep = Reporter("bc_squares", bound=monad.bound_info())
     if squares is None:
         squares = _default_squares()
     for a_car, b_car, c_car, f, g in squares:
         p_car = tuple(p for p in pair_carrier(a_car, b_car) if f[p[0]] == g[p[1]])
-        tp = monad.carrier(p_car)
-        ta = monad.carrier(a_car)
+        reachable = {(monad.map_elem(lambda p: p[0], w), monad.map_elem(lambda p: p[1], w))
+                     for w in monad.carrier(p_car)}
         tb = monad.carrier(b_car)
-        reachable = set()
-        for tpv in tp:
-            reachable.add((monad.map_elem(lambda p: p[0], tpv),
-                           monad.map_elem(lambda p: p[1], tpv)))
-        for fa in ta:
+        for fa in monad.carrier(a_car):
             for fb in tb:
                 if monad.map_elem(lambda x: f[x], fa) != monad.map_elem(lambda y: g[y], fb):
                     continue
@@ -428,21 +439,11 @@ def check_bc_samples(monad: TheoryMonad, squares=None) -> CheckReport:
     # m-naturality squares as weak pullbacks, over small function samples
     for a_car, b_car, f in _default_functions():
         ta = monad.carrier(a_car)
-        tb = monad.carrier(b_car)
-        tta = monad.carrier(ta)
         images = {}
-        for big in tta:
-            m = monad.mult(big)
-            if m is None:
-                rep.skip()
-                continue
-            key = (monad.map_elem(lambda t: monad.map_elem(lambda x: f[x], t), big), m)
-            images.setdefault(key[0], set()).add(m)
-        for bigb in monad.carrier(tb):
-            mb = monad.mult(bigb)
-            if mb is None:
-                rep.skip()
-                continue
+        for big, m in walk_fragment(monad.fragment(ta), rep):
+            key = monad.map_elem(lambda t: monad.map_elem(lambda x: f[x], t), big)
+            images.setdefault(key, set()).add(m)
+        for bigb, mb in walk_fragment(monad.fragment(monad.carrier(b_car)), rep):
             for fa in ta:
                 if monad.map_elem(lambda x: f[x], fa) != mb:
                     continue

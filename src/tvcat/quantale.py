@@ -278,6 +278,15 @@ def check_condition_inj(q: Quantale) -> CheckReport:
     return rep.ok()
 
 
+def guard_condition_inj(q: Quantale, guard: int | None = None) -> None:
+    """Count the (u, v, w, u', v') candidates of check_condition_inj, about
+    n^5/4 on a chain, against the guard floored at the default."""
+    from .limits import DEFAULT_GUARD_SIZE, check_guard, guard_limit
+    below = sum(map(sum, q.leq))  # the pairs u' <= u
+    check_guard(q.n * below * below, "condition_inj on %s (u, v, w, u', v')" % q.name,
+                max(guard_limit(guard), DEFAULT_GUARD_SIZE))
+
+
 @dataclass(frozen=True)
 class QuantaleHom:
     """Map between quantales, given by an element table (index -> index)."""

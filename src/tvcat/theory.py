@@ -9,8 +9,8 @@ the rows of r, over the requested T-elements.  The literal enumeration of
 T(X x Y) is kept in the tests as the oracle the fibers are checked against.
 
 Checks that quantify over TTX read only its in-bound fragment (where m is
-defined); ``fragment`` gives it keyed by the points X, generated by the
-monad's ``inbound`` from ``sorted_carrier(X)`` without enumerating or
+defined); ``fragment`` gives it keyed by the points X, the monad's
+``fragment`` of ``sorted_carrier(X)``, without enumerating or
 sorting TTX (the tests keep that sort as its oracle), with the count of
 out-of-bound elements between its members, which ``walk`` counts as skips,
 so Ta (TTr in the op-lax mult square) is computed on it alone.  The square
@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import product
 
 from .limits import check_guard
-from .monads import TheoryMonad, can_map
+from .monads import TheoryMonad, can_map, walk_fragment
 from .quantale import FormatError, Quantale, check_condition_inj, tensor_bottom
 from .report import CheckReport, Reporter, sort_key
 from .vrel import (VRel, all_relations, id_rel, pair_carrier, push_forward,
@@ -106,31 +106,18 @@ class LaxExtension:
 
     def fragment(self, xs: tuple) -> tuple:
         """The in-bound fragment of TTX, where m is defined, once per point
-        carrier xs, from ``inbound`` of ``sorted_carrier(xs)``: (rows, tail,
-        xxs), where rows lists (gap, XX, m XX) in sort_key order, gap
-        counting the out-of-bound XX just before XX, tail those after the
-        last row, and xxs the XX alone.  Checks visit it through ``walk``."""
+        carrier xs: the (rows, tail) of ``TheoryMonad.fragment`` over
+        ``sorted_carrier(xs)``, in sort_key order, and xxs, the XX of the
+        rows alone.  Checks visit it through ``walk``."""
         frag = self._mult_cache.get(xs)
         if frag is None:
-            mult = self.monad.mult
-            order = self.sorted_carrier(xs)
-            rows, nxt = [], 0
-            for rank, xx in self.monad.inbound(order):
-                rows.append((rank - nxt, xx, mult(xx)))
-                nxt = rank + 1
-            frag = self._mult_cache[xs] = (
-                tuple(rows), self.monad.carrier_size(len(order)) - nxt,
-                tuple(xx for _, xx, _ in rows))
+            rows, tail = self.monad.fragment(self.sorted_carrier(xs))
+            frag = self._mult_cache[xs] = (rows, tail, tuple(xx for _, xx, _ in rows))
         return frag
 
     def walk(self, xs: tuple, rep: Reporter):
-        """The rows (XX, m XX) of fragment(xs), skipping each gap on rep
-        before its row, and the tail only if the walk runs to its end."""
-        rows, tail, _ = self.fragment(xs)
-        for gap, xx, mx in rows:
-            rep.skip(gap)
-            yield xx, mx
-        rep.skip(tail)
+        """monads.walk_fragment over fragment(xs)."""
+        return walk_fragment(self.fragment(xs), rep)
 
     def can_map(self, xs: tuple, ys: tuple) -> dict:
         """monads.can_map on T(xs x ys), once per carrier pair."""

@@ -1,12 +1,13 @@
 """The bundled example suite and its committed verdicts."""
 
 import json
+import time
 
 import pytest
 
 import tvcat.gallery as gallery
 from tvcat.gallery import DATA_PATH, _diff, load_gallery, run_entry, run_gallery
-from tvcat.limits import DEFAULT_GUARD_SIZE
+from tvcat.limits import DEFAULT_GUARD_SIZE, GuardError
 
 
 def test_data_file_is_valid_json():
@@ -74,3 +75,24 @@ def test_raised_guard_reaches_the_quantale(monkeypatch):
             run_entry(entry, guard=guard)
     assert seen == [("godel:317", 200_000), ("godel:317", DEFAULT_GUARD_SIZE),
                     ("godel:317", DEFAULT_GUARD_SIZE)]
+
+
+def test_condition_inj_is_counted_before_the_quantale_checks(monkeypatch):
+    # check_condition_inj visits n (sum_u |down u|)^2 candidates (u, v, w,
+    # u', v'), about n^5/4 on a chain: 882,000 on godel:20, which runs in
+    # about 0.2 s (two cores, Python 3.11), and 1,120,581 on godel:21
+    monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
+    entry = {"name": "g", "quantale": "godel:20", "monad": "identity",
+             "assumptions": False}
+    start = time.perf_counter()
+    assert run_entry(entry, guard=882_000)["condition_inj"] == "pass"
+    assert time.perf_counter() - start < 10
+    with pytest.raises(GuardError, match=r"^condition_inj on godel_20 \(u, v, w, u', v'\) "
+                                         r"needs 882000 candidates, above the guard 881999 "):
+        run_entry(entry, guard=881_999)
+    # a lowered guard leaves the default: godel:12 (73,008) runs, godel:13
+    # (107,653) is refused before check_quantale
+    assert run_entry(dict(entry, quantale="godel:12"), guard=1)["condition_inj"] == "pass"
+    monkeypatch.setattr(gallery, "check_quantale", None)
+    with pytest.raises(GuardError, match="needs 107653 candidates, above the guard 100000 "):
+        run_entry(dict(entry, quantale="godel:13"), guard=1)

@@ -1,4 +1,7 @@
-"""Monad data and laws; xi closed forms recomputed independently."""
+"""Monad data and laws; xi closed forms recomputed independently.  The
+monad-level checks walk the in-bound fragments of T(TX), TV and TA; the
+literal loops over T^3 X, T^2 V and T(TA) they replace are kept here as
+their oracles."""
 
 import random
 from itertools import product
@@ -6,10 +9,12 @@ from itertools import product
 import pytest
 
 from tvcat.limits import GuardError
-from tvcat.monads import (FormatError, LabelledMonad, Monoid, WordMonad, can_map,
+from tvcat.monads import (FormatError, LabelledMonad, Monoid, WordMonad,
+                          _default_functions, _default_squares, can_map,
                           check_bc_samples, check_monad_laws, monad_by_name,
                           monad_from_dict, z2)
-from tvcat.quantale import Quantale, lukasiewicz, two
+from tvcat.quantale import Quantale, lukasiewicz, quantale_by_name, two
+from tvcat.report import Reporter, sort_key
 from tvcat.vrel import pair_carrier
 
 XS = ("a", "b")
@@ -224,3 +229,229 @@ def test_nested_guard_reports_an_inner_level_from_below():
     with pytest.raises(GuardError, match=r"^T\^3 X enumeration needs 47293927969 "
                                          r"candidates, above the guard 3616 "):
         check_monad_laws(WordMonad(3), XS, guard=3616)
+
+
+# ---- the walks against the literal loops they replace ----
+
+def monad_laws_oracle(monad, xs, q=None):
+    """check_monad_laws by enumeration of T^3 X and T^2 V, skipping each
+    element where a multiplication is out of bound."""
+    rep = Reporter("monad_laws", bound=monad.bound_info())
+    tx = monad.carrier(xs)
+    for t in tx:
+        rep.tick()
+        if monad.mult(monad.unit(t)) != t:
+            return rep.fail("mult-unit-left", [repr(t)])
+        m = monad.mult(monad.map_elem(monad.unit, t))
+        if m is None:
+            rep.skip()
+        elif m != t:
+            return rep.fail("mult-unit-right", [repr(t)])
+    for ttt in monad.carrier(monad.carrier(tx)):
+        lhs_inner = monad.mult(ttt)
+        tm = monad.map_elem(monad.mult, ttt) if all(
+            monad.mult(t2) is not None for t2 in monad.letters(ttt)) else None
+        if lhs_inner is None or tm is None:
+            rep.skip()
+            continue
+        lhs, rhs = monad.mult(lhs_inner), monad.mult(tm)
+        if lhs is None or rhs is None:
+            rep.skip()
+            continue
+        rep.tick()
+        if lhs != rhs:
+            return rep.fail("mult-associative", [repr(ttt)])
+    if q is not None:
+        elems = tuple(range(q.n))
+        for v in elems:
+            rep.tick()
+            if monad.xi(monad.unit(v), q) != v:
+                return rep.fail("xi-unit", [q.labels[v]])
+        for tt in monad.carrier(monad.carrier(elems)):
+            m = monad.mult(tt)
+            if m is None:
+                rep.skip()
+                continue
+            rep.tick()
+            if monad.xi(m, q) != monad.xi(
+                    monad.map_elem(lambda t: monad.xi(t, q), tt), q):
+                return rep.fail("xi-mult", [repr(tt)])
+    return rep.ok()
+
+
+def bc_samples_oracle(monad):
+    """check_bc_samples by enumeration of T(TA) and T(TB)."""
+    rep = Reporter("bc_squares", bound=monad.bound_info())
+    for a_car, b_car, c_car, f, g in _default_squares():
+        p_car = tuple(p for p in pair_carrier(a_car, b_car) if f[p[0]] == g[p[1]])
+        reachable = {(monad.map_elem(lambda p: p[0], w), monad.map_elem(lambda p: p[1], w))
+                     for w in monad.carrier(p_car)}
+        for fa in monad.carrier(a_car):
+            for fb in monad.carrier(b_car):
+                if monad.map_elem(lambda x: f[x], fa) != monad.map_elem(lambda y: g[y], fb):
+                    continue
+                rep.tick()
+                if (fa, fb) not in reachable:
+                    return rep.fail("weak-pullback", [repr(fa), repr(fb)])
+    for a_car, b_car, f in _default_functions():
+        ta = monad.carrier(a_car)
+        images = {}
+        for big in monad.carrier(ta):
+            m = monad.mult(big)
+            if m is None:
+                rep.skip()
+                continue
+            key = monad.map_elem(lambda t: monad.map_elem(lambda x: f[x], t), big)
+            images.setdefault(key, set()).add(m)
+        for bigb in monad.carrier(monad.carrier(b_car)):
+            mb = monad.mult(bigb)
+            if mb is None:
+                rep.skip()
+                continue
+            for fa in ta:
+                if monad.map_elem(lambda x: f[x], fa) != mb:
+                    continue
+                rep.tick()
+                if fa not in images.get(bigb, set()):
+                    return rep.fail("m-naturality-weak-pullback",
+                                    [repr(bigb), repr(fa)])
+    return rep.ok()
+
+
+def outcome(rep):
+    return rep.status, rep.law, rep.witness, rep.samples, rep.skipped
+
+
+class SortedImages(WordMonad):
+    """Tf sorts the letters of the image word: no word of pairs projects
+    onto b1 b0, though a0 a0 and b1 b0 lie over the same word c0 c0."""
+
+    def map_elem(self, f, t):
+        return tuple(sorted(f(x) for x in t))
+
+
+class SortingMult(WordMonad):
+    """m sorts the flattened word, which is not natural: the only words of
+    words over A above the one-word word b0 b0 multiply to sorted words, so
+    none gives a1 a0."""
+
+    def mult(self, tt):
+        flat = super().mult(tt)
+        return None if flat is None else tuple(sorted(flat))
+
+
+# the shipped monads, and Z3 with its labels e, a, b out of sort_key order
+ORACLE_MONADS = {"identity": monad_by_name("identity"),
+                 "finite_ultrafilter": monad_by_name("finite_ultrafilter"),
+                 "labelled:z2": monad_by_name("labelled:z2"),
+                 "labelled:Z3": LabelledMonad(Z3),
+                 "word:1": WordMonad(1), "word:2": WordMonad(2)}
+
+
+@pytest.mark.parametrize("mname", ORACLE_MONADS)
+@pytest.mark.parametrize("xs", [("x0", "x1"), ("b", "a"), ("c", "a", "b")],
+                         ids=",".join)
+@pytest.mark.parametrize("qname", [None, "two", "godel:3", "lukasiewicz:3"])
+def test_monad_laws_match_the_literal_loops(mname, xs, qname):
+    monad = ORACLE_MONADS[mname]
+    q = quantale_by_name(qname) if qname else None
+    got = check_monad_laws(monad, xs, q)
+    assert outcome(got) == outcome(monad_laws_oracle(monad, xs, q))
+    assert got.samples > 0
+
+
+def test_word3_monad_laws_match_the_literal_loops():
+    # one point: T^3 X has 621,691 elements, above the default guard, which
+    # the oracle enumerates in about 3.5 s and the walk skips in closed form
+    monad, q = WordMonad(3), lukasiewicz(3)
+    got = check_monad_laws(monad, ("a",), q, guard=10 ** 6)
+    assert outcome(got) == outcome(monad_laws_oracle(monad, ("a",), q))
+    assert (got.status, got.samples, got.skipped) == ("bounded-pass", 952, 686132)
+
+
+@pytest.mark.parametrize("monad,q", [(DoubledUnit(2), None),
+                                     (OuterLabelDropped(z2()), None),
+                                     (NonAssociativeLabels(Z3), None),
+                                     (WordMonad(2), _two_with_tensor(((0, 0), (0, 0)))),
+                                     (WordMonad(2), _two_with_tensor(((0, 1), (0, 1))))],
+                         ids=["mult-unit-left", "mult-unit-right", "mult-associative",
+                              "xi-unit", "xi-mult"])
+def test_planted_monad_laws_match_the_literal_loops(monad, q):
+    got = check_monad_laws(monad, XS, q)
+    assert got.status == "fail"
+    assert outcome(got) == outcome(monad_laws_oracle(monad, XS, q))
+
+
+@pytest.mark.parametrize("monad", list(ORACLE_MONADS.values())
+                         + [WordMonad(3), SortedImages(2), SortingMult(2)],
+                         ids=list(ORACLE_MONADS) + ["word:3", "sorted-images",
+                                                   "sorting-mult"])
+def test_bc_samples_match_the_literal_loops(monad):
+    got = check_bc_samples(monad)
+    assert outcome(got) == outcome(bc_samples_oracle(monad))
+    assert got.samples > 0
+
+
+@pytest.mark.parametrize("monad,law,witness,skipped", [
+    (SortedImages(2), "weak-pullback", ["('a0', 'a0')", "('b1', 'b0')"], 0),
+    (SortingMult(2), "m-naturality-weak-pullback",
+     ["(('b0', 'b0'),)", "('a1', 'a0')"], 32),
+], ids=["weak-pullback", "m-naturality-weak-pullback"])
+def test_bc_samples_planted_defects(monad, law, witness, skipped):
+    rep = check_bc_samples(monad)
+    assert rep.status == "fail"
+    assert (rep.law, rep.witness, rep.skipped) == (law, witness, skipped)
+
+
+class Recording(WordMonad):
+    """A word monad that lists the carriers it is asked to enumerate."""
+
+    def __init__(self, max_len):
+        super().__init__(max_len)
+        self.asked, self.built = [], []
+
+    def carrier(self, xs):
+        self.asked.append(xs)
+        self.built.append(super().carrier(xs))
+        return self.built[-1]
+
+
+def test_monad_checks_build_no_carrier_past_one_nesting():
+    # T(TX) and TV are the largest carriers the laws ask for, never T^3 X
+    # (3,307 words of words of words here) or T^2 V
+    monad = Recording(2)
+    xs, tx = ("x0", "x1"), WordMonad(2).carrier(("x0", "x1"))
+    check_monad_laws(monad, xs, two())
+    assert set(monad.asked) == {xs, tx, (0, 1)}
+    # the squares ask for TA, TB and T of the pullbacks, never T(TA)
+    monad = Recording(2)
+    assert check_bc_samples(monad).status == "bounded-pass"
+    assert not set(monad.asked) & set(monad.built)
+    assert max(map(len, monad.built)) == WordMonad(2).carrier_size(4)
+
+
+@pytest.mark.parametrize("spec", ["identity", "finite_ultrafilter",
+                                  "labelled:z2", "word:1", "word:2", "word:3"])
+@pytest.mark.parametrize("xs", [("b", "a"), ("c", "a", "b")], ids=len)
+def test_inbound_ranks_are_positions_in_the_carrier(spec, xs):
+    # from TX in carrier order or in sort_key order, the rank of an in-bound
+    # XX is its position in carrier(order): the monad checks walk the
+    # former, LaxExtension.fragment the latter
+    monad = monad_by_name(spec)
+    tx = monad.carrier(xs)
+    for order in (tx, tuple(sorted(tx, key=sort_key))):
+        ttx = monad.carrier(order)
+        assert list(monad.inbound(order)) == [
+            (i, xx) for i, xx in enumerate(ttx) if monad.mult(xx) is not None]
+
+
+def test_labelled_inbound_ranks_with_labels_out_of_sort_order():
+    # Z3 lists e, a, b: from carrier order the ranks are positions in
+    # carrier(order), from sort_key order positions in sorted T(TX)
+    monad = LabelledMonad(Z3)
+    tx = monad.carrier(("b", "a"))
+    assert list(monad.inbound(tx)) == list(enumerate(monad.carrier(tx)))
+    order = tuple(sorted(tx, key=sort_key))
+    ranked = list(monad.inbound(order))
+    assert ranked == list(enumerate(sorted(monad.carrier(order), key=sort_key)))
+    assert ranked != list(enumerate(monad.carrier(order)))

@@ -22,7 +22,8 @@ presheaf and exponential kernels compute no xi, and the gallery loads its
 structures on its own extension, serializing nothing.  A sixth keeps
 ``Quantale.sup`` the one sup-finder of ``quantale.py``: joins and meets are
 up- and down-set lookups, and hom and Heyting fold the join table through
-it."""
+it.  A seventh keeps the gap loop of the in-bound fragment with
+``TheoryMonad.fragment`` and its skips with ``monads.walk_fragment``."""
 
 import ast
 import random
@@ -394,3 +395,50 @@ def test_the_guard_sees_a_second_sup_finder():
                      "    def _sup_of(self, elems):\n"
                      "        return 0\n")
     assert sup_folds(tree) == (["_sup_of"], {"join": ["sup"], "hom": ["self.sup"]})
+
+
+def gap_loops(tree):
+    """(class, function) of each call of ``inbound`` and of each generator
+    that counts skips: the function holds a ``yield`` and a ``skip`` call."""
+    ranked = [(cls, fn) for cls, fn, _ in calls(tree, "inbound")]
+    walks = []
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef):
+            inner = list(ast.walk(node))
+            if (any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in inner)
+                    and calls(node, "skip")):
+                walks.append((cls, node.name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return ranked, walks
+
+
+def test_the_gap_loop_has_one_owner():
+    # the extension caches TheoryMonad.fragment over the sort_key order and
+    # the monad checks call it over carrier order, both walked by one
+    # generator; structure_on only counts the in-bound XX against its guard
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        ranked, walks = gap_loops(ast.parse(path.read_text(encoding="utf-8")))
+        if ranked or walks:
+            found[path.name] = (ranked, walks)
+    assert found == {"categories.py": ([(None, "structure_on")], []),
+                     "monads.py": ([("TheoryMonad", "fragment")],
+                                   [(None, "walk_fragment")])}
+
+
+def test_the_guard_sees_a_second_gap_loop():
+    tree = ast.parse("class LaxExtension:\n"
+                     "    def fragment(self, xs):\n"
+                     "        return [r for r, _ in self.monad.inbound(xs)]\n"
+                     "    def walk(self, xs, rep):\n"
+                     "        for gap, xx in self.fragment(xs):\n"
+                     "            rep.skip(gap)\n"
+                     "            yield xx\n")
+    assert gap_loops(tree) == ([("LaxExtension", "fragment")],
+                               [("LaxExtension", "walk")])
