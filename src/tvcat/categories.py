@@ -20,13 +20,14 @@ the points X, and the closure's defect scan reads T(supp a).
 Each derived table has one owner: constructions take T(X) from ext.carrier
 and sort_key walks read ext.sorted_carrier.  Per structure, once, for the
 closure round that returns it, (T), the splitting and frame criteria and M
-(so dual, representation, presheaves): ``TVStructure.ta``, the rows of Ta
-on the fragment, and ``kleisli``, the value levels of a . Ta, no relation.
+(so dual, representation, presheaves): ``TVStructure.rows``, the one
+grouping of a, ``ta``, the rows of Ta on the fragment, and ``kleisli``,
+the value levels of a . Ta, no relation.
 
 compatible_maps is the one search for maps h with a(t, x) <= b(Th t, h x):
 the exponential and presheaf carriers, the representation search and weak
-factorization all run it.  The algebra law alpha-v-functor reads only the
-non-bottom rows of Ta0 on the domain of alpha.
+factorization all run it.  The algebra law alpha-v-functor lifts the rows
+of a0 on the domain of alpha alone, building no Ta0 relation.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .quantale import FormatError, Quantale, _closure, quantale_by_name
 from .report import CheckReport, Reporter, sort_key
 from .theory import LaxExtension
 from .vrel import (VRel, compose_levels, constant_rel, decode_levels, pair_carrier,
-                   push_forward, random_relation, tabulate)
+                   push_forward, random_relation, tabulate, value_levels)
 
 
 class TVStructure:
@@ -74,14 +75,19 @@ class TVStructure:
         return self.a.src
 
     @cached_property
+    def rows(self) -> dict:
+        """a by rows, the one grouping of a for every table read off it."""
+        return self.a.rows()
+
+    @cached_property
     def ta(self) -> dict:
         """Ta by rows on the in-bound fragment of TTX, ta[XX] = {t: Ta(XX, t)},
         lifted once per structure for the checks that read it."""
-        return self.ext.lift_rows(self.a, self.ext.fragment(self.carrier)[2])
+        return self.ext.lift_rows(self.rows, self.ext.fragment(self.carrier)[2])
 
     @cached_property
     def levels(self) -> dict:
-        return self.a.levels()
+        return value_levels(self.rows, self.carrier)
 
     @cached_property
     def kleisli(self) -> dict:
@@ -320,21 +326,19 @@ def graph_to_category(s: TVStructure) -> TVStructure:
             for x, v in decode_levels(q.join, level, s.carrier).items())])
         if ent == out.a.entries:
             break
-    if _out_of_bound_defect(s.ext, out.a):
+    if _out_of_bound_defect(out):
         out.flags["bounded_closure"] = True
     return out
 
 
-def _out_of_bound_defect(ext: LaxExtension, a: VRel) -> bool:
+def _out_of_bound_defect(s: TVStructure) -> bool:
     """Whether Ta (x) a is non-bottom at some out-of-bound XX, scanning the
     fibers of Ta there until the first one.  An XX with a letter outside the
     rows of a has an empty fiber, so only T(supp a) is scanned.  The tensor
     distributes over the join of a fiber, so one non-bottom term is enough."""
-    q = ext.quantale
-    monad = ext.monad
-    rows = a.rows()
+    q, monad, rows = s.quantale, s.monad, s.rows
     return any(q.tens(monad.xi_of_values(values, q), v) != q.bottom
-               for xx in ext.carrier(tuple(rows)) if monad.mult(xx) is None
+               for xx in s.ext.carrier(tuple(rows)) if monad.mult(xx) is None
                for xv, values in monad.fiber(xx, rows)
                for _, v in rows.get(xv, ()))
 
@@ -503,8 +507,8 @@ def check_algebra(alg: EMAlgebra) -> CheckReport:
     # a t inside it ticks each u inside and skips each u outside
     alpha = alg.alpha
     rank = {t: i for i, t in enumerate(tx)}
-    ta0 = alg.ext.extend(a0, src=tuple(t for t in tx if t in alpha)).rows()
-    bad = min(((rank[t], rank[u]) for t, row in ta0.items() for u, v in row
+    ta0 = alg.ext.lift_rows(a0.rows(), tuple(t for t in tx if t in alpha))
+    bad = min(((rank[t], rank[u]) for t, row in ta0.items() for u, v in row.items()
                if u in alpha and not q.le(v, a0(alpha[t], alpha[u]))), default=None)
     inside = [t in alpha for t in tx]
     i, j = bad or (len(tx), -1)

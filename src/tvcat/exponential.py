@@ -30,7 +30,7 @@ from .limits import check_guard
 from .quantale import FormatError
 from .report import CheckReport, Reporter
 from .theory import LaxExtension
-from .vrel import VRel, decode_levels
+from .vrel import VRel, decode_levels, value_levels
 
 
 class NotTransitive(RuntimeError):
@@ -71,10 +71,10 @@ def point_tests(ext: LaxExtension, xs: tuple) -> list:
     return [t for t, star in ext.can_map(xs, ("*",)).values() if star == estar]
 
 
-def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b: VRel,
+def largest_compatible(sx: TVStructure, z: tuple, b: VRel,
                        imp, guard: int | None = None) -> VRel:
     """The largest structure on z, a set of maps X -> Y stored as value
-    tuples in the order of X = a.dst, making evaluation Z x X -> Y
+    tuples in the carrier order of sx = (X, a), making evaluation Z x X -> Y
     structure-compatible for the structure b on Y: c(p, h) is the meet, over
     T-elements w of Z x X above p and points x, of imp[a(Tpi_X w, x)][b(Tev
     w, h x)], for the implication table imp (Heyting for exponentials,
@@ -89,19 +89,16 @@ def largest_compatible(ext: LaxExtension, z: tuple, a: VRel, b: VRel,
     ORed into the value of the term; each column is decoded once by
     ``decode_levels``.  The guard counts T(Z x X), an upper bound on the w
     visited.  Entries come in the order p in T(z), then h in z."""
-    q = ext.quantale
-    xs, top, bot = a.dst, q.top, q.bottom
+    ext, q, xs = sx.ext, sx.quantale, sx.carrier
+    top, bot = q.top, q.bottom
     check_guard(ext.monad.carrier_size(len(z) * len(xs)), "T(carrier x X) enumeration",
                 guard)
-    levels = {x: {} for x in xs}
-    for k, h in enumerate(z):
-        for x, y in zip(xs, h):
-            levels[x][y] = levels[x].get(y, 0) | 1 << k
-    value_rows = {x: [(y, y) for y in level] for x, level in levels.items()}
     map_rows = {x: [(h, h[i]) for h in z] for i, x in enumerate(xs)}
+    levels = value_levels(map_rows, z)
+    value_rows = {x: [(y, y) for y in level] for x, level in levels.items()}
     brows = {t: dict(row) for t, row in b.rows().items()}
     cols: dict = {}
-    for t, arow in a.rows().items():
+    for t, arow in sx.rows.items():
         terms = {}
         for tev, values in ext.monad.fiber(t, value_rows):
             row = brows.get(tev, {})
@@ -140,7 +137,7 @@ def graph_exponential(sx: TVStructure, sy: TVStructure,
     if sx.quantale != sy.quantale:
         raise FormatError("exponential across different quantales")
     z = admissible_maps(sx, sy, guard)
-    rel = largest_compatible(sx.ext, z, sx.a, sy.a, sx.quantale.heyting, guard)
+    rel = largest_compatible(sx, z, sy.a, sx.quantale.heyting, guard)
     return ExponentialGraph(sx, sy, TVStructure(sx.ext, z, rel))
 
 
@@ -156,19 +153,17 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
     the literal loop."""
     rep = Reporter("exponentiability", bound=sx.ext.bound_info())
     q = sx.quantale
-    xs = sx.carrier
-    xidx = {x: i for i, x in enumerate(xs)}
-    a_rows = {t: [(xidx[x], v) for x, v in row] for t, row in sx.a.rows().items()}
+    xs, rows = sx.carrier, sx.rows
     meet, tensor = q.meet, q.tensor
     elems = range(q.n)
     square = q.n * q.n
     passed = set()
     for xx, mx in sx.ext.walk(xs, rep):
-        pairs = [set() for _ in xs]
+        pairs = {x: set() for x in xs}
         for t, v1 in sx.ta.get(xx, {}).items():
-            for i, v2 in a_rows.get(t, ()):
-                pairs[i].add((v1, v2))
-        for x, ps in zip(xs, pairs):
+            for x, v2 in rows.get(t, ()):
+                pairs[x].add((v1, v2))
+        for x, ps in pairs.items():
             amx = sx.a(mx, x)
             key = (frozenset(ps), amx)
             if key in passed:

@@ -68,8 +68,9 @@ def _build_structure(ext: LaxExtension, spec: dict) -> TVStructure:
 
 
 def run_entry(entry: dict, seed: int = 0, guard: int | None = None) -> dict:
-    # a lowered guard still admits the bundled quantales, as in structure_on
-    q = quantale_by_name(entry["quantale"], max(guard_limit(guard), DEFAULT_GUARD_SIZE))
+    # a lowered guard still admits bundled quantales and their assumptions
+    floor = max(guard_limit(guard), DEFAULT_GUARD_SIZE)
+    q = quantale_by_name(entry["quantale"], floor)
     guard_condition_inj(q, guard)
     monad = monad_by_name(entry["monad"])
     ext = LaxExtension(monad, q)
@@ -79,7 +80,7 @@ def run_entry(entry: dict, seed: int = 0, guard: int | None = None) -> dict:
     out["monad_laws"] = check_monad_laws(monad, ("x0", "x1"), q).status
     if entry.get("assumptions", True):
         bundle = check_assumptions_bundle(
-            ext, seed=seed, exhaustive=entry.get("exhaustive"))
+            ext, seed=seed, exhaustive=entry.get("exhaustive"), guard=floor)
         out["assumptions"] = bundle.details.get("verdicts")
     structures = {}
     for sp in entry.get("structures", []):

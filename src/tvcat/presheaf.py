@@ -62,7 +62,7 @@ def build_presheaf_category(s: TVStructure, guard: int | None = None) -> Preshea
         q, s.monad, {t: range(q.n) for t in tx},
         (((tt, t), op.a(tt, t)) for tt in point_tests(s.ext, tx) for t in tx),
         hom_xi), key=sort_key))
-    rel = largest_compatible(s.ext, carrier, op.a, hom_xi, q.hom, guard)
+    rel = largest_compatible(op, carrier, hom_xi, q.hom, guard)
     px = TVStructure(s.ext, carrier, rel,
                      name=(s.name + "^" if s.name else "") + "P")
     return PresheafCategory(s, op, px)
@@ -186,13 +186,13 @@ def check_calculus(s: TVStructure, px: PresheafCategory | None = None,
                 rep.tick()
                 if not q.le(q.tens(s.a(t, y), u), s.a(t, plus[(y, u)])):
                     return rep.fail("item-4", [repr(t), repr(y), q.labels[u]])
-    ta = s.ext.extend(s.a)
+    ta, bot = s.ext.lift_rows(s.rows, s.ext.carrier(s.tx)), q.bottom
     for u in range(q.n):
-        for xx in ta.src:
+        for xx, row in ta.items():
             for t in s.tx:
                 rep.tick()
                 tplus = monad.map_elem(lambda z: plus[(z, u)], t)
-                if not q.le(q.tens(ta(xx, t), u), ta(xx, tplus)):
+                if not q.le(q.tens(row.get(t, bot), u), row.get(tplus, bot)):
                     return rep.fail("item-5", [repr(xx), repr(t), q.labels[u]])
     return rep.ok()
 
@@ -263,7 +263,7 @@ def weak_exponential(sx: TVStructure, sy: TVStructure,
     keep = tuple(phi for phi in admissible_maps(px.structure, py.structure, guard)
                  if all(phi[pidx[psi]] in yyimg for psi in yximg))
     pa, pb = px.structure, py.structure
-    rel = largest_compatible(pa.ext, keep, pa.a, pb.a, pa.quantale.heyting, guard)
+    rel = largest_compatible(pa, keep, pb.a, pa.quantale.heyting, guard)
     return WeakExponential(sx, sy, px, py, TVStructure(pa.ext, keep, rel), yx, yy)
 
 

@@ -32,7 +32,8 @@ distinct relation of their pairs once, in a table local to the call.
 T(X) (``carrier``, the one enumeration of T(X) outside monads.py), its
 sort_key order (``sorted_carrier``, the one sort of a T-carrier), the
 fragment and the comparison map (``can_map``, on the T(X x Y) of
-``carrier``).  ``lift_rows`` folds the fibers, ``extend`` is its relation.
+``carrier``).  ``lift_rows`` folds the fibers over rows its callers hold;
+``extend``, its relation, is built by the extension laws alone.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from itertools import product
 
 from .limits import check_guard
 from .monads import TheoryMonad, can_map, walk_fragment
-from .quantale import FormatError, Quantale, check_condition_inj, tensor_bottom
+from .quantale import (FormatError, Quantale, check_condition_inj, guard_condition_inj,
+                       tensor_bottom)
 from .report import CheckReport, Reporter, sort_key
 from .vrel import (VRel, all_relations, id_rel, pair_carrier, push_forward,
                    random_relation, tabulate)
@@ -70,17 +72,16 @@ class LaxExtension:
     def bound_info(self):
         return self.monad.bound_info()
 
-    def extend(self, r: VRel, src: tuple | None = None) -> VRel:
-        """Tr: TX -|-> TY, on the T-elements src of TX (all of TX when None):
-        the relation of the rows of ``lift_rows``."""
-        tx = self.carrier(r.src) if src is None else src
-        return VRel(self.quantale, tx, self.carrier(r.dst), {
-            (t, ty): v for t, row in self.lift_rows(r, tx).items() for ty, v in row.items()})
+    def extend(self, r: VRel) -> VRel:
+        """Tr: TX -|-> TY, the relation of the rows of ``lift_rows``."""
+        rows = self.lift_rows(r.rows(), self.carrier(r.src))
+        return VRel(self.quantale, self.carrier(r.src), self.carrier(r.dst), {
+            (t, ty): v for t, row in rows.items() for ty, v in row.items()})
 
-    def lift_rows(self, r: VRel, tx: tuple) -> dict:
-        """Tr by rows at the T-elements tx, {t: {ty: v}} without bottom: v is
-        the join of xi over the fibers of T(supp r) above t."""
-        q, monad, rows = self.quantale, self.monad, r.rows()
+    def lift_rows(self, rows: dict, tx: tuple) -> dict:
+        """Tr by rows at the T-elements tx, from r by rows (``VRel.rows``):
+        {t: {ty: v}} without bottom: v joins xi over the fibers of T(supp r) above t."""
+        q, monad = self.quantale, self.monad
         xi, join, bot, out = monad.xi_of_values, q.join, q.bottom, {}
         for t in tx:
             row = out[t] = {}
@@ -193,7 +194,7 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
         for j, (ygap, yy, my) in enumerate(yrows):
             ygaps += ygap
             ypos[yy] = (j, yy, my, ygaps)
-        ttr = ext.lift_rows(tr, ext.fragment(xs)[2])
+        ttr = ext.lift_rows(lift(r, rows=True), ext.fragment(xs)[2])
         for xx, mx in ext.walk(xs, rep):
             bad = [ypos[yy] for yy, v in ttr.get(xx, {}).items()
                    if yy in ypos and not q.le(v, tr(mx, ypos[yy][2]))]
@@ -249,12 +250,11 @@ def infi_sweep(ext: LaxExtension, rs: list, ss: list):
     def indexed(r):
         # the non-bottom entries of Tr by row as (position in T(dst), value)
         # in dst order, and the rows of r by point, equal rows one object
-        key = (r.src, r.dst, frozenset(r.entries.items()))
+        key, base = (r.src, r.dst, frozenset(r.entries.items())), r.rows()
         if key not in lifts:
             pos = {y: j for j, y in enumerate(ext.carrier(r.dst))}
-            lifts[key] = {t: sorted((pos[y], v) for y, v in row)
-                          for t, row in ext.extend(r).rows().items()}
-        base = r.rows()
+            lifts[key] = {t: sorted((pos[y], v) for y, v in row.items())
+                          for t, row in ext.lift_rows(base, ext.carrier(r.src)).items()}
         return lifts[key], {x: rows.setdefault(row := frozenset(base.get(x, ())), row)
                             for x in r.src}
 
@@ -369,7 +369,7 @@ def check_assumption3(ext: LaxExtension, r: VRel, u: int) -> CheckReport:
     q = ext.quantale
     monad = ext.monad
     tx = ext.carrier(r.src)
-    lhs, rows = ext.lift_rows(r.tensor_scalar(u), tx), ext.lift_rows(r, tx)
+    lhs, rows = ext.lift_rows(r.tensor_scalar(u).rows(), tx), ext.lift_rows(r.rows(), tx)
     for x in ext.sorted_carrier(r.src):
         for y in ext.sorted_carrier(r.dst):
             if not monad.letters(x) and not monad.letters(y):
@@ -416,7 +416,7 @@ def check_assumptions_bundle(ext: LaxExtension, seed: int = 0,
     """Aggregate verdicts for the four standing assumptions; per-condition
     results land in the details table.  The fibers of the joint relations
     X x X' -|-> Y x Y' of the infi pairs range over T((X x X') x (Y x Y')),
-    which is guarded by its count."""
+    guarded by its count, as is condition_inj by ``guard_condition_inj``."""
     import random
 
     rep = Reporter("assumptions_bundle", bound=ext.bound_info())
@@ -427,6 +427,7 @@ def check_assumptions_bundle(ext: LaxExtension, seed: int = 0,
     ys = ("y0", "y1")
     check_guard(ext.monad.carrier_size(len(xs) ** 2 * len(ys) ** 2),
                 "T((X x X') x (Y x Y')) enumeration", guard)
+    guard_condition_inj(q, guard)
     if exhaustive is None:
         exhaustive = q.n <= 4
     # the sub-checks of each condition as (pairs or relations it ran,

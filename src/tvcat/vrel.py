@@ -51,16 +51,6 @@ class VRel:
                 out.setdefault(x, []).append((y, v))
         return out
 
-    def levels(self) -> dict:
-        """The value levels: levels[x][v] is the bitset of the positions in
-        dst of the y with self(x, y) = v, bottom left out."""
-        pos, out = {y: i for i, y in enumerate(self.dst)}, {}
-        for x, row in self.rows().items():
-            level = out[x] = {}
-            for y, v in row:
-                level[v] = level.get(v, 0) | 1 << pos[y]
-        return out
-
     # ---- relational calculus ----
 
     def compose(self, r: "VRel") -> "VRel":
@@ -70,7 +60,7 @@ class VRel:
             raise FormatError("composition across different quantales")
         if self.src != r.dst:
             raise FormatError("carrier mismatch in composition")
-        q, dst, levels = self.quantale, self.dst, self.levels()
+        q, dst, levels = self.quantale, self.dst, value_levels(self.rows(), self.dst)
         return VRel(q, r.src, dst, {
             (x, z): w for x, row in r.rows().items()
             for z, w in decode_levels(q.join, compose_levels(q, row, levels), dst).items()})
@@ -168,6 +158,17 @@ def push_forward(q: Quantale, items) -> dict:
     return out
 
 
+def value_levels(rows: dict, dst: tuple) -> dict:
+    """The value levels of a relation from its rows: levels[x][v] is the
+    bitset of the positions in dst of the y with r(x, y) = v."""
+    pos, out = {y: i for i, y in enumerate(dst)}, {}
+    for x, row in rows.items():
+        level = out[x] = {}
+        for y, v in row:
+            level[v] = level.get(v, 0) | 1 << pos[y]
+    return out
+
+
 def compose_levels(q: Quantale, row, levels: dict) -> dict:
     """The levels of s . r at x from the (y, u) of the row of r at x and the
     levels of s: each (v, bits) of s at y ORs into u (x) v.  Bottom absorbs
@@ -195,11 +196,6 @@ def decode_levels(op, level: dict, dst: tuple) -> dict:
 def id_rel(q: Quantale, xs: tuple) -> VRel:
     """Identity relation: unit on the diagonal, bottom elsewhere."""
     return VRel(q, xs, xs, {(x, x): q.unit for x in xs})
-
-
-def from_function(q: Quantale, f: Callable, src: tuple, dst: tuple) -> VRel:
-    """Graph of a function as a V-relation (unit where y = f(x))."""
-    return VRel(q, src, dst, {(x, f(x)): q.unit for x in src})
 
 
 def constant_rel(q: Quantale, src: tuple, dst: tuple, u: int) -> VRel:

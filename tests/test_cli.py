@@ -427,25 +427,35 @@ def test_huge_builtin_quantales_are_one_line_guard_errors(capsys, monkeypatch,
 def test_condition_inj_count_is_a_one_line_guard_error(capsys, monkeypatch, tmp_path):
     # godel:100 builds at once (10,000 table cells), but check_condition_inj
     # would visit 100 * 5050^2 candidates, some ten minutes: the quantale
-    # check and a gallery entry now exit 2 at once, at the default guard
-    # and at one raised past the table cells
+    # check, a gallery entry and the assumption bundle exit 2 at once, at
+    # the default guard and at one raised past the table cells
     monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
     data = tmp_path / "gallery.json"
     data.write_text(json.dumps({"entries": [
         {"name": "big", "quantale": "godel:100", "monad": "identity"}]}))
     need = "condition_inj on godel_100 (u, v, w, u', v') needs 2550250000"
+    bundle = ["theory", "check-assumptions", "--monad", "identity", "--quantale"]
     for argv, limit in ((["quantale", "check", "godel:100"], 100000),
                         (["gallery", "run", "--data", str(data),
-                          "--guard-size", "200000"], 200000)):
+                          "--guard-size", "200000"], 200000),
+                        (bundle + ["godel:100"], 100000)):
         start = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - start < 5
         assert capsys.readouterr().err == "error: %s candidates%s" % (need, GUARD_HINT % limit)
     # godel:13 (107,653 candidates) is refused at the default guard, and
-    # checked once the guard admits it
+    # checked once the guard admits it, as is godel:20 (882,000) by the bundle
     assert main(["quantale", "check", "godel:13"]) == 2
     capsys.readouterr()
     assert main(["quantale", "check", "godel:13", "--guard-size", "107653"]) == 0
+    start = time.perf_counter()
+    assert main(bundle + ["godel:20", "--guard-size", "882000"]) == 0
+    assert time.perf_counter() - start < 10
+    capsys.readouterr()
+    assert main(bundle + ["godel:20", "--guard-size", "881999"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: condition_inj on godel_20 (u, v, w, u', v') needs 882000 candidates, "
+        "above the guard 881999 ")
 
 
 def test_quantale_guard_is_the_commands_guard(capsys, monkeypatch, tmp_path):

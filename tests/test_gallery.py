@@ -8,6 +8,7 @@ import pytest
 import tvcat.gallery as gallery
 from tvcat.gallery import DATA_PATH, _diff, load_gallery, run_entry, run_gallery
 from tvcat.limits import DEFAULT_GUARD_SIZE, GuardError
+from tvcat.report import CheckReport
 
 
 def test_data_file_is_valid_json():
@@ -75,6 +76,20 @@ def test_raised_guard_reaches_the_quantale(monkeypatch):
             run_entry(entry, guard=guard)
     assert seen == [("godel:317", 200_000), ("godel:317", DEFAULT_GUARD_SIZE),
                     ("godel:317", DEFAULT_GUARD_SIZE)]
+
+
+def test_raised_guard_reaches_the_assumption_bundle(monkeypatch):
+    # the bundle counts condition_inj as run_entry does, so it gets the same
+    # floored guard: a raised one reaches it, a lowered one leaves the default
+    seen = []
+    monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
+    monkeypatch.setattr(gallery, "check_assumptions_bundle",
+                        lambda ext, seed, exhaustive, guard: seen.append(guard) or
+                        CheckReport("assumptions_bundle", "pass"))
+    entry = {"name": "g", "quantale": "two", "monad": "identity"}
+    for guard in (882_000, 1, None):
+        run_entry(entry, guard=guard)
+    assert seen == [882_000, DEFAULT_GUARD_SIZE, DEFAULT_GUARD_SIZE]
 
 
 def test_condition_inj_is_counted_before_the_quantale_checks(monkeypatch):

@@ -247,7 +247,7 @@ def test_presheaf_reads_the_left_residual_at_bottom(u):
     right = [[q.sup([v for v in range(q.n) if q.le(q.tensor[v][w], z)])
               for z in range(q.n)] for w in range(q.n)]
     assert right[q.index(u)][0] != q.hom[q.index(u)][0]
-    assert largest_compatible(ext, carrier, px.opposite.a, ext.hom_xi(),
+    assert largest_compatible(px.opposite, carrier, ext.hom_xi(),
                               right) == px.structure.a
 
 
@@ -529,8 +529,9 @@ def test_fiber_extension_matches_literal_enumeration(qname, mname):
     assert xxs == tuple(xx for _, xx, _ in rows)
     for _ in range(1 if mname == "word:3" else 4):
         a = random_relation(q, tx, xs, rng)
-        assert as_table(ext.extend(a, src=xxs)) == as_table(
-            literal_extension(ext, a, src=xxs))
+        ta = literal_extension(ext, a, src=xxs)
+        assert ext.lift_rows(a.rows(), xxs) == {
+            xx: dict(ta.rows().get(xx, ())) for xx in xxs}
 
 
 @pytest.mark.parametrize("mname", ("identity", "finite_ultrafilter", "word:3",
@@ -1098,8 +1099,8 @@ def test_infi_sweep_matches_dense_loop(cell):
 
 def test_sweep_extends_each_relation_once(monkeypatch):
     # rs and ss overlap, and repeat relations as equal copies: the sweep
-    # extends each distinct relation of rs and ss once, and builds no
-    # relation per square (neither the joint relation nor its extension)
+    # lifts the rows of each distinct relation of rs and ss once, and builds
+    # no relation at all (no extension, no joint relation per square)
     ext = LaxExtension(monad_by_name("word:2"), quantale_by_name("godel:3"))
     q = ext.quantale
     rels = list(all_relations(q, ("b", "a"), ("d", "c")))
@@ -1108,25 +1109,24 @@ def test_sweep_extends_each_relation_once(monkeypatch):
     ss = rng.sample(rs, 10) + rng.sample(rels, 10)
     ss += [VRel(q, r.src, r.dst, dict(r.entries)) for r in ss[:5]]
     distinct = {frozenset(r.entries.items()) for r in rs + ss}
-    extended, built = [], [0]
-    extend, post_init = LaxExtension.extend, VRel.__post_init__
+    lifted, built = [], [0]
+    lift_rows, post_init = LaxExtension.lift_rows, VRel.__post_init__
 
-    def counted_extend(self, r, src=None):
-        extended.append(frozenset(r.entries.items()))
-        return extend(self, r, src)
+    def counted_lift_rows(self, rows, tx):
+        lifted.append(frozenset(((x, y), v) for x, row in rows.items() for y, v in row))
+        return lift_rows(self, rows, tx)
 
     def counted_post_init(self):
         built[0] += 1
         post_init(self)
 
-    monkeypatch.setattr(LaxExtension, "extend", counted_extend)
+    monkeypatch.setattr(LaxExtension, "lift_rows", counted_lift_rows)
     monkeypatch.setattr(VRel, "__post_init__", counted_post_init)
     index, got = infi_sweep(ext, rs, ss)
     monkeypatch.undo()
     assert got.passed and index == len(rs) * len(ss)
-    assert len(extended) == len(set(extended)) and set(extended) == distinct
-    # the extensions are the only relations built
-    assert built[0] == len(distinct)
+    assert len(lifted) == len(set(lifted)) and set(lifted) == distinct
+    assert built[0] == 0
 
 
 @pytest.mark.parametrize("qname", ["two", "godel:3", "lukasiewicz:3",
@@ -1515,8 +1515,8 @@ def test_ta_and_kleisli_rows_match_extend_and_compose(q, mname):
     for _ in range(8):
         raw = TVStructure(ext, xs, random_relation(q, ext.carrier(xs), xs, rng))
         for s in (raw, graph_to_category(raw)):
+            # s.ta is lift_rows on the fragment, from the rows of s.a
             ta = literal_extension(ext, s.a, frag)
-            assert ta == ext.extend(s.a, src=frag)
             assert s.ta == {xx: dict(ta.rows().get(xx, ())) for xx in frag}
             via = {(xx, x): v for xx, level in s.kleisli.items()
                    for x, v in decode_levels(q.join, level, xs).items()}

@@ -42,6 +42,7 @@ from tvcat.monads import monad_by_name
 from tvcat.presheaf import build_presheaf_category
 from tvcat.quantale import quantale_by_name
 from tvcat.theory import LaxExtension
+from tvcat.vrel import VRel
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tvcat"
 
@@ -97,9 +98,9 @@ def test_ta_is_extended_once_per_structure(monkeypatch):
     calls = []
     lift_rows = LaxExtension.lift_rows
 
-    def counted(self, r, tx):
-        calls.append((r, tx))
-        return lift_rows(self, r, tx)
+    def counted(self, rows, tx):
+        calls.append((rows, tx))
+        return lift_rows(self, rows, tx)
 
     monkeypatch.setattr(LaxExtension, "lift_rows", counted)
     s = random_category(ext, ("b", "a"), random.Random(7))
@@ -109,7 +110,31 @@ def test_ta_is_extended_once_per_structure(monkeypatch):
     dual(s)
     find_representation(s)
     frag = ext.fragment(s.carrier)[2]
-    assert sum(r is s.a and tx is frag for r, tx in calls) == 1
+    assert sum(rows is s.rows and tx is frag for rows, tx in calls) == 1
+
+
+def test_a_is_grouped_once_per_structure(monkeypatch):
+    # TVStructure.rows is the one grouping of a: Ta, the levels of a, the
+    # closure's defect scan, the splitting check and the exponential's walk
+    # over the rows of a read it.  The exponential's target b is read as a
+    # relation, grouped once per call, so here it is another structure
+    ext = word2("godel:3")
+    grouped = []
+    rows = VRel.rows
+
+    def counted(self):
+        grouped.append(self)
+        return rows(self)
+
+    monkeypatch.setattr(VRel, "rows", counted)
+    s = random_category(ext, ("b", "a"), random.Random(7))
+    check_category(s)
+    check_exponentiability(s)
+    check_frame_criterion(s)
+    dual(s)
+    find_representation(s)
+    graph_exponential(s, discrete(ext, ("d", "c")))
+    assert sum(r is s.a for r in grouped) == 1
 
 
 def calls(tree, name):

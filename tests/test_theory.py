@@ -6,7 +6,7 @@ import pytest
 
 from tvcat.limits import GuardError
 from tvcat.monads import monad_by_name
-from tvcat.quantale import godel_chain, lukasiewicz, two
+from tvcat.quantale import Quantale, check_quantale, godel_chain, lukasiewicz, two
 from tvcat.theory import (LaxExtension, check_assumption3, check_assumption4,
                           check_assumptions_bundle, check_extension_laws,
                           check_infi, check_xi_meet, check_xi_point)
@@ -164,6 +164,37 @@ def test_assumption4_verdicts():
                                           two())).passed
 
 
+def _chain(labels, tensor, unit):
+    n = len(labels)
+    leq = tuple(tuple(i <= j for j in range(n)) for i in range(n))
+    return Quantale(labels, leq, tensor, unit, name="planted")
+
+
+# 0 < h < 1 with h (x) h = 1 > h (x) 1: bottom absorbs the tensor, so
+# LaxExtension accepts it, but the tensor is not monotone, which only
+# check_quantale sees and the theory checks do not re-run
+NOT_MONOTONE = _chain(("0", "h", "1"), ((0, 0, 0), (0, 2, 1), (0, 1, 2)), 2)
+# 0 < k < h < 1, k the unit and h (x) h = 1: a quantale, so the tensor is a
+# functor, but not integral: xi of the word (h, h) is 1, not below h
+DOUBLING = _chain(("0", "k", "h", "1"),
+                  ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 3), (0, 3, 3, 3)), 1)
+
+
+@pytest.mark.parametrize("q,check,law,witness,details", [
+    (NOT_MONOTONE, check_xi_meet, "xi-meet-le", ["((1, 1), (1, 2))"],
+     {"lhs": "1", "rhs": "h"}),
+    (NOT_MONOTONE, lambda ext: check_xi_point(ext, 1), "xi-point-ge", ["('*', '*')"],
+     {"value": "1", "u": "h"}),
+    (NOT_MONOTONE, check_assumption4, "tensor-functor", ["((1, 1),)", "h", "1"], {}),
+    (DOUBLING, check_assumption4, "point-functor", ["('*', '*')"], {"u": "h"}),
+], ids=["xi-meet-le", "xi-point-ge", "tensor-functor", "point-functor"])
+def test_theory_laws_planted_defects(q, check, law, witness, details):
+    assert check_quantale(q).passed == (q is DOUBLING)
+    rep = check(LaxExtension(monad_by_name("word:2"), q))
+    assert rep.status == "fail"
+    assert (rep.law, rep.witness, rep.details) == (law, witness, details)
+
+
 def test_bundle_aggregates_and_witnesses():
     ext = LaxExtension(monad_by_name("word:2"), lukasiewicz(3))
     rep = check_assumptions_bundle(ext, seed=0)
@@ -182,11 +213,11 @@ def test_bundle_guards_the_joint_carrier(monkeypatch):
     sizes = {"identity": 16, "word:2": 273, "word:3": 4369, "word:4": 69905,
              "word:5": 1118481}
 
-    def no_extension(self, r, src=None):
+    def no_extension(self, rows, tx):
         raise AssertionError("an extension ran before the guard")
 
     with monkeypatch.context() as patch:
-        patch.setattr(LaxExtension, "extend", no_extension)
+        patch.setattr(LaxExtension, "lift_rows", no_extension)
         for name, size in sizes.items():
             ext = LaxExtension(monad_by_name(name), two())
             with pytest.raises(GuardError) as exc:

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from tvcat.quantale import (FormatError, Quantale, lukasiewicz,
                             quantale_by_name, two)
 from tvcat.report import sort_key
-from tvcat.vrel import (VRel, all_relations, constant_rel, from_function,
-                        id_rel, pair_carrier, random_relation)
+from tvcat.vrel import (VRel, all_relations, constant_rel, id_rel, pair_carrier,
+                        random_relation)
 
 XS = ("x0", "x1")
 YS = ("y0", "y1")
@@ -223,10 +223,8 @@ def test_first_gap_is_least_witness():
     assert s.leq(r) and not r.leq(s)
 
 
-def test_from_function_and_constant():
+def test_constant_rel():
     q = two()
-    f = from_function(q, lambda x: "y0", XS, YS)
-    assert f("x0", "y0") == q.unit and f("x0", "y1") == q.bottom
     c = constant_rel(q, XS, YS, q.bottom)
     assert not c.entries
 
