@@ -332,14 +332,16 @@ def graph_to_category(s: TVStructure) -> TVStructure:
 
 
 def _out_of_bound_defect(s: TVStructure) -> bool:
-    """Whether Ta (x) a is non-bottom at some out-of-bound XX, scanning the
-    fibers of Ta there until the first one.  An XX with a letter outside the
-    rows of a has an empty fiber, so only T(supp a) is scanned.  The tensor
-    distributes over the join of a fiber, so one non-bottom term is enough."""
-    q, monad, rows = s.quantale, s.monad, s.rows
-    return any(q.tens(monad.xi_of_values(values, q), v) != q.bottom
-               for xx in s.ext.carrier(tuple(rows)) if monad.mult(xx) is None
-               for xv, values in monad.fiber(xx, rows)
+    """Whether Ta (x) a is non-bottom at some out-of-bound XX, lifting a at
+    one XX at a time until the first.  Ta is bottom at an XX with a letter
+    outside supp a, so only T(supp a) is scanned, supp a in TX order (all of
+    TX shares the T-carrier dual and M read); the tensor distributes over
+    joins, so one non-bottom term is enough."""
+    q, rows, ext = s.quantale, s.rows, s.ext
+    return any(q.tens(u, v) != q.bottom
+               for xx in ext.carrier(tuple(t for t in s.tx if t in rows))
+               if s.monad.mult(xx) is None
+               for xv, u in ext.lift_rows(rows, (xx,))[xx].items()
                for _, v in rows.get(xv, ()))
 
 

@@ -7,8 +7,8 @@ principal, so the ultrafilter monad is shipped as an alias of the identity
 monad; gallery entries built on it document that reduction.
 
 Each monad carries its algebra map ``xi`` on the quantale and, in closed
-form, the fibers over TX of T(supp r) for a relation r given by its rows
-(``fiber``); together they give the lax extension (see theory.py).  For the
+form from a relation r given by its rows, the lax extension (``lift_rows``,
+see theory.py) and the fibers over TX of T(supp r) (``fiber``).  For the
 word monad the multiplication is partial: flattening may exceed the depth
 bound, in which case operations skip the element and report it as a
 coverage statistic.  ``inbound`` yields the part of T(TX) where the
@@ -98,8 +98,13 @@ class TheoryMonad:
         """(T pi_Y w, the values of r at the letters of w) for every w in
         T(supp r) with T pi_X w = t, where rows[x] lists the (y, r(x, y)) of
         the non-bottom entries of r at x.  It reads rows only at the letters
-        of t, so two relations that agree there have the same fibers above
-        t; the row classes of theory.infi_sweep rest on this."""
+        of t, as ``lift_rows`` does."""
+        raise NotImplementedError
+
+    def lift_rows(self, rows: dict, tx: tuple, q: Quantale) -> dict:
+        """Tr at the T-elements tx, {t: {ty: v}} without bottom, in closed
+        form from r by rows as ``fiber`` takes them.  It reads rows only at
+        the letters of t; the row classes of theory.infi_sweep rest on this."""
         raise NotImplementedError
 
     def unit(self, x):
@@ -171,6 +176,9 @@ class IdentityMonad(TheoryMonad):
         for y, v in rows.get(t, ()):
             yield y, (v,)
 
+    def lift_rows(self, rows, tx, q):
+        return {t: dict(rows.get(t, ())) for t in tx}
+
     def unit(self, x):
         return x
 
@@ -223,6 +231,19 @@ class WordMonad(TheoryMonad):
         # one row entry per letter of t; the empty word's one pick unzips to ()
         for picks in product(*(rows.get(x, ()) for x in t)):
             yield tuple(zip(*picks)) or ((), ())
+
+    def lift_rows(self, rows, tx, q):
+        # r(x1, y1) (x) ... (x) r(xn, yn) from the lifts of the prefixes of t,
+        # left to right (the tensor need not commute), a bottom prefix dropped
+        tensor, bot = q.tensor, q.bottom
+        memo = {(): {(): q.unit} if q.unit != bot else {}}
+
+        def lift(t):
+            if t not in memo:
+                memo[t] = {ty + (y,): w for ty, u in lift(t[:-1]).items()
+                           for y, v in rows.get(t[-1], ()) if (w := tensor[u][v]) != bot}
+            return memo[t]
+        return {t: lift(t) for t in tx}
 
     def inbound(self, order):
         # order runs by word length, so the words within a remaining length
@@ -292,6 +313,9 @@ class LabelledMonad(TheoryMonad):
         x, h = t
         for y, v in rows.get(x, ()):
             yield (y, h), (v,)
+
+    def lift_rows(self, rows, tx, q):
+        return {(x, h): {(y, h): v for y, v in rows.get(x, ())} for x, h in tx}
 
     def unit(self, x):
         return (x, self.monoid.labels[self.monoid.unit])

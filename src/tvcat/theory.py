@@ -3,10 +3,12 @@
 The extension of a relation r: X -|-> Y at (t, t') is the join, over the
 elements w of T(X x Y) with T pi_X w = t and T pi_Y w = t', of xi applied to
 the T-image of r.  Bottom absorbs the tensor (checked when an extension is
-built), so a w with a letter outside the support of r adds bottom, and the
-monad's closed-form ``TheoryMonad.fiber`` walks T(supp r) alone, reading
-the rows of r, over the requested T-elements.  The literal enumeration of
-T(X x Y) is kept in the tests as the oracle the fibers are checked against.
+built), so a w with a letter outside the support of r adds bottom, and each
+monad gives the join in closed form from the rows of r at the requested
+T-elements (``TheoryMonad.lift_rows``): r itself for the identity, r
+relabelled for X x H, the tensor of r letter by letter for words.  The
+tests keep the literal join over T(X x Y) and the fold of xi over the
+fibers of T(supp r) as the oracles the closed forms are checked against.
 
 Checks that quantify over TTX read only its in-bound fragment (where m is
 defined); ``fragment`` gives it keyed by the points X, the monad's
@@ -20,19 +22,19 @@ in closed form.
 The comparison square of the infi condition is decided by ``infi_sweep``
 over all pairs of two lists of relations at once; ``check_infi`` is the
 sweep of one pair.  The square can fail only where both lifted sides are
-non-bottom, so only those cells are visited, and its left table is folded
-from the fibers of T(supp(r owedge s)) above w, read off the joint rows and
-pushed along can_dst, so no pair builds the joint relation or its
-extension.  The fibers above w read only the rows at the letters of w, so
-per w the sweep folds one square per class of pairs that agree on those
-rows; nothing it builds outlives the call.  The extension laws extend each
-distinct relation of their pairs once, in a table local to the call.
+non-bottom, so only those cells are visited, and its left table is the
+lift at w of the joint rows pushed along can_dst, so no pair builds the
+joint relation or its extension.  The lift at w reads only the rows at the
+letters of w, so per w the sweep lifts one square per class of pairs that
+agree on those rows; nothing it builds outlives the call.  The extension
+laws extend, and ``scalar_tensor_sweep`` lifts, each distinct relation of
+their pairs once, in a table local to the call.
 
 ``LaxExtension`` owns the tables derived per carrier, each built once:
 T(X) (``carrier``, the one enumeration of T(X) outside monads.py), its
 sort_key order (``sorted_carrier``, the one sort of a T-carrier), the
 fragment and the comparison map (``can_map``, on the T(X x Y) of
-``carrier``).  ``lift_rows`` folds the fibers over rows its callers hold;
+``carrier``).  ``lift_rows`` is the monad's lift of rows its callers hold;
 ``extend``, its relation, is built by the extension laws alone.
 """
 
@@ -80,15 +82,8 @@ class LaxExtension:
 
     def lift_rows(self, rows: dict, tx: tuple) -> dict:
         """Tr by rows at the T-elements tx, from r by rows (``VRel.rows``):
-        {t: {ty: v}} without bottom: v joins xi over the fibers of T(supp r) above t."""
-        q, monad = self.quantale, self.monad
-        xi, join, bot, out = monad.xi_of_values, q.join, q.bottom, {}
-        for t in tx:
-            row = out[t] = {}
-            for ty, values in monad.fiber(t, rows):
-                if (v := xi(values, q)) != bot:
-                    row[ty] = join[row[ty]][v] if ty in row else v
-        return out
+        {t: {ty: v}} without bottom, the monad's closed form."""
+        return self.monad.lift_rows(rows, tx, self.quantale)
 
     def carrier(self, xs: tuple) -> tuple:
         """T(xs), enumerated once per carrier."""
@@ -230,18 +225,18 @@ def infi_sweep(ext: LaxExtension, rs: list, ss: list):
     dst order, the cell (w, x', y') fails when Tr(wx, x') /\\ Ts(wy, y') is
     not below the join of T(r owedge s)(w, w') over the w' above (x', y').
     Only where the rows of Tr at wx and of Ts at wy are non-empty is that
-    left side folded, from the fibers of T(supp(r owedge s)) above w through
-    xi.  Samples count the cells up to the witness, or all on a pass.
+    left side lifted, from the joint rows at w (``TheoryMonad.lift_rows``).
+    Samples count the cells up to the witness, or all on a pass.
 
     The square at w reads only the rows of r at the letters of wx and of s
-    at those of wy (``TheoryMonad.fiber``): per w it is folded once per pair
-    of first members of the classes of rs and ss by those rows, below the
+    at those of wy (``TheoryMonad.lift_rows``): per w it is lifted once per
+    pair of first members of the classes of rs and ss by those rows, below the
     least failure found so far.  The least failing pair is such a pair at
     its first failing w, so its report is that of its sweep alone."""
     rep = Reporter("infi", bound=ext.bound_info())
     q = ext.quantale
     monad = ext.monad
-    bot, meet, le, xi, letters = q.bottom, q.meet, q.le, monad.xi_of_values, monad.letters
+    bot, meet, le, letters = q.bottom, q.meet, q.le, monad.letters
     (xs, ys), (xs1, ys1) = (rs[0].src, rs[0].dst), (ss[0].src, ss[0].dst)
     can_src, can_dst = ext.can_map(xs, xs1), ext.can_map(ys, ys1)
     tys, tys1 = ext.carrier(ys), ext.carrier(ys1)
@@ -293,8 +288,8 @@ def infi_sweep(ext: LaxExtension, rs: list, ss: list):
                     continue
                 wrows = {p: joint_row(base[p[0]], base1[p[1]]) for p in letters(w)}
                 # left(w, (x', y')) = sup over w' in the can-fiber of T(r owedge s)(w, w')
-                left = push_forward(q, ((can_dst[w1], xi(values, q))
-                                        for w1, values in monad.fiber(w, wrows)))
+                left = push_forward(q, ((can_dst[w1], v) for w1, v in
+                                        monad.lift_rows(wrows, (w,), q)[w].items()))
                 bad = next(((i, j, lhs, rhs) for i, u in trows[wx] for j, v in srows[wy]
                             if not le(rhs := meet[u][v],
                                       lhs := left.get((tys[i], tys1[j]), bot))), None)
@@ -362,27 +357,43 @@ def check_xi_point(ext: LaxExtension, u: int) -> CheckReport:
     return rep.ok(equality=equality)
 
 
+def scalar_tensor_sweep(ext: LaxExtension, rels: list, us) -> tuple:
+    """T(r (x) u) against (Tr) (x) u entrywise for each (u, r) of us x rels
+    (rels on one pair of carriers), u-major: (index, report) of the first
+    failing pair, or (len(us) len(rels), pass), each report its pair's
+    alone.  r (x) u is read off the rows of r, and each distinct relation is
+    lifted once; bottom absorbs the tensor, so a missing cell is bottom."""
+    q, monad, src, dst = ext.quantale, ext.monad, rels[0].src, rels[0].dst
+    tensor, bot, lifts = q.tensor, q.bottom, {}
+
+    def lift(rows):
+        key = frozenset((x, y, v) for x, row in rows.items() for y, v in row)
+        if key not in lifts:
+            lifts[key] = ext.lift_rows(rows, ext.carrier(src))
+        return lifts[key]
+
+    for k, (u, rows) in enumerate(product(us, [r.rows() for r in rels])):
+        rep = Reporter("assumption3", bound=ext.bound_info())
+        rhs, lhs = lift(rows), lift({x: [(y, w) for y, v in row if (w := tensor[v][u]) != bot]
+                                     for x, row in rows.items()})
+        for x in ext.sorted_carrier(src):
+            for y in ext.sorted_carrier(dst):
+                if not monad.letters(x) and not monad.letters(y):
+                    # the scalar is invisible on letterless elements; excluded
+                    # as a truncation boundary artifact, reported as skipped
+                    rep.skip()
+                    continue
+                rep.tick()
+                left, right = lhs[x].get(y, bot), tensor[rhs[x].get(y, bot)][u]
+                if left != right:
+                    return k, rep.fail("scalar-tensor", [repr(x), repr(y)], u=q.labels[u],
+                                       lhs=q.labels[left], rhs=q.labels[right])
+    return len(us) * len(rels), rep.ok()
+
+
 def check_assumption3(ext: LaxExtension, r: VRel, u: int) -> CheckReport:
-    """T(r (x) u) must equal (Tr) (x) u entrywise, read off the rows of
-    both lifts (bottom absorbs the tensor, so a missing cell is bottom)."""
-    rep = Reporter("assumption3", bound=ext.bound_info())
-    q = ext.quantale
-    monad = ext.monad
-    tx = ext.carrier(r.src)
-    lhs, rows = ext.lift_rows(r.tensor_scalar(u).rows(), tx), ext.lift_rows(r.rows(), tx)
-    for x in ext.sorted_carrier(r.src):
-        for y in ext.sorted_carrier(r.dst):
-            if not monad.letters(x) and not monad.letters(y):
-                # the scalar is invisible on letterless elements; excluded as
-                # a truncation boundary artifact, reported as skipped
-                rep.skip()
-                continue
-            rep.tick()
-            left, right = lhs[x].get(y, q.bottom), q.tens(rows[x].get(y, q.bottom), u)
-            if left != right:
-                return rep.fail("scalar-tensor", [repr(x), repr(y)], u=q.labels[u],
-                                lhs=q.labels[left], rhs=q.labels[right])
-    return rep.ok()
+    """T(r (x) u) against (Tr) (x) u: the sweep of the one pair."""
+    return scalar_tensor_sweep(ext, [r], [u])[1]
 
 
 def check_assumption4(ext: LaxExtension) -> CheckReport:
@@ -447,7 +458,8 @@ def check_assumptions_bundle(ext: LaxExtension, seed: int = 0,
     def scalar_tensor():
         drawn = (rels if exhaustive
                  else [random_relation(q, xs, ys, rng) for _ in range(samples)])
-        return ((1, check_assumption3(ext, r, u)) for u in range(q.n) for r in drawn)
+        index, sub = scalar_tensor_sweep(ext, drawn, range(q.n))
+        return [(index + (not sub.passed), sub)]
 
     conditions = (
         ("infi", infi),

@@ -9,8 +9,9 @@ its two sides part), entry order and 125 maps included, with the bottom row
 of both implications it rests on and no T(Z x X) carrier requested; the
 search for structure-compatible maps against the product loops of the exponential
 carrier, the presheaf carrier and weak factorization, over carriers in and
-out of sort_key order, and at 1,200 points; the fiber-direct lax extension
-against the literal enumeration of T(X x Y); the checks that read only the
+out of sort_key order, and at 1,200 points; each monad's closed-form lax
+extension against the fiber fold and the literal enumeration of T(X x Y),
+key order in each row included; the checks that read only the
 in-bound fragment of TTX against their loops over all of it, the
 representation search, the op-lax mult square of the extension laws and the
 algebra laws included, with a planted defect per extension law, planted (T)
@@ -26,7 +27,8 @@ extension and compose, over a tensor that does not distribute over joins
 too; (T) on random graphs and on the graph exponentials of the seeded
 constructions draws against its literal loop; the closure against the
 Kleene iteration a v m_*(a . Ta) built from extend and compose; and the
-scalar-tensor check on lifted rows against the relations it compared."""
+scalar-tensor check and sweep on lifted rows against the relations they
+compared, each distinct relation lifted once."""
 
 import functools
 import itertools
@@ -49,7 +51,7 @@ from tvcat.presheaf import (build_presheaf_category, weak_exponential,
 from tvcat.quantale import FormatError, Quantale, check_quantale, quantale_by_name
 from tvcat.report import Reporter, sort_key
 from tvcat.theory import (LaxExtension, check_assumption3, check_extension_laws,
-                          check_infi, infi_sweep)
+                          check_infi, infi_sweep, scalar_tensor_sweep)
 from tvcat.vrel import (VRel, all_relations, decode_levels, id_rel, pair_carrier,
                         push_forward, random_relation, tabulate)
 
@@ -421,7 +423,7 @@ def test_admissible_maps_to_one_point_at_1200_points():
     assert admissible_maps(discrete(ext, xs), one_point(ext)) == (("*",) * 1200,)
 
 
-# ---- the fiber-direct lax extension against the literal enumeration ----
+# ---- the closed-form lax extension against the fiber fold and the literal enumeration ----
 
 EXT_MONADS = ("identity", "finite_ultrafilter", "word:1", "word:2", "word:3",
               "labelled:z2")
@@ -448,6 +450,21 @@ def literal_extension(ext, r, src=None):
         if v != q.bottom:
             ent[(ix, iy)] = q.join[ent.get((ix, iy), q.bottom)][v]
     return VRel(q, tx, monad.carrier(r.dst), ent)
+
+
+def fiber_lift(monad, rows, tx, q):
+    """Tr by rows at tx as the generic fold: per t, xi of the values of
+    each fiber of T(supp r) above t (``TheoryMonad.fiber``), joined at its
+    T pi_Y w.  The reference each monad's closed-form ``lift_rows`` is
+    checked against, and the lift of the plants that change xi or the
+    fibers."""
+    join, bot, out = q.join, q.bottom, {}
+    for t in tx:
+        row = out[t] = {}
+        for ty, values in monad.fiber(t, rows):
+            if (v := monad.xi_of_values(values, q)) != bot:
+                row[ty] = join[row[ty]][v] if ty in row else v
+    return out
 
 
 def as_table(rel):
@@ -532,6 +549,41 @@ def test_fiber_extension_matches_literal_enumeration(qname, mname):
         ta = literal_extension(ext, a, src=xxs)
         assert ext.lift_rows(a.rows(), xxs) == {
             xx: dict(ta.rows().get(xx, ())) for xx in xxs}
+
+
+@pytest.mark.parametrize("mname", EXT_MONADS)
+@pytest.mark.parametrize("q", [quantale_by_name(name) for name in (
+    "two", "godel:3", "lukasiewicz:3", "trunc_add:4")] + [skew_chain()],
+                         ids=lambda q: q.name)
+def test_lift_rows_is_the_fiber_fold_in_closed_form(q, mname):
+    # each monad's lift_rows against the fiber fold and the literal join
+    # over T(X x Y), on T-elements out of carrier order and with rows
+    # missing at some letters; the rows list their keys in the fold's
+    # order, so push-forwards and entries built from them keep their order
+    monad = monad_by_name(mname)
+    ext = LaxExtension(monad, q)
+    rng = random.Random("lift:%s:%s" % (q.name, mname))
+    xs, ys = ("b", "a", "c"), ("e", "d")
+    tx = list(monad.carrier(xs))
+    rng.shuffle(tx)
+    above = [v for v in range(q.n) if v != q.bottom]
+    rels = [VRel(q, xs, ys), VRel(q, xs, ys, {("c", y): q.top for y in ys})]
+    rels += [VRel(q, xs, ys, {(x, y): rng.choice(above) for x in xs[:k] for y in ys
+                              if rng.random() < 0.7}) for k in (1, 2, 3, 3)]
+    for r in rels:
+        got = monad.lift_rows(r.rows(), tuple(tx), q)
+        fold = fiber_lift(monad, r.rows(), tuple(tx), q)
+        assert [(t, list(row.items())) for t, row in got.items()] == [
+            (t, list(row.items())) for t, row in fold.items()]
+        literal = literal_extension(ext, r).rows()
+        assert got == {t: dict(literal.get(t, ())) for t in tx}
+    if monad.bounded:
+        # the empty word lifts to the unit at the empty word, whatever r is,
+        # and to nothing where the unit is bottom (a one-element quantale)
+        assert all(monad.lift_rows(r.rows(), ((),), q) == {(): {(): q.unit}}
+                   for r in rels)
+        one = quantale_by_name("godel:1")
+        assert monad.lift_rows({}, ((),), one) == fiber_lift(monad, {}, ((),), one) == {(): {}}
 
 
 @pytest.mark.parametrize("mname", ("identity", "finite_ultrafilter", "word:3",
@@ -1129,6 +1181,25 @@ def test_sweep_extends_each_relation_once(monkeypatch):
     assert built[0] == 0
 
 
+def test_scalar_tensor_sweep_lifts_each_relation_once(monkeypatch):
+    # r (x) u is read off the rows of r, and each distinct relation is
+    # lifted once: over godel:3 every r (x) u is again one of the relations
+    ext = LaxExtension(monad_by_name("word:2"), quantale_by_name("godel:3"))
+    rels = list(all_relations(ext.quantale, ("b", "a"), ("d", "c")))
+    lifted = []
+    lift_rows = LaxExtension.lift_rows
+
+    def counted(self, rows, tx):
+        lifted.append(frozenset((x, y, v) for x, row in rows.items() for y, v in row))
+        return lift_rows(self, rows, tx)
+
+    monkeypatch.setattr(LaxExtension, "lift_rows", counted)
+    index, got = scalar_tensor_sweep(ext, rels, range(ext.quantale.n))
+    monkeypatch.undo()
+    assert got.passed and index == ext.quantale.n * len(rels)
+    assert len(lifted) == len(set(lifted)) == len(rels)
+
+
 @pytest.mark.parametrize("qname", ["two", "godel:3", "lukasiewicz:3",
                                    "powerset:2"])
 def test_sparse_owedge_matches_tabulated(qname):
@@ -1239,7 +1310,9 @@ class SortedMult(WordMonad):
 
 class PairsToBottom(WordMonad):
     """xi sends every word of two letters to bottom, so T(id) drops below
-    id at the words of length 2."""
+    id at the words of length 2 (lifted by the fiber fold, which reads xi)."""
+
+    lift_rows = fiber_lift
 
     def xi_of_values(self, values, q):
         return q.bottom if len(values) == 2 else super().xi_of_values(values, q)
@@ -1248,7 +1321,9 @@ class PairsToBottom(WordMonad):
 class OneSided(WordMonad):
     """Tr drops the fiber of a two-letter word above t at every T pi_Y w
     that sorts before t: the diagonal of T(id) stays, T(r°) loses what the
-    transpose of Tr keeps."""
+    transpose of Tr keeps (lifted by the fiber fold, which reads fiber)."""
+
+    lift_rows = fiber_lift
 
     def fiber(self, t, rows):
         for ty, values in super().fiber(t, rows):
@@ -1664,12 +1739,19 @@ def test_scalar_tensor_on_rows_matches_relations(q, mname):
     ext = LaxExtension(monad_by_name(mname), q)
     rng = random.Random("scalar-tensor:%s:%s" % (q.name, mname))
     statuses = set()
-    for _ in range(8):
-        r = random_relation(q, ("x0", "x1"), ("y0", "y1"), rng)
+    rels = [random_relation(q, ("x0", "x1"), ("y0", "y1"), rng) for _ in range(8)]
+    for r in rels:
         for u in range(q.n):
             got = check_assumption3(ext, r, u)
             assert fields(got) == fields(assumption3_oracle(ext, r, u))
             statuses.add(got.status)
+    # the sweep reports the first failing pair u-major, or the pass of a pair
+    pairs = list(itertools.product(range(q.n), rels))
+    expect = next((k for k, (u, r) in enumerate(pairs)
+                   if not assumption3_oracle(ext, r, u).passed), len(pairs) - 1)
+    index, got = scalar_tensor_sweep(ext, rels, range(q.n))
+    assert index == expect + got.passed
+    assert fields(got) == fields(assumption3_oracle(ext, pairs[expect][1], pairs[expect][0]))
     # a word meets the scalar once per letter, so the check fails only over
     # words and where some u (x) u is not u
     idempotent = all(q.tensor[u][u] == u for u in range(q.n))

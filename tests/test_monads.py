@@ -201,8 +201,9 @@ def test_monad_laws_planted_defects(monad, q, law, witness):
 @pytest.mark.parametrize("xs", [("b", "a"), ("c", "a", "b")], ids=len)
 def test_fiber_reads_only_the_rows_at_the_letters(spec, xs):
     # the contract the infi sweep's row classes rest on: the rows outside
-    # the letters of t never change the fibers above t
+    # the letters of t never change the fibers or the lift at t
     m = monad_by_name(spec)
+    q = quantale_by_name("godel:3")
     rng = random.Random("fiber-letters:%s:%d" % (spec, len(xs)))
     ys = ("e", "d")
     for _ in range(4):
@@ -211,6 +212,7 @@ def test_fiber_reads_only_the_rows_at_the_letters(spec, xs):
         for t in m.carrier(xs):
             read = {x: rows[x] for x in m.letters(t) if x in rows}
             assert list(m.fiber(t, rows)) == list(m.fiber(t, read))
+            assert m.lift_rows(rows, (t,), q) == m.lift_rows(read, (t,), q)
 
 
 def test_word_carrier_size_counts_the_words():

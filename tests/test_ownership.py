@@ -23,7 +23,10 @@ structures on its own extension, serializing nothing.  A sixth keeps
 ``Quantale.sup`` the one sup-finder of ``quantale.py``: joins and meets are
 up- and down-set lookups, and hom and Heyting fold the join table through
 it.  A seventh keeps the gap loop of the in-bound fragment with
-``TheoryMonad.fragment`` and its skips with ``monads.walk_fragment``."""
+``TheoryMonad.fragment`` and its skips with ``monads.walk_fragment``.  An
+eighth keeps the lax extension with each monad's closed-form
+``lift_rows``: xi is folded over values only by ``TheoryMonad.xi``, and
+only ``largest_compatible`` walks the fibers."""
 
 import ast
 import random
@@ -467,3 +470,34 @@ def test_the_guard_sees_a_second_gap_loop():
                      "            yield xx\n")
     assert gap_loops(tree) == ([("LaxExtension", "fragment")],
                                [("LaxExtension", "walk")])
+
+
+def fiber_folds(tree):
+    """(class, function) of each call of ``xi_of_values`` and of ``fiber``."""
+    return {name: [(cls, fn) for cls, fn, _ in calls(tree, name)]
+            for name in ("xi_of_values", "fiber")}
+
+
+def test_the_lift_has_no_fiber_fold():
+    # Tr is the monad's lift_rows in closed form: no xi over the values of
+    # a fiber outside xi itself, and the fibers feed largest_compatible alone
+    found = {"xi_of_values": {}, "fiber": {}}
+    for path in sorted(SRC.glob("*.py")):
+        for name, where in fiber_folds(ast.parse(path.read_text(encoding="utf-8"))).items():
+            if where:
+                found[name][path.name] = where
+    assert found == {
+        "xi_of_values": {"monads.py": [("TheoryMonad", "xi")]},
+        "fiber": {"exponential.py": [(None, "largest_compatible")] * 2}}
+
+
+def test_the_guard_sees_a_second_fiber_fold():
+    tree = ast.parse("class LaxExtension:\n"
+                     "    def lift_rows(self, rows, tx):\n"
+                     "        return {t: [self.monad.xi_of_values(v, q)\n"
+                     "                    for _, v in self.monad.fiber(t, rows)] for t in tx}\n"
+                     "def xi(monad, tv, q):\n"
+                     "    return monad.xi_of_values(monad.letters(tv), q)\n")
+    assert fiber_folds(tree) == {
+        "xi_of_values": [("LaxExtension", "lift_rows"), (None, "xi")],
+        "fiber": [("LaxExtension", "lift_rows")]}
