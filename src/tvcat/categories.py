@@ -21,8 +21,8 @@ Each derived table has one owner: constructions take T(X) from ext.carrier
 and sort_key walks read ext.sorted_carrier.  Per structure, once, for the
 closure round that returns it, (T), the splitting and frame criteria and M
 (so dual, representation, presheaves): ``TVStructure.rows``, the one
-grouping of a, ``ta``, the rows of Ta on the fragment, and ``kleisli``,
-the value levels of a . Ta, no relation.
+grouping of a, ``keys``, XX keyed by the rows at its letters, ``ta``, the
+rows of Ta per key in one lift, and ``kleisli``, a . Ta per key in levels.
 
 compatible_maps is the one search for maps h with a(t, x) <= b(Th t, h x):
 the exponential and presheaf carriers, the representation search and weak
@@ -80,10 +80,20 @@ class TVStructure:
         return self.a.rows()
 
     @cached_property
+    def keys(self) -> dict:
+        """Each in-bound XX pushed along cls, t to the first t' of TX with its
+        row of a: Ta reads a only at the letters (``TheoryMonad.lift_rows``),
+        so Ta and a . Ta at XX are those at its key."""
+        first, rows = {}, self.rows
+        cls = {t: first.setdefault(frozenset(rows.get(t, ())), t) for t in self.tx}
+        return {xx: self.monad.map_elem(cls.__getitem__, xx)
+                for xx in self.ext.fragment(self.carrier)[2]}
+
+    @cached_property
     def ta(self) -> dict:
-        """Ta by rows on the in-bound fragment of TTX, ta[XX] = {t: Ta(XX, t)},
-        lifted once per structure for the checks that read it."""
-        return self.ext.lift_rows(self.rows, self.ext.fragment(self.carrier)[2])
+        """Ta by rows at the distinct keys, ta[key] = {t: Ta(key, t)}, lifted
+        in one call per structure for the checks that read it."""
+        return self.ext.lift_rows(self.rows, tuple(dict.fromkeys(self.keys.values())))
 
     @cached_property
     def levels(self) -> dict:
@@ -91,10 +101,10 @@ class TVStructure:
 
     @cached_property
     def kleisli(self) -> dict:
-        """a . Ta by value levels: kleisli[XX][w] is the bitset of the points
-        x with a term Ta(XX, t) (x) a(t, x) = w, once per structure."""
-        return {xx: compose_levels(self.quantale, row.items(), self.levels)
-                for xx, row in self.ta.items()}
+        """a . Ta by value levels: kleisli[key][w] is the bitset of the points
+        x with a term Ta(key, t) (x) a(t, x) = w, once per structure."""
+        return {key: compose_levels(self.quantale, row.items(), self.levels)
+                for key, row in self.ta.items()}
 
     def a0(self) -> VRel:
         """The underlying V-category structure a . e: X -|-> X."""
@@ -164,26 +174,27 @@ def check_graph(s: TVStructure) -> CheckReport:
 
 def check_category(s: TVStructure) -> CheckReport:
     """(R), then (T): a . Ta <= a . m on in-bound TTX.  A join is below a
-    value exactly when each term is, so a row of ``kleisli`` passes when no
-    level w meets the points x where w is not below a(m XX, x), a bitset per
-    m XX and w.  Only a failing row is scanned, t before x, for the witness
-    term Ta(XX, t) (x) a(t, x)."""
+    value exactly when each term is, so the row of ``kleisli`` at the key of
+    XX passes when no level w meets the points x where w is not below
+    a(m XX, x), decided once per key and class of m XX (the key of its unit).
+    Only a failing row is scanned, t before x, for the witness term."""
     rep = Reporter("category", bound=s.ext.bound_info())
     q = s.quantale
     sub = check_graph(s)
     rep.tick(sub.samples)
     if not sub.passed:
         return rep.fail(sub.law, sub.witness, **sub.details)
-    a, leq, bot, bad = s.a, q.leq, q.bottom, {}
+    a, leq, bot, keys, fails = s.a, q.leq, q.bottom, s.keys, {}
     nt, nx = len(s.tx), len(s.carrier)
     for k, (xx, mx) in enumerate(s.ext.walk(s.carrier, rep)):
-        if mx not in bad:  # by w, the complement of the x with w <= a(m XX, x)
-            above = s.levels.get(mx, {}).items()
-            bad[mx] = [~sum(bits for u, bits in above if leq[w][u]) for w in range(q.n)]
-        if not any(bits & bad[mx][w] for w, bits in s.kleisli.get(xx, {}).items()):
+        if (key := (keys[xx], keys[s.monad.unit(mx)])) not in fails:
+            above = s.levels.get(mx, {}).items()  # a(m XX, -) by value
+            fails[key] = any(bits & ~sum(b for u, b in above if leq[w][u])
+                             for w, bits in s.kleisli[key[0]].items())
+        if not fails[key]:
             continue
         for (j, t), (i, x) in iter_product(enumerate(s.tx), enumerate(s.carrier)):
-            lhs, rhs = q.tens(s.ta[xx].get(t, bot), a(t, x)), a(mx, x)
+            lhs, rhs = q.tens(s.ta[key[0]].get(t, bot), a(t, x)), a(mx, x)
             if not q.le(lhs, rhs):
                 rep.tick((k * nt + j) * nx + i + 1)
                 return rep.fail("transitivity", [repr(xx), repr(t), repr(x)],
@@ -310,8 +321,8 @@ def final_lift(ext: LaxExtension, carrier: tuple, cocone) -> TVStructure:
 def graph_to_category(s: TVStructure) -> TVStructure:
     """Least category structure above the given graph: joins in the
     reflexive floor, then iterates a |-> a v (push-forward along m of the
-    ``kleisli`` a . Ta of each round's structure) to its fixed point on the
-    in-bound fragment of TTX, returned with its Ta and a . Ta built.
+    ``kleisli`` a . Ta of each round's structure, decoded per key) to its
+    fixed point on the in-bound fragment of TTX, returned with its tables built.
     Defects at out-of-bound words cannot be propagated; the bounded_closure
     flag records them.  Ta grows with a, so a defect of any iterate is one
     of the fixed point, and the fixed point alone is scanned for them."""
@@ -321,9 +332,9 @@ def graph_to_category(s: TVStructure) -> TVStructure:
     mult = {xx: mx for _, xx, mx in s.ext.fragment(s.carrier)[0]}
     while True:
         out = TVStructure(s.ext, s.carrier, VRel(q, s.tx, s.carrier, ent), name=s.name)
+        via = {k: decode_levels(q.join, lv, s.carrier) for k, lv in out.kleisli.items()}
         ent = push_forward(q, [*ent.items(), *(
-            ((mult[xx], x), v) for xx, level in out.kleisli.items()
-            for x, v in decode_levels(q.join, level, s.carrier).items())])
+            ((mx, x), v) for xx, mx in mult.items() for x, v in via[out.keys[xx]].items())])
         if ent == out.a.entries:
             break
     if _out_of_bound_defect(out):
@@ -526,8 +537,8 @@ def functor_M(s: TVStructure) -> EMAlgebra:
     """M sends (X, a) to (TX, Ta . m-degree, m)."""
     q = s.quantale
     alpha = {xx: mx for _, xx, mx in s.ext.fragment(s.carrier)[0]}
-    ent = push_forward(q, (((alpha[xx], t), v) for xx, row in s.ta.items()
-                           for t, v in row.items()))
+    ent = push_forward(q, (((mx, t), v) for xx, mx in alpha.items()
+                           for t, v in s.ta[s.keys[xx]].items()))
     return EMAlgebra(s.ext, s.tx, VRel(q, s.tx, s.tx, ent), alpha)
 
 

@@ -14,10 +14,10 @@ attained and the meet formula is exact.  The admissible maps are found by
 map is fixed on its letters.  The presheaf category (presheaf.py) is built
 by the same two kernels: its carrier is the same search over the same
 ``point_tests``, and its structure is ``largest_compatible`` with
-residuation in place of implication.  The splitting criterion reads the
-rows of Ta and decides each distinct key of a cell (XX, x), its set of
-value pairs over the middle points and a(m XX, x), once per call; the frame
-criterion reads the levels of a . Ta.
+residuation in place of implication.  The splitting criterion decides each
+distinct key of a cell (XX, x), its set of value pairs over the middle
+points and a(m XX, x), once per call; the frame criterion reads the levels
+of a . Ta.  Both read Ta per key of XX (``TVStructure.keys``).
 """
 
 from __future__ import annotations
@@ -147,25 +147,27 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
     A term is bottom unless Ta(XX, t) and a(t, x) both are not, so a cell
     (XX, x) reads only its key: the set of value pairs (Ta(XX, t), a(t, x))
     of such middle points t, filled for every x in one pass over the row
-    of Ta at XX, and a(m XX, x).  Each key is folded over u, v once per
-    call; a key that passed before ticks its n^2 pairs at once, and the
-    first failing key ends the call, so counts and witnesses are those of
-    the literal loop."""
+    of Ta at the key of XX (``TVStructure.keys``) once per call, and
+    a(m XX, x).  Each key is folded over u, v once per call; a key that
+    passed before ticks its n^2 pairs at once, and the first failing key
+    ends the call, so counts and witnesses are those of the literal loop."""
     rep = Reporter("exponentiability", bound=sx.ext.bound_info())
     q = sx.quantale
     xs, rows = sx.carrier, sx.rows
     meet, tensor = q.meet, q.tensor
     elems = range(q.n)
     square = q.n * q.n
-    passed = set()
+    passed, cells = set(), {}
     for xx, mx in sx.ext.walk(xs, rep):
-        pairs = {x: set() for x in xs}
-        for t, v1 in sx.ta.get(xx, {}).items():
-            for x, v2 in rows.get(t, ()):
-                pairs[x].add((v1, v2))
-        for x, ps in pairs.items():
+        if (xkey := sx.keys[xx]) not in cells:
+            pairs = {x: set() for x in xs}
+            for t, v1 in sx.ta[xkey].items():
+                for x, v2 in rows.get(t, ()):
+                    pairs[x].add((v1, v2))
+            cells[xkey] = {x: frozenset(ps) for x, ps in pairs.items()}
+        for x, ps in cells[xkey].items():
             amx = sx.a(mx, x)
-            key = (frozenset(ps), amx)
+            key = (ps, amx)
             if key in passed:
                 rep.tick(square)
                 continue
@@ -190,10 +192,12 @@ def check_frame_criterion(sx: TVStructure,
     q = sx.quantale
     if not q.is_frame():
         raise FormatError("the frame criterion needs a frame quantale")
-    rep = Reporter("frame_criterion", bound=sx.ext.bound_info())
+    rep, decoded = Reporter("frame_criterion", bound=sx.ext.bound_info()), {}
     expo = (check_exponentiability(sx) if expo is None else expo).passed
     for xx, mx in sx.ext.walk(sx.carrier, rep):
-        via = decode_levels(q.join, sx.kleisli.get(xx, {}), sx.carrier)
+        if (key := sx.keys[xx]) not in decoded:
+            decoded[key] = decode_levels(q.join, sx.kleisli[key], sx.carrier)
+        via = decoded[key]
         for x in sx.carrier:
             rep.tick()
             via_m, via_ta = sx.a(mx, x), via.get(x, q.bottom)

@@ -22,10 +22,13 @@ that share their pairs but not a(m XX, x); and the
 sparse comparison square of check_infi, whose left table is folded from
 fibers with no relation built, the infi sweep over row classes against the
 dense pair loop, and sparse owedge against their dense loops; Ta and
-a . Ta as per-structure rows and value levels against the literal
-extension and compose, over a tensor that does not distribute over joins
-too; (T) on random graphs and on the graph exponentials of the seeded
-constructions draws against its literal loop; the closure against the
+a . Ta as rows and value levels per key of the fragment, read at every XX
+through its key, against the literal extension and compose, over a tensor
+that does not distribute over joins too; (T), the splitting and the frame
+criterion read through the keys against their per-XX loops, on graph
+exponentials and on word:3 graphs and closures; (T) on random graphs and
+on the graph exponentials of the seeded constructions draws against its
+literal loop; the closure against the
 Kleene iteration a v m_*(a . Ta) built from extend and compose; and the
 scalar-tensor check and sweep on lifted rows against the relations they
 compared, each distinct relation lifted once."""
@@ -52,8 +55,8 @@ from tvcat.quantale import FormatError, Quantale, check_quantale, quantale_by_na
 from tvcat.report import Reporter, sort_key
 from tvcat.theory import (LaxExtension, check_assumption3, check_extension_laws,
                           check_infi, infi_sweep, scalar_tensor_sweep)
-from tvcat.vrel import (VRel, all_relations, decode_levels, id_rel, pair_carrier,
-                        push_forward, random_relation, tabulate)
+from tvcat.vrel import (VRel, all_relations, compose_levels, decode_levels, id_rel,
+                        pair_carrier, push_forward, random_relation, tabulate)
 
 from conftest import all_quantales
 
@@ -1582,23 +1585,30 @@ TA_QUANTALES = [quantale_by_name(name) for name in ("two", "godel:3", "lukasiewi
                          ids=lambda q: q.name)
 def test_ta_and_kleisli_rows_match_extend_and_compose(q, mname):
     # Ta is joined over each fiber before the tensor with a, so the levels
-    # of a . Ta are exact for a tensor that does not distribute over joins
+    # of a . Ta are exact for a tensor that does not distribute over joins;
+    # the tables are kept per key, so each XX is read through its key
     ext = LaxExtension(monad_by_name(mname), q)
     rng = random.Random("ta-rows:%s:%s" % (q.name, mname))
     xs = ("b", "a")
     frag = ext.fragment(xs)[2]
+    shared = 0
     for _ in range(8):
         raw = TVStructure(ext, xs, random_relation(q, ext.carrier(xs), xs, rng))
         for s in (raw, graph_to_category(raw)):
-            # s.ta is lift_rows on the fragment, from the rows of s.a
+            # s.ta at the key of XX is Ta at XX, lifted literally from s.a
             ta = literal_extension(ext, s.a, frag)
-            assert s.ta == {xx: dict(ta.rows().get(xx, ())) for xx in frag}
-            via = {(xx, x): v for xx, level in s.kleisli.items()
-                   for x, v in decode_levels(q.join, level, xs).items()}
+            assert list(s.keys) == list(frag)
+            assert set(s.ta) == set(s.keys.values())
+            assert all(s.ta[s.keys[xx]] == dict(ta.rows().get(xx, ())) for xx in frag)
+            via = {(xx, x): v for xx in frag for x, v in
+                   decode_levels(q.join, s.kleisli[s.keys[xx]], xs).items()}
             assert via == dict(s.a.compose(ta).entries) == dense_kleisli(s, ta)
             # each level holds the points with a term of that value
             assert all(bits and w != q.bottom for level in s.kleisli.values()
                        for w, bits in level.items())
+            shared += len(s.ta) < len(frag)
+    # some structure has fewer keys than XX, so a key stands for several
+    assert shared
 
 
 # The draws of the constructions benchmark: (quantale, monad, X, Y, pairs
@@ -1651,6 +1661,152 @@ def test_transitivity_of_graph_exponentials_matches_literal_loop():
     assert all(rep.law == "transitivity" and set(rep.details) == {"lhs", "rhs"}
                for _, rep in failing)
     assert len(passing) == 6
+
+
+# ---- the checks read through the keys, against their per-XX loops ----
+#
+# Each oracle is the check as written before Ta and a . Ta were kept per key:
+# the same walk, with the tables lifted and composed at every XX.
+
+def per_xx_ta(s):
+    """Ta at every XX of the fragment."""
+    return s.ext.lift_rows(s.rows, s.ext.fragment(s.carrier)[2])
+
+
+def per_xx_kleisli(s, ta):
+    """The levels of a . Ta at every XX of the fragment."""
+    return {xx: compose_levels(s.quantale, row.items(), s.levels) for xx, row in ta.items()}
+
+
+def category_per_xx(s):
+    rep = Reporter("category", bound=s.ext.bound_info())
+    q = s.quantale
+    sub = check_graph(s)
+    rep.tick(sub.samples)
+    if not sub.passed:
+        return rep.fail(sub.law, sub.witness, **sub.details)
+    ta = per_xx_ta(s)
+    kleisli = per_xx_kleisli(s, ta)
+    a, leq, bot, bad = s.a, q.leq, q.bottom, {}
+    nt, nx = len(s.tx), len(s.carrier)
+    for k, (xx, mx) in enumerate(s.ext.walk(s.carrier, rep)):
+        if mx not in bad:
+            above = s.levels.get(mx, {}).items()
+            bad[mx] = [~sum(bits for u, bits in above if leq[w][u]) for w in range(q.n)]
+        if not any(bits & bad[mx][w] for w, bits in kleisli.get(xx, {}).items()):
+            continue
+        for (j, t), (i, x) in itertools.product(enumerate(s.tx), enumerate(s.carrier)):
+            lhs, rhs = q.tens(ta[xx].get(t, bot), a(t, x)), a(mx, x)
+            if not q.le(lhs, rhs):
+                rep.tick((k * nt + j) * nx + i + 1)
+                return rep.fail("transitivity", [repr(xx), repr(t), repr(x)],
+                                lhs=q.labels[lhs], rhs=q.labels[rhs])
+    rep.tick(len(s.ext.fragment(s.carrier)[2]) * nt * nx)
+    return rep.ok()
+
+
+def exponentiability_per_xx(sx):
+    rep = Reporter("exponentiability", bound=sx.ext.bound_info())
+    q = sx.quantale
+    xs, rows = sx.carrier, sx.rows
+    meet, tensor = q.meet, q.tensor
+    square = q.n * q.n
+    ta, passed = per_xx_ta(sx), set()
+    for xx, mx in sx.ext.walk(xs, rep):
+        pairs = {x: set() for x in xs}
+        for t, v1 in ta.get(xx, {}).items():
+            for x, v2 in rows.get(t, ()):
+                pairs[x].add((v1, v2))
+        for x, ps in pairs.items():
+            amx = sx.a(mx, x)
+            key = (frozenset(ps), amx)
+            if key in passed:
+                rep.tick(square)
+                continue
+            for u in range(q.n):
+                for v in range(q.n):
+                    rep.tick()
+                    rhs = meet[amx][tensor[u][v]]
+                    lhs = q.sup(tensor[meet[v1][u]][meet[v2][v]] for v1, v2 in ps)
+                    if not q.le(rhs, lhs):
+                        return rep.fail("splitting", [repr(xx), repr(x),
+                                                      q.labels[u], q.labels[v]],
+                                        lhs=q.labels[lhs], rhs=q.labels[rhs])
+            passed.add(key)
+    return rep.ok()
+
+
+def frame_per_xx(sx, expo=None):
+    q = sx.quantale
+    rep = Reporter("frame_criterion", bound=sx.ext.bound_info())
+    expo = (exponentiability_per_xx(sx) if expo is None else expo).passed
+    kleisli = per_xx_kleisli(sx, per_xx_ta(sx))
+    for xx, mx in sx.ext.walk(sx.carrier, rep):
+        via = decode_levels(q.join, kleisli.get(xx, {}), sx.carrier)
+        for x in sx.carrier:
+            rep.tick()
+            via_m, via_ta = sx.a(mx, x), via.get(x, q.bottom)
+            if via_m != via_ta:
+                return rep.fail("composite-mismatch", [repr(xx), repr(x)],
+                                via_m=q.labels[via_m], via_ta=q.labels[via_ta],
+                                exponentiability=expo)
+    return rep.ok(exponentiability=expo)
+
+
+def keyed_against_per_xx(s):
+    """(T), the splitting and, over a frame, the frame criterion of s,
+    each asserted equal to its per-XX loop, report for report."""
+    got = [check_category(s), check_exponentiability(s)]
+    expect = [category_per_xx(s), exponentiability_per_xx(s)]
+    if s.quantale.is_frame():
+        got.append(check_frame_criterion(s, got[1]))
+        expect.append(frame_per_xx(s, expect[1]))
+    assert [fields(r) for r in got] == [fields(r) for r in expect]
+    return got
+
+
+def test_keyed_checks_match_per_xx_loops_on_graph_exponentials():
+    # the graph exponentials of passes 0-1 of the seed-1 constructions
+    # draws, and over the identity, whose draws always give a category,
+    # exponentials into a reflexive graph that is not transitive
+    seen = set()
+    for i in range(2):
+        pairs = construction_pairs(1, i)
+        for q in TA_QUANTALES:
+            ext = LaxExtension(monad_by_name("identity"), q)
+            rng = random.Random("per-xx:%s:%d" % (q.name, i))
+            pairs.append(((q.name, "identity"), random_category(ext, ("a", "b"), rng),
+                          reflexive(ext, ("d", "e", "f"), rng)))
+        for (_, mname), sx, sy in pairs:
+            s = graph_exponential(sx, sy).structure
+            seen.update((mname, r.check, r.passed, r.law) for r in keyed_against_per_xx(s))
+    for mname in ("identity", "labelled:z2", "word:2"):
+        # both verdicts of (T), so witnesses and mid-walk counts are compared
+        assert {(mname, "category", True, None),
+                (mname, "category", False, "transitivity")} <= seen
+    for check in ("exponentiability", "frame_criterion"):
+        assert {passed for _, c, passed, _ in seen if c == check} == {True, False}
+
+
+@pytest.mark.parametrize("qname", ("two", "godel:3"))
+def test_keyed_checks_match_per_xx_loops_on_word3_closures(qname):
+    # 2-point graphs over word:3 and their closures, as in the deep_word
+    # benchmark: some graph fails (T) and every closure passes it
+    ext = LaxExtension(monad_by_name("word:3"), quantale_by_name(qname))
+    rng = random.Random("per-xx:word3:%s" % qname)
+    xs = ("a", "b")
+    seen = set()
+    for _ in range(8):
+        raw = TVStructure(ext, xs, random_relation(ext.quantale, ext.carrier(xs), xs, rng))
+        closed = graph_to_category(raw)
+        for s in (raw, closed):
+            seen.update((s is closed, r.check, r.passed, r.law)
+                        for r in keyed_against_per_xx(s))
+        assert len(closed.ta) < len(ext.fragment(xs)[2])
+    assert {(False, "category", False, "transitivity"),
+            (True, "category", True, None)} <= seen
+    assert {passed for is_closed, c, passed, _ in seen
+            if is_closed and c != "category"} == {True, False}
 
 
 @pytest.mark.parametrize("mname", ("identity", "labelled:z2", "word:2"))

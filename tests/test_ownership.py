@@ -2,10 +2,12 @@
 
 ``LaxExtension`` owns T(X): the ``tx`` of every structure a construction
 returns is, as an object, its extension's ``carrier`` of the points, so no
-construction enumerates T(X) on its own.  ``TVStructure.ta`` owns Ta on
-the in-bound fragment, as rows from ``LaxExtension.lift_rows``: the checks
-and constructions that read it lift a structure once between them, the
-closure that built it included.  A source guard keeps a monad's
+construction enumerates T(X) on its own.  ``TVStructure.ta`` owns Ta, as
+rows from ``LaxExtension.lift_rows`` at the distinct keys of the in-bound
+fragment (``TVStructure.keys``, each XX pushed along the classes of TX by
+their rows of a): the checks and constructions that read it lift a
+structure in one call between them, and none after the closure that built
+it, whose last round lifted it.  A source guard keeps a monad's
 ``carrier`` from being called anywhere in ``src/tvcat`` but inside
 ``LaxExtension.carrier`` and the monad-level code of ``monads.py``;
 another keeps the sort_key order of T-carriers with
@@ -34,8 +36,8 @@ from pathlib import Path
 
 import pytest
 
-from tvcat.categories import (check_category, coproduct, discrete, dual,
-                              find_representation, from_order,
+from tvcat.categories import (TVStructure, check_category, coproduct, discrete,
+                              dual, find_representation, from_order,
                               graph_to_category, indiscrete, product, quotient,
                               random_category, reflect_R, structure_from_dict,
                               structure_to_dict, tensor)
@@ -93,11 +95,14 @@ def test_constructions_share_the_extensions_carrier(constructions, name):
     assert s.tx is s.ext.carrier(s.carrier)
 
 
-def test_ta_is_extended_once_per_structure(monkeypatch):
-    # the closure's last round is the fixed point it returns, so the Ta that
-    # round read is the one the checks and constructions after it read
-    # (extend is the relation of lift_rows, so every lift is counted)
-    ext = word2("godel:3")
+def lifts_of(calls, s):
+    """The tx of each recorded lift_rows call that lifts the rows of s."""
+    return [tx for rows, tx in calls if rows is s.rows]
+
+
+def counted_lifts(monkeypatch):
+    """Records (rows, tx) of every lift_rows call (extend is the relation of
+    lift_rows, so every lift is counted)."""
     calls = []
     lift_rows = LaxExtension.lift_rows
 
@@ -106,14 +111,47 @@ def test_ta_is_extended_once_per_structure(monkeypatch):
         return lift_rows(self, rows, tx)
 
     monkeypatch.setattr(LaxExtension, "lift_rows", counted)
-    s = random_category(ext, ("b", "a"), random.Random(7))
+    return calls
+
+
+def run_readers(s):
+    """The checks and constructions that read Ta and a . Ta off s."""
     check_category(s)
     check_exponentiability(s)
     check_frame_criterion(s)
-    dual(s)
     find_representation(s)
-    frag = ext.fragment(s.carrier)[2]
-    assert sum(rows is s.rows and tx is frag for rows, tx in calls) == 1
+    dual(s)
+
+
+def test_ta_is_extended_once_per_structure(monkeypatch):
+    # the checks and constructions share one lift of a, at the distinct keys
+    # of the fragment in one call, so the word monad's prefix memo is shared
+    ext = word2("godel:3")
+    calls = counted_lifts(monkeypatch)
+    raw = random_category(ext, ("b", "a"), random.Random(7))
+    s = TVStructure(ext, raw.carrier, raw.a)
+    run_readers(s)
+    keys = tuple(dict.fromkeys(s.keys.values()))
+    assert lifts_of(calls, s) == [keys]
+    assert len(keys) < len(ext.fragment(s.carrier)[2])
+
+
+def test_closure_leaves_no_lift_to_the_checks(monkeypatch):
+    # the closure's last round is the fixed point it returns, so the Ta that
+    # round read is the one the checks and dual after it read: a lift on
+    # first read would move it into them and split the prefix memo
+    ext = word2("godel:3")
+    calls = counted_lifts(monkeypatch)
+    for seed in range(4):
+        s = random_category(ext, ("b", "a"), random.Random(seed))
+        built = lifts_of(calls, s)
+        calls.clear()
+        run_readers(s)
+        assert lifts_of(calls, s) == []
+        # besides its one lift at the keys, the closure lifts its fixed point
+        # only in the defect scan, at one out-of-bound XX a call
+        assert built[0] == tuple(dict.fromkeys(s.keys.values()))
+        assert all(len(tx) == 1 and ext.monad.mult(tx[0]) is None for tx in built[1:])
 
 
 def test_a_is_grouped_once_per_structure(monkeypatch):
