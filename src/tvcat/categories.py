@@ -12,17 +12,19 @@ compares against it.  The reflexive-transitive closures of from_order and
 equiv_classes are the Warshall closure of quantale orders, ``_closure``.
 The fibers of the multiplication m are joined over in one place, the functor
 M X = (TX, Ta . m-degree, m); K reindexes a0 along the algebra map alpha.
-The dual X^op is K((M X)-degree), read along m, and the canonical structure
-on TX that representability is tested against is K M X.  The checks walk
-TTX through ext.walk, the closure and M read ext.fragment, both keyed by
-the points X, and the closure's defect scan reads T(supp a).
+The dual X^op is K((M X)-degree), read off M X in one pass, and the
+canonical structure on TX that representability is tested against is
+K M X.  The checks walk TTX through ext.walk, the closure and M read
+ext.fragment, both keyed by the points X, and the closure's defect scan
+reads T(supp a).
 
 Each derived table has one owner: constructions take T(X) from ext.carrier
 and sort_key walks read ext.sorted_carrier.  Per structure, once, for the
 closure round that returns it, (T), the splitting and frame criteria and M
 (so dual, representation, presheaves): ``TVStructure.rows``, the one
 grouping of a, ``keys``, XX keyed by the rows at its letters, ``ta``, the
-rows of Ta per key in one lift, and ``kleisli``, a . Ta per key in levels.
+rows of Ta per key in one lift, and ``kleisli``, a . Ta per key in levels;
+on first read, ``m_algebra``, M X, and ``op``, the dual ``dual`` returns.
 
 compatible_maps is the one search for maps h with a(t, x) <= b(Th t, h x):
 the exponential and presheaf carriers, the representation search and weak
@@ -105,6 +107,24 @@ class TVStructure:
         x with a term Ta(key, t) (x) a(t, x) = w, once per structure."""
         return {key: compose_levels(self.quantale, row.items(), self.levels)
                 for key, row in self.ta.items()}
+
+    @cached_property
+    def m_algebra(self) -> "EMAlgebra":
+        return functor_M(self)
+
+    @cached_property
+    def op(self) -> "TVStructure":
+        """X^op off M X in one pass, a column per m XX (see ``dual``)."""
+        q, alg = self.quantale, self.m_algebra
+        ttx, rows, cols = self.ext.carrier(self.tx), alg.a0.rows(), {}
+        for y in self.tx:
+            for c, v in rows.get(y, ()):
+                if (w := q.tensor[q.unit][v]) != q.bottom:
+                    cols.setdefault(c, []).append((y, w))
+        return TVStructure(self.ext, self.tx, VRel(q, ttx, self.tx, {
+            (xx, y): w for xx, c in alg.alpha.items() for y, w in cols.get(c, ())}),
+            self.name and self.name + "^op",
+            {"bounded_dual": True} if len(alg.alpha) < len(ttx) else None)
 
     def a0(self) -> VRel:
         """The underlying V-category structure a . e: X -|-> X."""
@@ -460,15 +480,10 @@ def dual(s: TVStructure, guard: int | None = None) -> TVStructure:
     """X^op = K((M X)-degree) read along m: the structure on TX whose value
     at (XX, t) is (M X)(t, m XX), the join of Ta(YY, m XX) over all YY with
     m YY = t.  Out-of-bound XX, where m is undefined, stay bottom and are
-    recorded in the bounded_dual flag.  K enumerates T(TX), which is
-    counted against the guard first."""
+    recorded in the bounded_dual flag.  T(TX) is counted against the guard
+    on every call, then the structure's one ``op`` is returned."""
     check_guard(s.monad.carrier_size(len(s.tx)), "T(TX) enumeration", guard)
-    mx = functor_M(s)
-    op = functor_K(EMAlgebra(mx.ext, mx.carrier, mx.a0.transpose(), mx.alpha))
-    out = TVStructure(s.ext, s.tx, op.a, name=s.name + "^op" if s.name else "")
-    if op.flags.get("bounded_algebra"):
-        out.flags["bounded_dual"] = True
-    return out
+    return s.op
 
 
 @dataclass
@@ -534,11 +549,12 @@ def check_algebra(alg: EMAlgebra) -> CheckReport:
 
 
 def functor_M(s: TVStructure) -> EMAlgebra:
-    """M sends (X, a) to (TX, Ta . m-degree, m)."""
+    """M sends (X, a) to (TX, Ta . m-degree, m), joined per (m XX, key)."""
     q = s.quantale
     alpha = {xx: mx for _, xx, mx in s.ext.fragment(s.carrier)[0]}
-    ent = push_forward(q, (((mx, t), v) for xx, mx in alpha.items()
-                           for t, v in s.ta[s.keys[xx]].items()))
+    pairs = dict.fromkeys((mx, s.keys[xx]) for xx, mx in alpha.items())
+    ent = push_forward(q, (((mx, t), v) for mx, key in pairs
+                           for t, v in s.ta[key].items()))
     return EMAlgebra(s.ext, s.tx, VRel(q, s.tx, s.tx, ent), alpha)
 
 
@@ -577,7 +593,7 @@ def find_representation(s: TVStructure, guard: int | None = None):
     q = s.quantale
     monad = s.monad
     check_guard(len(s.carrier) ** len(s.tx), "representation search", guard)
-    hat = functor_K(functor_M(s)).a
+    hat = functor_K(s.m_algebra).a
     a0 = s.a0()
     order = sorted(s.carrier, key=sort_key)
     domains = {t: order for t in s.ext.sorted_carrier(s.carrier)}

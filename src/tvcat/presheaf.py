@@ -103,14 +103,15 @@ def find_sup(s: TVStructure, px: PresheafCategory | None = None,
     pxs = px.structure
     e = monad.unit
     a0 = s.a0()
+    least = {}  # each row of a0, to its least x0 by sort_key
+    for x0 in sorted(s.carrier, key=sort_key):
+        least.setdefault(tuple(a0(x0, x) for x in s.carrier), x0)
     sup_map = {}
     for psi in pxs.carrier:
-        candidates = [x0 for x0 in s.carrier
-                      if all(a0(x0, x) == pxs.a(e(psi), y.map[x])
-                             for x in s.carrier)]
-        if not candidates:
+        row = tuple(pxs.a(e(psi), y.map[x]) for x in s.carrier)
+        if row not in least:
             return None
-        sup_map[psi] = sorted(candidates, key=sort_key)[0]
+        sup_map[psi] = least[row]
     supf = TVFunctor(pxs, s, sup_map)
     if not check_functor(supf).passed:
         return None

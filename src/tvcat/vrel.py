@@ -2,10 +2,12 @@
 
 Carrier elements are arbitrary hashable values (strings, or nested tuples for
 product and monad carriers).  Entries map carrier pairs to quantale element
-indices; missing pairs are bottom, so sparse structures stay sparse.  Every
-relation given cell by cell is built by ``tabulate``, every relation given as
-a join of images by ``push_forward``.  ``compose`` ORs the value levels of
-its left factor (Python-int bitsets), built per call, as a . Ta does.
+indices; missing pairs are bottom, so sparse structures stay sparse.  A
+relation checks its values only: keys are checked where data enters
+(``categories.structure_on``), and tvcat builds them inside the carriers.
+Every relation given cell by cell is built by ``tabulate``, every relation
+given as a join of images by ``push_forward``.  ``compose`` ORs the value
+levels of its left factor (Python-int bitsets), built per call, as a . Ta does.
 """
 
 from __future__ import annotations
@@ -32,13 +34,9 @@ class VRel:
     entries: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        srcset, dstset = set(self.src), set(self.dst)
         n = self.quantale.n
-        for (x, y), v in self.entries.items():
-            if x not in srcset or y not in dstset:
-                raise FormatError("relation entry outside carriers: %r" % ((x, y),))
-            if not 0 <= v < n:
-                raise FormatError("relation entry out of quantale range")
+        if not all(0 <= v < n for v in self.entries.values()):
+            raise FormatError("relation entry out of quantale range")
 
     def __call__(self, x, y) -> int:
         return self.entries.get((x, y), self.quantale.bottom)

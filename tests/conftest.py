@@ -42,3 +42,11 @@ def all_quantales():
     for n in range(2, 6):
         qs += [godel_chain(n), lukasiewicz(n), chain_trunc_add(n)]
     return qs
+
+
+def within_carriers(r):
+    """Every key of r lies in src x dst: the membership check relations do
+    not make, since tvcat builds their keys inside the carriers and checks
+    keys only where data enters (``structure_on``)."""
+    src, dst = set(r.src), set(r.dst)
+    return all(x in src and y in dst for x, y in r.entries)

@@ -3,8 +3,11 @@
 ``bench/tracing.py`` patches the methods in ``SPAN_METHODS`` by name, so a
 deleted or renamed one makes a traced run fail; ``bench/run.py`` reads the
 self time of each span in ``SELF_TIMES``, so a deleted or renamed function
-reports 0 s without notice.  The two tables are read from the source text;
-nothing under bench/ is imported or run."""
+reports 0 s without notice.  ``Tracer._install_counters`` patches
+``VRel.__post_init__``, ``Reporter.ok``/``fail`` and the monads'
+``carrier``/``mult`` by name, so a deleted hook breaks ``--trace 1`` runs.
+The tables and names are read from the source text; nothing under bench/
+is imported or run."""
 
 import ast
 import importlib
@@ -52,3 +55,29 @@ def test_self_time_spans_name_traced_functions():
                 and not name.startswith("_")
                 and not inspect.isgeneratorfunction(fn)
                 and span not in leaves and span != "limits.check_guard"), span
+
+
+def counter_names():
+    """The string constants of ``Tracer._install_counters``."""
+    tree = ast.parse((BENCH / "tracing.py").read_text(encoding="utf-8"))
+    fn = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              and node.name == "_install_counters")
+    return {node.value for node in ast.walk(fn)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_counter_patch_points_exist():
+    assert {"__post_init__", "ok", "fail", "carrier", "mult"} <= counter_names()
+    vrel = importlib.import_module("tvcat.vrel").VRel
+    # a dataclass's __init__ calls the hook only if the class defined it
+    # when it was made, so it must stay in VRel's own namespace
+    assert inspect.isfunction(vars(vrel).get("__post_init__"))
+    assert "__post_init__" in vrel.__init__.__code__.co_names
+    reporter = importlib.import_module("tvcat.report").Reporter
+    assert all(inspect.isfunction(getattr(reporter, meth, None)) for meth in ("ok", "fail"))
+    monads = importlib.import_module("tvcat.monads")
+    classes = [cls for cls in vars(monads).values()
+               if isinstance(cls, type) and issubclass(cls, monads.TheoryMonad)]
+    for meth in ("carrier", "mult"):
+        # patched where a class defines it, so some shipped monad must
+        assert any(inspect.isfunction(vars(cls).get(meth)) for cls in classes), meth

@@ -29,9 +29,16 @@ criterion read through the keys against their per-XX loops, on graph
 exponentials and on word:3 graphs and closures; (T) on random graphs and
 on the graph exponentials of the seeded constructions draws against its
 literal loop; the closure against the
-Kleene iteration a v m_*(a . Ta) built from extend and compose; and the
+Kleene iteration a v m_*(a . Ta) built from extend and compose; the
 scalar-tensor check and sweep on lifted rows against the relations they
-compared, each distinct relation lifted once."""
+compared, each distinct relation lifted once; the dual read off M X in one
+pass against K of the transpose of M X (entry order, name and bounded_dual
+flag, a quantale whose unit law fails included), on the draws and on
+word:3 closures; and the Sup map and injectivity reports of find_sup, one
+row per presheaf, against its candidate loop on the draws and on the
+gallery's structures and their PX.  Duals, M X, closures, graph
+exponentials and presheaf structures are checked to lie inside their
+carriers, which relations no longer check."""
 
 import functools
 import itertools
@@ -42,15 +49,18 @@ import pytest
 from tvcat.categories import (EMAlgebra, TVFunctor, TVStructure, check_algebra,
                               check_category, check_functor, check_graph,
                               compatible_maps, discrete, dual,
-                              find_representation, functor_M,
+                              find_representation, functor_K, functor_M,
                               graph_to_category, one_point, random_category,
                               separated)
 from tvcat.exponential import (admissible_maps, check_exponentiability,
                                check_frame_criterion, graph_exponential,
                                largest_compatible, point_tests)
 from tvcat.monads import LabelledMonad, Monoid, WordMonad, monad_by_name
-from tvcat.presheaf import (build_presheaf_category, weak_exponential,
-                            weak_factorize)
+from tvcat.gallery import _build_structure, load_gallery
+from tvcat.limits import GuardError
+from tvcat.presheaf import (NotSeparated, build_presheaf_category,
+                            certify_injective, find_sup, injective_report,
+                            weak_exponential, weak_factorize, yoneda)
 from tvcat.quantale import FormatError, Quantale, check_quantale, quantale_by_name
 from tvcat.report import Reporter, sort_key
 from tvcat.theory import (LaxExtension, check_assumption3, check_extension_laws,
@@ -58,7 +68,7 @@ from tvcat.theory import (LaxExtension, check_assumption3, check_extension_laws,
 from tvcat.vrel import (VRel, all_relations, compose_levels, decode_levels, id_rel,
                         pair_carrier, push_forward, random_relation, tabulate)
 
-from conftest import all_quantales
+from conftest import all_quantales, within_carriers
 
 
 def skew_chain():
@@ -148,6 +158,7 @@ def test_largest_compatible_matches_exponential_loop(cell):
         exp = graph_exponential(sx, sy)
         expect = exponential_oracle(sx, sy, exp.structure.carrier)
         assert list(exp.structure.a.entries.items()) == list(expect.items())
+        assert within_carriers(exp.structure.a) and within_carriers(sx.a)
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%s-%s" % c[:2])
@@ -156,6 +167,7 @@ def test_largest_compatible_matches_presheaf_loop(cell):
         px = build_presheaf_category(sx)
         expect = presheaf_oracle(sx, px.structure.carrier)
         assert list(px.structure.a.entries.items()) == list(expect.items())
+        assert within_carriers(px.structure.a) and within_carriers(px.opposite.a)
 
 
 def test_largest_compatible_at_the_empty_word():
@@ -226,6 +238,7 @@ def test_largest_compatible_matches_presheaf_loop_over_a_skew_tensor(mname):
         px = build_presheaf_category(sx)
         expect = presheaf_oracle(sx, px.structure.carrier)
         assert list(px.structure.a.entries.items()) == list(expect.items())
+        assert within_carriers(px.structure.a) and within_carriers(px.opposite.a)
 
 
 @pytest.mark.parametrize("u", ("a", "b"))
@@ -722,6 +735,141 @@ def dual_oracle(s):
     return ent, bounded
 
 
+def k_route_dual(s):
+    """The dual as built before it was read off M X in one pass: K of the
+    transpose of M X, as an algebra along m, on TX."""
+    mx = functor_M(s)
+    op = functor_K(EMAlgebra(mx.ext, mx.carrier, mx.a0.transpose(), mx.alpha))
+    return TVStructure(s.ext, s.tx, op.a, s.name + "^op" if s.name else "",
+                       {"bounded_dual": True} if op.flags.get("bounded_algebra") else {})
+
+
+def same_dual(s):
+    """dual(s) against the K route: carrier, entries in order, name and
+    flags, and both calls the one table; returns the bounded_dual flag."""
+    op, expect = dual(s), k_route_dual(s)
+    assert op.carrier == expect.carrier and op.tx is s.ext.carrier(s.tx)
+    assert list(op.a.entries.items()) == list(expect.a.entries.items())
+    assert (op.name, op.flags) == (expect.name, expect.flags)
+    assert dual(s) is op
+    assert within_carriers(op.a) and within_carriers(s.m_algebra.a0)
+    return op.flags.get("bounded_dual", False)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%s-%s" % c[:2])
+def test_dual_matches_k_route(cell):
+    # every XX of T(TX) is in bound for the unbounded monads, and some is
+    # not for the word monad's, so the flag is set exactly over words
+    flags = set()
+    for sx, sy in draws(*cell):
+        sy.name = "Y"
+        flags.update(same_dual(s) for s in (sx, sy))
+    assert flags == {cell[1].startswith("word")}
+
+
+@pytest.mark.parametrize("qname", ("two", "godel:3"))
+def test_dual_of_word3_closures_matches_k_route(qname):
+    # 2-point graphs over word:3 closed, as in the deep_word benchmark
+    ext = LaxExtension(monad_by_name("word:3"), quantale_by_name(qname))
+    rng = random.Random("dual:word3:%s" % qname)
+    xs = ("b", "a")
+    for i in range(4):
+        raw = TVStructure(ext, xs, random_relation(ext.quantale, ext.carrier(xs), xs, rng))
+        closed = graph_to_category(raw)
+        closed.name = "G%d" % i if i % 2 else ""
+        assert same_dual(closed)
+
+
+def test_dual_keeps_k_where_the_unit_law_fails():
+    # 1 (x) a = 0 but a (x) 1 = a: the dual is k (x) (M X)(y, m XX), as K
+    # reindexes, not (M X)(y, m XX), which over the identity is a transposed
+    leq = tuple(tuple(u <= v for v in range(3)) for u in range(3))
+    q = Quantale(("0", "a", "1"), leq, ((0, 0, 0), (0, 1, 1), (0, 0, 2)), 2,
+                 name="unitless")
+    xs = ("b", "a")
+    s = TVStructure(LaxExtension(monad_by_name("identity"), q), xs, VRel(
+        q, xs, xs, {("a", "a"): 2, ("a", "b"): 1, ("b", "b"): 2, ("b", "a"): 1}))
+    assert not same_dual(s)
+    assert dual(s).a == VRel(q, xs, xs, {("a", "a"): 2, ("b", "b"): 2}) != s.a.transpose()
+
+
+def find_sup_oracle(s, px):
+    """find_sup as written before it read each presheaf's row once: the
+    points x0 whose row of a0 matches, point by point, per presheaf."""
+    if not separated(s):
+        raise NotSeparated("Sup search requires a separated structure")
+    q, e = s.quantale, s.monad.unit
+    y = yoneda(s, px)
+    pxs = px.structure
+    a0 = s.a0()
+    sup_map = {}
+    for psi in pxs.carrier:
+        candidates = [x0 for x0 in s.carrier
+                      if all(a0(x0, x) == pxs.a(e(psi), y.map[x])
+                             for x in s.carrier)]
+        if not candidates:
+            return None
+        sup_map[psi] = sorted(candidates, key=sort_key)[0]
+    supf = TVFunctor(pxs, s, sup_map)
+    if not check_functor(supf).passed:
+        return None
+    if any(sup_map[y.map[x]] != x for x in s.carrier):
+        return None
+    if not all(q.le(q.unit, pxs.a(e(psi), y.map[sup_map[psi]]))
+               for psi in pxs.carrier):
+        return None
+    if not all(q.le(q.unit, a0(sup_map[y.map[x]], x)) for x in s.carrier):
+        return None
+    return supf
+
+
+def same_sup(s, px):
+    """find_sup and certify_injective against the oracle; returns whether a
+    Sup was found."""
+    got, expect = find_sup(s, px), find_sup_oracle(s, px)
+    assert (got and got.map) == (expect and expect.map)
+    assert fields(certify_injective(s, px)) == fields(injective_report(s, expect))
+    return got is not None
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%s-%s" % c[:2])
+def test_find_sup_matches_candidate_loop(cell):
+    ext = LaxExtension(monad_by_name(cell[1]), quantale_by_name(cell[0]))
+    rng = random.Random("sup:%s:%s" % cell[:2])
+    for sx, _ in draws(*cell):
+        if separated(sx):
+            same_sup(sx, build_presheaf_category(sx))
+        else:
+            with pytest.raises(NotSeparated):
+                find_sup(sx, build_presheaf_category(sx))
+    sx = separated_category(ext, cell[2], rng)
+    same_sup(sx, build_presheaf_category(sx))
+
+
+def test_find_sup_matches_candidate_loop_on_the_gallery():
+    # each bundled structure and its PX, as gallery run certifies them
+    found = set()
+    for entry in load_gallery():
+        ext = LaxExtension(monad_by_name(entry["monad"]), quantale_by_name(entry["quantale"]))
+        for spec in entry.get("structures", []):
+            if not spec.get("presheaf", True):
+                continue
+            s = _build_structure(ext, spec)
+            try:
+                px = build_presheaf_category(s)
+            except GuardError:
+                continue
+            for t, pt in ((s, px), (px.structure, None)):
+                if not separated(t):
+                    continue
+                try:
+                    pt = pt or build_presheaf_category(t)
+                except GuardError:
+                    continue
+                found.add(same_sup(t, pt))
+    assert found == {True, False}
+
+
 def representation_oracle(s):
     """find_representation as written before it read K M X: the canonical
     structure on TX joined by hand over the fibers of m."""
@@ -857,6 +1005,7 @@ def test_inbound_consumers_match_full_loops(cell):
         ent, bounded = dual_oracle(closed)
         assert dict(op.a.entries) == ent
         assert op.flags.get("bounded_dual", False) == bounded
+        assert within_carriers(closed.a) and within_carriers(op.a)
     # both verdicts occur, so witnesses and mid-loop skip counts are compared
     assert {("category", "fail"), ("exponentiability", "fail")} <= seen
     assert any(st != "fail" for name, st in seen if name == "exponentiability")
@@ -1864,6 +2013,7 @@ def test_closure_matches_kleene_iteration(q, mname):
         closed = graph_to_category(raw)
         ent, bounded = kleene_closure(raw)
         assert dict(closed.a.entries) == ent
+        assert within_carriers(closed.a) and within_carriers(closed.m_algebra.a0)
         assert closed.flags.get("bounded_closure", False) == bounded
         flags.add(bounded)
     assert flags == ({False, True} if ext.monad.bounded else {False})

@@ -28,14 +28,20 @@ it.  A seventh keeps the gap loop of the in-bound fragment with
 ``TheoryMonad.fragment`` and its skips with ``monads.walk_fragment``.  An
 eighth keeps the lax extension with each monad's closed-form
 ``lift_rows``: xi is folded over values only by ``TheoryMonad.xi``, and
-only ``largest_compatible`` walks the fibers."""
+only ``largest_compatible`` walks the fibers.  ``TVStructure.m_algebra``
+owns M X and ``TVStructure.op`` the dual: ``dual``, the presheaf category
+and the representation search build each once per structure, ``dual``
+checks its T(TX) guard on every call, and the keys of every construction
+lie inside its carriers, which relations no longer check."""
 
 import ast
 import random
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
+import tvcat.categories
 from tvcat.categories import (TVStructure, check_category, coproduct, discrete,
                               dual, find_representation, from_order,
                               graph_to_category, indiscrete, product, quotient,
@@ -43,11 +49,14 @@ from tvcat.categories import (TVStructure, check_category, coproduct, discrete,
                               structure_to_dict, tensor)
 from tvcat.exponential import (check_exponentiability, check_frame_criterion,
                                graph_exponential)
+from tvcat.limits import GuardError
 from tvcat.monads import monad_by_name
 from tvcat.presheaf import build_presheaf_category
 from tvcat.quantale import quantale_by_name
 from tvcat.theory import LaxExtension
 from tvcat.vrel import VRel
+
+from conftest import within_carriers
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tvcat"
 
@@ -93,6 +102,50 @@ def constructions():
 def test_constructions_share_the_extensions_carrier(constructions, name):
     s = constructions[name]
     assert s.tx is s.ext.carrier(s.carrier)
+
+
+@pytest.mark.parametrize("name", [
+    "product", "coproduct", "quotient", "tensor", "reflect_R", "dual",
+    "discrete", "indiscrete", "from_order", "random_category",
+    "graph_to_category", "structure_from_dict", "graph_exponential",
+    "build_presheaf_category"])
+def test_constructions_stay_inside_their_carriers(constructions, name):
+    # relations check their values only, so the keys of every construction,
+    # its M X and its dual are checked here
+    s = constructions[name]
+    assert within_carriers(s.a) and within_carriers(s.m_algebra.a0)
+    if name in ("dual", "discrete", "build_presheaf_category"):
+        assert within_carriers(s.op.a)
+
+
+def test_m_and_the_dual_are_built_once_per_structure(monkeypatch):
+    # dual, the presheaf category and the representation search share one
+    # M X and one dual; the T(TX) guard is checked on every call of dual,
+    # after the table exists too
+    built = {"m": 0, "op": 0}
+    functor_m, op = tvcat.categories.functor_M, TVStructure.op.func
+
+    def counted_m(s):
+        built["m"] += 1
+        return functor_m(s)
+
+    def counted_op(s):
+        built["op"] += 1
+        return op(s)
+
+    prop = cached_property(counted_op)
+    prop.__set_name__(TVStructure, "op")
+    monkeypatch.setattr(tvcat.categories, "functor_M", counted_m)
+    monkeypatch.setattr(TVStructure, "op", prop)
+    s = random_category(word2(), ("p",), random.Random(5))
+    first = dual(s)
+    assert build_presheaf_category(s).opposite is first
+    find_representation(s)  # reads K M X
+    n = s.monad.carrier_size(len(s.tx))
+    assert dual(s, guard=n) is first
+    with pytest.raises(GuardError):
+        dual(s, guard=n - 1)
+    assert built == {"m": 1, "op": 1}
 
 
 def lifts_of(calls, s):

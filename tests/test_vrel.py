@@ -5,11 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tvcat.categories import structure_on
+from tvcat.monads import monad_by_name
 from tvcat.quantale import (FormatError, Quantale, lukasiewicz,
                             quantale_by_name, two)
 from tvcat.report import sort_key
+from tvcat.theory import LaxExtension
 from tvcat.vrel import (VRel, all_relations, constant_rel, id_rel, pair_carrier,
                         random_relation)
+
+from conftest import within_carriers
 
 XS = ("x0", "x1")
 YS = ("y0", "y1")
@@ -36,11 +41,21 @@ def test_pair_carrier_row_major():
 
 
 def test_entries_validated():
+    # every relation checks its values; keys are checked where data enters,
+    # by structure_on, and the membership check is the tests' oracle
     q = two()
     with pytest.raises(FormatError):
-        VRel(q, XS, YS, {("nope", "y0"): 1})
-    with pytest.raises(FormatError):
         VRel(q, XS, YS, {("x0", "y0"): 7})
+    assert not within_carriers(VRel(q, XS, YS, {("nope", "y0"): 1}))
+    assert within_carriers(VRel(q, XS, YS, {("x0", "y0"): 1}))
+    ext = LaxExtension(monad_by_name("word:2"), q)
+    for key in ("nope;x0", "x2;x0", "x0;x2", "x0,x0,x0;x0"):
+        with pytest.raises(FormatError, match="is not 'T-elem;x'"):
+            structure_on(ext, ["x0", "x1"], {key: "1"})
+    with pytest.raises(FormatError, match="unknown quantale element"):
+        structure_on(ext, ["x0", "x1"], {"x0;x0": "nope"})
+    s = structure_on(ext, ["x0", "x1"], {"x0,x1;x0": "1", ";x1": "1"})
+    assert within_carriers(s.a) and len(s.a.entries) == 2
 
 
 @settings(max_examples=60, deadline=None)
