@@ -24,12 +24,13 @@ closure round that returns it, (T), the splitting and frame criteria and M
 (so dual, representation, presheaves): ``TVStructure.rows``, the one
 grouping of a, ``keys``, XX keyed by the rows at its letters, ``ta``, the
 rows of Ta per key in one lift, and ``kleisli``, a . Ta per key in levels;
-on first read, ``m_algebra``, M X, and ``op``, the dual ``dual`` returns.
+on first read, ``m_algebra``, M X, ``op``, the dual ``dual`` returns, ``a0``,
+and ``classes``, the one partition separation and the reflector read.
 
-compatible_maps is the one search for maps h with a(t, x) <= b(Th t, h x):
-the exponential and presheaf carriers, the representation search and weak
-factorization all run it.  The algebra law alpha-v-functor lifts the rows
-of a0 on the domain of alpha alone, building no Ta0 relation.
+compatible_maps, one set membership per test, is the one search for maps h
+with a(t, x) <= b(Th t, h x): the exponential and presheaf carriers, the
+representation search and weak factorization all run it.  The algebra law
+alpha-v-functor lifts a0 by rows on the domain of alpha, building no Ta0.
 """
 
 from __future__ import annotations
@@ -126,11 +127,16 @@ class TVStructure:
             self.name and self.name + "^op",
             {"bounded_dual": True} if len(alg.alpha) < len(ttx) else None)
 
+    @cached_property
     def a0(self) -> VRel:
         """The underlying V-category structure a . e: X -|-> X."""
         e = self.monad.unit
         return tabulate(self.quantale, self.carrier, self.carrier,
                         lambda x, y: self.a(e(x), y))
+
+    @cached_property
+    def classes(self) -> list:
+        return equiv_classes(self)
 
     def __repr__(self):
         return "TVStructure(%s, |X|=%d)" % (self.name or "?", len(self.carrier))
@@ -271,20 +277,24 @@ def compatible_maps(q: Quantale, monad: TheoryMonad, domains: dict, entries, b):
     """The maps h with h(k) in domains[k] and v <= b(Th t, h x) at every
     non-bottom entry ((t, x), v), as value tuples in itertools.product order.
     An entry is tested once h is fixed on x and on the letters of t, so a
-    failing prefix is pruned; the search keeps a stack, not a recursion."""
-    keys = tuple(domains)
+    failing prefix is pruned; the search keeps a stack, not a recursion.  A
+    test is membership of (Th t, h x) in the cells of b above v, one set per
+    v and call; a v below bottom is no test, so no bottom cell is above."""
+    keys, above = tuple(domains), {}
     pos = {k: i for i, k in enumerate(keys)}
     tests = [[] for _ in keys]
     for (t, x), v in entries:
-        if v != q.bottom:
-            tests[max(pos[k] for k in (x, *monad.letters(t)))].append((t, x, v))
+        if not q.leq[v][q.bottom]:
+            if v not in above:
+                above[v] = {c for c, w in b.entries.items() if q.leq[v][w]}
+            tests[max(pos[k] for k in (x, *monad.letters(t)))].append((t, x, above[v]))
     h = {}
     stack = [iter(domains[keys[0]])]
     while stack:
         i = len(stack) - 1
         for h[keys[i]] in stack[i]:
-            if all(q.le(v, b(monad.map_elem(h.__getitem__, t), h[x]))
-                   for t, x, v in tests[i]):
+            if all((monad.map_elem(h.__getitem__, t), h[x]) in cells
+                   for t, x, cells in tests[i]):
                 if i + 1 == len(keys):
                     yield tuple(h[k] for k in keys)
                 else:
@@ -413,9 +423,7 @@ def equiv_classes(s: TVStructure) -> list[tuple]:
     relation compared by the separation condition), closed transitively so
     that graphs are handled as well as categories.  Classes come in the
     carrier order of their first point, members in sort_key order."""
-    q = s.quantale
-    a0 = s.a0()
-    xs = s.carrier
+    q, a0, xs = s.quantale, s.a0, s.carrier
     close = [[q.le(q.unit, a0(x, y)) for y in xs] for x in xs]
     near = _closure(len(xs), {(i, j) for i, row in enumerate(close)
                               for j, c in enumerate(row) if c and close[j][i]})
@@ -424,14 +432,14 @@ def equiv_classes(s: TVStructure) -> list[tuple]:
 
 
 def separated(s: TVStructure) -> bool:
-    return all(len(c) == 1 for c in equiv_classes(s))
+    return all(len(c) == 1 for c in s.classes)
 
 
 def reflect_R(s: TVStructure):
     """Quotient by mutual k-closeness with the induced structure
     a~(t, [x]) = \\/ {a(w, x') | T eta w = t, x' ~ x}; returns (quotient,
     eta).  Class labels are the least original member of each class."""
-    rep_of = {x: cls[0] for cls in equiv_classes(s) for x in cls}
+    rep_of = {x: cls[0] for cls in s.classes for x in cls}
     image = tuple(dict.fromkeys(rep_of[x] for x in s.carrier))
     out = final_lift(s.ext, image, [(s, rep_of)])
     out.name = s.name
@@ -594,7 +602,7 @@ def find_representation(s: TVStructure, guard: int | None = None):
     monad = s.monad
     check_guard(len(s.carrier) ** len(s.tx), "representation search", guard)
     hat = functor_K(s.m_algebra).a
-    a0 = s.a0()
+    a0 = s.a0
     order = sorted(s.carrier, key=sort_key)
     domains = {t: order for t in s.ext.sorted_carrier(s.carrier)}
     for x in s.carrier:

@@ -225,7 +225,7 @@ class WordMonad(TheoryMonad):
         return (n ** (self.max_len + 1) - 1) // (n - 1) if n > 1 else n * self.max_len + 1
 
     def map_elem(self, f, t):
-        return tuple(f(x) for x in t)
+        return tuple(map(f, t))
 
     def fiber(self, t, rows):
         # one row entry per letter of t; the empty word's one pick unzips to ()

@@ -102,7 +102,7 @@ def find_sup(s: TVStructure, px: PresheafCategory | None = None,
     y = yoneda(s, px)
     pxs = px.structure
     e = monad.unit
-    a0 = s.a0()
+    a0 = s.a0
     least = {}  # each row of a0, to its least x0 by sort_key
     for x0 in sorted(s.carrier, key=sort_key):
         least.setdefault(tuple(a0(x0, x) for x in s.carrier), x0)
@@ -163,7 +163,7 @@ def check_calculus(s: TVStructure, px: PresheafCategory | None = None,
     if supf is None:
         raise FormatError("calculus laws need a certified-injective input")
     rep = Reporter("calculus", bound=s.ext.bound_info())
-    a0 = s.a0()
+    a0 = s.a0
     plus = {(x, u): oplus(s, supf, x, u)
             for x in s.carrier for u in range(q.n)}
     for u in range(q.n):

@@ -27,8 +27,8 @@ lift at w of the joint rows pushed along can_dst, so no pair builds the
 joint relation or its extension.  The lift at w reads only the rows at the
 letters of w, so per w the sweep lifts one square per class of pairs that
 agree on those rows; nothing it builds outlives the call.  The extension
-laws extend, and ``scalar_tensor_sweep`` lifts, each distinct relation of
-their pairs once, in a table local to the call.
+laws extend each distinct relation of their pairs once; ``scalar_tensor_sweep``
+decides each row x once per class (x, u, rows at the letters of x).
 
 ``LaxExtension`` owns the tables derived per carrier, each built once:
 T(X) (``carrier``, the one enumeration of T(X) outside monads.py), its
@@ -40,7 +40,7 @@ fragment and the comparison map (``can_map``, on the T(X x Y) of
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 
 from .limits import check_guard
 from .monads import TheoryMonad, can_map, walk_fragment
@@ -253,7 +253,7 @@ def infi_sweep(ext: LaxExtension, rs: list, ss: list):
         return lifts[key], {x: rows.setdefault(row := frozenset(base.get(x, ())), row)
                             for x in r.src}
 
-    sides = (list(map(indexed, rs)), list(map(indexed, ss)))
+    sides = (ir := list(map(indexed, rs)), ir if ss is rs else list(map(indexed, ss)))
 
     def firsts(side, at):
         # the first member of each class of a side by its rows at the points at
@@ -361,10 +361,12 @@ def scalar_tensor_sweep(ext: LaxExtension, rels: list, us) -> tuple:
     """T(r (x) u) against (Tr) (x) u entrywise for each (u, r) of us x rels
     (rels on one pair of carriers), u-major: (index, report) of the first
     failing pair, or (len(us) len(rels), pass), each report its pair's
-    alone.  r (x) u is read off the rows of r, and each distinct relation is
-    lifted once; bottom absorbs the tensor, so a missing cell is bottom."""
-    q, monad, src, dst = ext.quantale, ext.monad, rels[0].src, rels[0].dst
-    tensor, bot, lifts = q.tensor, q.bottom, {}
+    alone.  Both sides read r at x only at its letters, so row x is decided
+    once per class (x, u, rows of r there), off lifts of distinct relations
+    made once each, and a pair is a lookup per x; bottom absorbs the tensor."""
+    q, src, letters = ext.quantale, rels[0].src, ext.monad.letters
+    tensor, bot, lifts, ids, decided = q.tensor, q.bottom, {}, {}, {}
+    tx, ty = ext.sorted_carrier(src), ext.sorted_carrier(rels[0].dst)
 
     def lift(rows):
         key = frozenset((x, y, v) for x, row in rows.items() for y, v in row)
@@ -372,23 +374,37 @@ def scalar_tensor_sweep(ext: LaxExtension, rels: list, us) -> tuple:
             lifts[key] = ext.lift_rows(rows, ext.carrier(src))
         return lifts[key]
 
-    for k, (u, rows) in enumerate(product(us, [r.rows() for r in rels])):
+    def gap(x, u, rows):
+        # the first y where T(r (x) u) and (Tr) (x) u differ at x, from r's rows
+        rhs, lhs = lift(rows)[x], lift({p: [(y, w) for y, v in row if (w := tensor[v][u]) != bot]
+                                        for p, row in rows.items()})[x]
+        return next(((i, y, left, right) for i, y in enumerate(ty) if letters(x) or letters(y)
+                     if (left := lhs.get(y, bot)) != (right := tensor[rhs.get(y, bot)][u])), None)
+
+    def classes(rows):
+        # the class of each x of tx, from the interned rows of r at its letters
+        at = {p: ids.setdefault(frozenset(rows.get(p, ())), len(ids)) for p in src}
+        return [ids.setdefault((x, *map(at.__getitem__, letters(x))), len(ids)) for x in tx]
+
+    def report(cells):
+        # a tick per cell, row-major; a skip per pair of letterless elements,
+        # where the scalar is invisible (a truncation boundary artifact)
         rep = Reporter("assumption3", bound=ext.bound_info())
-        rhs, lhs = lift(rows), lift({x: [(y, w) for y, v in row if (w := tensor[v][u]) != bot]
-                                     for x, row in rows.items()})
-        for x in ext.sorted_carrier(src):
-            for y in ext.sorted_carrier(dst):
-                if not monad.letters(x) and not monad.letters(y):
-                    # the scalar is invisible on letterless elements; excluded
-                    # as a truncation boundary artifact, reported as skipped
-                    rep.skip()
-                    continue
-                rep.tick()
-                left, right = lhs[x].get(y, bot), tensor[rhs[x].get(y, bot)][u]
-                if left != right:
-                    return k, rep.fail("scalar-tensor", [repr(x), repr(y)], u=q.labels[u],
-                                       lhs=q.labels[left], rhs=q.labels[right])
-    return len(us) * len(rels), rep.ok()
+        for x, y in cells:
+            (rep.tick if letters(x) or letters(y) else rep.skip)()
+        return rep
+
+    rowss = [r.rows() for r in rels]
+    for k, (u, (rows, cls)) in enumerate(product(us, zip(rowss, map(classes, rowss)))):
+        for j, c in enumerate(cls):
+            if (c, u) not in decided:
+                decided[c, u] = gap(tx[j], u, rows)
+            if found := decided[c, u]:
+                i, y, left, right = found
+                return k, report(islice(product(tx, ty), j * len(ty) + i + 1)).fail(
+                    "scalar-tensor", [repr(tx[j]), repr(y)], u=q.labels[u],
+                    lhs=q.labels[left], rhs=q.labels[right])
+    return len(us) * len(rels), report(product(tx, ty)).ok()
 
 
 def check_assumption3(ext: LaxExtension, r: VRel, u: int) -> CheckReport:

@@ -258,9 +258,9 @@ def all_posets(ext, xs):
 def monotone_map_oracle(sx, sy):
     q = sx.quantale
     ox = {(x, y) for x in sx.carrier for y in sx.carrier
-          if sx.a0()(x, y) == q.unit}
+          if sx.a0(x, y) == q.unit}
     oy = {(x, y) for x in sy.carrier for y in sy.carrier
-          if sy.a0()(x, y) == q.unit}
+          if sy.a0(x, y) == q.unit}
     maps = [vs for vs in iter_product(sy.carrier, repeat=len(sx.carrier))
             if all((vs[sx.carrier.index(x)], vs[sx.carrier.index(y)]) in oy
                    for (x, y) in ox)]

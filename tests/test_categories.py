@@ -29,7 +29,7 @@ from tvcat.vrel import VRel, random_relation, tabulate
 
 def order_pairs(s):
     """The preorder carried by an identity-monad structure over two()."""
-    a0 = s.a0()
+    a0 = s.a0
     return {(x, y) for x in s.carrier for y in s.carrier
             if a0(x, y) == s.quantale.unit}
 
@@ -60,7 +60,7 @@ def from_order_oracle(ext, xs, pairs):
 def equiv_classes_oracle(s):
     """equiv_classes as written with its own fixed-point closure loop."""
     q = s.quantale
-    a0 = s.a0()
+    a0 = s.a0
     near = {x: {x} for x in s.carrier}
     for x in s.carrier:
         for y in s.carrier:

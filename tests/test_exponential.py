@@ -41,9 +41,9 @@ def monotone_maps(sx, sy):
     """Brute-force oracle: all monotone maps as value tuples in carrier
     order, together with the pointwise order on them."""
     ox = {(x, y) for x in sx.carrier for y in sx.carrier
-          if sx.a0()(x, y) == sx.quantale.unit}
+          if sx.a0(x, y) == sx.quantale.unit}
     oy = {(x, y) for x in sy.carrier for y in sy.carrier
-          if sy.a0()(x, y) == sy.quantale.unit}
+          if sy.a0(x, y) == sy.quantale.unit}
     maps = []
     for values in iter_product(sy.carrier, repeat=len(sx.carrier)):
         h = dict(zip(sx.carrier, values))

@@ -9,7 +9,8 @@ its two sides part), entry order and 125 maps included, with the bottom row
 of both implications it rests on and no T(Z x X) carrier requested; the
 search for structure-compatible maps against the product loops of the exponential
 carrier, the presheaf carrier and weak factorization, over carriers in and
-out of sort_key order, and at 1,200 points; each monad's closed-form lax
+out of sort_key order, and at 1,200 points, on the presheaf searches of the
+gallery's structures and their PX, and over explicit bottom entries of b; each monad's closed-form lax
 extension against the fiber fold and the literal enumeration of T(X x Y),
 key order in each row included; the checks that read only the
 in-bound fragment of TTX against their loops over all of it, the
@@ -31,7 +32,10 @@ on the graph exponentials of the seeded constructions draws against its
 literal loop; the closure against the
 Kleene iteration a v m_*(a . Ta) built from extend and compose; the
 scalar-tensor check and sweep on lifted rows against the relations they
-compared, each distinct relation lifted once; the dual read off M X in one
+compared, each distinct relation lifted once, and the sweep decided per row
+class against the per-pair loop over all relations of the gallery's
+exhaustive cells and of two planted failures; the infi sweep of one list
+against itself, each relation indexed once; the dual read off M X in one
 pass against K of the transpose of M X (entry order, name and bounded_dual
 flag, a quantale whose unit law fails included), on the draws and on
 word:3 closures; and the Sup map and injectivity reports of find_sup, one
@@ -46,12 +50,13 @@ import random
 
 import pytest
 
+from tvcat import presheaf as presheaf_module
 from tvcat.categories import (EMAlgebra, TVFunctor, TVStructure, check_algebra,
                               check_category, check_functor, check_graph,
                               compatible_maps, discrete, dual,
                               find_representation, functor_K, functor_M,
-                              graph_to_category, one_point, random_category,
-                              separated)
+                              graph_to_category, key_table, one_point,
+                              random_category, separated, structure_on)
 from tvcat.exponential import (admissible_maps, check_exponentiability,
                                check_frame_criterion, graph_exponential,
                                largest_compatible, point_tests)
@@ -398,6 +403,58 @@ def test_compatible_maps_match_product_loop(cell):
         entries = list(sx.a.entries.items())
         got = list(compatible_maps(q, monad, domains, entries, sy.a))
         assert got == compatible_oracle(q, monad, domains, entries, sy.a)
+
+
+def test_compatible_maps_match_product_loop_on_the_gallery_presheaves(monkeypatch):
+    # the presheaf search of each bundled structure and of its PX, which is
+    # the search certify_injective(PX) runs, recorded as the build runs it
+    calls = []
+
+    def recorded(q, monad, domains, entries, b):
+        calls.append((q, monad, domains, list(entries), b))
+        return compatible_maps(*calls[-1])
+
+    monkeypatch.setattr(presheaf_module, "compatible_maps", recorded)
+    built = 0
+    for entry in load_gallery():
+        ext = LaxExtension(monad_by_name(entry["monad"]), quantale_by_name(entry["quantale"]))
+        for spec in entry.get("structures", []):
+            if not spec.get("presheaf", True):
+                continue
+            s = _build_structure(ext, spec)
+            try:
+                build_presheaf_category(build_presheaf_category(s).structure)
+                built += 1
+            except GuardError:
+                continue
+    monkeypatch.undo()
+    assert built >= 6 and len(calls) >= 2 * built
+    for call in calls:
+        assert list(compatible_maps(*call)) == compatible_oracle(*call)
+
+
+@pytest.mark.parametrize("cell", [("godel:3", "identity"), ("two", "word:2"),
+                                  ("lukasiewicz:3", "labelled:z2")], ids=lambda c: "%s-%s" % c)
+def test_compatible_maps_count_no_explicit_bottom_cell_as_above(cell):
+    # structure_on keeps a bottom label as an entry of b; the search must
+    # agree with the product loop, and with b with those entries dropped
+    ext = LaxExtension(monad_by_name(cell[1]), quantale_by_name(cell[0]))
+    q, monad = ext.quantale, ext.monad
+    rng = random.Random("bottom-cells:%s:%s" % cell)
+    xs, ys = ("a", "b"), ("c", "d", "e")
+    found = set()
+    for _ in range(12):
+        sy = structure_on(ext, ys, {key: q.labels[rng.choice((q.bottom, rng.randrange(q.n)))]
+                                    for key in key_table(ext.carrier(ys), ys, monad.elem_to_str)})
+        bare = VRel(q, sy.tx, ys, {c: v for c, v in sy.a.entries.items() if v != q.bottom})
+        assert len(bare.entries) < len(sy.a.entries) == len(sy.tx) * len(ys)
+        entries = list(random_relation(q, ext.carrier(xs), xs, rng).entries.items())
+        domains = {x: ys for x in xs}
+        got = list(compatible_maps(q, monad, domains, entries, sy.a))
+        assert got == compatible_oracle(q, monad, domains, entries, sy.a)
+        assert got == list(compatible_maps(q, monad, domains, entries, bare))
+        found.add(0 < len(got) < len(ys) ** len(xs))
+    assert True in found
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%s-%s" % c[:2])
@@ -801,7 +858,7 @@ def find_sup_oracle(s, px):
     q, e = s.quantale, s.monad.unit
     y = yoneda(s, px)
     pxs = px.structure
-    a0 = s.a0()
+    a0 = s.a0
     sup_map = {}
     for psi in pxs.carrier:
         candidates = [x0 for x0 in s.carrier
@@ -890,7 +947,7 @@ def representation_oracle(s):
             v = q.sup(ta(yy, t) for yy in fibers.get(mx, ()))
             if v != q.bottom:
                 hat[(xx, t)] = v
-    a0 = s.a0()
+    a0 = s.a0
     e = monad.unit
     order = sorted(s.carrier, key=sort_key)
     tx_sorted = sorted(tx, key=sort_key)
@@ -2062,3 +2119,65 @@ def test_scalar_tensor_on_rows_matches_relations(q, mname):
     # words and where some u (x) u is not u
     idempotent = all(q.tensor[u][u] == u for u in range(q.n))
     assert ("fail" in statuses) == (mname == "word:2" and not idempotent)
+
+
+def scalar_sweep_oracle(ext, rels, us):
+    """scalar_tensor_sweep as the literal per-pair loop: assumption3_oracle
+    at each (u, r) u-major, up to the first failing pair."""
+    pairs = list(itertools.product(us, rels))
+    for k, (u, r) in enumerate(pairs):
+        rep = assumption3_oracle(ext, r, u)
+        if not rep.passed:
+            return k, rep
+    return len(pairs), rep
+
+
+# the exhaustive cells of the gallery, then two planted failures: over
+# words the scalar meets each letter, and on these chains some u (x) u is
+# not u, so the sweep must stop at the first failing pair and row
+SCALAR_SWEEP_CELLS = [(quantale_by_name("godel:3"), "identity"),
+                      (quantale_by_name("lukasiewicz:3"), "identity"),
+                      (quantale_by_name("two"), "labelled:z2"),
+                      (quantale_by_name("two"), "word:2"),
+                      (skew_chain(), "word:2"), (lenient_chain(), "word:2")]
+
+
+@pytest.mark.parametrize("cell", SCALAR_SWEEP_CELLS, ids=lambda c: "%s-%s" % (c[0].name, c[1]))
+def test_scalar_tensor_sweep_by_class_matches_the_pair_loop(cell):
+    # all relations on the bundle's carriers, and the same list reversed, so
+    # the first relation of a class, which the class is decided off, differs
+    q, mname = cell
+    ext = LaxExtension(monad_by_name(mname), q)
+    rels = list(all_relations(q, ("x0", "x1"), ("y0", "y1")))
+    for order in (rels, rels[::-1]):
+        index, got = scalar_tensor_sweep(ext, order, range(q.n))
+        expect_index, expect = scalar_sweep_oracle(ext, order, range(q.n))
+        assert (index, fields(got)) == (expect_index, fields(expect))
+        assert got.passed == (q.name not in ("skew", "lenient"))
+
+
+@pytest.mark.parametrize("cell", [("godel:3", "identity"), ("two", "word:2")],
+                         ids=lambda c: "%s-%s" % c)
+def test_infi_sweep_indexes_each_relation_once_on_one_list(cell, monkeypatch):
+    # the bundle's exhaustive call passes one list as both sides: each
+    # relation is grouped by rows once and its rows lifted once
+    ext = LaxExtension(monad_by_name(cell[1]), quantale_by_name(cell[0]))
+    rels = list(all_relations(ext.quantale, ("x0", "x1"), ("y0", "y1")))
+    grouped, lifted = [], []
+    rows, lift_rows = VRel.rows, LaxExtension.lift_rows
+
+    def counted_rows(self):
+        grouped.append(frozenset(self.entries.items()))
+        return rows(self)
+
+    def counted_lift_rows(self, rows, tx):
+        lifted.append(frozenset((x, y, v) for x, row in rows.items() for y, v in row))
+        return lift_rows(self, rows, tx)
+
+    monkeypatch.setattr(VRel, "rows", counted_rows)
+    monkeypatch.setattr(LaxExtension, "lift_rows", counted_lift_rows)
+    index, got = infi_sweep(ext, rels, rels)
+    monkeypatch.undo()
+    assert got.passed and index == len(rels) ** 2
+    assert len(grouped) == len(set(grouped)) == len(rels)
+    assert len(lifted) == len(set(lifted)) == len(rels)
