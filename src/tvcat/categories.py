@@ -16,7 +16,7 @@ The dual X^op is K((M X)-degree), read off M X in one pass, and the
 canonical structure on TX that representability is tested against is
 K M X.  The checks walk TTX through ext.walk, the closure and M read
 ext.fragment, both keyed by the points X, and the closure's defect scan
-reads T(supp a).
+reads T(R), R the longest member of each row class of supp a.
 
 Each derived table has one owner: constructions take T(X) from ext.carrier
 and sort_key walks read ext.sorted_carrier.  Per structure, once, for the
@@ -89,8 +89,8 @@ class TVStructure:
         so Ta and a . Ta at XX are those at its key."""
         first, rows = {}, self.rows
         cls = {t: first.setdefault(frozenset(rows.get(t, ())), t) for t in self.tx}
-        return {xx: self.monad.map_elem(cls.__getitem__, xx)
-                for xx in self.ext.fragment(self.carrier)[2]}
+        map_elem, key = self.monad.map_elem, cls.__getitem__
+        return {xx: map_elem(key, xx) for xx in self.ext.fragment(self.carrier)[2]}
 
     @cached_property
     def ta(self) -> dict:
@@ -353,9 +353,11 @@ def graph_to_category(s: TVStructure) -> TVStructure:
     reflexive floor, then iterates a |-> a v (push-forward along m of the
     ``kleisli`` a . Ta of each round's structure, decoded per key) to its
     fixed point on the in-bound fragment of TTX, returned with its tables built.
-    Defects at out-of-bound words cannot be propagated; the bounded_closure
-    flag records them.  Ta grows with a, so a defect of any iterate is one
-    of the fixed point, and the fixed point alone is scanned for them."""
+    Each round pushes forward once per distinct (m XX, key of XX).  Defects
+    at out-of-bound words cannot be propagated; the bounded_closure flag
+    records them.  Ta grows with a, so a defect of any iterate is one of the
+    fixed point, and the fixed point alone is scanned for them, over T(R),
+    R one word per row class of supp a (``_out_of_bound_defect``)."""
     q = s.quantale
     ent = push_forward(q, [*s.a.entries.items(),
                            *(((s.monad.unit(x), x), q.unit) for x in s.carrier)])
@@ -363,8 +365,9 @@ def graph_to_category(s: TVStructure) -> TVStructure:
     while True:
         out = TVStructure(s.ext, s.carrier, VRel(q, s.tx, s.carrier, ent), name=s.name)
         via = {k: decode_levels(q.join, lv, s.carrier) for k, lv in out.kleisli.items()}
+        pairs = dict.fromkeys((mx, out.keys[xx]) for xx, mx in mult.items())
         ent = push_forward(q, [*ent.items(), *(
-            ((mx, x), v) for xx, mx in mult.items() for x, v in via[out.keys[xx]].items())])
+            ((mx, x), v) for mx, key in pairs for x, v in via[key].items())])
         if ent == out.a.entries:
             break
     if _out_of_bound_defect(out):
@@ -375,12 +378,15 @@ def graph_to_category(s: TVStructure) -> TVStructure:
 def _out_of_bound_defect(s: TVStructure) -> bool:
     """Whether Ta (x) a is non-bottom at some out-of-bound XX, lifting a at
     one XX at a time until the first.  Ta is bottom at an XX with a letter
-    outside supp a, so only T(supp a) is scanned, supp a in TX order (all of
-    TX shares the T-carrier dual and M read); the tensor distributes over
-    joins, so one non-bottom term is enough."""
-    q, rows, ext = s.quantale, s.rows, s.ext
+    outside supp a, and reads a only at the letters, so swapping each letter
+    for the member of its row class (the t of supp a with one row of a) with
+    the most letters keeps the lifted row and only lengthens m's argument:
+    only T(R) is scanned, R those members, one per class; the tensor
+    distributes over joins, so one non-bottom term is enough."""
+    q, rows, ext, letters = s.quantale, s.rows, s.ext, s.monad.letters
+    longest = {frozenset(rows[t]): t for t in sorted(rows, key=lambda t: len(letters(t)))}
     return any(q.tens(u, v) != q.bottom
-               for xx in ext.carrier(tuple(t for t in s.tx if t in rows))
+               for xx in ext.carrier(tuple(longest.values()))
                if s.monad.mult(xx) is None
                for xv, u in ext.lift_rows(rows, (xx,))[xx].items()
                for _, v in rows.get(xv, ()))

@@ -13,9 +13,9 @@ word monad the multiplication is partial: flattening may exceed the depth
 bound, in which case operations skip the element and report it as a
 coverage statistic.  ``inbound`` yields the part of T(TX) where the
 multiplication is defined, ranked, from TX in carrier or sort_key order:
-nothing is built or sorted.  ``fragment`` counts the out-of-bound elements
-between, which ``walk_fragment`` skips; the law checks walk it from T(TX),
-TV and TA, and never build T^3 X, T^2 V or T(TA).
+T(TX) is neither built nor sorted.  ``fragment`` counts the out-of-bound
+elements between, which ``walk_fragment`` skips; the law checks walk it
+from T(TX), TV and TA, and never build T^3 X, T^2 V or T(TA).
 """
 
 from __future__ import annotations
@@ -249,25 +249,22 @@ class WordMonad(TheoryMonad):
         # order runs by word length, so the words within a remaining length
         # budget are a prefix of it; words of words of one length L sort
         # lexicographically by the ranks of their letters, so XX has rank
-        # sum_{l<L} N^l + sum_k idx(XX_k) N^(L-1-k)
-        n = len(order)
-        fits = [sum(len(w) <= b for w in order) for b in range(self.max_len + 1)]
-
-        def within(length, budget):
-            if not length:
-                yield 0, ()
-                return
-            place = n ** (length - 1)
-            for i in range(fits[budget]):
-                w = order[i]
-                for j, rest in within(length - 1, budget - len(w)):
-                    yield i * place + j, (w,) + rest
-
-        offset = 0
-        for length in range(self.max_len + 1):
-            for j, xx in within(length, self.max_len):
-                yield offset + j, xx
-            offset += n ** length
+        # sum_{l<L} N^l + sum_k idx(XX_k) N^(L-1-k).  Level L keeps (rank
+        # within the level, XX, letters used) for each XX of length L, built
+        # in that order by extending each level L-1 entry with one word within
+        # its budget, and each XX is yielded as it is built
+        n, top = len(order), self.max_len
+        fits = [sum(len(w) <= b for w in order) for b in range(top + 1)]
+        level, offset = [(0, (), 0)], 1
+        yield 0, ()
+        for _ in range(top):
+            nxt = []
+            for j, xx, used in level:
+                for i in range(fits[top - used]):
+                    w = order[i]
+                    nxt.append(entry := (j * n + i, xx + (w,), used + len(w)))
+                    yield offset + entry[0], entry[1]
+            level, offset = nxt, offset * n + 1
 
     def unit(self, x):
         return (x,)

@@ -1,3 +1,7 @@
+import importlib.util
+import time
+from pathlib import Path
+
 import pytest
 
 from tvcat.monads import monad_by_name
@@ -50,3 +54,23 @@ def within_carriers(r):
     keys only where data enters (``structure_on``)."""
     src, dst = set(r.src), set(r.dst)
     return all(x in src and y in dst for x, y in r.entries)
+
+
+def reference_clock():
+    """bench/clock.py, loaded by its path: its reference unit is the fixed
+    pure-Python work the benchmark rescales wall times by."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "clock.py"
+    spec = importlib.util.spec_from_file_location("bench_clock", path)
+    clock = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(clock)
+    return clock
+
+
+def unit_times(clock, units=3):
+    """The wall times of a few reference units on this machine now."""
+    took = []
+    for _ in range(units):
+        start = time.perf_counter()
+        clock.reference_unit()
+        took.append(time.perf_counter() - start)
+    return took

@@ -74,6 +74,7 @@ from tvcat.vrel import (VRel, all_relations, compose_levels, decode_levels, id_r
                         pair_carrier, push_forward, random_relation, tabulate)
 
 from conftest import all_quantales, within_carriers
+from test_bench_names import assigned
 
 
 def skew_chain():
@@ -1010,6 +1011,17 @@ def closure_oracle(s):
             return dict(a.entries), bounded_defect
 
 
+def defect_oracle(s):
+    """The out-of-bound defect scan over all of T(supp a), supp a in TX
+    order: whether Ta (x) a is non-bottom at some out-of-bound XX."""
+    q, rows, monad = s.quantale, s.rows, s.monad
+    return any(q.tens(u, v) != q.bottom
+               for xx in monad.carrier(tuple(t for t in s.tx if t in rows))
+               if monad.mult(xx) is None
+               for xv, u in s.ext.lift_rows(rows, (xx,))[xx].items()
+               for _, v in rows.get(xv, ()))
+
+
 def fields(rep):
     return (rep.check, rep.status, rep.law, rep.witness, rep.samples,
             rep.skipped, rep.bound, rep.details)
@@ -1049,6 +1061,7 @@ def test_inbound_consumers_match_full_loops(cell):
         ent, bounded = closure_oracle(raw)
         assert dict(closed.a.entries) == ent
         assert closed.flags.get("bounded_closure", False) == bounded
+        assert defect_oracle(closed) == bounded
         flags.add(bounded)
         for s in (raw, closed):
             got = [check_category(s), check_exponentiability(s)]
@@ -1067,6 +1080,47 @@ def test_inbound_consumers_match_full_loops(cell):
     assert {("category", "fail"), ("exponentiability", "fail")} <= seen
     assert any(st != "fail" for name, st in seen if name == "exponentiability")
     assert flags == ({False, True} if ext.monad.bounded else {False})
+
+
+def deep_word_draws(seed, passes):
+    """The random graphs of the deep_word benchmark's first passes at seed,
+    drawn as bench/workloads.py draws them: 2-point graphs over word:3 on
+    the quantales WORD_FRAMES in turn, GRAPHS_PER_PASS a pass."""
+    frames = [quantale_by_name(name) for name in assigned("workloads.py", "WORD_FRAMES")]
+    monad, xs = monad_by_name("word:3"), ("a", "b")
+    tx = monad.carrier(xs)
+    for i in range(passes):
+        rng = random.Random("deep_word:%d:%d" % (seed, i))
+        for k in range(assigned("workloads.py", "GRAPHS_PER_PASS")):
+            q = frames[k % len(frames)]
+            yield TVStructure(LaxExtension(monad, q), xs, random_relation(q, tx, xs, rng))
+
+
+@pytest.mark.parametrize("seed", (1, 3))
+def test_defect_scan_by_row_class_matches_the_support_scan(seed):
+    # the bounded_closure flag of each closure, scanned over T(R), R the
+    # longest member of each row class of supp a, against the scan of
+    # all of T(supp a)
+    for raw in deep_word_draws(seed, 10):
+        closed = graph_to_category(raw)
+        assert closed.flags.get("bounded_closure", False) == defect_oracle(closed)
+
+
+@pytest.mark.parametrize("qname", ("two", "godel:3"))
+def test_defect_scan_reads_the_longest_member_of_a_row_class(qname):
+    # a and aa share their row of a, b is alone in its class, and the graph
+    # is its own closure: its one kind of defect, at an out-of-bound XX such
+    # as (aa, a), needs aa, while every XX over a and b stays in bound
+    ext = LaxExtension(monad_by_name("word:2"), quantale_by_name(qname))
+    q, xs = ext.quantale, ("b", "a")
+    ent = {(("a",), "a"): q.unit, (("b",), "b"): q.unit, (("a", "a"), "a"): q.unit}
+    raw = TVStructure(ext, xs, VRel(q, ext.carrier(xs), xs, ent))
+    closed = graph_to_category(raw)
+    assert dict(closed.a.entries) == ent
+    rows = closed.rows
+    assert rows[("a",)] == rows[("a", "a")] != rows[("b",)]
+    assert closed.flags.get("bounded_closure") is True
+    assert defect_oracle(closed) and closure_oracle(raw)[1]
 
 
 def flipped(ext, xs, unit, flip):
@@ -1726,7 +1780,8 @@ def inbound_count(monad, xs):
 @pytest.mark.parametrize("qname", ("two", "godel:3"))
 def test_checks_apply_m_to_their_fragments_alone(qname):
     # each check calls m only through the in-bound fragment of the TTX it
-    # reads, and the closure scan on T(supp a) besides; a walk of all of TTX
+    # reads, and the closure scan on T(R) besides, R one word per row class
+    # of supp a (``_out_of_bound_defect``); a walk of all of TTX
     # would call it |TTX| times, millions for the extension laws over word:3.
     # The dst carrier T(TY) of TTr is enumerated, but never passed to m.
     monad = CountingMult(3)
@@ -1743,8 +1798,8 @@ def test_checks_apply_m_to_their_fragments_alone(qname):
         monad.calls = 0
         closed = graph_to_category(s)
         assert closed.flags.get("bounded_closure", False) == defect
-        assert monad.calls <= (inbound_count(monad, xs)
-                               + size(len(closed.a.rows())))
+        classes = {frozenset(row) for row in closed.rows.values()}
+        assert monad.calls <= inbound_count(monad, xs) + size(len(classes))
         # the scan stops at the first defect out of bound
         assert monad.calls * 10 < size(size(len(xs)))
     xs = ("a",)
@@ -2072,6 +2127,7 @@ def test_closure_matches_kleene_iteration(q, mname):
         assert dict(closed.a.entries) == ent
         assert within_carriers(closed.a) and within_carriers(closed.m_algebra.a0)
         assert closed.flags.get("bounded_closure", False) == bounded
+        assert defect_oracle(closed) == bounded
         flags.add(bounded)
     assert flags == ({False, True} if ext.monad.bounded else {False})
 

@@ -4,7 +4,9 @@ literal loops over T^3 X, T^2 V and T(TA) they replace are kept here as
 their oracles."""
 
 import random
-from itertools import product
+import statistics
+import time
+from itertools import islice, product
 
 import pytest
 
@@ -16,6 +18,8 @@ from tvcat.monads import (FormatError, LabelledMonad, Monoid, WordMonad,
 from tvcat.quantale import Quantale, lukasiewicz, quantale_by_name, two
 from tvcat.report import Reporter, sort_key
 from tvcat.vrel import pair_carrier
+
+from conftest import reference_clock, unit_times
 
 XS = ("a", "b")
 
@@ -457,3 +461,58 @@ def test_labelled_inbound_ranks_with_labels_out_of_sort_order():
     ranked = list(monad.inbound(order))
     assert ranked == list(enumerate(sorted(monad.carrier(order), key=sort_key)))
     assert ranked != list(enumerate(monad.carrier(order)))
+
+
+def recursive_inbound_oracle(monad, order):
+    """WordMonad.inbound as a recursion: the XX of each length within a
+    letter budget, first word first, ranked by the ranks of their words."""
+    n = len(order)
+    fits = [sum(len(w) <= b for w in order) for b in range(monad.max_len + 1)]
+
+    def within(length, budget):
+        if not length:
+            yield 0, ()
+            return
+        place = n ** (length - 1)
+        for i in range(fits[budget]):
+            w = order[i]
+            for j, rest in within(length - 1, budget - len(w)):
+                yield i * place + j, (w,) + rest
+
+    offset = 0
+    for length in range(monad.max_len + 1):
+        for j, xx in within(length, monad.max_len):
+            yield offset + j, xx
+        offset += n ** length
+
+
+@pytest.mark.parametrize("max_len", (1, 2, 3, 4))
+@pytest.mark.parametrize("xs", [("a",), ("b", "a"), ("c", "a", "b")], ids=len)
+def test_level_wise_inbound_matches_the_recursion(max_len, xs):
+    # the same (rank, XX) sequence from TX in carrier and in sort_key order
+    monad = WordMonad(max_len)
+    tx = monad.carrier(xs)
+    for order in (tx, tuple(sorted(tx, key=sort_key))):
+        assert list(monad.inbound(order)) == list(recursive_inbound_oracle(monad, order))
+
+
+def test_inbound_yields_each_xx_as_it_is_built():
+    # word:16 over two points: TX holds 131,071 words and the XX of length 2
+    # number 16 * 2^17 + 1, over 2 million.  Taking levels 0 and 1 and the
+    # first 1,000 XX of length 2 builds none of the rest of level 2 (nor
+    # level 3): about 0.2 s on two cores with Python 3.11, some 120
+    # reference units of bench/clock.py, so the bound is 600 units, timed
+    # around the walk
+    monad = WordMonad(16)
+    order = monad.carrier(("a", "b"))
+    n = len(order)
+    assert sum((s + 1) * 2 ** s for s in range(17)) == 16 * 2 ** 17 + 1 > 10 ** 6
+    clock = reference_clock()
+    units = unit_times(clock)
+    start = time.perf_counter()
+    taken = list(islice(monad.inbound(order), 1 + n + 1000))
+    took = time.perf_counter() - start
+    units += unit_times(clock)
+    assert took < 600 * statistics.median(units)
+    assert taken[:1 + n] == [(0, ())] + [(1 + i, (w,)) for i, w in enumerate(order)]
+    assert taken[1 + n:] == [(1 + n + i, ((), order[i])) for i in range(1000)]

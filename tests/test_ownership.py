@@ -54,7 +54,7 @@ from tvcat.monads import monad_by_name
 from tvcat.presheaf import build_presheaf_category
 from tvcat.quantale import quantale_by_name
 from tvcat.theory import LaxExtension
-from tvcat.vrel import VRel
+from tvcat.vrel import VRel, random_relation
 
 from conftest import within_carriers
 
@@ -205,6 +205,33 @@ def test_closure_leaves_no_lift_to_the_checks(monkeypatch):
         # only in the defect scan, at one out-of-bound XX a call
         assert built[0] == tuple(dict.fromkeys(s.keys.values()))
         assert all(len(tx) == 1 and ext.monad.mult(tx[0]) is None for tx in built[1:])
+
+
+def test_the_closure_never_asks_for_t_of_its_support(monkeypatch):
+    # the defect scan enumerates T(R) through the extension, R the longest
+    # member of each row class of supp a; every other carrier the closure
+    # asks for is T of its points
+    ext = LaxExtension(monad_by_name("word:3"), quantale_by_name("two"))
+    asked, carrier = [], ext.carrier
+
+    def recorded(xs):
+        asked.append(xs)
+        return carrier(xs)
+
+    monkeypatch.setattr(ext, "carrier", recorded)
+    xs, rng = ("b", "a"), random.Random(11)
+    for _ in range(6):
+        raw = TVStructure(ext, xs, random_relation(ext.quantale, ext.carrier(xs), xs, rng))
+        asked.clear()
+        closed = graph_to_category(raw)
+        supp = tuple(t for t in closed.tx if t in closed.rows)
+        row = {t: frozenset(closed.rows[t]) for t in supp}
+        scans = [ys for ys in asked if ys != xs]
+        assert len(set(row.values())) < len(supp) and supp not in asked
+        assert len(scans) == 1 and len(scans[0]) == len(set(row.values()))
+        assert {row[t] for t in scans[0]} == set(row.values())
+        assert all(len(t) == max(len(u) for u in supp if row[u] == row[t])
+                   for t in scans[0])
 
 
 def test_a_is_grouped_once_per_structure(monkeypatch):

@@ -1,12 +1,10 @@
 """Quantale tables against independently computed closed forms."""
 
-import importlib.util
 import json
 import random
 import statistics
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +16,7 @@ from tvcat.quantale import (QUANTALE_LAWS, FormatError, Quantale, QuantaleHom,
                             quantale_by_name, two)
 from tvcat.limits import GuardError
 
-from conftest import all_quantales
+from conftest import all_quantales, reference_clock, unit_times
 
 
 @pytest.mark.parametrize("q", all_quantales(), ids=lambda q: q.name)
@@ -337,26 +335,6 @@ def test_bundled_tensors_match_their_definitions():
         subsets = list(range(1 << k))
         assert powerset_frame(k).tensor == tuple(
             tuple(subsets.index(s & t) for t in subsets) for s in subsets)
-
-
-def reference_clock():
-    """bench/clock.py, loaded by its path: its reference unit is the fixed
-    pure-Python work the benchmark rescales wall times by."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "clock.py"
-    spec = importlib.util.spec_from_file_location("bench_clock", path)
-    clock = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(clock)
-    return clock
-
-
-def unit_times(clock, units=3):
-    """The wall times of a few reference units on this machine now."""
-    took = []
-    for _ in range(units):
-        start = time.perf_counter()
-        clock.reference_unit()
-        took.append(time.perf_counter() - start)
-    return took
 
 
 def test_guard_edge_quantale_builds_in_time(monkeypatch):
