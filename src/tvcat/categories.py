@@ -23,7 +23,7 @@ and sort_key walks read ext.sorted_carrier.  Per structure, once, for the
 closure round that returns it, (T), the splitting and frame criteria and M
 (so dual, representation, presheaves): ``TVStructure.rows``, the one
 grouping of a, ``keys``, XX keyed by the rows at its letters, ``ta``, the
-rows of Ta per key in one lift, and ``kleisli``, a . Ta per key in levels;
+rows of Ta per key in one lift, and ``kleisli``, the rows of a . Ta per key;
 on first read, ``m_algebra``, M X, ``op``, the dual ``dual`` returns, ``a0``,
 and ``classes``, the one partition separation and the reflector read.
 
@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, product as iter_product
+from itertools import compress, product as iter_product
 
-from .limits import DEFAULT_GUARD_SIZE, GuardError, check_guard, guard_limit
+from .limits import DEFAULT_GUARD_SIZE, check_guard, guard_limit
 from .monads import TheoryMonad, monad_by_name, monad_from_dict
 from .quantale import FormatError, Quantale, _closure, quantale_by_name
 from .report import CheckReport, Reporter, sort_key
@@ -99,14 +99,12 @@ class TVStructure:
         return self.ext.lift_rows(self.rows, tuple(dict.fromkeys(self.keys.values())))
 
     @cached_property
-    def levels(self) -> dict:
-        return value_levels(self.rows, self.carrier)
-
-    @cached_property
     def kleisli(self) -> dict:
-        """a . Ta by value levels: kleisli[key][w] is the bitset of the points
-        x with a term Ta(key, t) (x) a(t, x) = w, once per structure."""
-        return {key: compose_levels(self.quantale, row.items(), self.levels)
+        """a . Ta by rows, kleisli[key] = {x: w} without bottom: each row of Ta
+        composed on the value levels of a and decoded, once per structure."""
+        q, xs = self.quantale, self.carrier
+        levels = value_levels(self.rows, xs)
+        return {key: decode_levels(q.join, compose_levels(q, row.items(), levels), xs)
                 for key, row in self.ta.items()}
 
     @cached_property
@@ -199,11 +197,11 @@ def check_graph(s: TVStructure) -> CheckReport:
 
 
 def check_category(s: TVStructure) -> CheckReport:
-    """(R), then (T): a . Ta <= a . m on in-bound TTX.  A join is below a
-    value exactly when each term is, so the row of ``kleisli`` at the key of
-    XX passes when no level w meets the points x where w is not below
-    a(m XX, x), decided once per key and class of m XX (the key of its unit).
-    Only a failing row is scanned, t before x, for the witness term."""
+    """(R), then (T): a . Ta <= a . m on in-bound TTX, the row of ``kleisli``
+    at the key of XX against a(m XX, -) point by point, decided once per key
+    and class of m XX (the key of its unit).  A join is below a value exactly
+    when each term is, so a failing row is scanned, t before x, for the
+    witness term."""
     rep = Reporter("category", bound=s.ext.bound_info())
     q = s.quantale
     sub = check_graph(s)
@@ -214,9 +212,7 @@ def check_category(s: TVStructure) -> CheckReport:
     nt, nx = len(s.tx), len(s.carrier)
     for k, (xx, mx) in enumerate(s.ext.walk(s.carrier, rep)):
         if (key := (keys[xx], keys[s.monad.unit(mx)])) not in fails:
-            above = s.levels.get(mx, {}).items()  # a(m XX, -) by value
-            fails[key] = any(bits & ~sum(b for u, b in above if leq[w][u])
-                             for w, bits in s.kleisli[key[0]].items())
+            fails[key] = any(not leq[w][a(mx, x)] for x, w in s.kleisli[key[0]].items())
         if not fails[key]:
             continue
         for (j, t), (i, x) in iter_product(enumerate(s.tx), enumerate(s.carrier)):
@@ -351,7 +347,7 @@ def final_lift(ext: LaxExtension, carrier: tuple, cocone) -> TVStructure:
 def graph_to_category(s: TVStructure) -> TVStructure:
     """Least category structure above the given graph: joins in the
     reflexive floor, then iterates a |-> a v (push-forward along m of the
-    ``kleisli`` a . Ta of each round's structure, decoded per key) to its
+    rows of ``kleisli``, a . Ta per key, of each round's structure) to its
     fixed point on the in-bound fragment of TTX, returned with its tables built.
     Each round pushes forward once per distinct (m XX, key of XX).  Defects
     at out-of-bound words cannot be propagated; the bounded_closure flag
@@ -364,10 +360,9 @@ def graph_to_category(s: TVStructure) -> TVStructure:
     mult = {xx: mx for _, xx, mx in s.ext.fragment(s.carrier)[0]}
     while True:
         out = TVStructure(s.ext, s.carrier, VRel(q, s.tx, s.carrier, ent), name=s.name)
-        via = {k: decode_levels(q.join, lv, s.carrier) for k, lv in out.kleisli.items()}
         pairs = dict.fromkeys((mx, out.keys[xx]) for xx, mx in mult.items())
         ent = push_forward(q, [*ent.items(), *(
-            ((mx, x), v) for mx, key in pairs for x, v in via[key].items())])
+            ((mx, x), v) for mx, key in pairs for x, v in out.kleisli[key].items())])
         if ent == out.a.entries:
             break
     if _out_of_bound_defect(out):
@@ -509,7 +504,6 @@ class EMAlgebra:
     carrier: tuple
     a0: VRel
     alpha: dict
-    flags: dict = field(default_factory=dict)
 
     @property
     def quantale(self):
@@ -721,17 +715,15 @@ def structure_on(ext: LaxExtension, carrier, entries, name: str = "",
     """The structure over ext on carrier (a nonempty list, its points read
     as strings) with entries {'T-elem;x': label}.  T(carrier) is counted
     against the guard before it is built, then the in-bound fragment of
-    T(T carrier) the checks walk, as the monad yields it, up to one past the
-    larger of the guard and the default (a lowered guard still admits it)."""
+    T(T carrier) the checks walk, as ext builds and keeps it, up to one past
+    the larger of the guard and the default (a lowered guard still admits
+    it)."""
     if not isinstance(carrier, (list, tuple)) or not carrier:
         raise FormatError("structure file needs a nonempty list as its carrier")
     carrier = tuple(str(x) for x in carrier)
-    monad, limit = ext.monad, max(guard_limit(guard), DEFAULT_GUARD_SIZE)
+    monad = ext.monad
     check_guard(monad.carrier_size(len(carrier)), "T(carrier) enumeration", guard)
-    if sum(1 for _ in islice(monad.inbound(ext.sorted_carrier(carrier)),
-                             limit + 1)) > limit:
-        raise GuardError("in-bound T(T carrier) fragment", limit + 1, limit,
-                         exact=False)
+    ext.fragment(carrier, max(guard_limit(guard), DEFAULT_GUARD_SIZE))
     tx = ext.carrier(carrier)
     keys = key_table(tx, carrier, monad.elem_to_str)
     if not isinstance(entries, dict):

@@ -16,7 +16,7 @@ by the same two kernels: its carrier is the same search over the same
 ``point_tests``, and its structure is ``largest_compatible`` with
 residuation in place of implication.  The splitting criterion decides each
 distinct key of a cell (XX, x), its set of value pairs over the middle
-points and a(m XX, x), once per call; the frame criterion reads the levels
+points and a(m XX, x), once per call; the frame criterion reads the rows
 of a . Ta.  Both read Ta per key of XX (``TVStructure.keys``).
 """
 
@@ -192,12 +192,10 @@ def check_frame_criterion(sx: TVStructure,
     q = sx.quantale
     if not q.is_frame():
         raise FormatError("the frame criterion needs a frame quantale")
-    rep, decoded = Reporter("frame_criterion", bound=sx.ext.bound_info()), {}
+    rep = Reporter("frame_criterion", bound=sx.ext.bound_info())
     expo = (check_exponentiability(sx) if expo is None else expo).passed
     for xx, mx in sx.ext.walk(sx.carrier, rep):
-        if (key := sx.keys[xx]) not in decoded:
-            decoded[key] = decode_levels(q.join, sx.kleisli[key], sx.carrier)
-        via = decoded[key]
+        via = sx.kleisli[sx.keys[xx]]
         for x in sx.carrier:
             rep.tick()
             via_m, via_ta = sx.a(mx, x), via.get(x, q.bottom)

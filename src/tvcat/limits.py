@@ -10,7 +10,6 @@ through the TVCAT_GUARD_SIZE environment variable.
 from __future__ import annotations
 
 import os
-from typing import Callable
 
 from .quantale import FormatError
 
@@ -51,16 +50,3 @@ def check_guard(size: int, what: str, override: int | None = None) -> None:
     limit = guard_limit(override)
     if size > limit:
         raise GuardError(what, size, limit)
-
-
-def check_nested_guard(step: Callable, n: int, depth: int, what: str,
-                       override: int | None = None) -> None:
-    """Guard step^depth(n), the size of a nested enumeration, for a step
-    with step(m) >= m: once an inner level passes the guard the whole does,
-    and it is reported from below instead of being counted out."""
-    limit = guard_limit(override)
-    for _ in range(depth - 1):
-        n = step(n)
-        if n > limit:
-            raise GuardError(what, n, limit, exact=False)
-    check_guard(step(n), what, override)

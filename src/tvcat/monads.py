@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .limits import check_nested_guard
+from .limits import GuardError, check_guard, guard_limit
 from .quantale import FormatError, Quantale
 from .report import CheckReport, Reporter
 from .vrel import pair_carrier
@@ -124,13 +124,17 @@ class TheoryMonad:
         TX, as it is on the string and tuple carriers tvcat builds."""
         raise NotImplementedError
 
-    def fragment(self, order: tuple) -> tuple:
+    def fragment(self, order: tuple, limit: int | None = None,
+                 what: str = "in-bound T(TX) fragment") -> tuple:
         """The in-bound XX of T(TX) from ``inbound(order)``: (rows, tail),
         rows listing (gap, XX, m XX) by rank, gap counting the out-of-bound
         XX just before XX, and tail those after the last row.  Checks visit
-        it through ``walk_fragment``."""
+        it through ``walk_fragment``.  Given a limit, a walk that reaches
+        one row past it raises GuardError, a count from below."""
         mult, rows, nxt = self.mult, [], 0
         for rank, xx in self.inbound(order):
+            if len(rows) == limit:
+                raise GuardError(what, limit + 1, limit, exact=False)
             rows.append((rank - nxt, xx, mult(xx)))
             nxt = rank + 1
         return tuple(rows), self.carrier_size(len(order)) - nxt
@@ -395,13 +399,20 @@ def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None,
                      guard: int | None = None) -> CheckReport:
     """Monad unit/associativity laws on the in-bound fragment over carrier xs,
     plus the algebra laws for xi on the quantale when one is given, walked
-    from T(TX) and TV in carrier order.  T^3 X and T^2 V, never built, are
-    still counted against the guard."""
-    check_nested_guard(monad.carrier_size, len(xs), 3, "T^3 X enumeration", guard)
-    if q is not None:
-        check_nested_guard(monad.carrier_size, q.n, 2, "T^2 V enumeration", guard)
-    rep = Reporter("monad_laws", bound=monad.bound_info())
+    from T(TX) and TV in carrier order.  What is built and walked is counted
+    against the guard before the walks, each size once the one inside it
+    has passed: TX, T(TX) and its in-bound fragment, as the fragment is
+    built, then TV and the fragment of T(TV)."""
+    limit = guard_limit(guard)
+    check_guard(monad.carrier_size(len(xs)), "T X enumeration", limit)
     tx = monad.carrier(xs)
+    check_guard(monad.carrier_size(len(tx)), "T(TX) enumeration", limit)
+    frag_x = monad.fragment(monad.carrier(tx), limit, "in-bound T(T(TX)) fragment")
+    if q is not None:
+        check_guard(monad.carrier_size(q.n), "T V enumeration", limit)
+        elems = tuple(range(q.n))
+        frag_v = monad.fragment(monad.carrier(elems), limit, "in-bound T(TV) fragment")
+    rep = Reporter("monad_laws", bound=monad.bound_info())
     # m . eT = id and m . Te = id
     for t in tx:
         rep.tick()
@@ -413,7 +424,7 @@ def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None,
         elif m != t:
             return rep.fail("mult-unit-right", [repr(t)])
     # m . mT = m . Tm on in-bound three-level elements
-    for ttt, inner in walk_fragment(monad.fragment(monad.carrier(tx)), rep):
+    for ttt, inner in walk_fragment(frag_x, rep):
         rhs = monad.mult(monad.map_elem(monad.mult, ttt)) if all(
             monad.mult(t2) is not None for t2 in monad.letters(ttt)) else None
         lhs = monad.mult(inner)
@@ -424,12 +435,11 @@ def check_monad_laws(monad: TheoryMonad, xs: tuple, q: Quantale | None = None,
         if lhs != rhs:
             return rep.fail("mult-associative", [repr(ttt)])
     if q is not None:
-        elems = tuple(range(q.n))
         for v in elems:
             rep.tick()
             if monad.xi(monad.unit(v), q) != v:
                 return rep.fail("xi-unit", [q.labels[v]])
-        for tt, m in walk_fragment(monad.fragment(monad.carrier(elems)), rep):
+        for tt, m in walk_fragment(frag_v, rep):
             rep.tick()
             lhs = monad.xi(m, q)
             rhs = monad.xi(monad.map_elem(lambda t: monad.xi(t, q), tt), q)

@@ -100,14 +100,17 @@ class LaxExtension:
                 sorted(self.carrier(xs), key=sort_key))
         return order
 
-    def fragment(self, xs: tuple) -> tuple:
+    def fragment(self, xs: tuple, limit: int | None = None) -> tuple:
         """The in-bound fragment of TTX, where m is defined, once per point
         carrier xs: the (rows, tail) of ``TheoryMonad.fragment`` over
         ``sorted_carrier(xs)``, in sort_key order, and xxs, the XX of the
-        rows alone.  Checks visit it through ``walk``."""
+        rows alone.  Checks visit it through ``walk``.  Given a limit, a
+        fragment with more rows raises GuardError, a kept one as well: it
+        is walked again to be refused as a new one is."""
         frag = self._mult_cache.get(xs)
-        if frag is None:
-            rows, tail = self.monad.fragment(self.sorted_carrier(xs))
+        if frag is None or limit is not None and len(frag[2]) > limit:
+            rows, tail = self.monad.fragment(self.sorted_carrier(xs), limit,
+                                             "in-bound T(T carrier) fragment")
             frag = self._mult_cache[xs] = (rows, tail, tuple(xx for _, xx, _ in rows))
         return frag
 
@@ -352,8 +355,6 @@ def check_xi_point(ext: LaxExtension, u: int) -> CheckReport:
                             value=q.labels[val], u=q.labels[u])
         if val != u:
             equality = False
-    if len(t1) == 1:
-        equality = True
     return rep.ok(equality=equality)
 
 

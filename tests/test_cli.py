@@ -372,11 +372,21 @@ def test_monad_check_carrier_has_distinct_nonempty_points(capsys, carrier):
         "error: --carrier needs distinct nonempty points, got %r\n" % carrier)
 
 
-def test_monad_check_guards_t3(capsys):
-    # T^3 of two points under word:3 has about 4.7e10 elements
-    assert main(["monad", "check", "word:3"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "T^3 X enumeration" in err
+def test_monad_check_guards_t3(capsys, monkeypatch):
+    # the guard counts what the laws build and walk, not T^3 X (about
+    # 4.7e10 elements over two points under word:3): TX 15, T(TX) 3,616,
+    # its in-bound fragment 52,969, so word:3 passes the default guard
+    monkeypatch.delenv("TVCAT_GUARD_SIZE", raising=False)
+    code, out = run(capsys, ["monad", "check", "word:3", "--format", "json"])
+    assert code == 0
+    assert [(r["check"], r["status"], r["samples"], r["skipped"])
+            for r in json.loads(out)["reports"]] == [
+        ("monad_laws", "bounded-pass", 2264, 47293925720),
+        ("bc_squares", "bounded-pass", 452, 10370)]
+    # under word:4 T(TX) has 954,305 words of words
+    assert main(["monad", "check", "word:4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: T(TX) enumeration needs 954305 candidates" + GUARD_HINT % 100000)
 
 
 GUARD_HINT = ", above the guard %d (raise with --guard-size or TVCAT_GUARD_SIZE)\n"
@@ -387,8 +397,8 @@ GUARD_HINT = ", above the guard %d (raise with --guard-size or TVCAT_GUARD_SIZE)
      "T((X x X') x (Y x Y')) enumeration needs at least 2^20000"),
     (["theory", "check-assumptions", "--quantale", "two", "--monad", "word:100000"],
      "T((X x X') x (Y x Y')) enumeration needs at least 2^400000"),
-    # the nested count stops at T X = 2^5001 - 1, above the guard
-    (["monad", "check", "word:5000"], "T^3 X enumeration needs at least 2^5000"),
+    # the count stops at T X = 2^5001 - 1, above the guard
+    (["monad", "check", "word:5000"], "T X enumeration needs at least 2^5000"),
 ], ids=["assumptions-word:5000", "assumptions-word:100000", "monad-word:5000"])
 def test_astronomical_counts_are_one_line_guard_errors(capsys, monkeypatch, argv, need):
     # a count past 64 bits is given by its power of two: word:5000 once

@@ -170,6 +170,18 @@ def test_universal_property_planted_duplicate(ext_ord):
     assert rep.witness == [repr(good.carrier[0])]
 
 
+def test_universal_property_planted_antitone_curry(ext_ord):
+    # f(z0, x) = y1 and f(z1, x) = y0 is antitone in z: each f(z, -) is
+    # admissible, but curry f sends z0 <= z1 to (y1,) above (y0,)
+    sx = from_order(ext_ord, ("x",), set())
+    sy = from_order(ext_ord, ("y0", "y1"), {("y0", "y1")})
+    sz = from_order(ext_ord, ("z0", "z1"), {("z0", "z1")})
+    exp = exponential_in_cats(sx, sy)
+    rep = check_universal_property(exp, {("z0", "x"): "y1", ("z1", "x"): "y0"}, sz)
+    assert (rep.status, rep.law, rep.witness, rep.details, rep.samples) == (
+        "fail", "curry-not-functor", ["'z0'", "'z1'"], {"lhs": "1", "rhs": "0"}, 2)
+
+
 def test_curry_rejects_inadmissible(ext_ord):
     ch = from_order(ext_ord, ("a", "b"), {("a", "b")})
     anti = from_order(ext_ord, ("a", "b"), set())

@@ -71,7 +71,8 @@ from tvcat.report import Reporter, sort_key
 from tvcat.theory import (LaxExtension, check_assumption3, check_extension_laws,
                           check_infi, infi_sweep, scalar_tensor_sweep)
 from tvcat.vrel import (VRel, all_relations, compose_levels, decode_levels, id_rel,
-                        pair_carrier, push_forward, random_relation, tabulate)
+                        pair_carrier, push_forward, random_relation, tabulate,
+                        value_levels)
 
 from conftest import all_quantales, within_carriers
 from test_bench_names import assigned
@@ -1845,7 +1846,7 @@ TA_QUANTALES = [quantale_by_name(name) for name in ("two", "godel:3", "lukasiewi
 @pytest.mark.parametrize("q", TA_QUANTALES + [skew_chain(), lenient_chain()],
                          ids=lambda q: q.name)
 def test_ta_and_kleisli_rows_match_extend_and_compose(q, mname):
-    # Ta is joined over each fiber before the tensor with a, so the levels
+    # Ta is joined over each fiber before the tensor with a, so the rows
     # of a . Ta are exact for a tensor that does not distribute over joins;
     # the tables are kept per key, so each XX is read through its key
     ext = LaxExtension(monad_by_name(mname), q)
@@ -1861,12 +1862,10 @@ def test_ta_and_kleisli_rows_match_extend_and_compose(q, mname):
             assert list(s.keys) == list(frag)
             assert set(s.ta) == set(s.keys.values())
             assert all(s.ta[s.keys[xx]] == dict(ta.rows().get(xx, ())) for xx in frag)
-            via = {(xx, x): v for xx in frag for x, v in
-                   decode_levels(q.join, s.kleisli[s.keys[xx]], xs).items()}
+            via = {(xx, x): v for xx in frag for x, v in s.kleisli[s.keys[xx]].items()}
             assert via == dict(s.a.compose(ta).entries) == dense_kleisli(s, ta)
-            # each level holds the points with a term of that value
-            assert all(bits and w != q.bottom for level in s.kleisli.values()
-                       for w, bits in level.items())
+            # the rows hold no bottom
+            assert all(w != q.bottom for row in s.kleisli.values() for w in row.values())
             shared += len(s.ta) < len(frag)
     # some structure has fewer keys than XX, so a key stands for several
     assert shared
@@ -1927,7 +1926,8 @@ def test_transitivity_of_graph_exponentials_matches_literal_loop():
 # ---- the checks read through the keys, against their per-XX loops ----
 #
 # Each oracle is the check as written before Ta and a . Ta were kept per key:
-# the same walk, with the tables lifted and composed at every XX.
+# the same walk, with the tables lifted and composed at every XX, and a . Ta
+# in value levels, (T) decided by their bitsets.
 
 def per_xx_ta(s):
     """Ta at every XX of the fragment."""
@@ -1936,7 +1936,8 @@ def per_xx_ta(s):
 
 def per_xx_kleisli(s, ta):
     """The levels of a . Ta at every XX of the fragment."""
-    return {xx: compose_levels(s.quantale, row.items(), s.levels) for xx, row in ta.items()}
+    levels = value_levels(s.rows, s.carrier)
+    return {xx: compose_levels(s.quantale, row.items(), levels) for xx, row in ta.items()}
 
 
 def category_per_xx(s):
@@ -1947,12 +1948,12 @@ def category_per_xx(s):
     if not sub.passed:
         return rep.fail(sub.law, sub.witness, **sub.details)
     ta = per_xx_ta(s)
-    kleisli = per_xx_kleisli(s, ta)
+    kleisli, levels = per_xx_kleisli(s, ta), value_levels(s.rows, s.carrier)
     a, leq, bot, bad = s.a, q.leq, q.bottom, {}
     nt, nx = len(s.tx), len(s.carrier)
     for k, (xx, mx) in enumerate(s.ext.walk(s.carrier, rep)):
         if mx not in bad:
-            above = s.levels.get(mx, {}).items()
+            above = levels.get(mx, {}).items()
             bad[mx] = [~sum(bits for u, bits in above if leq[w][u]) for w in range(q.n)]
         if not any(bits & bad[mx][w] for w, bits in kleisli.get(xx, {}).items()):
             continue

@@ -17,6 +17,7 @@ from tvcat.monads import (FormatError, LabelledMonad, Monoid, WordMonad,
                           monad_from_dict, z2)
 from tvcat.quantale import Quantale, lukasiewicz, quantale_by_name, two
 from tvcat.report import Reporter, sort_key
+from tvcat.theory import LaxExtension
 from tvcat.vrel import pair_carrier
 
 from conftest import reference_clock, unit_times
@@ -227,15 +228,39 @@ def test_word_carrier_size_counts_the_words():
 
 
 def test_nested_guard_reports_an_inner_level_from_below():
-    # T X has 15 words and T^2 X 3,616 over word:3, so T^3 X is not counted
-    # out once T^2 X passes the guard
-    with pytest.raises(GuardError, match=r"^T\^3 X enumeration needs at least 3616 "
-                                         r"candidates, above the guard 100 "):
-        check_monad_laws(WordMonad(3), XS, guard=100)
-    with pytest.raises(GuardError, match=r"^T\^3 X enumeration needs 47293927969 "
-                                         r"candidates, above the guard 3616 "):
-        check_monad_laws(WordMonad(3), XS, guard=3616)
+    # over word:3, TX has 15 words, T(TX) 3,616 and the in-bound fragment
+    # of T(T(TX)) the laws walk 52,969: each is counted once the one inside
+    # it passes, and the fragment as it is built, up to one past the guard
+    for guard, need in ((10, "T X enumeration needs 15"),
+                        (100, "T\\(TX\\) enumeration needs 3616"),
+                        (3616, "in-bound T\\(T\\(TX\\)\\) fragment needs at least 3617")):
+        with pytest.raises(GuardError, match="^%s candidates, above the guard %d "
+                                             % (need, guard)):
+            check_monad_laws(WordMonad(3), XS, guard=guard)
+    assert check_monad_laws(WordMonad(3), XS, guard=52969).status == "bounded-pass"
+    # with a quantale, TV and then the in-bound fragment of T(TV) are
+    # counted after them: over one point under word:2, TX has 3 words, T(TX)
+    # 13 and its fragment 48; TV has 57 words over lukasiewicz:7, and the
+    # fragment of T(TV) 118 over lukasiewicz:5, whose TV has 31
+    for n, guard, need in ((7, 50, "T V enumeration needs 57"),
+                           (5, 100, "in-bound T\\(TV\\) fragment needs at least 101")):
+        with pytest.raises(GuardError, match="^%s candidates, above the guard %d "
+                                             % (need, guard)):
+            check_monad_laws(WordMonad(2), ("a",), lukasiewicz(n), guard=guard)
+    assert check_monad_laws(WordMonad(2), ("a",), lukasiewicz(5), guard=118).passed
 
+
+
+def test_a_kept_fragment_is_refused_under_a_lower_limit():
+    # structure_on counts the in-bound fragment as the extension builds and
+    # keeps it; a kept fragment past a later limit is refused as a new one
+    ext = LaxExtension(WordMonad(2), two())
+    rows, _, xxs = ext.fragment(("a",), 10)
+    assert len(rows) == len(xxs) == 10
+    with pytest.raises(GuardError, match=r"^in-bound T\(T carrier\) fragment needs "
+                                         r"at least 10 candidates, above the guard 9 "):
+        ext.fragment(("a",), 9)
+    assert ext.fragment(("a",))[0] is rows
 
 # ---- the walks against the literal loops they replace ----
 

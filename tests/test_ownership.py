@@ -13,9 +13,9 @@ it, whose last round lifted it.  A source guard keeps a monad's
 another keeps the sort_key order of T-carriers with
 ``LaxExtension.sorted_carrier``: no sort in ``monads.py`` or ``vrel.py``,
 and no ``fragment`` or ``walk`` handed a T-carrier for the points.  A
-third keeps composition to the Kleisli composite, in value levels, and
-the base composite of the lax-composition law, with no cache in
-``vrel.py``.  A fourth keeps the
+third keeps composition to the Kleisli composite, kept as rows and
+decoded only where it is composed, and the base composite of the
+lax-composition law, with no cache in ``vrel.py``.  A fourth keeps the
 final lift the one push-forward of a structure along maps in
 ``categories.py`` and its closures to the Warshall closure of
 ``quantale.py``: no ``while`` loop but the category closure's and the map
@@ -405,20 +405,27 @@ def cache_uses(tree):
 def test_only_kleisli_and_the_base_composite_compose():
     # K reindexes a0 along alpha and the lax-composition law is checked
     # term by term, so a . Ta and the base composite s . r are the only
-    # compositions: s . r is the one VRel compose, and a . Ta stays in
-    # value levels, the same compose_levels as VRel.compose; compose builds
-    # its table per call, and no relation keeps one between calls
-    found = {}
+    # compositions: s . r is the one VRel compose, and a . Ta is composed
+    # by the same compose_levels as VRel.compose, on value levels local to
+    # the call; compose builds its table per call, and no relation keeps
+    # one between calls
+    found, decoded = {}, []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for name in ("compose", "compose_levels"):
             for cls, fn, node in calls(tree, name):
                 found.setdefault(path.name, []).append((cls, fn, ast.unparse(node)))
+        decoded += [(path.name, cls, fn) for cls, fn, _ in calls(tree, "decode_levels")]
     assert found == {
         "categories.py": [("TVStructure", "kleisli",
-                           "compose_levels(self.quantale, row.items(), self.levels)")],
+                           "compose_levels(q, row.items(), levels)")],
         "theory.py": [(None, "check_extension_laws", "s.compose(r)")],
         "vrel.py": [("VRel", "compose", "compose_levels(q, row, levels)")]}
+    # a . Ta is kept as rows, decoded once where it is composed: (T), the
+    # frame criterion and the closure read those rows and decode nothing
+    assert sorted(decoded) == [("categories.py", "TVStructure", "kleisli"),
+                               ("exponential.py", None, "largest_compatible"),
+                               ("vrel.py", "VRel", "compose")]
     assert cache_uses(ast.parse((SRC / "vrel.py").read_text(encoding="utf-8"))) == []
 
 
@@ -567,14 +574,15 @@ def gap_loops(tree):
 def test_the_gap_loop_has_one_owner():
     # the extension caches TheoryMonad.fragment over the sort_key order and
     # the monad checks call it over carrier order, both walked by one
-    # generator; structure_on only counts the in-bound XX against its guard
+    # generator; structure_on and the monad laws count the in-bound XX
+    # against their guards as the fragment is built, not in a walk of
+    # their own
     found = {}
     for path in sorted(SRC.glob("*.py")):
         ranked, walks = gap_loops(ast.parse(path.read_text(encoding="utf-8")))
         if ranked or walks:
             found[path.name] = (ranked, walks)
-    assert found == {"categories.py": ([(None, "structure_on")], []),
-                     "monads.py": ([("TheoryMonad", "fragment")],
+    assert found == {"monads.py": ([("TheoryMonad", "fragment")],
                                    [(None, "walk_fragment")])}
 
 
