@@ -21,11 +21,11 @@ reads T(R), R the longest member of each row class of supp a.
 Each derived table has one owner: constructions take T(X) from ext.carrier
 and sort_key walks read ext.sorted_carrier.  Per structure, once, for the
 closure round that returns it, (T), the splitting and frame criteria and M
-(so dual, representation, presheaves): ``TVStructure.rows``, the one
-grouping of a, ``keys``, XX keyed by the rows at its letters, ``ta``, the
-rows of Ta per key in one lift, and ``kleisli``, the rows of a . Ta per key;
-on first read, ``m_algebra``, M X, ``op``, the dual ``dual`` returns, ``a0``,
-and ``classes``, the one partition separation and the reflector read.
+(so dual, representation, presheaves), off ``a.rows`` (``VRel.rows``):
+``keys``, XX keyed by the rows at its letters, ``ta``, the rows of Ta per
+key in one lift, and ``kleisli``, the rows of a . Ta per key; on first read,
+``m_algebra``, M X, ``op``, the dual ``dual`` returns, ``a0``, and
+``classes``, the one partition separation and the reflector read.
 
 compatible_maps, one set membership per test, is the one search for maps h
 with a(t, x) <= b(Th t, h x): the exponential and presheaf carriers, the
@@ -78,17 +78,12 @@ class TVStructure:
         return self.a.src
 
     @cached_property
-    def rows(self) -> dict:
-        """a by rows, the one grouping of a for every table read off it."""
-        return self.a.rows()
-
-    @cached_property
     def keys(self) -> dict:
         """Each in-bound XX pushed along cls, t to the first t' of TX with its
         row of a: Ta reads a only at the letters (``TheoryMonad.lift_rows``),
         so Ta and a . Ta at XX are those at its key."""
-        first, rows = {}, self.rows
-        cls = {t: first.setdefault(frozenset(rows.get(t, ())), t) for t in self.tx}
+        first, rows = {}, self.a.rows
+        cls = {t: first.setdefault(frozenset(rows.get(t, {}).items()), t) for t in self.tx}
         map_elem, key = self.monad.map_elem, cls.__getitem__
         return {xx: map_elem(key, xx) for xx in self.ext.fragment(self.carrier)[2]}
 
@@ -96,15 +91,15 @@ class TVStructure:
     def ta(self) -> dict:
         """Ta by rows at the distinct keys, ta[key] = {t: Ta(key, t)}, lifted
         in one call per structure for the checks that read it."""
-        return self.ext.lift_rows(self.rows, tuple(dict.fromkeys(self.keys.values())))
+        return self.ext.lift_rows(self.a.rows, tuple(dict.fromkeys(self.keys.values())))
 
     @cached_property
     def kleisli(self) -> dict:
         """a . Ta by rows, kleisli[key] = {x: w} without bottom: each row of Ta
         composed on the value levels of a and decoded, once per structure."""
         q, xs = self.quantale, self.carrier
-        levels = value_levels(self.rows, xs)
-        return {key: decode_levels(q.join, compose_levels(q, row.items(), levels), xs)
+        levels = value_levels(self.a.rows, xs)
+        return {key: decode_levels(q.join, compose_levels(q, row, levels), xs)
                 for key, row in self.ta.items()}
 
     @cached_property
@@ -115,13 +110,13 @@ class TVStructure:
     def op(self) -> "TVStructure":
         """X^op off M X in one pass, a column per m XX (see ``dual``)."""
         q, alg = self.quantale, self.m_algebra
-        ttx, rows, cols = self.ext.carrier(self.tx), alg.a0.rows(), {}
+        ttx, rows, cols = self.ext.carrier(self.tx), alg.a0.rows, {}
         for y in self.tx:
-            for c, v in rows.get(y, ()):
+            for c, v in rows.get(y, {}).items():
                 if (w := q.tensor[q.unit][v]) != q.bottom:
-                    cols.setdefault(c, []).append((y, w))
+                    cols.setdefault(c, {})[y] = w
         return TVStructure(self.ext, self.tx, VRel(q, ttx, self.tx, {
-            (xx, y): w for xx, c in alg.alpha.items() for y, w in cols.get(c, ())}),
+            (xx, y): w for xx, c in alg.alpha.items() for y, w in cols.get(c, {}).items()}),
             self.name and self.name + "^op",
             {"bounded_dual": True} if len(alg.alpha) < len(ttx) else None)
 
@@ -378,13 +373,13 @@ def _out_of_bound_defect(s: TVStructure) -> bool:
     the most letters keeps the lifted row and only lengthens m's argument:
     only T(R) is scanned, R those members, one per class; the tensor
     distributes over joins, so one non-bottom term is enough."""
-    q, rows, ext, letters = s.quantale, s.rows, s.ext, s.monad.letters
-    longest = {frozenset(rows[t]): t for t in sorted(rows, key=lambda t: len(letters(t)))}
+    q, rows, ext, letters = s.quantale, s.a.rows, s.ext, s.monad.letters
+    longest = {frozenset(rows[t].items()): t for t in sorted(rows, key=lambda t: len(letters(t)))}
     return any(q.tens(u, v) != q.bottom
                for xx in ext.carrier(tuple(longest.values()))
                if s.monad.mult(xx) is None
                for xv, u in ext.lift_rows(rows, (xx,))[xx].items()
-               for _, v in rows.get(xv, ()))
+               for v in rows.get(xv, {}).values())
 
 
 def coproduct(sx: TVStructure, sy: TVStructure):
@@ -543,7 +538,7 @@ def check_algebra(alg: EMAlgebra) -> CheckReport:
     # a t inside it ticks each u inside and skips each u outside
     alpha = alg.alpha
     rank = {t: i for i, t in enumerate(tx)}
-    ta0 = alg.ext.lift_rows(a0.rows(), tuple(t for t in tx if t in alpha))
+    ta0 = alg.ext.lift_rows(a0.rows, tuple(t for t in tx if t in alpha))
     bad = min(((rank[t], rank[u]) for t, row in ta0.items() for u, v in row.items()
                if u in alpha and not q.le(v, a0(alpha[t], alpha[u]))), default=None)
     inside = [t in alpha for t in tx]
@@ -569,10 +564,10 @@ def functor_M(s: TVStructure) -> EMAlgebra:
 def functor_K(alg: EMAlgebra) -> TVStructure:
     """K sends (X, a0, alpha) to (X, a0 . alpha), a0 reindexed along alpha:
     a(t, y) = k (x) a0(alpha t, y), bottom where alpha is undefined."""
-    q, alpha, rows = alg.quantale, alg.alpha, alg.a0.rows()
+    q, alpha, rows = alg.quantale, alg.alpha, alg.a0.rows
     tx = alg.ext.carrier(alg.carrier)
     out = TVStructure(alg.ext, alg.carrier, VRel(q, tx, alg.carrier, {
-        (t, y): w for t, x in alpha.items() for y, v in rows.get(x, ())
+        (t, y): w for t, x in alpha.items() for y, v in rows.get(x, {}).items()
         if (w := q.tensor[q.unit][v]) != q.bottom}))
     if any(t not in alpha for t in tx):
         out.flags["bounded_algebra"] = True

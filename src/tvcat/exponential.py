@@ -93,17 +93,16 @@ def largest_compatible(sx: TVStructure, z: tuple, b: VRel,
     top, bot = q.top, q.bottom
     check_guard(ext.monad.carrier_size(len(z) * len(xs)), "T(carrier x X) enumeration",
                 guard)
-    map_rows = {x: [(h, h[i]) for h in z] for i, x in enumerate(xs)}
+    map_rows = {x: {h: h[i] for h in z} for i, x in enumerate(xs)}
     levels = value_levels(map_rows, z)
-    value_rows = {x: [(y, y) for y in level] for x, level in levels.items()}
-    brows = {t: dict(row) for t, row in b.rows().items()}
+    value_rows = {x: {y: y for y in level} for x, level in levels.items()}
     cols: dict = {}
-    for t, arow in sx.rows.items():
+    for t, arow in sx.a.rows.items():
         terms = {}
         for tev, values in ext.monad.fiber(t, value_rows):
-            row = brows.get(tev, {})
+            row = b.rows.get(tev, {})
             term = terms[values] = {}
-            for x, u in arow:
+            for x, u in arow.items():
                 for y, bits in levels[x].items():
                     if (v := imp[u][row.get(y, bot)]) != top:
                         term[v] = term.get(v, 0) | bits
@@ -153,7 +152,7 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
     ends the call, so counts and witnesses are those of the literal loop."""
     rep = Reporter("exponentiability", bound=sx.ext.bound_info())
     q = sx.quantale
-    xs, rows = sx.carrier, sx.rows
+    xs, rows = sx.carrier, sx.a.rows
     meet, tensor = q.meet, q.tensor
     elems = range(q.n)
     square = q.n * q.n
@@ -162,7 +161,7 @@ def check_exponentiability(sx: TVStructure) -> CheckReport:
         if (xkey := sx.keys[xx]) not in cells:
             pairs = {x: set() for x in xs}
             for t, v1 in sx.ta[xkey].items():
-                for x, v2 in rows.get(t, ()):
+                for x, v2 in rows.get(t, {}).items():
                     pairs[x].add((v1, v2))
             cells[xkey] = {x: frozenset(ps) for x, ps in pairs.items()}
         for x, ps in cells[xkey].items():

@@ -96,15 +96,16 @@ class TheoryMonad:
 
     def fiber(self, t, rows: dict):
         """(T pi_Y w, the values of r at the letters of w) for every w in
-        T(supp r) with T pi_X w = t, where rows[x] lists the (y, r(x, y)) of
-        the non-bottom entries of r at x.  It reads rows only at the letters
-        of t, as ``lift_rows`` does."""
+        T(supp r) with T pi_X w = t, from r by rows (``VRel.rows``):
+        rows[x] = {y: r(x, y)} without bottom.  It reads rows only at the
+        letters of t, as ``lift_rows`` does."""
         raise NotImplementedError
 
     def lift_rows(self, rows: dict, tx: tuple, q: Quantale) -> dict:
-        """Tr at the T-elements tx, {t: {ty: v}} without bottom, in closed
-        form from r by rows as ``fiber`` takes them.  It reads rows only at
-        the letters of t; the row classes of theory.infi_sweep rest on this."""
+        """Tr at the T-elements tx in closed form from r by rows as ``fiber``
+        takes them, returned in the same form, {t: {ty: v}} without bottom.
+        It reads rows only at the letters of t; the row classes of
+        theory.infi_sweep rest on this."""
         raise NotImplementedError
 
     def unit(self, x):
@@ -177,11 +178,11 @@ class IdentityMonad(TheoryMonad):
         return f(t)
 
     def fiber(self, t, rows):
-        for y, v in rows.get(t, ()):
+        for y, v in rows.get(t, {}).items():
             yield y, (v,)
 
     def lift_rows(self, rows, tx, q):
-        return {t: dict(rows.get(t, ())) for t in tx}
+        return {t: rows.get(t, {}) for t in tx}
 
     def unit(self, x):
         return x
@@ -233,7 +234,7 @@ class WordMonad(TheoryMonad):
 
     def fiber(self, t, rows):
         # one row entry per letter of t; the empty word's one pick unzips to ()
-        for picks in product(*(rows.get(x, ()) for x in t)):
+        for picks in product(*(rows.get(x, {}).items() for x in t)):
             yield tuple(zip(*picks)) or ((), ())
 
     def lift_rows(self, rows, tx, q):
@@ -245,7 +246,8 @@ class WordMonad(TheoryMonad):
         def lift(t):
             if t not in memo:
                 memo[t] = {ty + (y,): w for ty, u in lift(t[:-1]).items()
-                           for y, v in rows.get(t[-1], ()) if (w := tensor[u][v]) != bot}
+                           for y, v in rows.get(t[-1], {}).items()
+                           if (w := tensor[u][v]) != bot}
             return memo[t]
         return {t: lift(t) for t in tx}
 
@@ -312,11 +314,11 @@ class LabelledMonad(TheoryMonad):
 
     def fiber(self, t, rows):
         x, h = t
-        for y, v in rows.get(x, ()):
+        for y, v in rows.get(x, {}).items():
             yield (y, h), (v,)
 
     def lift_rows(self, rows, tx, q):
-        return {(x, h): {(y, h): v for y, v in rows.get(x, ())} for x, h in tx}
+        return {(x, h): {(y, h): v for y, v in rows.get(x, {}).items()} for x, h in tx}
 
     def unit(self, x):
         return (x, self.monoid.labels[self.monoid.unit])

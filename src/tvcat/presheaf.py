@@ -187,7 +187,7 @@ def check_calculus(s: TVStructure, px: PresheafCategory | None = None,
                 rep.tick()
                 if not q.le(q.tens(s.a(t, y), u), s.a(t, plus[(y, u)])):
                     return rep.fail("item-4", [repr(t), repr(y), q.labels[u]])
-    ta, bot = s.ext.lift_rows(s.rows, s.ext.carrier(s.tx)), q.bottom
+    ta, bot = s.ext.lift_rows(s.a.rows, s.ext.carrier(s.tx)), q.bottom
     for u in range(q.n):
         for xx, row in ta.items():
             for t in s.tx:

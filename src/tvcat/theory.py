@@ -76,13 +76,13 @@ class LaxExtension:
 
     def extend(self, r: VRel) -> VRel:
         """Tr: TX -|-> TY, the relation of the rows of ``lift_rows``."""
-        rows = self.lift_rows(r.rows(), self.carrier(r.src))
+        rows = self.lift_rows(r.rows, self.carrier(r.src))
         return VRel(self.quantale, self.carrier(r.src), self.carrier(r.dst), {
             (t, ty): v for t, row in rows.items() for ty, v in row.items()})
 
     def lift_rows(self, rows: dict, tx: tuple) -> dict:
-        """Tr by rows at the T-elements tx, from r by rows (``VRel.rows``):
-        {t: {ty: v}} without bottom, the monad's closed form."""
+        """Tr by rows at the T-elements tx from r by rows (``VRel.rows``),
+        in that form: {t: {ty: v}} without bottom, the monad's closed form."""
         return self.monad.lift_rows(rows, tx, self.quantale)
 
     def carrier(self, xs: tuple) -> tuple:
@@ -150,16 +150,12 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
         pairs = [(r, s) for r in rels for s in rels]
     lifts: dict = {}
 
-    def lift(r: VRel, rows: bool = False):
-        # the pairs reuse few relations: extend each distinct one once, and
-        # keep its rows beside it once a lax-composition term reads them
+    def lift(r: VRel) -> VRel:
+        # the pairs reuse few relations: extend each distinct one once
         key = (r.src, r.dst, frozenset(r.entries.items()))
-        got = lifts.get(key)
-        if got is None:
-            got = lifts[key] = [ext.extend(r), None]
-        if rows and got[1] is None:
-            got[1] = got[0].rows()
-        return got[1] if rows else got[0]
+        if key not in lifts:
+            lifts[key] = ext.extend(r)
+        return lifts[key]
 
     for r in rels:
         # T(id) >= id
@@ -192,7 +188,7 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
         for j, (ygap, yy, my) in enumerate(yrows):
             ygaps += ygap
             ypos[yy] = (j, yy, my, ygaps)
-        ttr = ext.lift_rows(lift(r, rows=True), ext.fragment(xs)[2])
+        ttr = ext.lift_rows(tr.rows, ext.fragment(xs)[2])
         for xx, mx in ext.walk(xs, rep):
             bad = [ypos[yy] for yy, v in ttr.get(xx, {}).items()
                    if yy in ypos and not q.le(v, tr(mx, ypos[yy][2]))]
@@ -210,9 +206,9 @@ def check_extension_laws(ext: LaxExtension, rels=None, pairs=None) -> CheckRepor
         if r.dst != s.src:
             continue
         rep.tick()
-        lhs, srows = lift(s.compose(r)).entries, lift(s, rows=True)
+        lhs, srows = lift(s.compose(r)).entries, lift(s).rows
         gap = min(((t, t2) for (t, t1), u in lift(r).entries.items()
-                   for t2, v in srows.get(t1, ())
+                   for t2, v in srows.get(t1, {}).items()
                    if not leq[tensor[u][v]][lhs.get((t, t2), bot)]), key=sort_key,
                   default=None)
         if gap is not None:
@@ -248,12 +244,12 @@ def infi_sweep(ext: LaxExtension, rs: list, ss: list):
     def indexed(r):
         # the non-bottom entries of Tr by row as (position in T(dst), value)
         # in dst order, and the rows of r by point, equal rows one object
-        key, base = (r.src, r.dst, frozenset(r.entries.items())), r.rows()
+        key, base = (r.src, r.dst, frozenset(r.entries.items())), r.rows
         if key not in lifts:
             pos = {y: j for j, y in enumerate(ext.carrier(r.dst))}
             lifts[key] = {t: sorted((pos[y], v) for y, v in row.items())
                           for t, row in ext.lift_rows(base, ext.carrier(r.src)).items()}
-        return lifts[key], {x: rows.setdefault(row := frozenset(base.get(x, ())), row)
+        return lifts[key], {x: rows.setdefault(row := frozenset(base.get(x, {}).items()), row)
                             for x in r.src}
 
     sides = (ir := list(map(indexed, rs)), ir if ss is rs else list(map(indexed, ss)))
@@ -270,8 +266,8 @@ def infi_sweep(ext: LaxExtension, rs: list, ss: list):
     def joint_row(row, row1):
         # bottom absorbs the meet, so only pairs of non-bottom entries count
         if (row, row1) not in joint:
-            joint[row, row1] = [((y, y1), m) for y, u in row for y1, v in row1
-                                if (m := meet[u][v]) != bot]
+            joint[row, row1] = {(y, y1): m for y, u in row for y1, v in row1
+                                if (m := meet[u][v]) != bot}
         return joint[row, row1]
 
     ws = ext.sorted_carrier(pair_carrier(xs, xs1))
@@ -370,21 +366,22 @@ def scalar_tensor_sweep(ext: LaxExtension, rels: list, us) -> tuple:
     tx, ty = ext.sorted_carrier(src), ext.sorted_carrier(rels[0].dst)
 
     def lift(rows):
-        key = frozenset((x, y, v) for x, row in rows.items() for y, v in row)
+        key = frozenset((x, y, v) for x, row in rows.items() for y, v in row.items())
         if key not in lifts:
             lifts[key] = ext.lift_rows(rows, ext.carrier(src))
         return lifts[key]
 
     def gap(x, u, rows):
         # the first y where T(r (x) u) and (Tr) (x) u differ at x, from r's rows
-        rhs, lhs = lift(rows)[x], lift({p: [(y, w) for y, v in row if (w := tensor[v][u]) != bot]
+        rhs, lhs = lift(rows)[x], lift({p: {y: w for y, v in row.items()
+                                            if (w := tensor[v][u]) != bot}
                                         for p, row in rows.items()})[x]
         return next(((i, y, left, right) for i, y in enumerate(ty) if letters(x) or letters(y)
                      if (left := lhs.get(y, bot)) != (right := tensor[rhs.get(y, bot)][u])), None)
 
     def classes(rows):
         # the class of each x of tx, from the interned rows of r at its letters
-        at = {p: ids.setdefault(frozenset(rows.get(p, ())), len(ids)) for p in src}
+        at = {p: ids.setdefault(frozenset(rows.get(p, {}).items()), len(ids)) for p in src}
         return [ids.setdefault((x, *map(at.__getitem__, letters(x))), len(ids)) for x in tx]
 
     def report(cells):
@@ -395,7 +392,7 @@ def scalar_tensor_sweep(ext: LaxExtension, rels: list, us) -> tuple:
             (rep.tick if letters(x) or letters(y) else rep.skip)()
         return rep
 
-    rowss = [r.rows() for r in rels]
+    rowss = [r.rows for r in rels]
     for k, (u, (rows, cls)) in enumerate(product(us, zip(rowss, map(classes, rowss)))):
         for j, c in enumerate(cls):
             if (c, u) not in decided:

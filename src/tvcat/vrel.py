@@ -6,8 +6,10 @@ indices; missing pairs are bottom, so sparse structures stay sparse.  A
 relation checks its values only: keys are checked where data enters
 (``categories.structure_on``), and tvcat builds them inside the carriers.
 Every relation given cell by cell is built by ``tabulate``, every relation
-given as a join of images by ``push_forward``.  ``compose`` ORs the value
-levels of its left factor (Python-int bitsets), built per call, as a . Ta does.
+given as a join of images by ``push_forward``.  ``rows`` groups the stored
+``entries`` once per relation, {x: {y: v}} without bottom: the one row form
+that the kernels and monads read and ``lift_rows`` returns.  ``compose`` ORs
+the value levels of its left factor (bitsets), built per call, as a . Ta does.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class VRel:
     src: tuple
     dst: tuple
     entries: Mapping = field(default_factory=dict)
+    _rows: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.quantale.n
@@ -41,13 +44,19 @@ class VRel:
     def __call__(self, x, y) -> int:
         return self.entries.get((x, y), self.quantale.bottom)
 
+    @property
     def rows(self) -> dict:
-        """The non-bottom entries grouped by source: rows[x] lists (y, v)."""
-        out: dict = {}
-        for (x, y), v in self.entries.items():
-            if v != self.quantale.bottom:
-                out.setdefault(x, []).append((y, v))
-        return out
+        """The non-bottom entries grouped by source, rows[x] = {y: v}, once
+        per relation: the one row form, read and never written.  Kept in a
+        field, not a cached_property, which would fill the instance
+        __dict__ and so slow every later attribute read of the relation."""
+        if self._rows is None:
+            out: dict = {}
+            for (x, y), v in self.entries.items():
+                if v != self.quantale.bottom:
+                    out.setdefault(x, {})[y] = v
+            object.__setattr__(self, "_rows", out)
+        return self._rows
 
     # ---- relational calculus ----
 
@@ -58,9 +67,9 @@ class VRel:
             raise FormatError("composition across different quantales")
         if self.src != r.dst:
             raise FormatError("carrier mismatch in composition")
-        q, dst, levels = self.quantale, self.dst, value_levels(self.rows(), self.dst)
+        q, dst, levels = self.quantale, self.dst, value_levels(self.rows, self.dst)
         return VRel(q, r.src, dst, {
-            (x, z): w for x, row in r.rows().items()
+            (x, z): w for x, row in r.rows.items()
             for z, w in decode_levels(q.join, compose_levels(q, row, levels), dst).items()})
 
     def transpose(self) -> "VRel":
@@ -107,12 +116,8 @@ class VRel:
     def __eq__(self, other):
         if not isinstance(other, VRel):
             return NotImplemented
-        if (self.quantale != other.quantale or self.src != other.src
-                or self.dst != other.dst):
-            return False
-        bot = self.quantale.bottom  # a missing entry is bottom
-        return ({xy: v for xy, v in self.entries.items() if v != bot}
-                == {xy: v for xy, v in other.entries.items() if v != bot})
+        return (self.quantale == other.quantale and self.src == other.src
+                and self.dst == other.dst and self.rows == other.rows)
 
     def __hash__(self):
         return hash((self.src, self.dst))
@@ -157,22 +162,23 @@ def push_forward(q: Quantale, items) -> dict:
 
 
 def value_levels(rows: dict, dst: tuple) -> dict:
-    """The value levels of a relation from its rows: levels[x][v] is the
-    bitset of the positions in dst of the y with r(x, y) = v."""
+    """The value levels of a relation from its rows (``VRel.rows``):
+    levels[x][v] is the bitset of the positions in dst of the y with
+    r(x, y) = v."""
     pos, out = {y: i for i, y in enumerate(dst)}, {}
     for x, row in rows.items():
         level = out[x] = {}
-        for y, v in row:
+        for y, v in row.items():
             level[v] = level.get(v, 0) | 1 << pos[y]
     return out
 
 
-def compose_levels(q: Quantale, row, levels: dict) -> dict:
-    """The levels of s . r at x from the (y, u) of the row of r at x and the
+def compose_levels(q: Quantale, row: dict, levels: dict) -> dict:
+    """The levels of s . r at x from the row {y: u} of r at x and the
     levels of s: each (v, bits) of s at y ORs into u (x) v.  Bottom absorbs
     the tensor, so a bottom level is dropped and the join stays exact."""
     tensor, bot, out = q.tensor, q.bottom, {}
-    for y, u in row:
+    for y, u in row.items():
         for v, bits in levels.get(y, {}).items():
             if (w := tensor[u][v]) != bot:
                 out[w] = out.get(w, 0) | bits

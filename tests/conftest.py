@@ -8,6 +8,7 @@ from tvcat.monads import monad_by_name
 from tvcat.quantale import (chain_trunc_add, godel_chain, lukasiewicz,
                             powerset_frame, two)
 from tvcat.theory import LaxExtension
+from tvcat.vrel import VRel
 
 
 @pytest.fixture
@@ -54,6 +55,22 @@ def within_carriers(r):
     keys only where data enters (``structure_on``)."""
     src, dst = set(r.src), set(r.dst)
     return all(x in src and y in dst for x, y in r.entries)
+
+
+def counted_groupings(monkeypatch):
+    """Records each relation whose ``VRel.rows`` is computed, by wrapping
+    the property and noting each read that finds no rows kept yet: a
+    relation listed once was grouped once, however often its rows were
+    read."""
+    grouped, rows = [], VRel.rows.fget
+
+    def counted(self):
+        if self._rows is None:
+            grouped.append(self)
+        return rows(self)
+
+    monkeypatch.setattr(VRel, "rows", property(counted))
+    return grouped
 
 
 def reference_clock():

@@ -74,7 +74,7 @@ from tvcat.vrel import (VRel, all_relations, compose_levels, decode_levels, id_r
                         pair_carrier, push_forward, random_relation, tabulate,
                         value_levels)
 
-from conftest import all_quantales, within_carriers
+from conftest import all_quantales, counted_groupings, within_carriers
 from test_bench_names import assigned
 
 
@@ -187,11 +187,11 @@ def test_largest_compatible_at_the_empty_word():
                                                      {((), "a"): q.top})))
     sy = discrete(ext, ("c", "d"))
     exp = graph_exponential(sx, sy)
-    assert () in sx.a.rows() and exp.structure.a((), exp.structure.carrier[0]) == q.bottom
+    assert () in sx.a.rows and exp.structure.a((), exp.structure.carrier[0]) == q.bottom
     assert list(exp.structure.a.entries.items()) == list(
         exponential_oracle(sx, sy, exp.structure.carrier).items())
     px = build_presheaf_category(sx)
-    assert () in px.opposite.a.rows()
+    assert () in px.opposite.a.rows
     assert list(px.structure.a.entries.items()) == list(
         presheaf_oracle(sx, px.structure.carrier).items())
 
@@ -622,8 +622,8 @@ def test_fiber_extension_matches_literal_enumeration(qname, mname):
     for _ in range(1 if mname == "word:3" else 4):
         a = random_relation(q, tx, xs, rng)
         ta = literal_extension(ext, a, src=xxs)
-        assert ext.lift_rows(a.rows(), xxs) == {
-            xx: dict(ta.rows().get(xx, ())) for xx in xxs}
+        assert ext.lift_rows(a.rows, xxs) == {
+            xx: ta.rows.get(xx, {}) for xx in xxs}
 
 
 @pytest.mark.parametrize("mname", EXT_MONADS)
@@ -646,16 +646,16 @@ def test_lift_rows_is_the_fiber_fold_in_closed_form(q, mname):
     rels += [VRel(q, xs, ys, {(x, y): rng.choice(above) for x in xs[:k] for y in ys
                               if rng.random() < 0.7}) for k in (1, 2, 3, 3)]
     for r in rels:
-        got = monad.lift_rows(r.rows(), tuple(tx), q)
-        fold = fiber_lift(monad, r.rows(), tuple(tx), q)
+        got = monad.lift_rows(r.rows, tuple(tx), q)
+        fold = fiber_lift(monad, r.rows, tuple(tx), q)
         assert [(t, list(row.items())) for t, row in got.items()] == [
             (t, list(row.items())) for t, row in fold.items()]
-        literal = literal_extension(ext, r).rows()
-        assert got == {t: dict(literal.get(t, ())) for t in tx}
+        literal = literal_extension(ext, r).rows
+        assert got == {t: literal.get(t, {}) for t in tx}
     if monad.bounded:
         # the empty word lifts to the unit at the empty word, whatever r is,
         # and to nothing where the unit is bottom (a one-element quantale)
-        assert all(monad.lift_rows(r.rows(), ((),), q) == {(): {(): q.unit}}
+        assert all(monad.lift_rows(r.rows, ((),), q) == {(): {(): q.unit}}
                    for r in rels)
         one = quantale_by_name("godel:1")
         assert monad.lift_rows({}, ((),), one) == fiber_lift(monad, {}, ((),), one) == {(): {}}
@@ -1015,12 +1015,12 @@ def closure_oracle(s):
 def defect_oracle(s):
     """The out-of-bound defect scan over all of T(supp a), supp a in TX
     order: whether Ta (x) a is non-bottom at some out-of-bound XX."""
-    q, rows, monad = s.quantale, s.rows, s.monad
+    q, rows, monad = s.quantale, s.a.rows, s.monad
     return any(q.tens(u, v) != q.bottom
                for xx in monad.carrier(tuple(t for t in s.tx if t in rows))
                if monad.mult(xx) is None
                for xv, u in s.ext.lift_rows(rows, (xx,))[xx].items()
-               for _, v in rows.get(xv, ()))
+               for v in rows.get(xv, {}).values())
 
 
 def fields(rep):
@@ -1118,7 +1118,7 @@ def test_defect_scan_reads_the_longest_member_of_a_row_class(qname):
     raw = TVStructure(ext, xs, VRel(q, ext.carrier(xs), xs, ent))
     closed = graph_to_category(raw)
     assert dict(closed.a.entries) == ent
-    rows = closed.rows
+    rows = closed.a.rows
     assert rows[("a",)] == rows[("a", "a")] != rows[("b",)]
     assert closed.flags.get("bounded_closure") is True
     assert defect_oracle(closed) and closure_oracle(raw)[1]
@@ -1400,8 +1400,8 @@ def test_infi_sweep_matches_dense_loop(cell):
     k = min(30, len(rels) // 2)
     sweeps += [(rng.sample(rels, k), rng.sample(rels, k)) for _ in range(2)]
     for x in ("b", "a"):
-        row = sorted(rels[10].rows().get(x, ()))
-        fixed = [r for r in rels if sorted(r.rows().get(x, ())) == row]
+        row = rels[10].rows.get(x, {})
+        fixed = [r for r in rels if r.rows.get(x, {}) == row]
         sweeps.append((fixed, [r.rename(dict(b="f", a="e").get, dict(d="h", c="g").get)
                                for r in fixed]))
     statuses = set()
@@ -1429,7 +1429,7 @@ def test_sweep_extends_each_relation_once(monkeypatch):
     lift_rows, post_init = LaxExtension.lift_rows, VRel.__post_init__
 
     def counted_lift_rows(self, rows, tx):
-        lifted.append(frozenset(((x, y), v) for x, row in rows.items() for y, v in row))
+        lifted.append(frozenset(((x, y), v) for x, row in rows.items() for y, v in row.items()))
         return lift_rows(self, rows, tx)
 
     def counted_post_init(self):
@@ -1454,7 +1454,7 @@ def test_scalar_tensor_sweep_lifts_each_relation_once(monkeypatch):
     lift_rows = LaxExtension.lift_rows
 
     def counted(self, rows, tx):
-        lifted.append(frozenset((x, y, v) for x, row in rows.items() for y, v in row))
+        lifted.append(frozenset((x, y, v) for x, row in rows.items() for y, v in row.items()))
         return lift_rows(self, rows, tx)
 
     monkeypatch.setattr(LaxExtension, "lift_rows", counted)
@@ -1650,8 +1650,8 @@ def test_lax_composition_witness_is_the_least_failing_cell():
     tr, ts, tsr = ext.extend(r), ext.extend(s), ext.extend(s.compose(r))
     rhs = ts.compose(tr)
     cells = [c for c, v in rhs.entries.items() if not q.le(v, tsr(*c))]
-    scan = [(t, t2) for (t, t1), u in tr.entries.items() for t2, v in ts.rows().get(t1, ())
-            if not q.le(q.tensor[u][v], tsr(t, t2))]
+    scan = [(t, t2) for (t, t1), u in tr.entries.items()
+            for t2, v in ts.rows.get(t1, {}).items() if not q.le(q.tensor[u][v], tsr(t, t2))]
     assert len(cells) >= 2 and set(scan) == set(cells)
     assert min(cells, key=sort_key) != scan[0]
     got = check_extension_laws(ext, rels=[r], pairs=[(r, s)])
@@ -1799,7 +1799,7 @@ def test_checks_apply_m_to_their_fragments_alone(qname):
         monad.calls = 0
         closed = graph_to_category(s)
         assert closed.flags.get("bounded_closure", False) == defect
-        classes = {frozenset(row) for row in closed.rows.values()}
+        classes = {frozenset(row.items()) for row in closed.a.rows.values()}
         assert monad.calls <= inbound_count(monad, xs) + size(len(classes))
         # the scan stops at the first defect out of bound
         assert monad.calls * 10 < size(size(len(xs)))
@@ -1861,7 +1861,7 @@ def test_ta_and_kleisli_rows_match_extend_and_compose(q, mname):
             ta = literal_extension(ext, s.a, frag)
             assert list(s.keys) == list(frag)
             assert set(s.ta) == set(s.keys.values())
-            assert all(s.ta[s.keys[xx]] == dict(ta.rows().get(xx, ())) for xx in frag)
+            assert all(s.ta[s.keys[xx]] == ta.rows.get(xx, {}) for xx in frag)
             via = {(xx, x): v for xx in frag for x, v in s.kleisli[s.keys[xx]].items()}
             assert via == dict(s.a.compose(ta).entries) == dense_kleisli(s, ta)
             # the rows hold no bottom
@@ -1931,13 +1931,13 @@ def test_transitivity_of_graph_exponentials_matches_literal_loop():
 
 def per_xx_ta(s):
     """Ta at every XX of the fragment."""
-    return s.ext.lift_rows(s.rows, s.ext.fragment(s.carrier)[2])
+    return s.ext.lift_rows(s.a.rows, s.ext.fragment(s.carrier)[2])
 
 
 def per_xx_kleisli(s, ta):
     """The levels of a . Ta at every XX of the fragment."""
-    levels = value_levels(s.rows, s.carrier)
-    return {xx: compose_levels(s.quantale, row.items(), levels) for xx, row in ta.items()}
+    levels = value_levels(s.a.rows, s.carrier)
+    return {xx: compose_levels(s.quantale, row, levels) for xx, row in ta.items()}
 
 
 def category_per_xx(s):
@@ -1948,7 +1948,7 @@ def category_per_xx(s):
     if not sub.passed:
         return rep.fail(sub.law, sub.witness, **sub.details)
     ta = per_xx_ta(s)
-    kleisli, levels = per_xx_kleisli(s, ta), value_levels(s.rows, s.carrier)
+    kleisli, levels = per_xx_kleisli(s, ta), value_levels(s.a.rows, s.carrier)
     a, leq, bot, bad = s.a, q.leq, q.bottom, {}
     nt, nx = len(s.tx), len(s.carrier)
     for k, (xx, mx) in enumerate(s.ext.walk(s.carrier, rep)):
@@ -1970,14 +1970,14 @@ def category_per_xx(s):
 def exponentiability_per_xx(sx):
     rep = Reporter("exponentiability", bound=sx.ext.bound_info())
     q = sx.quantale
-    xs, rows = sx.carrier, sx.rows
+    xs, rows = sx.carrier, sx.a.rows
     meet, tensor = q.meet, q.tensor
     square = q.n * q.n
     ta, passed = per_xx_ta(sx), set()
     for xx, mx in sx.ext.walk(xs, rep):
         pairs = {x: set() for x in xs}
         for t, v1 in ta.get(xx, {}).items():
-            for x, v2 in rows.get(t, ()):
+            for x, v2 in rows.get(t, {}).items():
                 pairs[x].add((v1, v2))
         for x, ps in pairs.items():
             amx = sx.a(mx, x)
@@ -2220,21 +2220,16 @@ def test_infi_sweep_indexes_each_relation_once_on_one_list(cell, monkeypatch):
     # relation is grouped by rows once and its rows lifted once
     ext = LaxExtension(monad_by_name(cell[1]), quantale_by_name(cell[0]))
     rels = list(all_relations(ext.quantale, ("x0", "x1"), ("y0", "y1")))
-    grouped, lifted = [], []
-    rows, lift_rows = VRel.rows, LaxExtension.lift_rows
-
-    def counted_rows(self):
-        grouped.append(frozenset(self.entries.items()))
-        return rows(self)
+    lifted, lift_rows = [], LaxExtension.lift_rows
+    grouped = counted_groupings(monkeypatch)
 
     def counted_lift_rows(self, rows, tx):
-        lifted.append(frozenset((x, y, v) for x, row in rows.items() for y, v in row))
+        lifted.append(frozenset((x, y, v) for x, row in rows.items() for y, v in row.items()))
         return lift_rows(self, rows, tx)
 
-    monkeypatch.setattr(VRel, "rows", counted_rows)
     monkeypatch.setattr(LaxExtension, "lift_rows", counted_lift_rows)
     index, got = infi_sweep(ext, rels, rels)
     monkeypatch.undo()
     assert got.passed and index == len(rels) ** 2
-    assert len(grouped) == len(set(grouped)) == len(rels)
+    assert len(grouped) == len({frozenset(r.entries.items()) for r in grouped}) == len(rels)
     assert len(lifted) == len(set(lifted)) == len(rels)

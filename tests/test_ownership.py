@@ -15,9 +15,9 @@ another keeps the sort_key order of T-carriers with
 and no ``fragment`` or ``walk`` handed a T-carrier for the points.  A
 third keeps composition to the Kleisli composite, kept as rows and
 decoded only where it is composed, and the base composite of the
-lax-composition law, with no cache in ``vrel.py``.  A fourth keeps the
-final lift the one push-forward of a structure along maps in
-``categories.py`` and its closures to the Warshall closure of
+lax-composition law, with no cache in ``vrel.py`` but ``VRel.rows``.  A
+fourth keeps the final lift the one push-forward of a structure along maps
+in ``categories.py`` and its closures to the Warshall closure of
 ``quantale.py``: no ``while`` loop but the category closure's and the map
 search's.  A fifth keeps (V, hom_xi) with ``LaxExtension.hom_xi``: the
 presheaf and exponential kernels compute no xi, and the gallery loads its
@@ -32,7 +32,10 @@ only ``largest_compatible`` walks the fibers.  ``TVStructure.m_algebra``
 owns M X and ``TVStructure.op`` the dual: ``dual``, the presheaf category
 and the representation search build each once per structure, ``dual``
 checks its T(TX) guard on every call, and the keys of every construction
-lie inside its carriers, which relations no longer check."""
+lie inside its carriers, which relations no longer check.  ``VRel.rows``
+owns the rows of a relation: it groups the entries by source once per
+relation, no other code in ``src/tvcat`` does, and ``TVStructure`` keeps
+no grouping of its own."""
 
 import ast
 import random
@@ -54,9 +57,9 @@ from tvcat.monads import monad_by_name
 from tvcat.presheaf import build_presheaf_category
 from tvcat.quantale import quantale_by_name
 from tvcat.theory import LaxExtension
-from tvcat.vrel import VRel, random_relation
+from tvcat.vrel import random_relation
 
-from conftest import within_carriers
+from conftest import counted_groupings, within_carriers
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tvcat"
 
@@ -150,7 +153,7 @@ def test_m_and_the_dual_are_built_once_per_structure(monkeypatch):
 
 def lifts_of(calls, s):
     """The tx of each recorded lift_rows call that lifts the rows of s."""
-    return [tx for rows, tx in calls if rows is s.rows]
+    return [tx for rows, tx in calls if rows is s.a.rows]
 
 
 def counted_lifts(monkeypatch):
@@ -178,11 +181,12 @@ def run_readers(s):
 
 def test_ta_is_extended_once_per_structure(monkeypatch):
     # the checks and constructions share one lift of a, at the distinct keys
-    # of the fragment in one call, so the word monad's prefix memo is shared
+    # of the fragment in one call, so the word monad's prefix memo is shared;
+    # s shares its relation, and so its rows, with the closure that built it
     ext = word2("godel:3")
-    calls = counted_lifts(monkeypatch)
     raw = random_category(ext, ("b", "a"), random.Random(7))
     s = TVStructure(ext, raw.carrier, raw.a)
+    calls = counted_lifts(monkeypatch)
     run_readers(s)
     keys = tuple(dict.fromkeys(s.keys.values()))
     assert lifts_of(calls, s) == [keys]
@@ -224,8 +228,8 @@ def test_the_closure_never_asks_for_t_of_its_support(monkeypatch):
         raw = TVStructure(ext, xs, random_relation(ext.quantale, ext.carrier(xs), xs, rng))
         asked.clear()
         closed = graph_to_category(raw)
-        supp = tuple(t for t in closed.tx if t in closed.rows)
-        row = {t: frozenset(closed.rows[t]) for t in supp}
+        supp = tuple(t for t in closed.tx if t in closed.a.rows)
+        row = {t: frozenset(closed.a.rows[t].items()) for t in supp}
         scans = [ys for ys in asked if ys != xs]
         assert len(set(row.values())) < len(supp) and supp not in asked
         assert len(scans) == 1 and len(scans[0]) == len(set(row.values()))
@@ -235,27 +239,82 @@ def test_the_closure_never_asks_for_t_of_its_support(monkeypatch):
 
 
 def test_a_is_grouped_once_per_structure(monkeypatch):
-    # TVStructure.rows is the one grouping of a: Ta, the levels of a, the
-    # closure's defect scan, the splitting check and the exponential's walk
-    # over the rows of a read it.  The exponential's target b is read as a
-    # relation, grouped once per call, so here it is another structure
+    # VRel.rows is the one grouping of a relation, on first read: Ta, the
+    # levels of a, the closure's defect scan, the splitting check, the
+    # exponential's walk over the rows of a and over its target b (here
+    # another structure), M X and the dual all read it, and no relation is
+    # grouped twice
     ext = word2("godel:3")
-    grouped = []
-    rows = VRel.rows
-
-    def counted(self):
-        grouped.append(self)
-        return rows(self)
-
-    monkeypatch.setattr(VRel, "rows", counted)
+    grouped = counted_groupings(monkeypatch)
     s = random_category(ext, ("b", "a"), random.Random(7))
     check_category(s)
     check_exponentiability(s)
     check_frame_criterion(s)
     dual(s)
     find_representation(s)
-    graph_exponential(s, discrete(ext, ("d", "c")))
-    assert sum(r is s.a for r in grouped) == 1
+    sy = discrete(ext, ("d", "c"))
+    graph_exponential(s, sy)
+    assert len(grouped) == len(set(map(id, grouped)))
+    assert sum(r is s.a for r in grouped) == sum(r is sy.a for r in grouped) == 1
+    assert not hasattr(TVStructure, "rows")
+
+
+def source_groupings(tree):
+    """(class, function) of each loop over the entries of a relation,
+    ``for (x, y), v in <r>.entries.items()`` or its comprehension, that
+    keys a table by the bare source x: ``setdefault(x, ...)``, ``[x]`` or
+    a dict comprehension keyed by x."""
+    out = []
+
+    def keyed_by(node, x):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            key = node.args[0] if node.func.attr == "setdefault" and node.args else None
+        else:
+            key = {ast.Subscript: "slice", ast.DictComp: "key"}.get(type(node))
+            key = key and getattr(node, key)
+        return isinstance(key, ast.Name) and key.id == x
+
+    def visit(node, cls, fn):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        for gen in ([node] if isinstance(node, ast.For) else getattr(node, "generators", ())):
+            it, target = gen.iter, gen.target
+            if (isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute)
+                    and it.func.attr == "items" and isinstance(it.func.value, ast.Attribute)
+                    and it.func.value.attr == "entries" and isinstance(target, ast.Tuple)
+                    and isinstance(target.elts[0], ast.Tuple)
+                    and isinstance(x := target.elts[0].elts[0], ast.Name)
+                    and any(keyed_by(n, x.id) for n in ast.walk(node))):
+                out.append((cls, fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, fn)
+
+    visit(tree, None, None)
+    return out
+
+
+def test_only_vrel_rows_groups_entries_by_source():
+    # every row a kernel or monad reads is VRel.rows: no module regroups a
+    # relation's entries by source on its own
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for cls, fn in source_groupings(ast.parse(path.read_text(encoding="utf-8"))):
+            found.setdefault(path.name, []).append((cls, fn))
+    assert found == {"vrel.py": [("VRel", "rows")]}
+
+
+def test_the_guard_sees_a_grouping_by_source():
+    tree = ast.parse("def f(r, s, out):\n"
+                     "    for (x, y), v in r.entries.items():\n"
+                     "        out.setdefault(x, []).append((y, v))\n"
+                     "    for (x, y), v in r.entries.items():\n"
+                     "        out[y] = v\n"
+                     "    g = {x: y for (x, y), v in s.entries.items()}\n"
+                     "    h = [out[x] for (x, y), v in s.entries.items()]\n"
+                     "    return {(x, y): v for (x, y), v in r.entries.items()}, g, h\n")
+    assert source_groupings(tree) == [(None, "f")] * 3
 
 
 def calls(tree, name):
@@ -408,7 +467,8 @@ def test_only_kleisli_and_the_base_composite_compose():
     # compositions: s . r is the one VRel compose, and a . Ta is composed
     # by the same compose_levels as VRel.compose, on value levels local to
     # the call; compose builds its table per call, and no relation keeps
-    # one between calls
+    # one between calls: the one cache of vrel.py is VRel.rows, the grouping
+    # of a relation's entries by source
     found, decoded = {}, []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -417,8 +477,7 @@ def test_only_kleisli_and_the_base_composite_compose():
                 found.setdefault(path.name, []).append((cls, fn, ast.unparse(node)))
         decoded += [(path.name, cls, fn) for cls, fn, _ in calls(tree, "decode_levels")]
     assert found == {
-        "categories.py": [("TVStructure", "kleisli",
-                           "compose_levels(q, row.items(), levels)")],
+        "categories.py": [("TVStructure", "kleisli", "compose_levels(q, row, levels)")],
         "theory.py": [(None, "check_extension_laws", "s.compose(r)")],
         "vrel.py": [("VRel", "compose", "compose_levels(q, row, levels)")]}
     # a . Ta is kept as rows, decoded once where it is composed: (T), the
@@ -426,7 +485,11 @@ def test_only_kleisli_and_the_base_composite_compose():
     assert sorted(decoded) == [("categories.py", "TVStructure", "kleisli"),
                                ("exponential.py", None, "largest_compatible"),
                                ("vrel.py", "VRel", "compose")]
-    assert cache_uses(ast.parse((SRC / "vrel.py").read_text(encoding="utf-8"))) == []
+    tree = ast.parse((SRC / "vrel.py").read_text(encoding="utf-8"))
+    assert cache_uses(tree) == []
+    assert [(cls.name, fn.name) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and fn.decorator_list] == [("VRel", "rows")]
 
 
 def test_the_guard_sees_a_compose_call_and_a_cache():

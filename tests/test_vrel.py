@@ -1,6 +1,7 @@
 """Relational calculus against brute-force recomputation."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,6 +177,30 @@ def test_explicit_bottom_entries(qname):
     assert r != VRel(q, XS, YS, {("x0", "y0"): q.top, ("x1", "y1"): q.top})
     assert r != VRel(q, XS, YS, {("x1", "y1"): q.top, ("x1", "y0"): q.top})
     assert r != VRel(q, XS, YS, {("x1", "y1"): q.bottom})
+
+
+@pytest.mark.parametrize("qname", ["two", "godel:3", "lukasiewicz:3"])
+def test_rows_are_the_entries_grouped_once(qname):
+    """VRel.rows is entries regrouped by source, bottom dropped, grouped
+    once per relation; equality compares rows, so r == s exactly when r and
+    s agree on every cell.  Half the relations store explicit bottom cells,
+    as structure_on keeps them for a bottom label in a file."""
+    q = quantale_by_name(qname)
+    bot, rng = q.bottom, random.Random("rows:%s" % qname)
+    ext = LaxExtension(monad_by_name("identity"), q)
+    rels = [structure_on(ext, list(XS), {"x0;x0": q.labels[bot], "x1;x0": q.labels[q.top],
+                                         "x1;x1": q.labels[bot]}).a]
+    assert len(rels[0].entries) == 3 and rels[0].rows == {"x1": {"x0": q.top}}
+    for _ in range(30):
+        sparse = random_relation(q, XS, XS, rng)
+        rels += [sparse, VRel(q, XS, XS, {(x, y): sparse(x, y) for x in XS for y in XS})]
+    for r in rels:
+        support = {x for (x, _), v in r.entries.items() if v != bot}
+        assert r.rows == {x: {y: v for (x1, y), v in r.entries.items() if x1 == x and v != bot}
+                          for x in support}
+        assert r.rows is r.rows
+    for r, s in product(rels, repeat=2):
+        assert (r == s) == all(r(x, y) == s(x, y) for x in XS for y in XS)
 
 
 def test_identity_neutral():
