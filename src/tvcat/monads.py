@@ -103,9 +103,9 @@ class TheoryMonad:
 
     def lift_rows(self, rows: dict, tx: tuple, q: Quantale) -> dict:
         """Tr at the T-elements tx in closed form from r by rows as ``fiber``
-        takes them, returned in the same form, {t: {ty: v}} without bottom.
-        It reads rows only at the letters of t; the row classes of
-        theory.infi_sweep rest on this."""
+        takes them, returned in that form, possibly the input's own dicts,
+        never to be written.  It reads rows only at the letters of t; the
+        row classes of theory.infi_sweep rest on this."""
         raise NotImplementedError
 
     def unit(self, x):
@@ -246,8 +246,7 @@ class WordMonad(TheoryMonad):
         def lift(t):
             if t not in memo:
                 memo[t] = {ty + (y,): w for ty, u in lift(t[:-1]).items()
-                           for y, v in rows.get(t[-1], {}).items()
-                           if (w := tensor[u][v]) != bot}
+                           for y, v in rows.get(t[-1], {}).items() if (w := tensor[u][v]) != bot}
             return memo[t]
         return {t: lift(t) for t in tx}
 

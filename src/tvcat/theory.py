@@ -81,8 +81,8 @@ class LaxExtension:
             (t, ty): v for t, row in rows.items() for ty, v in row.items()})
 
     def lift_rows(self, rows: dict, tx: tuple) -> dict:
-        """Tr by rows at the T-elements tx from r by rows (``VRel.rows``),
-        in that form: {t: {ty: v}} without bottom, the monad's closed form."""
+        """Tr by rows at the T-elements tx from r by rows (``VRel.rows``):
+        {t: {ty: v}} without bottom, possibly r's own dicts, never written."""
         return self.monad.lift_rows(rows, tx, self.quantale)
 
     def carrier(self, xs: tuple) -> tuple:

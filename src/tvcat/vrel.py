@@ -47,9 +47,9 @@ class VRel:
     @property
     def rows(self) -> dict:
         """The non-bottom entries grouped by source, rows[x] = {y: v}, once
-        per relation: the one row form, read and never written.  Kept in a
-        field, not a cached_property, which would fill the instance
-        __dict__ and so slow every later attribute read of the relation."""
+        per relation: the one row form, read and never written.  A field set
+        in __init__, as a cached_property adds a key to __dict__ after
+        construction, which slowed later attribute reads in CPython 3.11."""
         if self._rows is None:
             out: dict = {}
             for (x, y), v in self.entries.items():
