@@ -38,6 +38,8 @@ class Monoid:
 
     def __post_init__(self):
         n = len(self.labels)
+        if len(set(self.labels)) != n:
+            raise FormatError("duplicate monoid element labels")
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise FormatError("monoid table must be %dx%d" % (n, n))
         if any(not 0 <= v < n for r in self.table for v in r):

@@ -8,9 +8,10 @@ structure come from the kernels of the graph exponential, the search
 ``categories.compatible_maps`` over ``point_tests`` and the fiber walk over
 the rows of the dual, ``largest_compatible`` (exponential.py), both given
 hom_xi, built once, as their target relation, with residuation in place of
-Heyting implication.  Weak factorization searches with ``compatible_maps``
-when TX is not X.  The structure is certified per instance by the full
-faithfulness of the Yoneda map and the separation and injectivity checks.
+Heyting implication.  Weak factorization is one ``compatible_maps`` search
+for every monad: injectivity of PY names no particular extension.  The
+structure is certified per instance by the full faithfulness of the Yoneda
+map and the separation and injectivity checks.
 """
 
 from __future__ import annotations
@@ -270,55 +271,29 @@ def weak_exponential(sx: TVStructure, sy: TVStructure,
 
 def weak_factorize(wexp: WeakExponential, fmap: dict,
                    sz: TVStructure, guard: int | None = None) -> TVFunctor:
-    """Factor f: Z x X -> Y through the weak evaluation.  When presheaves
-    are indexed by points (TX = X, as for the identity monad) the presheaf
-    extension is built directly by the colimit formula
-    f'(z, psi)(y') = \\/_x psi(x) (x) b(y', f(z, x)); otherwise a guarded
-    exhaustive search looks for any compatible choice.  Raises
-    NoExtensionFound when the search is exhausted (which would contradict
-    injectivity of PY)."""
-    sx, sy = wexp.sx, wexp.sy
-    q = sx.quantale
-    pxc = wexp.px.structure.carrier
-    pyc = wexp.py.structure.carrier
-    tidx_x = {t: i for i, t in enumerate(sx.tx)}
-    if sx.tx == sx.carrier:
-        maps = {}
-        for z in sz.carrier:
-            phi = []
-            for psi in pxc:
-                img = tuple(q.sup(q.tens(psi[tidx_x[x]],
-                                         sy.a(y1, fmap[(z, x)]))
-                                  for x in sx.carrier)
-                            for y1 in sy.tx)
-                if img not in pyc:
-                    raise NoExtensionFound(
-                        "colimit extension left the presheaf carrier at %r" % (z,))
-                phi.append(img)
-            phi = tuple(phi)
-            if phi not in wexp.structure.carrier:
-                raise NoExtensionFound(
-                    "extension at %r does not preserve the Yoneda image" % (z,))
-            maps[z] = phi
-        ft = TVFunctor(sz, wexp.structure, maps)
-    else:
-        per_z = {}
-        for z in sz.carrier:
-            cands = [phi for phi in wexp.structure.carrier
-                     if all(wexp.apply(phi, wexp.yx.map[x])
-                            == wexp.yy.map[fmap[(z, x)]]
-                            for x in sx.carrier)]
-            if not cands:
-                raise NoExtensionFound("no candidate at %r" % (z,))
-            per_z[z] = cands
-        check_guard(prod(map(len, per_z.values())), "weak factorization search",
-                    guard)
-        values = next(compatible_maps(q, sz.monad, per_z, sz.a.entries.items(),
-                                      wexp.structure.a), None)
-        if values is None:
-            raise NoExtensionFound("search exhausted without a compatible "
-                                   "factorization")
-        ft = TVFunctor(sz, wexp.structure, dict(zip(per_z, values)))
+    """Factor f: Z x X -> Y through the weak evaluation, for every monad:
+    the candidates at z are the maps of the weak exponential that evaluate
+    to f(z, -), and a guarded ``compatible_maps`` search takes the first
+    structure-compatible choice among them.  Raises NoExtensionFound when
+    the search is exhausted (which would contradict injectivity of PY)."""
+    sx = wexp.sx
+    per_z = {}
+    for z in sz.carrier:
+        cands = [phi for phi in wexp.structure.carrier
+                 if all(wexp.apply(phi, wexp.yx.map[x])
+                        == wexp.yy.map[fmap[(z, x)]]
+                        for x in sx.carrier)]
+        if not cands:
+            raise NoExtensionFound("no candidate at %r" % (z,))
+        per_z[z] = cands
+    check_guard(prod(map(len, per_z.values())), "weak factorization search",
+                guard)
+    values = next(compatible_maps(sx.quantale, sz.monad, per_z,
+                                  sz.a.entries.items(), wexp.structure.a), None)
+    if values is None:
+        raise NoExtensionFound("search exhausted without a compatible "
+                               "factorization")
+    ft = TVFunctor(sz, wexp.structure, dict(zip(per_z, values)))
     sub = check_functor(ft)
     if not sub.passed:
         raise NoExtensionFound("constructed factorization is not "

@@ -683,43 +683,46 @@ def test_gallery_guard_size_is_passed_not_set(capsys, monkeypatch):
     assert not any("presheaf_size" in v for v in verdicts)
 
 
-@pytest.mark.parametrize("kind,payload", [
+@pytest.mark.parametrize("kind,payload,need", [
     ("quantale", {"elements": ["0", "1"], "order": [1, 2],
-                  "tensor": {"0,0": "0", "0,1": "0", "1,1": "1"}, "unit": "1"}),
-    ("monad", {"kind": "labelled", "monoid": {"elements": ["e"], "unit": "e"}}),
+                  "tensor": {"0,0": "0", "0,1": "0", "1,1": "1"}, "unit": "1"}, "pairs"),
+    ("monad", {"kind": "labelled", "monoid": {"elements": ["e"], "unit": "e"}}, "table"),
     ("structure", {"quantale": "two", "monad": "identity", "carrier": "ab",
-                   "structure": {}}),
-    ("monad", ["word", 2]),
-    ("monad", {"kind": "word", "max_len": "x"}),
-    ("monad", {"kind": "word", "max_len": None}),
-    ("structure", ["two", "identity"]),
+                   "structure": {}}, "carrier"),
+    ("monad", ["word", 2], "JSON object"),
+    ("monad", {"kind": "word", "max_len": "x"}, "max_len"),
+    ("monad", {"kind": "word", "max_len": None}, "max_len"),
+    ("structure", ["two", "identity"], "JSON object"),
     ("structure", {"quantale": "two", "monad": "identity", "carrier": ["a"],
-                   "structure": ["a;a", "1"]}),
-    ("gallery", {"entries": [{"name": "no-quantale", "monad": "identity"}]}),
+                   "structure": ["a;a", "1"]}, "entries"),
+    ("gallery", {"entries": [{"name": "no-quantale", "monad": "identity"}]}, "quantale"),
     ("structure", {"quantale": "two", "monad": "word:2",
-                   "carrier": ["a,b", "a", "b"], "structure": {"a,b;a": "1"}}),
+                   "carrier": ["a,b", "a", "b"], "structure": {"a,b;a": "1"}}, "relabel"),
     ("gallery", {"entries": [{"name": "e", "quantale": "two",
                               "monad": "identity",
-                              "structures": [{"kind": "discrete"}]}]}),
+                              "structures": [{"kind": "discrete"}]}]}, "carrier"),
     ("structure", {"quantale": "two", "monad": "identity",
-                   "carrier": ["a;b", "a", "b;a"], "structure": {"a;b;a": "1"}}),
+                   "carrier": ["a;b", "a", "b;a"], "structure": {"a;b;a": "1"}}, "relabel"),
     ("gallery", {"entries": [{"name": "e", "quantale": "two",
                               "monad": "identity", "structures": [
                                   {"name": "s", "kind": "order",
-                                   "carrier": ["a", "b"], "pairs": [["a"]]}]}]}),
+                                   "carrier": ["a", "b"], "pairs": [["a"]]}]}]}, "pairs"),
     ("gallery", {"entries": [{"name": "e", "quantale": "two",
                               "monad": "identity", "structures": [
                                   {"name": "s", "kind": "order",
                                    "carrier": ["a", "b"],
-                                   "pairs": [["a", "zzz"]]}]}]}),
+                                   "pairs": [["a", "zzz"]]}]}]}, "over its carrier"),
     ("gallery", {"entries": [{"name": "e", "quantale": "two",
                               "monad": "identity", "structures": [
                                   {"name": "s", "kind": "discrete",
-                                   "carrier": [["a"]]}]}]}),
+                                   "carrier": [["a"]]}]}]}, "strings"),
     ("gallery", {"entries": [{"name": "e", "quantale": "two",
                               "monad": "identity", "structures": [
                                   {"name": "s", "kind": "discrete",
-                                   "carrier": []}]}]}),
+                                   "carrier": []}]}]}, "nonempty"),
+    ("monad", {"kind": "labelled", "monoid": {"elements": ["e", "e"], "unit": "e",
+                                              "table": [["e", "e"], ["e", "e"]]}},
+     "duplicate"),
 ], ids=["quantale-order-not-pairs", "labelled-without-table",
         "carrier-not-a-list", "monad-a-list", "max-len-not-a-number",
         "max-len-null", "structure-a-list", "structure-entries-a-list",
@@ -727,8 +730,8 @@ def test_gallery_guard_size_is_passed_not_set(capsys, monkeypatch):
         "gallery-structure-without-carrier-or-name",
         "ambiguous-semicolon-label", "gallery-order-pair-of-one",
         "gallery-order-pair-off-carrier", "gallery-carrier-of-lists",
-        "gallery-empty-carrier"])
-def test_malformed_file_exits_2_without_traceback(tmp_path, kind, payload):
+        "gallery-empty-carrier", "monoid-duplicate-labels"])
+def test_malformed_file_exits_2_without_traceback(tmp_path, kind, payload, need):
     path = tmp_path / ("%s.json" % kind)
     path.write_text(json.dumps(payload))
     argv = {"quantale": ["quantale", "check", str(path)],
@@ -742,6 +745,7 @@ def test_malformed_file_exits_2_without_traceback(tmp_path, kind, payload):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert need in done.stderr
 
 
 # Small JSON values, and objects with the fields the loaders read, each field

@@ -54,8 +54,8 @@ from tvcat import presheaf as presheaf_module
 from tvcat.categories import (EMAlgebra, TVFunctor, TVStructure, check_algebra,
                               check_category, check_functor, check_graph,
                               compatible_maps, discrete, dual,
-                              find_representation, functor_K, functor_M,
-                              graph_to_category, key_table, one_point,
+                              find_representation, from_order, functor_K,
+                              functor_M, graph_to_category, key_table, one_point,
                               random_category, separated, structure_on)
 from tvcat.exponential import (admissible_maps, check_exponentiability,
                                check_frame_criterion, graph_exponential,
@@ -372,9 +372,9 @@ def presheaf_carrier_oracle(s):
 
 
 def factorization_oracle(wexp, fmap, sz):
-    """The search branch of weak_factorize as written before
-    compatible_maps: the first map in itertools.product order over the
-    candidates at each z that check_functor passes."""
+    """weak_factorize as written before compatible_maps: the first map in
+    itertools.product order over the candidates at each z that
+    check_functor passes."""
     per_z = [[phi for phi in wexp.structure.carrier
               if all(wexp.apply(phi, wexp.yx.map[x]) == wexp.yy.map[fmap[(z, x)]]
                      for x in wexp.sx.carrier)] for z in sz.carrier]
@@ -474,8 +474,8 @@ def test_presheaf_carrier_matches_product_loop(cell):
 
 
 def test_weak_factorize_search_matches_product_loop():
-    # TX != X under labelled:z2, so the factorization is searched; over
-    # random Z the first compatible map is often not the first candidate
+    # one search for every monad: under labelled:z2 (TX != X) over random Z
+    # the first compatible map is often not the first candidate
     ext = LaxExtension(monad_by_name("labelled:z2"), quantale_by_name("two"))
     p = discrete(ext, ("x",))
     wexp = weak_exponential(p, p)
@@ -488,6 +488,22 @@ def test_weak_factorize_search_matches_product_loop():
         assert got == factorization_oracle(wexp, fmap, sz)
         firsts.add(got[zs[0]] == wexp.structure.carrier[0])
     assert firsts == {True, False}
+    # and under the identity monad (TX = X) on the 2-chain, for the
+    # projection and the constant b
+    ext = LaxExtension(monad_by_name("identity"), quantale_by_name("two"))
+    ch = from_order(ext, ("a", "b"), {("a", "b")})
+    wexp = weak_exponential(ch, ch)
+    assert ch.tx == ch.carrier and len(wexp.structure.carrier) == 7
+    rng = random.Random("factorize:identity")
+    checked = 0
+    for zs in [("b", "a"), ("z2", "z0", "z1")] * 6:
+        sz = random_category(ext, zs, rng)
+        for fmap in ({(z, x): x for z in zs for x in ch.carrier},
+                     {(z, x): "b" for z in zs for x in ch.carrier}):
+            got = weak_factorize(wexp, fmap, sz).map
+            assert got == factorization_oracle(wexp, fmap, sz)
+            checked += 1
+    assert checked == 24
 
 
 def test_admissible_maps_to_one_point_at_1200_points():

@@ -86,6 +86,10 @@ def test_labelled_monad_shape(q2):
 def test_monoid_validation():
     with pytest.raises(FormatError):
         Monoid(("e", "g"), ((0, 1), (0, 0)), 0)  # unit law fails on the right
+    with pytest.raises(FormatError, match="duplicate"):
+        # both labels would map to the last index, failing the unit law
+        Monoid.from_dict({"elements": ["e", "e"], "table": [["e", "e"], ["e", "e"]],
+                          "unit": "e"})
     m = z2()
     assert m.mul("g", "g") == "e"
 

@@ -35,7 +35,10 @@ checks its T(TX) guard on every call, and the keys of every construction
 lie inside its carriers, which relations no longer check.  ``VRel.rows``
 owns the rows of a relation: it groups the entries by source once per
 relation, no other code in ``src/tvcat`` does, and ``TVStructure`` keeps
-no grouping of its own."""
+no grouping of its own.  A ninth keeps monad behaviour in ``monads.py``:
+no other module reads a ``.kind``, calls ``isinstance`` against a
+``TheoryMonad`` class, or compares a ``.tx`` with a ``.carrier``, so weak
+factorization is one search for every monad."""
 
 import ast
 import random
@@ -690,3 +693,61 @@ def test_the_guard_sees_a_second_fiber_fold():
     assert fiber_folds(tree) == {
         "xi_of_values": [("LaxExtension", "lift_rows"), (None, "xi")],
         "fiber": [("LaxExtension", "lift_rows")]}
+
+
+def monad_classes():
+    """TheoryMonad and its subclasses in monads.py, by name."""
+    tree = ast.parse((SRC / "monads.py").read_text(encoding="utf-8"))
+    found = {"TheoryMonad"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in found for b in node.bases):
+            found.add(node.name)
+    return found
+
+
+def monad_switches(tree, classes):
+    """(line, source) of each switch on the monad: a ``.kind`` read, an
+    ``isinstance`` against one of ``classes``, and a comparison of a ``.tx``
+    with a ``.carrier``."""
+    def names(node):
+        elts = node.elts if isinstance(node, ast.Tuple) else [node]
+        return {e.id if isinstance(e, ast.Name) else getattr(e, "attr", None) for e in elts}
+
+    def attrs(node):
+        return {n.attr for n in [node.left, *node.comparators] if isinstance(n, ast.Attribute)}
+
+    out = []
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Attribute) and node.attr == "kind")
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and names(node.args[1]) & classes)
+                or (isinstance(node, ast.Compare) and {"tx", "carrier"} <= attrs(node))):
+            out.append((node.lineno, ast.unparse(node)))
+    return sorted(out)
+
+
+def test_monad_behaviour_stays_in_the_monads():
+    # weak factorization and every other construction take one path for
+    # every monad: no switch on the monad outside monads.py
+    classes = monad_classes()
+    assert {"TheoryMonad", "IdentityMonad", "WordMonad", "LabelledMonad"} <= classes
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "monads.py":
+            continue
+        switches = monad_switches(ast.parse(path.read_text(encoding="utf-8")), classes)
+        if switches:
+            found[path.name] = switches
+    assert found == {}
+
+
+def test_the_guard_sees_a_switch_on_the_monad():
+    tree = ast.parse("def f(s, d, m):\n"
+                     "    if s.monad.kind == 'word' or d.get('kind'):\n"
+                     "        return isinstance(m, (monads.WordMonad, int))\n"
+                     "    return isinstance(m, dict) or s.tx == s.carrier\n")
+    assert monad_switches(tree, monad_classes()) == [
+        (2, "s.monad.kind"), (3, "isinstance(m, (monads.WordMonad, int))"),
+        (4, "s.tx == s.carrier")]

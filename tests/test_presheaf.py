@@ -5,8 +5,9 @@ from itertools import product as iter_product
 
 import pytest
 
-from tvcat.categories import (check_category, check_functor, discrete,
-                              from_order, separated, subspace, v_hom_xi)
+from tvcat.categories import (TVFunctor, check_category, check_functor,
+                              discrete, from_order, separated, subspace,
+                              v_hom_xi)
 from tvcat.exponential import check_exponentiability, graph_exponential
 from tvcat.limits import GuardError
 from tvcat.monads import monad_by_name
@@ -214,9 +215,43 @@ def test_weak_factorize_exhaustive_small(ext_ord):
                             assert wexp.weak_ev(ft.map[z], x) == fmap[(z, x)]
 
 
+def colimit_factorization(wexp, fmap, sz):
+    """For TX = X, the Kan extension of f(z, -) along the Yoneda map of X:
+    f'(z, psi)(y') = \\/_x psi(x) (x) b(y', f(z, x)), as a map of Z into
+    the maps PX -> PY."""
+    sx, sy = wexp.sx, wexp.sy
+    q = sx.quantale
+    return {z: tuple(tuple(q.sup(q.tens(psi[i], sy.a(y1, fmap[(z, x)]))
+                                 for i, x in enumerate(sx.carrier))
+                           for y1 in sy.tx)
+                     for psi in wexp.px.structure.carrier)
+            for z in sz.carrier}
+
+
+def test_colimit_factorization_factors_through_the_weak_exponential(ext_ord):
+    # the theorem instance behind the search for TX = X: the Kan extension
+    # lies in the weak exponential, is a functor and factors f
+    posets = list(all_posets2(ext_ord))
+    checked = 0
+    for sx in posets:
+        assert sx.tx == sx.carrier
+        for sy in posets:
+            wexp = weak_exponential(sx, sy)
+            for sz in posets:
+                for fmap in functor_maps(sz, sx, sy):
+                    maps = colimit_factorization(wexp, fmap, sz)
+                    assert set(maps.values()) <= set(wexp.structure.carrier)
+                    ft = TVFunctor(sz, wexp.structure, maps)
+                    assert check_functor(ft).passed
+                    for z in sz.carrier:
+                        for x in sx.carrier:
+                            assert wexp.weak_ev(maps[z], x) == fmap[(z, x)]
+                    checked += 1
+    assert checked == 270
+
+
 def test_weak_factorize_search_branch(ext_labelled):
-    # TX != X, so factorizations are found by search, not by the colimit
-    # formula
+    # TX != X under the labelled monad; the one search factors every f
     p = discrete(ext_labelled, ("x",))
     wexp = weak_exponential(p, p)
     assert len(wexp.structure.carrier) == 9
@@ -231,19 +266,23 @@ def test_weak_factorize_search_branch(ext_labelled):
 
 
 def test_weak_factorize_general_pieces(ext_ord):
-    # Z with a collapsed pair exercises the quotient step
+    # Z with a collapsed pair exercises the quotient step: f is the
+    # projection on z0 ~ z1 and the constant b on z2, so z0 and z1 agree
+    # and z2 stays apart
     sz = from_order(ext_ord, ("z0", "z1", "z2"), {("z0", "z1"), ("z1", "z0")})
     sx = from_order(ext_ord, ("a", "b"), {("a", "b")})
     sy = sx
-    fmap = {(z, x): x for z in sz.carrier for x in sx.carrier}
+    fmap = {(z, x): "b" if z == "z2" else x for z in sz.carrier for x in sx.carrier}
     out = weak_factorize_general(fmap, sz, sx, sy)
     assert out["hf_check"].passed
     assert out["fhat_check"].passed
-    assert len(out["zf"].carrier) <= len(sz.carrier)
-    assert separated(out["zf"]) or True  # zf is a quotient; shape recorded
-    # h_f lands in the weak exponential and the triangle commutes on points
-    zf, qf, hf = out["zf"], out["qf"], out["hf"]
-    assert check_functor(hf).passed
+    zf, qf, fhat = out["zf"], out["qf"], out["fhat"]
+    assert zf.carrier == ("z0", "z2")
+    assert qf.map == {"z0": "z0", "z1": "z0", "z2": "z2"}
+    # f factors as f-hat after q_f x X, on all of Z x X
+    for z in sz.carrier:
+        for x in sx.carrier:
+            assert fhat.map[(qf.map[z], x)] == fmap[(z, x)]
 
 
 def test_weak_exponential_requires_separated(ext_ord):
